@@ -9,7 +9,11 @@
 #                      (env bounds below; smoke JSON goes to target/ci/, never
 #                      touching the committed artifacts), then bench_check
 #                      validating every committed BENCH_*.json schema and
-#                      headline ratio. No network needed: deps are vendored.
+#                      headline ratio, then the end-to-end benchmark's own
+#                      self-tests and a `benchmark/run.sh --quick` smoke run
+#                      (all four workloads, both passes, every byte verified;
+#                      builds into benchmark/target/). No network needed:
+#                      deps are vendored.
 #   make test        — full workspace test suite, including the differential
 #                      interval-vs-naive counting-table tests.
 #   make bench       — criterion micro-benchmarks (detector group includes
@@ -94,6 +98,8 @@ ci: tier1
 	$(CARGO) run --release -p insider-bench --bin bench_steady target/ci/BENCH_steady.json
 	$(CI_ROC_ENV) $(CARGO) run --release -p insider-bench --bin bench_roc target/ci/BENCH_roc.json
 	$(CARGO) run --release -p insider-bench --bin bench_check
+	cd benchmark && $(CARGO) test --release --offline
+	bash benchmark/run.sh --quick
 
 test:
 	$(CARGO) test --workspace -q

@@ -5,6 +5,7 @@ use crate::inode::{Inode, InodeKind, DIRECT_PTRS};
 use crate::layout::{Bitmap, Superblock, DIRENT_SIZE, INODE_SIZE, NAME_MAX};
 use crate::{FsError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::collections::{HashMap, HashSet};
 
 /// Inode index of the root directory.
 const ROOT_INODE: u32 = 0;
@@ -22,18 +23,73 @@ impl Default for FsConfig {
     }
 }
 
+/// The root directory as loaded: entries in on-disk order, plus a name index
+/// over them. The loader hands out unique names, so the two always have the
+/// same length.
+#[derive(Debug)]
+struct Dir {
+    entries: Vec<(String, u32)>,
+    by_name: HashMap<String, u32>,
+}
+
+impl Dir {
+    fn new(entries: Vec<(String, u32)>) -> Self {
+        let by_name = entries.iter().cloned().collect();
+        Dir { entries, by_name }
+    }
+
+    fn push(&mut self, name: &str, inode: u32) {
+        self.entries.push((name.to_string(), inode));
+        self.by_name.insert(name.to_string(), inode);
+    }
+
+    fn position(&self, name: &str) -> usize {
+        self.entries
+            .iter()
+            .position(|(n, _)| n == name)
+            .expect("indexed name has an entry")
+    }
+
+    fn remove(&mut self, name: &str) {
+        self.entries.remove(self.position(name));
+        self.by_name.remove(name);
+    }
+
+    fn rename(&mut self, from: &str, to: &str) {
+        let pos = self.position(from);
+        self.entries[pos].0 = to.to_string();
+        let inode = self.by_name.remove(from).expect("indexed name");
+        self.by_name.insert(to.to_string(), inode);
+    }
+}
+
 /// A mounted MiniExt filesystem over any [`BlockDev`].
 ///
 /// All metadata updates are write-through: every mutation lands on the
 /// device before the call returns, so an abrupt rollback of the underlying
 /// device leaves the same kind of partially-updated metadata a power loss
 /// would — which is exactly the state [`fsck`](crate::fsck) repairs.
+///
+/// # Residency
+///
+/// Between [`mount`](Self::mount)/[`format`](Self::format) and
+/// [`into_dev`](Self::into_dev) the superblock, inode table, bitmap and root
+/// directory are authoritative *in memory*: they are read from the device
+/// once (the directory by the first call that needs it) and only written
+/// afterwards. Whatever changes the device's contents underneath a mount —
+/// a rollback, [`fsck`](crate::fsck), raw writes through
+/// [`dev_mut`](Self::dev_mut) — must be followed by `into_dev` and a fresh
+/// `mount`, as a host reboots after SSD-Insider rolls its drive back.
 #[derive(Debug)]
 pub struct MiniExt<D: BlockDev> {
     pub(crate) dev: D,
     pub(crate) sb: Superblock,
     pub(crate) inodes: Vec<Inode>,
     pub(crate) bitmap: Bitmap,
+    /// `None` until first needed, and again after a failed directory write,
+    /// so the next call reloads from the device instead of trusting an edit
+    /// that may not have landed.
+    dir: Option<Dir>,
 }
 
 impl<D: BlockDev> MiniExt<D> {
@@ -98,6 +154,7 @@ impl<D: BlockDev> MiniExt<D> {
             sb,
             inodes,
             bitmap,
+            dir: None,
         };
         fs.flush_superblock()?;
         fs.flush_all_inodes()?;
@@ -121,6 +178,7 @@ impl<D: BlockDev> MiniExt<D> {
             sb,
             inodes,
             bitmap,
+            dir: None,
         })
     }
 
@@ -134,7 +192,10 @@ impl<D: BlockDev> MiniExt<D> {
         self.dev
     }
 
-    /// Mutable access to the device (for fault-injection experiments).
+    /// Mutable access to the device: inspecting it, advancing its clock and
+    /// arming fault plans are fine under a live mount. Changing block
+    /// contents is not — the mount would keep serving its resident metadata
+    /// (see [Residency](Self#residency)); remount after doing so.
     pub fn dev_mut(&mut self) -> &mut D {
         &mut self.dev
     }
@@ -365,7 +426,7 @@ impl<D: BlockDev> MiniExt<D> {
     pub(crate) fn load_dir(&mut self) -> Result<Vec<(String, u32)>> {
         let raw = self.read_inode_data(ROOT_INODE)?;
         let mut entries: Vec<(String, u32)> = Vec::new();
-        let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
+        let mut seen: HashSet<String> = HashSet::new();
         for chunk in raw.chunks_exact(DIRENT_SIZE) {
             let mut buf = chunk;
             let mut name = [0u8; NAME_MAX];
@@ -399,7 +460,10 @@ impl<D: BlockDev> MiniExt<D> {
         Ok(entries)
     }
 
+    /// Rewrites the whole directory. The resident copy is dropped; a caller
+    /// that knows `entries` is what it holds puts it back on success.
     pub(crate) fn save_dir(&mut self, entries: &[(String, u32)]) -> Result<()> {
+        self.dir = None;
         let mut buf = BytesMut::with_capacity(entries.len() * DIRENT_SIZE);
         for (name, inode) in entries {
             // Names longer than the slot can only come from corrupt
@@ -422,12 +486,43 @@ impl<D: BlockDev> MiniExt<D> {
         Ok(())
     }
 
+    /// The resident directory, loaded from the device on first use.
+    fn dir(&mut self) -> Result<&Dir> {
+        if self.dir.is_none() {
+            let entries = self.load_dir()?;
+            self.dir = Some(Dir::new(entries));
+        }
+        Ok(self.dir.as_ref().expect("filled above"))
+    }
+
+    /// Applies `edit` to the resident directory and writes the whole
+    /// directory through. The copy is out of its slot while the device is
+    /// written and goes back only on success.
+    fn update_dir(&mut self, edit: impl FnOnce(&mut Dir)) -> Result<()> {
+        self.dir()?;
+        let mut dir = self.dir.take().expect("filled above");
+        edit(&mut dir);
+        self.save_dir(&dir.entries)?;
+        self.dir = Some(dir);
+        Ok(())
+    }
+
     fn lookup(&mut self, name: &str) -> Result<Option<u32>> {
-        Ok(self
-            .load_dir()?
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, i)| i))
+        Ok(self.dir()?.by_name.get(name).copied())
+    }
+
+    /// Gives `name` — valid and not taken — a fresh inode and a directory
+    /// entry, returning the inode index.
+    fn create_entry(&mut self, name: &str) -> Result<u32> {
+        let idx = self
+            .inodes
+            .iter()
+            .position(|i| !i.is_live())
+            .ok_or(FsError::NoFreeInodes)? as u32;
+        self.inodes[idx as usize] = Inode::empty_file();
+        self.flush_inode(idx)?;
+        self.update_dir(|dir| dir.push(name, idx))?;
+        Ok(idx)
     }
 
     // ---- public file API ----
@@ -442,16 +537,7 @@ impl<D: BlockDev> MiniExt<D> {
         if self.lookup(name)?.is_some() {
             return Err(FsError::AlreadyExists(name.to_string()));
         }
-        let idx = self
-            .inodes
-            .iter()
-            .position(|i| !i.is_live())
-            .ok_or(FsError::NoFreeInodes)? as u32;
-        self.inodes[idx as usize] = Inode::empty_file();
-        self.flush_inode(idx)?;
-        let mut dir = self.load_dir()?;
-        dir.push((name.to_string(), idx));
-        self.save_dir(&dir)
+        self.create_entry(name).map(drop)
     }
 
     /// Writes `data` as the full content of `name`, creating the file if
@@ -480,10 +566,7 @@ impl<D: BlockDev> MiniExt<D> {
         Self::validate_name(name)?;
         let idx = match self.lookup(name)? {
             Some(idx) => idx,
-            None => {
-                self.create(name)?;
-                self.lookup(name)?.expect("just created")
-            }
+            None => self.create_entry(name)?,
         };
         self.write_inode_data(idx, data)
     }
@@ -506,13 +589,10 @@ impl<D: BlockDev> MiniExt<D> {
     ///
     /// Fails with [`FsError::NotFound`] if the file does not exist.
     pub fn delete(&mut self, name: &str) -> Result<()> {
-        let mut dir = self.load_dir()?;
-        let pos = dir
-            .iter()
-            .position(|(n, _)| n == name)
+        let idx = self
+            .lookup(name)?
             .ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        let (_, idx) = dir.remove(pos);
-        self.save_dir(&dir)?;
+        self.update_dir(|dir| dir.remove(name))?;
         self.release_inode_blocks(idx)?;
         self.inodes[idx as usize] = Inode::default();
         self.flush_inode(idx)
@@ -537,13 +617,10 @@ impl<D: BlockDev> MiniExt<D> {
         if self.lookup(to)?.is_some() {
             return Err(FsError::AlreadyExists(to.to_string()));
         }
-        let mut dir = self.load_dir()?;
-        let entry = dir
-            .iter_mut()
-            .find(|(n, _)| n == from)
-            .ok_or_else(|| FsError::NotFound(from.to_string()))?;
-        entry.0 = to.to_string();
-        self.save_dir(&dir)
+        if self.lookup(from)?.is_none() {
+            return Err(FsError::NotFound(from.to_string()));
+        }
+        self.update_dir(|dir| dir.rename(from, to))
     }
 
     /// Names of all files, in directory order.
@@ -552,7 +629,7 @@ impl<D: BlockDev> MiniExt<D> {
     ///
     /// Fails only on device errors.
     pub fn list(&mut self) -> Result<Vec<String>> {
-        Ok(self.load_dir()?.into_iter().map(|(n, _)| n).collect())
+        Ok(self.dir()?.entries.iter().map(|(n, _)| n.clone()).collect())
     }
 
     /// Whether `name` exists.
@@ -592,7 +669,7 @@ pub(crate) fn clamp_name(name: &str) -> &[u8] {
 }
 
 /// Reads the full inode table from a device.
-pub(crate) fn read_inode_table<D: BlockDev>(dev: &mut D, sb: &Superblock) -> Result<Vec<Inode>> {
+fn read_inode_table<D: BlockDev>(dev: &mut D, sb: &Superblock) -> Result<Vec<Inode>> {
     let per_block = dev.block_size() as usize / INODE_SIZE;
     let mut inodes = Vec::with_capacity(sb.inode_count as usize);
     'outer: for tb in 0..sb.inode_table_blocks as u64 {
@@ -633,7 +710,7 @@ pub(crate) fn contiguous_runs(blocks: &[u64]) -> Vec<(usize, usize)> {
 }
 
 /// Reads the free-space bitmap from a device.
-pub(crate) fn read_bitmap<D: BlockDev>(dev: &mut D, sb: &Superblock) -> Result<Bitmap> {
+fn read_bitmap<D: BlockDev>(dev: &mut D, sb: &Superblock) -> Result<Bitmap> {
     let mut raw = Vec::new();
     for b in 0..sb.bitmap_blocks as u64 {
         match dev.read_block(sb.bitmap_start + b)? {
@@ -899,16 +976,20 @@ mod corrupt_name_tests {
         fs.write_file("a", b"alpha").unwrap();
         fs.write_file("b", b"beta").unwrap();
 
-        // Smash both name fields with invalid UTF-8 that clamps identically.
+        // Smash both name fields with invalid UTF-8 that clamps identically
+        // — on the unmounted device: a live mount serves its resident copy.
         let dir_block = fs.inodes[0].direct[0] as u64;
-        let mut raw = fs.dev.read_block(dir_block).unwrap().unwrap().to_vec();
+        let mut dev = fs.into_dev();
+        let mut raw = dev.read_block(dir_block).unwrap().unwrap().to_vec();
         raw[0..NAME_MAX].fill(0xFF);
         raw[DIRENT_SIZE..DIRENT_SIZE + NAME_MAX].fill(0xFF);
         raw[DIRENT_SIZE + NAME_MAX - 1] = b'x';
-        fs.dev.write_block(dir_block, Bytes::from(raw)).unwrap();
+        dev.write_block(dir_block, Bytes::from(raw)).unwrap();
+        let mut fs = MiniExt::mount(dev).unwrap();
 
         let names = fs.list().unwrap();
         assert_eq!(names.len(), 2);
+        assert!(!names.contains(&"a".to_string()), "{names:?}");
         assert_ne!(
             names[0], names[1],
             "collision must be uniquified: {names:?}"
@@ -927,5 +1008,114 @@ mod corrupt_name_tests {
         assert_eq!(after.len(), 2);
         assert!(!after.contains(&names[0]));
         assert!(after.contains(&names[1]), "the sibling must survive");
+    }
+}
+
+#[cfg(test)]
+mod fault_tests {
+    use super::*;
+    use crate::blockdev::MemDev;
+
+    /// Fails the `fail_at`-th `write_block` (1-based) and remembers which
+    /// block it was aimed at; every other call passes through.
+    struct FailNthWrite {
+        inner: MemDev,
+        writes: u64,
+        fail_at: u64,
+        failed_block: Option<u64>,
+    }
+
+    impl BlockDev for FailNthWrite {
+        fn read_block(&mut self, index: u64) -> Result<Option<Bytes>> {
+            self.inner.read_block(index)
+        }
+
+        fn write_block(&mut self, index: u64, data: Bytes) -> Result<()> {
+            self.writes += 1;
+            if self.writes == self.fail_at {
+                self.failed_block = Some(index);
+                return Err(FsError::Device("injected write fault".into()));
+            }
+            self.inner.write_block(index, data)
+        }
+
+        fn trim_block(&mut self, index: u64) -> Result<()> {
+            self.inner.trim_block(index)
+        }
+
+        fn block_size(&self) -> u32 {
+            self.inner.block_size()
+        }
+
+        fn block_count(&self) -> u64 {
+            self.inner.block_count()
+        }
+    }
+
+    /// A device error anywhere inside `create`, `delete` or `rename` must
+    /// drop the resident directory, not leave it half-edited: afterwards the
+    /// mount lists what the device holds.
+    ///
+    /// 256-byte blocks make the 40-entry directory five full blocks, so the
+    /// create also allocates (bitmap and superblock writes in the middle of
+    /// the directory rewrite), and put four inodes in a table block, so a
+    /// write to the root's table block (the files touched have inodes >= 4)
+    /// can only be the root-inode flush. A failure of that one flush leaves
+    /// the in-memory inode table ahead of the device — all metadata flushes
+    /// behave so, it is not the directory's doing — so there, and only
+    /// there, a fresh mount may list something else.
+    #[test]
+    fn failed_directory_update_drops_the_resident_copy() {
+        let mut fs =
+            MiniExt::format(MemDev::new(1024, 256), &FsConfig { inode_count: 64 }).unwrap();
+        for i in 0..40 {
+            fs.write_file(&format!("f{i:02}"), &[i as u8; 300]).unwrap();
+        }
+        let root_table_block = fs.sb.inode_table_start;
+        let image = fs.into_dev();
+
+        type Op = fn(&mut MiniExt<FailNthWrite>) -> Result<()>;
+        let ops: [(&str, Op); 3] = [
+            ("create", |fs| fs.create("new")),
+            ("delete", |fs| fs.delete("f17")),
+            ("rename", |fs| fs.rename("f23", "renamed")),
+        ];
+        for (what, op) in ops {
+            let mut completed = false;
+            for fail_at in 1..200 {
+                let dev = FailNthWrite {
+                    inner: image.clone(),
+                    writes: 0,
+                    fail_at,
+                    failed_block: None,
+                };
+                let mut fs = MiniExt::mount(dev).unwrap();
+                assert_eq!(fs.list().unwrap().len(), 40);
+
+                let result = op(&mut fs);
+                let Some(failed_block) = fs.dev.failed_block else {
+                    result.unwrap();
+                    completed = true;
+                    break;
+                };
+                assert!(
+                    matches!(result, Err(FsError::Device(_))),
+                    "{what}, write {fail_at}: {result:?}"
+                );
+
+                let listed = fs.list().unwrap();
+                let on_device: Vec<String> =
+                    fs.load_dir().unwrap().into_iter().map(|(n, _)| n).collect();
+                assert_eq!(listed, on_device, "{what}, write {fail_at}");
+                if failed_block != root_table_block {
+                    let fresh = MiniExt::mount(fs.dev.inner.clone())
+                        .unwrap()
+                        .list()
+                        .unwrap();
+                    assert_eq!(listed, fresh, "{what}, write {fail_at}");
+                }
+            }
+            assert!(completed, "{what} never ran out of writes to fail");
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! fsck, which must leave the filesystem consistent with no files lost.
 
 use crate::blockdev::BlockDev;
-use crate::fs::{read_bitmap, read_inode_table, MiniExt};
+use crate::fs::MiniExt;
 use crate::inode::{Inode, InodeKind};
 use crate::layout::{Bitmap, Superblock};
 use crate::Result;
@@ -199,17 +199,8 @@ fn write_indirect_ptrs<D: BlockDev>(
 ///
 /// Fails with [`FsError::NotAMiniExt`](crate::FsError::NotAMiniExt) when no
 /// superblock is present, or on device errors.
-pub fn fsck<D: BlockDev>(mut dev: D) -> Result<(FsckReport, D)> {
-    let raw = dev.read_block(0)?;
-    let sb = Superblock::decode(raw.as_ref())?;
-    let inodes = read_inode_table(&mut dev, &sb)?;
-    let bitmap = read_bitmap(&mut dev, &sb)?;
-    let mut fs = MiniExt {
-        dev,
-        sb,
-        inodes,
-        bitmap,
-    };
+pub fn fsck<D: BlockDev>(dev: D) -> Result<(FsckReport, D)> {
+    let mut fs = MiniExt::mount(dev)?;
     let mut report = FsckReport::default();
 
     // Pass 0: the root directory inode must exist and be a directory —
@@ -431,9 +422,7 @@ pub fn fsck<D: BlockDev>(mut dev: D) -> Result<(FsckReport, D)> {
     for b in &referenced {
         rebuilt.set(b - fs.sb.data_start, true);
     }
-    let diff = (0..fs.sb.data_blocks())
-        .filter(|&i| rebuilt.get(i) != fs.bitmap.get(i))
-        .count() as u64;
+    let diff = rebuilt.diff_count(&fs.bitmap);
     if diff > 0 {
         report.free_space_bitmap = diff;
         fs.bitmap = rebuilt;

@@ -158,12 +158,45 @@ impl Bitmap {
 
     /// Index of the first free data block, if any.
     pub fn first_free(&self) -> Option<u64> {
-        (0..self.data_blocks).find(|&i| !self.get(i))
+        let byte = self.bits.iter().position(|&b| b != 0xff)?;
+        let i = byte as u64 * 8 + self.bits[byte].trailing_ones() as u64;
+        // Only the last byte can hold a clear bit that is padding, and then
+        // every bit before it is taken.
+        (i < self.data_blocks).then_some(i)
     }
 
     /// Number of free data blocks.
     pub fn free_count(&self) -> u64 {
-        (0..self.data_blocks).filter(|&i| !self.get(i)).count() as u64
+        self.data_blocks - self.count_ones(|_, b| b)
+    }
+
+    /// Number of data blocks on which `self` and `other` disagree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bitmaps cover different numbers of blocks.
+    pub fn diff_count(&self, other: &Bitmap) -> u64 {
+        assert_eq!(
+            self.data_blocks, other.data_blocks,
+            "bitmaps of different lengths"
+        );
+        self.count_ones(|i, b| b ^ other.bits[i])
+    }
+
+    /// Population count of `f(byte index, byte)` over the data region. The
+    /// padding bits of the last byte are masked off: they carry whatever
+    /// [`from_bytes`](Self::from_bytes) was given.
+    fn count_ones(&self, f: impl Fn(usize, u8) -> u8) -> u64 {
+        let pad = self.bits.len() as u64 * 8 - self.data_blocks;
+        let last = self.bits.len().wrapping_sub(1);
+        self.bits
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| {
+                let mask = if i == last { 0xff >> pad } else { 0xff };
+                (f(i, b) & mask).count_ones() as u64
+            })
+            .sum()
     }
 }
 
@@ -229,6 +262,49 @@ mod tests {
             b.set(i, true);
         }
         assert_eq!(b.first_free(), None);
+    }
+
+    /// The byte-wise scans against their bit-by-bit definitions, on lengths
+    /// around the byte boundary, with the last byte's padding bits (which
+    /// `from_bytes` takes from the device as they come) both clear and set.
+    #[test]
+    fn bitmap_scans_match_bitwise_definition_and_ignore_padding() {
+        for len in [1u64, 7, 8, 9, 20] {
+            let bytes = len.div_ceil(8) as usize;
+            let valid = 0xffu8 >> (bytes as u64 * 8 - len);
+            let mut patterns: Vec<Vec<u8>> = vec![vec![0x00; bytes], vec![0xff; bytes]];
+            patterns.extend((1..24u32).map(|k| {
+                (0..bytes as u32)
+                    .map(|i| (k.wrapping_mul(2_654_435_761) >> (8 * (i % 3))) as u8)
+                    .collect()
+            }));
+            let maps: Vec<Bitmap> = patterns
+                .iter()
+                .flat_map(|raw| {
+                    [0x00u8, 0xff].map(|pad| {
+                        let mut raw = raw.clone();
+                        let last = raw.last_mut().unwrap();
+                        *last = (*last & valid) | (pad & !valid);
+                        Bitmap::from_bytes(&raw, len)
+                    })
+                })
+                .collect();
+            for a in &maps {
+                assert_eq!(a.first_free(), (0..len).find(|&i| !a.get(i)), "{a:?}");
+                assert_eq!(
+                    a.free_count(),
+                    (0..len).filter(|&i| !a.get(i)).count() as u64,
+                    "{a:?}"
+                );
+                for b in &maps {
+                    assert_eq!(
+                        a.diff_count(b),
+                        (0..len).filter(|&i| a.get(i) != b.get(i)).count() as u64,
+                        "{a:?} {b:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
