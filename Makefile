@@ -1,7 +1,14 @@
 # Convenience targets for the SSD-Insider reproduction.
 #
-#   make tier1       — the gating check: release build, quick tests, and a
-#                      zero-warning clippy pass over the whole workspace.
+#   make tier1       — the gating check: `cargo build --release && cargo
+#                      test -q` plus a zero-warning clippy pass. The root
+#                      manifest's `default-members = [".", "crates/*"]` makes
+#                      those bare commands cover the umbrella package and
+#                      every product crate — the whole suite (about 690
+#                      tests: unit, differential oracles, proptests, the
+#                      strided crash sweep and the bench smokes), about a
+#                      minute warm — and leave out only `vendored/*`, the
+#                      offline dependency stand-ins.
 #   make ci          — the full offline CI gate (what .github/workflows/ci.yml
 #                      runs): tier1, rustfmt check, clippy over all targets,
 #                      bounded crash-sweep / latency / multitenant /
@@ -14,8 +21,7 @@
 #                      (all four workloads, both passes, every byte verified;
 #                      builds into benchmark/target/). No network needed:
 #                      deps are vendored.
-#   make test        — full workspace test suite, including the differential
-#                      interval-vs-naive counting-table tests.
+#   make test        — alias of tier-1's `cargo test -q` (same suite).
 #   make bench       — criterion micro-benchmarks (detector group includes
 #                      the interval-vs-naive counting-table comparison).
 #   make bench-json  — regenerate BENCH_detect.json (detector-ingest
@@ -102,7 +108,7 @@ ci: tier1
 	bash benchmark/run.sh --quick
 
 test:
-	$(CARGO) test --workspace -q
+	$(CARGO) test -q
 
 bench:
 	$(CARGO) bench -p insider-bench

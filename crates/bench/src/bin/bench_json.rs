@@ -2,16 +2,16 @@
 //! the [`insider_detect::FeatureEngine`] twice — once on the
 //! interval-indexed [`CountingTable`], once on the legacy per-LBA
 //! [`NaiveCountingTable`] — then replays the sequential trace through a
-//! whole [`SsdInsider`] device via the scalar and extent host paths, and
-//! writes requests/s plus peak table state to `BENCH_detect.json` so CI
-//! can diff throughput across commits.
+//! whole [`SsdInsider`] device twice more, as recorded (`extent`) and
+//! [`scalarized`](Trace::scalarized) into one-block requests (`scalar`),
+//! both through [`replay_device`] — and writes requests/s plus peak table
+//! state to `BENCH_detect.json` so CI can diff throughput across commits.
 //!
 //! Usage:
 //!   cargo run --release -p insider-bench --bin bench_json [-- out.json]
 
 use insider_bench::{
-    random_trace, ransomware_mix_trace, replay_device, replay_device_scalar, replay_geometry,
-    sequential_trace,
+    random_trace, ransomware_mix_trace, replay_device, replay_geometry, sequential_trace,
 };
 use insider_detect::{
     CountingBackend, CountingTable, DecisionTree, FeatureEngine, IoReq, NaiveCountingTable,
@@ -117,12 +117,13 @@ fn bench_trace(name: &str, reqs: &[IoReq]) -> serde_json::Value {
 }
 
 /// Device-level replay throughput: the sequential trace through a whole
-/// `SsdInsider` (detector + FTL + NAND model), once per host path. Each
-/// timed pass gets a fresh device; the best of N is reported.
+/// `SsdInsider` (detector + FTL + NAND model), once as recorded and once
+/// split into one-block requests. Each timed pass gets a fresh device; the
+/// best of N is reported, per request of the *recorded* trace either way.
 fn bench_device_replay(trace: &Trace) -> serde_json::Value {
     /// Best-of-N elapsed plus the final pass's device, whose scheduler
     /// latencies and busy integrals feed the utilization report below.
-    fn timed(trace: &Trace, scalar: bool) -> (f64, SsdInsider) {
+    fn timed(trace: &Trace) -> (f64, SsdInsider) {
         let mut best = f64::INFINITY;
         let mut last = None;
         for _ in 0..TIMED_PASSES {
@@ -131,11 +132,7 @@ fn bench_device_replay(trace: &Trace) -> serde_json::Value {
                 DecisionTree::constant(false),
             );
             let start = Instant::now();
-            let outcome = if scalar {
-                replay_device_scalar(trace, &mut device)
-            } else {
-                replay_device(trace, &mut device)
-            };
+            let outcome = replay_device(trace, &mut device);
             let elapsed = start.elapsed().as_secs_f64();
             assert_eq!(outcome.skipped, 0, "trace must fit the replay geometry");
             best = best.min(elapsed);
@@ -147,8 +144,8 @@ fn bench_device_replay(trace: &Trace) -> serde_json::Value {
         "bench_json: device-replay (sequential) — {} requests",
         trace.len()
     );
-    let (scalar_s, _) = timed(trace, true);
-    let (extent_s, device) = timed(trace, false);
+    let (scalar_s, _) = timed(&trace.scalarized());
+    let (extent_s, device) = timed(trace);
     let reqs = trace.len() as f64;
     let speedup = scalar_s / extent_s;
     println!(

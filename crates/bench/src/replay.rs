@@ -164,9 +164,10 @@ pub struct ReplayOutcome {
 }
 
 /// Equality deliberately ignores `latency`: outcomes are compared by what
-/// the replay *did* (applied/skipped blocks); the scalar and extent paths
-/// batch commands differently, so their queueing latencies legitimately
-/// differ even when their effects are identical.
+/// the replay *did* (applied/skipped blocks); a trace and its
+/// [`scalarized`](Trace::scalarized) form batch commands differently, so
+/// their queueing latencies legitimately differ even when their effects
+/// are identical.
 impl PartialEq for ReplayOutcome {
     fn eq(&self, other: &Self) -> bool {
         self.applied == other.applied && self.skipped == other.skipped
@@ -198,8 +199,7 @@ impl ReplayOutcome {
 
 /// Clips a request to the device's logical capacity, charging any excess
 /// blocks to `outcome.skipped`. Returns the in-range prefix as
-/// `(lba, len)`, or `None` when the whole request is out of range — the
-/// same per-block clamping the scalar replay loops apply.
+/// `(lba, len)`, or `None` when the whole request is out of range.
 pub(crate) fn clamp_extent(
     req: &IoReq,
     logical: u64,
@@ -214,10 +214,11 @@ pub(crate) fn clamp_extent(
     Some((req.lba, fit))
 }
 
-/// Replays a trace against any FTL, one extent request per trace entry
-/// (the native path). Requests are clipped to the FTL's exported capacity;
-/// the returned [`ReplayOutcome`] reports applied vs skipped blocks and a
-/// warning is logged when anything was skipped.
+/// Replays a trace against any FTL, one extent request per trace entry.
+/// Requests are clipped to the FTL's exported capacity; the returned
+/// [`ReplayOutcome`] reports applied vs skipped blocks and a warning is
+/// logged when anything was skipped. For the one-block-per-request view of
+/// the same workload, pass [`Trace::scalarized`].
 ///
 /// # Panics
 ///
@@ -250,42 +251,6 @@ pub fn replay_ftl(trace: &Trace, ftl: &mut dyn Ftl) -> ReplayOutcome {
     ftl.sync();
     outcome.latency = ftl.latency_snapshot();
     outcome.warn_if_skipped("replay_ftl")
-}
-
-/// [`replay_ftl`] with every request decomposed into single-block scalar
-/// calls — the pre-extent code path, kept as the differential baseline the
-/// oracle tests and throughput benchmarks compare against.
-///
-/// # Panics
-///
-/// Panics if the FTL reports an error other than capacity exhaustion.
-pub fn replay_ftl_scalar(trace: &Trace, ftl: &mut dyn Ftl) -> ReplayOutcome {
-    let logical = ftl.logical_pages();
-    let mut outcome = ReplayOutcome::default();
-    for req in trace {
-        for lba in req.blocks() {
-            if lba.index() >= logical {
-                outcome.skipped += 1;
-                continue;
-            }
-            match req.mode {
-                IoMode::Read => {
-                    ftl.read(lba, req.time).expect("replay read failed");
-                }
-                IoMode::Write => {
-                    ftl.write(lba, payload(), req.time)
-                        .expect("replay write failed");
-                }
-                IoMode::Trim => {
-                    ftl.trim(lba, req.time).expect("replay trim failed");
-                }
-            }
-            outcome.applied += 1;
-        }
-    }
-    ftl.sync();
-    outcome.latency = ftl.latency_snapshot();
-    outcome.warn_if_skipped("replay_ftl_scalar")
 }
 
 /// Replays a trace against a full SSD-Insider device, one extent request
@@ -351,47 +316,6 @@ pub fn replay_device_payload(
     device.sync();
     outcome.latency = device.latency_snapshot();
     outcome.warn_if_skipped("replay_device")
-}
-
-/// [`replay_device`] with every request decomposed into single-block
-/// scalar calls — the pre-extent baseline for the throughput comparison in
-/// `bench_json`.
-///
-/// # Panics
-///
-/// Panics on device errors other than capacity exhaustion.
-pub fn replay_device_scalar(trace: &Trace, device: &mut SsdInsider) -> ReplayOutcome {
-    use ssd_insider::DeviceState;
-    let logical = Ftl::logical_pages(device);
-    let mut outcome = ReplayOutcome::default();
-    for req in trace {
-        for lba in req.blocks() {
-            if lba.index() >= logical {
-                outcome.skipped += 1;
-                continue;
-            }
-            match req.mode {
-                IoMode::Read => {
-                    device.read(lba, req.time).expect("replay read failed");
-                }
-                IoMode::Write => {
-                    device
-                        .write(lba, payload(), req.time)
-                        .expect("replay write failed");
-                }
-                IoMode::Trim => {
-                    device.trim(lba, req.time).expect("replay trim failed");
-                }
-            }
-            outcome.applied += 1;
-        }
-        if device.state() == DeviceState::Suspicious {
-            device.dismiss_alarm().expect("alarm pending");
-        }
-    }
-    device.sync();
-    outcome.latency = device.latency_snapshot();
-    outcome.warn_if_skipped("replay_device_scalar")
 }
 
 /// Fills the first `fraction` of an FTL's logical space with one write per
@@ -484,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn scalar_replay_reports_the_same_outcome() {
+    fn scalarized_replay_reports_the_same_outcome() {
         use insider_detect::{IoMode, IoReq};
         let mut trace = Trace::new();
         let mut ftl = ConventionalFtl::new(FtlConfig::new(Geometry::tiny()));
@@ -504,7 +428,7 @@ mod tests {
         ));
         let extent = replay_ftl(&trace, &mut ftl);
         let mut ftl2 = ConventionalFtl::new(FtlConfig::new(Geometry::tiny()));
-        let scalar = replay_ftl_scalar(&trace, &mut ftl2);
+        let scalar = replay_ftl(&trace.scalarized(), &mut ftl2);
         assert_eq!(extent, scalar);
         assert_eq!(extent.applied, 3);
         assert_eq!(extent.skipped, 5);

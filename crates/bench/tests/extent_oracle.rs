@@ -1,17 +1,17 @@
-//! Differential oracle: the extent-native I/O path and the legacy scalar
-//! path must be host-observably identical on the three benchmark traces —
-//! byte-identical logical device contents, identical per-slice feature
-//! series, and identical rollback reports after a mid-trace alarm. GC
-//! timing and physical placement may differ between the paths (per-page vs
-//! per-extent reservation), so the oracle deliberately compares only
-//! logical observables.
+//! Differential oracle: an N-page extent and its
+//! [`scalarized`](Trace::scalarized) decomposition into N one-page requests
+//! must be host-observably identical on the three benchmark traces —
+//! byte-identical logical device contents, the same recovery-queue length,
+//! identical per-slice feature series, and identical rollback reports after
+//! a mid-trace alarm. GC timing and physical placement may differ (GC
+//! collects ahead of each request by the blocks *that request* needs), so
+//! the oracle deliberately compares only logical observables.
 
 use bytes::Bytes;
 use insider_bench::{
-    random_trace, ransomware_mix_trace, replay_ftl, replay_ftl_scalar, replay_geometry,
-    sequential_trace,
+    random_trace, ransomware_mix_trace, replay_ftl, replay_geometry, sequential_trace,
 };
-use insider_detect::{DecisionTree, IoMode};
+use insider_detect::{DecisionTree, IoMode, IoReq};
 use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{Lba, SimTime};
 use insider_workloads::Trace;
@@ -47,12 +47,12 @@ fn contents(ftl: &mut dyn Ftl, span: u64, now: SimTime) -> Vec<Option<Bytes>> {
 }
 
 #[test]
-fn extent_and_scalar_replays_leave_identical_device_contents() {
+fn extent_and_scalarized_replays_leave_identical_device_contents() {
     for (name, trace) in traces() {
         let mut extent = InsiderFtl::new(FtlConfig::new(replay_geometry()));
         let mut scalar = InsiderFtl::new(FtlConfig::new(replay_geometry()));
         let a = replay_ftl(&trace, &mut extent);
-        let b = replay_ftl_scalar(&trace, &mut scalar);
+        let b = replay_ftl(&trace.scalarized(), &mut scalar);
         assert_eq!(a, b, "{name}: replay outcomes diverge");
         assert_eq!(a.skipped, 0, "{name}: trace must fit the replay geometry");
         let span = touched_span(&trace);
@@ -80,38 +80,32 @@ fn extent_requests_produce_identical_feature_series() {
     }
 }
 
-/// Applies one request to a device; `scalar` decomposes it block by block.
-fn apply(device: &mut SsdInsider, req: &insider_detect::IoReq, scalar: bool) {
-    let data = Bytes::from_static(b"replayed");
-    if scalar {
-        for lba in req.blocks() {
-            match req.mode {
-                IoMode::Read => {
-                    device.read(lba, req.time).unwrap();
-                }
-                IoMode::Write => device.write(lba, data.clone(), req.time).unwrap(),
-                IoMode::Trim => device.trim(lba, req.time).unwrap(),
-            }
+/// Applies one request to a device as a single extent.
+fn apply(device: &mut SsdInsider, req: &IoReq) {
+    match req.mode {
+        IoMode::Read => {
+            device.read_extent(req.lba, req.len, req.time).unwrap();
         }
-    } else {
-        match req.mode {
-            IoMode::Read => {
-                device.read_extent(req.lba, req.len, req.time).unwrap();
-            }
-            IoMode::Write => {
-                let payloads = vec![data; req.len as usize];
-                device.write_extent(req.lba, &payloads, req.time).unwrap();
-            }
-            IoMode::Trim => device.trim_extent(req.lba, req.len, req.time).unwrap(),
+        IoMode::Write => {
+            let payloads = vec![Bytes::from_static(b"replayed"); req.len as usize];
+            device.write_extent(req.lba, &payloads, req.time).unwrap();
         }
+        IoMode::Trim => device.trim_extent(req.lba, req.len, req.time).unwrap(),
     }
 }
 
 /// Replays until the first alarm, returning the index of the request that
-/// tripped it (the whole request is applied on both paths before checking).
-fn replay_until_alarm(trace: &Trace, device: &mut SsdInsider, scalar: bool) -> usize {
+/// tripped it. `scalarized` issues each request as its one-page
+/// decomposition; the whole request is applied either way before checking.
+fn replay_until_alarm(trace: &Trace, device: &mut SsdInsider, scalarized: bool) -> usize {
     for (i, req) in trace.iter().enumerate() {
-        apply(device, req, scalar);
+        if scalarized {
+            for page in &Trace::from_reqs(vec![*req]).scalarized() {
+                apply(device, page);
+            }
+        } else {
+            apply(device, req);
+        }
         if device.state() == DeviceState::Suspicious {
             return i;
         }
@@ -120,7 +114,7 @@ fn replay_until_alarm(trace: &Trace, device: &mut SsdInsider, scalar: bool) -> u
 }
 
 #[test]
-fn mid_trace_alarm_recovers_identically_on_both_paths() {
+fn mid_trace_alarm_recovers_identically_for_extents_and_their_decomposition() {
     let trace = ransomware_mix_trace();
     let mut extent = SsdInsider::new(
         InsiderConfig::new(replay_geometry()),

@@ -71,13 +71,8 @@ impl FsBridge {
         BlockCache::new(self, capacity)
     }
 
-    fn tick(&mut self) {
-        self.now += self.per_op;
-    }
-
-    /// Advances the clock as if `n` scalar block operations had run, so an
-    /// extent of `n` blocks costs the same simulated time as its scalar
-    /// decomposition.
+    /// Advances the clock by `n` block operations: an extent of `n` blocks
+    /// costs the same simulated time as `n` one-block requests.
     fn tick_n(&mut self, n: u64) {
         self.now += SimTime::from_micros(self.per_op.as_micros() * n);
     }
@@ -89,36 +84,32 @@ fn to_fs_error(e: DeviceError) -> FsError {
 
 impl BlockDev for FsBridge {
     fn read_block(&mut self, index: u64) -> insider_fs::Result<Option<Bytes>> {
-        let out = self
-            .device
-            .read(Lba::new(index), self.now)
-            .map_err(to_fs_error);
-        self.tick();
-        out
+        self.read_blocks(index, 1)
+            .map(|mut blocks| blocks.pop().flatten())
     }
 
     fn write_block(&mut self, index: u64, data: Bytes) -> insider_fs::Result<()> {
-        let out = self
-            .device
-            .write(Lba::new(index), data, self.now)
-            .map_err(to_fs_error);
-        self.tick();
-        out
+        self.write_blocks(index, &[data])
     }
 
     fn trim_block(&mut self, index: u64) -> insider_fs::Result<()> {
         let out = self
             .device
-            .trim(Lba::new(index), self.now)
+            .trim_extent(Lba::new(index), 1, self.now)
             .map_err(to_fs_error);
-        self.tick();
+        self.tick_n(1);
         out
     }
 
     fn read_blocks(&mut self, index: u64, count: u64) -> insider_fs::Result<Vec<Option<Bytes>>> {
+        // The device addresses extents with a 32-bit length; a longer read
+        // cannot be in range on any geometry, so refuse it rather than
+        // truncate it.
+        let len = u32::try_from(count)
+            .map_err(|_| FsError::BlockOutOfRange(index.saturating_add(count)))?;
         let out = self
             .device
-            .read_extent(Lba::new(index), count as u32, self.now)
+            .read_extent(Lba::new(index), len, self.now)
             .map_err(to_fs_error);
         self.tick_n(count);
         out
@@ -235,6 +226,21 @@ mod tests {
     }
 
     #[test]
+    fn read_count_beyond_u32_is_refused_not_truncated() {
+        let mut b = bridge(DecisionTree::constant(false));
+        b.write_block(0, Bytes::from_static(b"x")).unwrap();
+        let t0 = b.now();
+        // Truncated to 32 bits this would be a successful one-block read.
+        let count = u64::from(u32::MAX) + 2;
+        assert!(matches!(
+            b.read_blocks(0, count),
+            Err(FsError::BlockOutOfRange(end)) if end == count
+        ));
+        assert_eq!(b.now(), t0, "a refused request takes no device time");
+        assert_eq!(b.device().timing().read_ops, 0);
+    }
+
+    #[test]
     fn multi_block_ops_use_the_extent_path_and_keep_clock_parity() {
         let mut b = bridge(DecisionTree::constant(false));
         let t0 = b.now();
@@ -243,7 +249,7 @@ mod tests {
         assert_eq!(
             b.now(),
             t0 + SimTime::from_micros(200),
-            "4 blocks = 4 scalar ticks"
+            "4 blocks = 4 one-block ticks"
         );
         let got = b.read_blocks(2, 4).unwrap();
         assert!(got.iter().all(|g| g.is_some()));

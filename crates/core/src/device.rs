@@ -462,27 +462,6 @@ impl SsdInsider {
 /// FTLs, so experiment harnesses can swap a monitored device in anywhere a
 /// plain FTL is accepted. Every operation flows through the inline detector.
 impl Ftl for SsdInsider {
-    fn write(&mut self, lba: Lba, data: Bytes, now: SimTime) -> insider_ftl::Result<()> {
-        SsdInsider::write(self, lba, data, now).map_err(|e| match e {
-            DeviceError::Ftl(f) => f,
-            _ => unreachable!("write never gates on state"),
-        })
-    }
-
-    fn read(&mut self, lba: Lba, now: SimTime) -> insider_ftl::Result<Option<Bytes>> {
-        SsdInsider::read(self, lba, now).map_err(|e| match e {
-            DeviceError::Ftl(f) => f,
-            _ => unreachable!("read never gates on state"),
-        })
-    }
-
-    fn trim(&mut self, lba: Lba, now: SimTime) -> insider_ftl::Result<()> {
-        SsdInsider::trim(self, lba, now).map_err(|e| match e {
-            DeviceError::Ftl(f) => f,
-            _ => unreachable!("trim never gates on state"),
-        })
-    }
-
     fn read_extent(
         &mut self,
         lba: Lba,

@@ -534,20 +534,9 @@ impl FtlBase {
         self.free_count
     }
 
-    pub fn check_lba(&self, lba: Lba) -> Result<()> {
-        if self.mapping.contains(lba) {
-            Ok(())
-        } else {
-            Err(FtlError::LbaOutOfRange {
-                lba,
-                logical_pages: self.mapping.len(),
-            })
-        }
-    }
-
     /// One bounds check for a whole extent: every page of `[lba, lba+len)`
     /// must be inside the logical range. The reported address is the first
-    /// out-of-range page, matching what a scalar decomposition would hit.
+    /// out-of-range page.
     pub fn check_extent(&self, lba: Lba, len: u32) -> Result<()> {
         let logical = self.mapping.len();
         let end = lba.index().checked_add(len as u64);
@@ -569,6 +558,10 @@ impl FtlBase {
     /// Hands out the next programmable physical page, rotating across one
     /// active block per chip so consecutive pages land on different dies;
     /// a chip whose pool is empty is skipped until GC refills it.
+    ///
+    /// Used by GC's page-by-page migration only; host writes reserve their
+    /// pages through [`allocate_extent`](Self::allocate_extent), which hands
+    /// out the same sequence.
     fn allocate(&mut self) -> Result<Ppa> {
         let g = *self.config.geometry();
         let chips = self.active.len();
@@ -883,32 +876,6 @@ impl FtlBase {
         Ok(())
     }
 
-    /// Programs `data` for `lba` at a fresh physical page, updates both maps,
-    /// and returns the superseded physical page, if any. The caller decides
-    /// what happens to the old page (immediate invalidation vs. protection).
-    ///
-    /// `stamp` is the host write time, programmed into the page's OOB spare
-    /// area together with the data so a post-crash mount can rebuild the
-    /// mapping table — and the recovery queue — from flash alone.
-    pub fn program_mapped(&mut self, lba: Lba, data: Bytes, stamp: SimTime) -> Result<Option<Ppa>> {
-        let new = self.allocate()?;
-        let data = self.hop(&data);
-        self.device
-            .program_tagged(new, data, OobTag::live(lba, stamp))?;
-        self.chain_note(lba, new, self.device.last_seq(), stamp, true);
-        self.rmap[new.index() as usize] = Some(lba);
-        let old = self.mapping.set(lba, Some(new));
-        Ok(old)
-    }
-
-    /// Reads the current version of `lba`, or `None` if unmapped.
-    pub fn read_mapped(&mut self, lba: Lba) -> Result<Option<Bytes>> {
-        match self.mapping.get(lba) {
-            Some(ppa) => Ok(Some(self.device.read(ppa)?)),
-            None => Ok(None),
-        }
-    }
-
     /// Batched read of `len` consecutive logical pages: one mapping-table
     /// scan gathers the mapped physical pages, a single grouped NAND submit
     /// fetches them, and the payloads are scattered back into request order
@@ -941,13 +908,13 @@ impl FtlBase {
     ///
     /// `stamp` is the host write time, programmed into every page's OOB
     /// spare area (and stamped on any backup entries) so a post-crash mount
-    /// can rebuild the DRAM state from flash alone.
+    /// can rebuild the mapping table — and the recovery queue — from flash
+    /// alone.
     ///
     /// Payload sizes are validated up front, so an oversized buffer fails
     /// the whole extent before anything is programmed. A mid-batch NAND
     /// fault leaves the leading pages fully applied — mapped, pre-images
-    /// invalidated, backup entries pushed, exactly the state the scalar
-    /// loop leaves when its k-th write fails — before the error returns.
+    /// invalidated, backup entries pushed — before the error returns.
     /// The programmed prefix is the *acknowledged* part of the extent: its
     /// length is visible to the host as the `host_writes` delta.
     pub fn program_extent_mapped(
@@ -1023,10 +990,8 @@ impl FtlBase {
 
     /// Blocking garbage collection: collects until the free pool holds the
     /// configured reserve *plus* enough whole blocks to absorb `pages`
-    /// upcoming programs, so a batched extent write cannot run the
-    /// allocator dry mid-submit the way a per-page GC check would have
-    /// caught. Scalar writes pass `pages = 0`, keeping their historical
-    /// threshold.
+    /// upcoming programs — `reserve + ⌈pages / pages_per_block⌉` — so a
+    /// batched extent write cannot run the allocator dry mid-submit.
     ///
     /// `queue` carries the protection state for the SSD-Insider FTL:
     /// invalid pages it protects are migrated (and their backup entries
@@ -1224,7 +1189,7 @@ impl FtlBase {
         }
         // Every offset handled: erase, close out the job.
         self.gc_job = None;
-        match self.finish_erase(job.victim) {
+        match self.finish_erase(job.victim, job.kind) {
             Ok(()) => {
                 match job.kind {
                     GcVictimKind::Reclaim => self.stats.gc_invocations += 1,
@@ -1325,7 +1290,7 @@ impl FtlBase {
             return Ok(());
         };
         self.log_victim(GcVictimKind::WearLevel, victim);
-        match self.migrate_and_erase(victim, queue) {
+        match self.migrate_and_erase(victim, GcVictimKind::WearLevel, queue) {
             Ok(()) => self.stats.wear_level_swaps += 1,
             // The coldest block hitting its endurance limit means
             // leveling has nothing left to do; never surface the
@@ -1531,7 +1496,7 @@ impl FtlBase {
                 .select_victim(queue.as_deref())
                 .ok_or(FtlError::NoReclaimableSpace)?;
             self.log_victim(GcVictimKind::Reclaim, victim);
-            match self.migrate_and_erase(victim, queue.as_deref_mut()) {
+            match self.migrate_and_erase(victim, GcVictimKind::Reclaim, queue.as_deref_mut()) {
                 Ok(()) => {
                     self.stats.gc_invocations += 1;
                     return Ok(());
@@ -1552,13 +1517,14 @@ impl FtlBase {
     fn migrate_and_erase(
         &mut self,
         victim: Pba,
+        kind: GcVictimKind,
         mut queue: Option<&mut RecoveryQueue>,
     ) -> Result<()> {
         let ppb = self.config.geometry().pages_per_block();
         for off in 0..ppb {
             self.migrate_page(victim, off, queue.as_deref_mut())?;
         }
-        self.finish_erase(victim)
+        self.finish_erase(victim, kind)
     }
 
     /// Migrates (or skips) one page offset of a GC victim — the atomic unit
@@ -1646,7 +1612,15 @@ impl FtlBase {
     /// Erases a fully migrated victim back into the free pool, or retires
     /// it as *bad* when the erase hits its endurance limit (reported as
     /// [`FtlError::BadBlockRetired`]).
-    fn finish_erase(&mut self, victim: Pba) -> Result<()> {
+    ///
+    /// A reclaimed block queues at the back of its chip's pool. A block
+    /// freed by a wear-level swap goes to the *front*: it is the least-worn
+    /// block on the drive, and the swap only levels anything if the next
+    /// host allocation — hot data — lands on it. Queued at the back it
+    /// would instead be opened by the next swap's migration whenever the
+    /// pool depth and the swap cadence line up, and cold data would
+    /// ping-pong between the least-worn blocks.
+    fn finish_erase(&mut self, victim: Pba, kind: GcVictimKind) -> Result<()> {
         // Sampled before the erase: counts only advance on success, so this
         // is the tracker's current bin either way.
         let wear_before = self.device.block(victim)?.erase_count();
@@ -1664,7 +1638,11 @@ impl FtlBase {
                 self.wear.erase(raw, wear_before);
                 self.refresh_victim(raw);
                 let g = self.config.geometry();
-                self.free[(raw / g.blocks_per_chip()) as usize].push_back(victim);
+                let pool = &mut self.free[(raw / g.blocks_per_chip()) as usize];
+                match kind {
+                    GcVictimKind::Reclaim => pool.push_back(victim),
+                    GcVictimKind::WearLevel => pool.push_front(victim),
+                }
                 self.stats.gc_erases += 1;
                 Ok(())
             }
@@ -2222,6 +2200,17 @@ mod tests {
         FtlBase::new(FtlConfig::new(Geometry::tiny()))
     }
 
+    /// A one-page host write without the GC check: the callers place that
+    /// themselves.
+    fn put(b: &mut FtlBase, lba: Lba, data: Bytes) {
+        b.program_extent_mapped(lba, &[data], SimTime::ZERO, None)
+            .unwrap();
+    }
+
+    fn get(b: &mut FtlBase, lba: Lba) -> Option<Bytes> {
+        b.read_extent_mapped(lba, 1).unwrap().pop().flatten()
+    }
+
     #[test]
     fn allocation_is_sequential_within_block() {
         let mut b = base();
@@ -2244,19 +2233,25 @@ mod tests {
     }
 
     #[test]
-    fn program_mapped_tracks_both_maps() {
+    fn program_extent_tracks_both_maps() {
+        fn put_queued(b: &mut FtlBase, q: &mut RecoveryQueue, lba: Lba, data: &'static [u8]) {
+            b.program_extent_mapped(lba, &[Bytes::from_static(data)], SimTime::ZERO, Some(q))
+                .unwrap();
+        }
         let mut b = base();
+        let mut q = RecoveryQueue::new();
         let lba = Lba::new(3);
-        let old = b
-            .program_mapped(lba, Bytes::from_static(b"v1"), SimTime::ZERO)
-            .unwrap();
-        assert_eq!(old, None);
+        put_queued(&mut b, &mut q, lba, b"v1");
+        assert_eq!(
+            (q.len(), q.protected_count()),
+            (1, 0),
+            "first write: no pre-image"
+        );
         let ppa = b.mapping.get(lba).unwrap();
         assert_eq!(b.rmap_of(ppa), Some(lba));
-        let old = b
-            .program_mapped(lba, Bytes::from_static(b"v2"), SimTime::ZERO)
-            .unwrap();
-        assert_eq!(old, Some(ppa));
+        put_queued(&mut b, &mut q, lba, b"v2");
+        assert!(q.is_protected(ppa), "superseded page is the pre-image");
+        assert_ne!(b.mapping.get(lba), Some(ppa));
     }
 
     #[test]
@@ -2265,22 +2260,17 @@ mod tests {
         // Overwrite one logical page enough times to exhaust the free pool.
         let lba = Lba::new(0);
         for i in 0..(15 * 16 + 8) {
-            if let Some(old) = b
-                .program_mapped(
-                    lba,
-                    Bytes::copy_from_slice(format!("{i}").as_bytes()),
-                    SimTime::ZERO,
-                )
-                .unwrap()
-            {
-                b.invalidate(old).unwrap();
-            }
-            b.gc_for_extent(0, None).unwrap();
+            b.gc_for_extent(1, None).unwrap();
+            put(
+                &mut b,
+                lba,
+                Bytes::copy_from_slice(format!("{i}").as_bytes()),
+            );
         }
         assert!(b.stats.gc_invocations > 0);
         assert!(b.free_blocks() >= 2);
         // The single live page still reads back the latest value.
-        let data = b.read_mapped(lba).unwrap().unwrap();
+        let data = get(&mut b, lba).unwrap();
         assert_eq!(data.as_ref(), format!("{}", 15 * 16 + 8 - 1).as_bytes());
     }
 
@@ -2290,20 +2280,18 @@ mod tests {
         // Interleave one cold (never overwritten) page into every block of
         // hot overwrites, so each GC victim holds live data to migrate.
         for i in 0..(16 * 16) {
-            b.gc_for_extent(0, None).unwrap();
+            b.gc_for_extent(1, None).unwrap();
             let (lba, data) = if i % 16 == 0 {
                 (Lba::new(100 + i / 16), Bytes::from_static(b"cold"))
             } else {
                 (Lba::new(0), Bytes::from_static(b"hot"))
             };
-            if let Some(old) = b.program_mapped(lba, data, SimTime::ZERO).unwrap() {
-                b.invalidate(old).unwrap();
-            }
+            put(&mut b, lba, data);
         }
         assert!(b.stats.gc_page_copies > 0);
         for k in 0..16u64 {
             assert_eq!(
-                b.read_mapped(Lba::new(100 + k)).unwrap().unwrap().as_ref(),
+                get(&mut b, Lba::new(100 + k)).unwrap().as_ref(),
                 b"cold",
                 "cold page {k} must survive GC"
             );
@@ -2410,6 +2398,11 @@ mod tests {
         let b = base();
         let max = b.logical_pages();
         assert!(b.check_extent(Lba::new(0), max as u32).is_ok());
+        assert!(b.check_extent(Lba::new(0), 1).is_ok());
+        assert!(matches!(
+            b.check_extent(Lba::new(max), 1),
+            Err(FtlError::LbaOutOfRange { lba, .. }) if lba == Lba::new(max)
+        ));
         assert!(
             b.check_extent(Lba::new(max), 0).is_ok(),
             "empty extent is a no-op"
@@ -2424,38 +2417,24 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn check_lba_bounds() {
-        let b = base();
-        assert!(b.check_lba(Lba::new(0)).is_ok());
-        let max = b.logical_pages();
-        assert!(matches!(
-            b.check_lba(Lba::new(max)),
-            Err(FtlError::LbaOutOfRange { .. })
-        ));
-    }
-
     /// Mixed hot/cold churn that forces GC with live pages on every victim.
     fn churn(b: &mut FtlBase, rounds: u64) {
         for i in 0..rounds {
-            b.gc_for_extent(0, None).unwrap();
+            b.gc_for_extent(1, None).unwrap();
             let (lba, data) = if i % 16 == 0 {
                 (Lba::new(100 + i / 16), Bytes::from_static(b"cold"))
             } else {
                 (Lba::new(0), Bytes::from_static(b"hot"))
             };
-            if let Some(old) = b.program_mapped(lba, data, SimTime::ZERO).unwrap() {
-                b.invalidate(old).unwrap();
-            }
+            put(b, lba, data);
         }
     }
 
     #[test]
     fn gc_timer_accumulates_only_when_collecting() {
         let mut b = base();
-        b.program_mapped(Lba::new(0), Bytes::from_static(b"x"), SimTime::ZERO)
-            .unwrap();
-        b.gc_for_extent(0, None).unwrap();
+        put(&mut b, Lba::new(0), Bytes::from_static(b"x"));
+        b.gc_for_extent(1, None).unwrap();
         assert_eq!(b.stats.gc_ns, 0, "no collection, no timing noise");
         churn(&mut b, 16 * 16 * 2);
         assert!(b.stats.gc_invocations > 0);
@@ -2484,8 +2463,8 @@ mod tests {
     fn unbudgeted_gc_restores_full_reserve() {
         let mut b = base();
         churn(&mut b, 16 * 16 * 2);
-        b.gc_for_extent(0, None).unwrap();
-        assert!(b.free_blocks() >= b.config().gc_reserve() as usize);
+        b.gc_for_extent(1, None).unwrap();
+        assert!(b.free_blocks() > b.config().gc_reserve() as usize);
     }
 
     #[test]
@@ -2537,16 +2516,14 @@ mod tests {
     fn churn_mixed(b: &mut FtlBase, rounds: u64) -> bool {
         let mut saw_pending = false;
         for i in 0..rounds {
-            b.gc_before_write(0, None).unwrap();
+            b.gc_before_write(1, None).unwrap();
             saw_pending |= b.gc_job_pending();
             let (lba, data) = if i.is_multiple_of(2) {
                 (Lba::new(100 + i / 2 % 100), Bytes::from_static(b"cold"))
             } else {
                 (Lba::new(0), Bytes::from_static(b"hot"))
             };
-            if let Some(old) = b.program_mapped(lba, data, SimTime::ZERO).unwrap() {
-                b.invalidate(old).unwrap();
-            }
+            put(b, lba, data);
         }
         saw_pending
     }
@@ -2609,7 +2586,7 @@ mod tests {
         // Every cold page survives GC pausing and resuming around it.
         for k in 0..100u64 {
             assert_eq!(
-                b.read_mapped(Lba::new(100 + k)).unwrap().unwrap().as_ref(),
+                get(&mut b, Lba::new(100 + k)).unwrap().as_ref(),
                 b"cold",
                 "cold page {k} lost across paused GC jobs"
             );
@@ -2627,14 +2604,10 @@ mod tests {
         // Eight blocks of half-valid data: victims cost 8 migrations each,
         // far beyond a 1-page step with a small urgency multiplier.
         for i in 0..128u64 {
-            b.program_mapped(Lba::new(i), Bytes::from_static(b"v1"), SimTime::ZERO)
-                .unwrap();
+            put(&mut b, Lba::new(i), Bytes::from_static(b"v1"));
         }
         for i in (0..128u64).step_by(2) {
-            let old = b
-                .program_mapped(Lba::new(i), Bytes::from_static(b"v2"), SimTime::ZERO)
-                .unwrap();
-            b.invalidate(old.expect("page was mapped")).unwrap();
+            put(&mut b, Lba::new(i), Bytes::from_static(b"v2"));
         }
         // Demand the whole remaining pool at once: the pump cannot reach
         // the hard floor within its budget, so the stop-the-world drain
@@ -2649,7 +2622,7 @@ mod tests {
         );
         for i in 0..128u64 {
             let want: &[u8] = if i % 2 == 0 { b"v2" } else { b"v1" };
-            assert_eq!(b.read_mapped(Lba::new(i)).unwrap().unwrap().as_ref(), want);
+            assert_eq!(get(&mut b, Lba::new(i)).unwrap().as_ref(), want);
         }
     }
 
@@ -2663,8 +2636,7 @@ mod tests {
         assert_eq!(b.gc_debt(), 0.0);
         let mut last = 0.0f64;
         for i in 0..200u64 {
-            b.program_mapped(Lba::new(i), Bytes::from_static(b"x"), SimTime::ZERO)
-                .unwrap();
+            put(&mut b, Lba::new(i), Bytes::from_static(b"x"));
             let debt = b.gc_debt();
             assert!(
                 debt >= last,
@@ -2701,15 +2673,13 @@ mod tests {
         let mut i = 0u64;
         while !b.gc_job_pending() {
             assert!(i < 2_000, "churn never paused a job");
-            b.gc_before_write(0, None).unwrap();
+            b.gc_before_write(1, None).unwrap();
             let (lba, data) = if i.is_multiple_of(2) {
                 (Lba::new(100 + i / 2 % 100), Bytes::from_static(b"cold"))
             } else {
                 (Lba::new(0), Bytes::from_static(b"hot"))
             };
-            if let Some(old) = b.program_mapped(lba, data, SimTime::ZERO).unwrap() {
-                b.invalidate(old).unwrap();
-            }
+            put(&mut b, lba, data);
             i += 1;
         }
         b.remount().unwrap();

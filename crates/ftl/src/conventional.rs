@@ -121,37 +121,6 @@ impl ConventionalFtl {
 }
 
 impl Ftl for ConventionalFtl {
-    fn write(&mut self, lba: Lba, data: Bytes, now: SimTime) -> Result<()> {
-        self.base.set_clock(now);
-        self.base.check_lba(lba)?;
-        self.base.gc_before_write(0, None)?;
-        let old = self.base.program_mapped(lba, data, now)?;
-        if let Some(old) = old {
-            self.base.invalidate(old)?;
-        }
-        self.base.stats.host_writes += 1;
-        self.base.maybe_checkpoint(now)?;
-        Ok(())
-    }
-
-    fn read(&mut self, lba: Lba, now: SimTime) -> Result<Option<Bytes>> {
-        self.base.set_clock(now);
-        self.base.check_lba(lba)?;
-        let data = self.base.read_mapped(lba)?;
-        self.base.stats.host_reads += 1;
-        Ok(data)
-    }
-
-    fn trim(&mut self, lba: Lba, now: SimTime) -> Result<()> {
-        self.base.set_clock(now);
-        self.base.check_lba(lba)?;
-        if let Some(old) = self.base.mapping.set(lba, None) {
-            self.base.invalidate(old)?;
-        }
-        self.base.stats.host_trims += 1;
-        Ok(())
-    }
-
     fn read_extent(&mut self, lba: Lba, len: u32, now: SimTime) -> Result<Vec<Option<Bytes>>> {
         self.base.set_clock(now);
         self.base.check_extent(lba, len)?;

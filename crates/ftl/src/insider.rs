@@ -327,57 +327,6 @@ impl InsiderFtl {
 }
 
 impl Ftl for InsiderFtl {
-    fn write(&mut self, lba: Lba, data: Bytes, now: SimTime) -> Result<()> {
-        if self.read_only {
-            return Err(FtlError::ReadOnly);
-        }
-        self.base.set_clock(now);
-        self.base.check_lba(lba)?;
-        self.tick(now);
-        self.base.gc_before_write(0, Some(&mut self.queue))?;
-        let old = self.base.program_mapped(lba, data, now)?;
-        if let Some(old) = old {
-            self.base.invalidate(old)?;
-        }
-        // Record the pre-image (or its absence) so rollback can undo this
-        // write even when it created the logical page.
-        self.queue.push(lba, old, now);
-        if let Some(old) = old {
-            self.base.note_protected(old);
-        }
-        self.base.stats.host_writes += 1;
-        // Checkpoints anchor their horizon at the same frozen-aware time
-        // the rollback path uses, so a checkpointed mount never forgets a
-        // version rollback could still need.
-        self.base
-            .maybe_checkpoint(self.frozen_at.map_or(now, |f| f.min(now)))?;
-        Ok(())
-    }
-
-    fn read(&mut self, lba: Lba, now: SimTime) -> Result<Option<Bytes>> {
-        self.base.set_clock(now);
-        self.base.check_lba(lba)?;
-        let data = self.base.read_mapped(lba)?;
-        self.base.stats.host_reads += 1;
-        Ok(data)
-    }
-
-    fn trim(&mut self, lba: Lba, now: SimTime) -> Result<()> {
-        if self.read_only {
-            return Err(FtlError::ReadOnly);
-        }
-        self.base.set_clock(now);
-        self.base.check_lba(lba)?;
-        self.tick(now);
-        if let Some(old) = self.base.mapping.set(lba, None) {
-            self.base.invalidate(old)?;
-            self.queue.push(lba, Some(old), now);
-            self.base.note_protected(old);
-        }
-        self.base.stats.host_trims += 1;
-        Ok(())
-    }
-
     fn read_extent(&mut self, lba: Lba, len: u32, now: SimTime) -> Result<Vec<Option<Bytes>>> {
         self.base.set_clock(now);
         self.base.check_extent(lba, len)?;
@@ -403,6 +352,9 @@ impl Ftl for InsiderFtl {
         // programmed prefix fully recoverable.
         self.base
             .program_extent_mapped(lba, data, now, Some(&mut self.queue))?;
+        // Checkpoints anchor their horizon at the same frozen-aware time
+        // the rollback path uses, so a checkpointed mount never forgets a
+        // version rollback could still need.
         self.base
             .maybe_checkpoint(self.frozen_at.map_or(now, |f| f.min(now)))
     }
@@ -422,8 +374,8 @@ impl Ftl for InsiderFtl {
         self.base.check_extent(lba, len)?;
         self.tick(now);
         let olds = self.base.unmap_extent(lba, len)?;
-        // Like scalar trim, only pages that were actually mapped leave a
-        // backup entry — trimming a hole is not an undoable event.
+        // Only pages that were actually mapped leave a backup entry —
+        // trimming a hole is not an undoable event.
         for (i, old) in olds.into_iter().enumerate() {
             if let Some(old) = old {
                 self.queue.push(lba.offset(i as u64), Some(old), now);

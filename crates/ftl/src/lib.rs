@@ -17,6 +17,16 @@
 //!   window ago — by pointer updates only, with no data copying, which is why
 //!   recovery completes in well under a second.
 //!
+//! ## The host interface
+//!
+//! Both implement [`Ftl`] by supplying the three extent operations —
+//! [`read_extent`](Ftl::read_extent), [`write_extent`](Ftl::write_extent),
+//! [`trim_extent`](Ftl::trim_extent) — and nothing else for host I/O.
+//! [`read`](Ftl::read), [`write`](Ftl::write) and [`trim`](Ftl::trim), used
+//! below, are the trait's provided one-page wrappers over them. Before a
+//! write of `n` pages, garbage collection runs until the free pool holds
+//! `gc_reserve + ⌈n / pages_per_block⌉` blocks, whatever `n` is.
+//!
 //! ## Example
 //!
 //! ```rust

@@ -10,65 +10,31 @@ use insider_nand::{LatencySnapshot, Lba, NandStats, SimTime};
 /// [`InsiderFtl`](crate::InsiderFtl) implement this, so experiments can swap
 /// policies behind `&mut dyn Ftl`.
 ///
+/// An implementor supplies the three extent operations — one bounds check,
+/// one mapping-table pass and one grouped NAND submit per request.
+/// [`read`](Ftl::read), [`write`](Ftl::write) and [`trim`](Ftl::trim) are
+/// provided one-page wrappers over them, so a page written through either
+/// spelling takes the same path and leaves the same statistics.
+///
 /// Each operation carries the simulated time `now`, which the SSD-Insider
 /// FTL uses to stamp backup entries and retire expired ones.
 pub trait Ftl {
-    /// Writes one logical page.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `lba` is out of range, the drive is read-only, space is
-    /// exhausted, or the underlying NAND rejects an operation.
-    fn write(&mut self, lba: Lba, data: Bytes, now: SimTime) -> Result<()>;
-
-    /// Reads one logical page; `None` if the page is unmapped.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `lba` is out of range or the underlying NAND read fails.
-    fn read(&mut self, lba: Lba, now: SimTime) -> Result<Option<Bytes>>;
-
-    /// Unmaps one logical page.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `lba` is out of range or the drive is read-only.
-    fn trim(&mut self, lba: Lba, now: SimTime) -> Result<()>;
-
     /// Reads `len` consecutive logical pages starting at `lba`, in order;
     /// unmapped pages yield `None`. A zero-length extent is a no-op.
-    ///
-    /// The default decomposes into scalar [`read`](Ftl::read) calls; both
-    /// in-tree FTLs override it with a native batch (one bounds check, one
-    /// mapping-table scan, one grouped NAND submit) that returns exactly the
-    /// same payloads and statistics.
     ///
     /// # Errors
     ///
     /// Fails if any page of the extent is out of range or a NAND read fails.
-    fn read_extent(&mut self, lba: Lba, len: u32, now: SimTime) -> Result<Vec<Option<Bytes>>> {
-        (0..len as u64)
-            .map(|i| self.read(lba.offset(i), now))
-            .collect()
-    }
+    fn read_extent(&mut self, lba: Lba, len: u32, now: SimTime) -> Result<Vec<Option<Bytes>>>;
 
     /// Writes `data.len()` consecutive logical pages starting at `lba`,
     /// `data[i]` landing at `lba + i`. An empty extent is a no-op.
-    ///
-    /// The default decomposes into scalar [`write`](Ftl::write) calls; the
-    /// native overrides batch the mapping updates and issue one grouped
-    /// NAND submit per extent.
     ///
     /// # Errors
     ///
     /// Fails if the extent exceeds the logical range, the drive is
     /// read-only, any payload exceeds the page size, or space is exhausted.
-    fn write_extent(&mut self, lba: Lba, data: &[Bytes], now: SimTime) -> Result<()> {
-        for (i, page) in data.iter().enumerate() {
-            self.write(lba.offset(i as u64), page.clone(), now)?;
-        }
-        Ok(())
-    }
+    fn write_extent(&mut self, lba: Lba, data: &[Bytes], now: SimTime) -> Result<()>;
 
     /// Unmaps `len` consecutive logical pages starting at `lba`. A
     /// zero-length extent is a no-op.
@@ -77,11 +43,37 @@ pub trait Ftl {
     ///
     /// Fails if the extent exceeds the logical range or the drive is
     /// read-only.
-    fn trim_extent(&mut self, lba: Lba, len: u32, now: SimTime) -> Result<()> {
-        for i in 0..len as u64 {
-            self.trim(lba.offset(i), now)?;
-        }
-        Ok(())
+    fn trim_extent(&mut self, lba: Lba, len: u32, now: SimTime) -> Result<()>;
+
+    /// Writes one logical page: [`write_extent`](Ftl::write_extent) with a
+    /// one-page extent.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_extent`](Ftl::write_extent).
+    fn write(&mut self, lba: Lba, data: Bytes, now: SimTime) -> Result<()> {
+        self.write_extent(lba, std::slice::from_ref(&data), now)
+    }
+
+    /// Reads one logical page, `None` if it is unmapped:
+    /// [`read_extent`](Ftl::read_extent) with `len = 1`.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_extent`](Ftl::read_extent).
+    fn read(&mut self, lba: Lba, now: SimTime) -> Result<Option<Bytes>> {
+        self.read_extent(lba, 1, now)
+            .map(|mut pages| pages.pop().flatten())
+    }
+
+    /// Unmaps one logical page: [`trim_extent`](Ftl::trim_extent) with
+    /// `len = 1`.
+    ///
+    /// # Errors
+    ///
+    /// As [`trim_extent`](Ftl::trim_extent).
+    fn trim(&mut self, lba: Lba, now: SimTime) -> Result<()> {
+        self.trim_extent(lba, 1, now)
     }
 
     /// Simulates a sudden power loss followed by a power-on mount.

@@ -425,18 +425,51 @@ mod bad_blocks {
 mod wear_leveling {
     use super::*;
 
+    const PAGES_PER_BLOCK: u32 = 16;
+
+    fn geometry() -> Geometry {
+        Geometry::builder()
+            .blocks_per_chip(32)
+            .pages_per_block(PAGES_PER_BLOCK)
+            .page_size(64)
+            .build()
+    }
+
+    /// Host write granularities the tests run at: single pages, a short
+    /// extent, and an extent that always straddles a block boundary.
+    const GRANULARITIES: [u64; 3] = [1, 3, PAGES_PER_BLOCK as u64 + 1];
+
+    /// Writes `pages` hot pages as `per_write`-page extents cycling over a
+    /// hot set of (at least) 8 pages just above `cold`, stamping every
+    /// request with `clock()`.
+    fn churn_hot(
+        ftl: &mut dyn Ftl,
+        cold: u64,
+        per_write: u64,
+        pages: u64,
+        mut clock: impl FnMut() -> SimTime,
+    ) {
+        let hot = 8u64.div_ceil(per_write) * per_write;
+        for k in 0..pages / per_write {
+            let first = k * per_write;
+            let data: Vec<Bytes> = (first..first + per_write)
+                .map(|i| payload(i as u32))
+                .collect();
+            ftl.write_extent(Lba::new(cold + first % hot), &data, clock())
+                .unwrap();
+        }
+    }
+
     /// With static wear leveling on, a hot/cold split workload keeps the
     /// erase-count spread bounded near the threshold; without it the cold
-    /// blocks never cycle.
+    /// blocks never cycle. Must hold at every write granularity and under
+    /// both GC engines — the free-pool depth GC maintains differs across
+    /// all of them.
     #[test]
     fn leveling_bounds_the_wear_spread() {
-        let g = Geometry::builder()
-            .blocks_per_chip(32)
-            .pages_per_block(16)
-            .page_size(64)
-            .build();
-        let run = |threshold: Option<u32>| -> (u32, u32, u64) {
-            let mut cfg = FtlConfig::new(g);
+        const THRESHOLD: u32 = 4;
+        let run = |threshold: Option<u32>, per_write: u64, incremental: bool| {
+            let mut cfg = FtlConfig::new(geometry()).incremental_gc(incremental);
             if let Some(t) = threshold {
                 cfg = cfg.wear_leveling(t);
             }
@@ -448,69 +481,71 @@ mod wear_leveling {
                 ftl.write(Lba::new(lba), payload(lba as u32), SimTime::ZERO)
                     .unwrap();
             }
-            // Hot churn on 8 pages.
-            for i in 0..30_000u64 {
-                ftl.write(Lba::new(cold + i % 8), payload(i as u32), SimTime::ZERO)
-                    .unwrap();
-            }
+            churn_hot(&mut ftl, cold, per_write, 30_000, || SimTime::ZERO);
             // Cold data must be intact either way.
             for lba in (0..cold).step_by(37) {
                 assert_eq!(read_tag(&mut ftl, lba, SimTime::ZERO), Some(lba as u32));
             }
             let (min, max, _) = ftl.wear_summary();
-            (min, max, ftl.stats().wear_level_swaps)
+            (min, max - min, ftl.stats().wear_level_swaps)
         };
 
-        let (min_off, max_off, swaps_off) = run(None);
-        let (min_on, max_on, swaps_on) = run(Some(4));
-        assert_eq!(swaps_off, 0);
-        assert!(swaps_on > 0, "leveling must have triggered");
-        let spread_off = max_off - min_off;
-        let spread_on = max_on - min_on;
-        assert!(
-            spread_on < spread_off,
-            "leveling must tighten the wear spread ({spread_on} vs {spread_off})"
-        );
-        assert!(min_on > 0, "cold blocks must have been cycled");
+        for per_write in GRANULARITIES {
+            for incremental in [false, true] {
+                let case = format!("{per_write} pages/write, incremental_gc={incremental}");
+                let (_, spread_off, swaps_off) = run(None, per_write, incremental);
+                let (min_on, spread_on, swaps_on) = run(Some(THRESHOLD), per_write, incremental);
+                assert_eq!(swaps_off, 0, "{case}");
+                assert!(swaps_on > 0, "{case}: leveling must have triggered");
+                assert!(
+                    spread_on < spread_off / 4,
+                    "{case}: leveling must tighten the wear spread ({spread_on} vs {spread_off})"
+                );
+                assert!(min_on > 0, "{case}: cold blocks must have been cycled");
+                if per_write == 1 && !incremental {
+                    assert!(
+                        spread_on <= THRESHOLD + 2,
+                        "{case}: spread {spread_on} must settle at the threshold"
+                    );
+                }
+            }
+        }
     }
 
     /// Wear leveling composes with the insider FTL: protected pre-images in
     /// a migrated cold block stay recoverable.
     #[test]
     fn leveling_preserves_protected_versions() {
-        let g = Geometry::builder()
-            .blocks_per_chip(32)
-            .pages_per_block(16)
-            .page_size(64)
-            .build();
-        let mut ftl = InsiderFtl::new(FtlConfig::new(g).wear_leveling(2));
-        let logical = ftl.logical_pages();
-        let cold = (logical * 6) / 10;
-        for lba in 0..cold {
-            ftl.write(Lba::new(lba), payload(lba as u32), SimTime::ZERO)
-                .unwrap();
+        for per_write in GRANULARITIES {
+            let mut ftl = InsiderFtl::new(FtlConfig::new(geometry()).wear_leveling(2));
+            let logical = ftl.logical_pages();
+            let cold = (logical * 6) / 10;
+            for lba in 0..cold {
+                ftl.write(Lba::new(lba), payload(lba as u32), SimTime::ZERO)
+                    .unwrap();
+            }
+            // Long churn with time advancing: retirement keeps GC feasible
+            // and wear leveling cycles the cold blocks. 100 ms per page
+            // keeps one window of pre-images (~100 pages) inside this
+            // 512-page drive's slack.
+            let mut now = SimTime::from_secs(60);
+            churn_hot(&mut ftl, cold, per_write, 20_000, || {
+                now += SimTime::from_millis(100 * per_write);
+                now
+            });
+            assert!(ftl.stats().wear_level_swaps > 0, "{}", ftl.stats());
+            // Attack: overwrite one cold page, then a short burst (within
+            // the drive's protection capacity) so GC/leveling run while the
+            // pre-image is protected.
+            ftl.write(Lba::new(5), payload(0xDEAD), now).unwrap();
+            churn_hot(&mut ftl, cold, per_write, 60, || now);
+            ftl.rollback(now + SimTime::from_secs(1)).unwrap();
+            assert_eq!(
+                read_tag(&mut ftl, 5, now),
+                Some(5),
+                "{per_write} pages/write"
+            );
         }
-        // Long churn with time advancing: retirement keeps GC feasible and
-        // wear leveling cycles the cold blocks.
-        let mut now = SimTime::from_secs(60);
-        for i in 0..20_000u64 {
-            ftl.write(Lba::new(cold + i % 8), payload(i as u32), now)
-                .unwrap();
-            // 100 ms per write keeps one window of pre-images (~100 pages)
-            // inside this 512-page drive's slack.
-            now += SimTime::from_millis(100);
-        }
-        assert!(ftl.stats().wear_level_swaps > 0, "{}", ftl.stats());
-        // Attack: overwrite one cold page, then a short burst (within the
-        // drive's protection capacity) so GC/leveling run while the
-        // pre-image is protected.
-        ftl.write(Lba::new(5), payload(0xDEAD), now).unwrap();
-        for i in 0..60u64 {
-            ftl.write(Lba::new(cold + i % 8), payload(i as u32), now)
-                .unwrap();
-        }
-        ftl.rollback(now + SimTime::from_secs(1)).unwrap();
-        assert_eq!(read_tag(&mut ftl, 5, now), Some(5));
     }
 }
 

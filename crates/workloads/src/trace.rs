@@ -108,10 +108,10 @@ impl Trace {
     }
 
     /// The same trace with every multi-sector request split into adjacent
-    /// single-sector requests at the same timestamp — the pre-extent view
-    /// of the workload. `scalarized()` and the original must produce
-    /// identical detector features and device contents; the differential
-    /// oracle tests rely on that.
+    /// single-sector requests at the same timestamp — the one-block-per-
+    /// request view of the workload. `scalarized()` and the original must
+    /// produce identical detector features and device contents; the
+    /// differential oracle tests rely on that.
     pub fn scalarized(&self) -> Trace {
         self.reqs
             .iter()
