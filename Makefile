@@ -11,7 +11,8 @@
 #                      offline dependency stand-ins.
 #   make ci          — the full offline CI gate (what .github/workflows/ci.yml
 #                      runs): tier1, rustfmt check, clippy over all targets,
-#                      bounded crash-sweep / latency / multitenant /
+#                      rustdoc with warnings denied (a deleted item cannot
+#                      leave a doc link pointing at it), bounded crash-sweep / latency / multitenant /
 #                      steady-state / ROC smoke runs
 #                      (env bounds below; smoke JSON goes to target/ci/, never
 #                      touching the committed artifacts), then bench_check
@@ -26,9 +27,6 @@
 #                      the interval-vs-naive counting-table comparison).
 #   make bench-json  — regenerate BENCH_detect.json (detector-ingest
 #                      throughput, interval vs legacy table, three traces).
-#   make bench-gc    — regenerate BENCH_gc.json (aged-drive GC victim
-#                      selection, incremental index vs legacy scan, plus the
-#                      trace-replay victim-sequence oracle).
 #   make crash-sweep — exhaustive stride-1 power-loss sweep: every
 #                      program/erase boundary of three traces on both FTLs,
 #                      plus the filesystem attack/crash/rollback scenario.
@@ -87,7 +85,7 @@ CI_LAT_ENV = LAT_PASSES=1
 CI_MT_ENV = MT_SHARDS=1,2 MT_WORKERS=2 MT_REPEATS=2
 CI_ROC_ENV = ROC_TRACES=1
 
-.PHONY: tier1 ci test bench bench-json bench-gc crash-sweep bench-mount bench-multitenant bench-latency bench-roc bench-steady
+.PHONY: tier1 ci test bench bench-json crash-sweep bench-mount bench-multitenant bench-latency bench-roc bench-steady
 
 tier1:
 	$(CARGO) build --release
@@ -97,6 +95,7 @@ tier1:
 ci: tier1
 	$(CARGO) fmt --all -- --check
 	$(CARGO) clippy --release --workspace --all-targets -- -D warnings
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --document-private-items
 	mkdir -p target/ci
 	$(CI_SWEEP_ENV) $(CARGO) run --release -p insider-bench --bin crash_sweep
 	$(CI_LAT_ENV) $(CARGO) run --release -p insider-bench --bin bench_latency target/ci/BENCH_latency.json
@@ -115,9 +114,6 @@ bench:
 
 bench-json:
 	$(CARGO) run --release -p insider-bench --bin bench_json
-
-bench-gc:
-	$(CARGO) run --release -p insider-bench --bin bench_gc
 
 crash-sweep:
 	$(CARGO) run --release -p insider-bench --bin crash_sweep

@@ -3,14 +3,12 @@
 //! regresses below its floor.
 //!
 //! The floors are deliberately far below the currently measured values —
-//! they catch "the optimization silently fell off" (a 96x GC speedup
-//! collapsing to 1x, the checkpoint mount path degenerating to a full
-//! scan), not run-to-run noise on a shared CI host:
+//! they catch "the optimization silently fell off" (the checkpoint mount
+//! path degenerating to a full scan), not run-to-run noise on a shared CI
+//! host:
 //!
 //! * detect: interval table at least as fast as the naive layout on every
 //!   trace, and >= [`DETECT_HEADLINE_MIN`]x on the best one.
-//! * gc: indexed victim selection >= [`GC_SPEEDUP_MIN`]x the legacy scan on
-//!   both FTLs, and the trace-replay victim sequences byte-identical.
 //! * latency: zero-copy never slower than the copying payload path.
 //! * mount: checkpoint+tail remount >= [`MOUNT_SPEEDUP_MIN`]x the serial
 //!   full scan at 90 % utilization (both arms measured on the same host in
@@ -36,7 +34,6 @@ use serde_json::Value;
 use std::path::Path;
 
 const DETECT_HEADLINE_MIN: f64 = 10.0;
-const GC_SPEEDUP_MIN: f64 = 5.0;
 const MOUNT_SPEEDUP_MIN: f64 = 5.0;
 const STEADY_P99_RATIO_MIN: f64 = 2.0;
 const STEADY_THROUGHPUT_MIN: f64 = 0.9;
@@ -196,33 +193,6 @@ fn check_detect(doc: &Value, errors: &mut Vec<Violation>) {
         ));
     }
     need_f64(doc, "device_replay.speedup", name, errors);
-}
-
-fn check_gc(doc: &Value, errors: &mut Vec<Violation>) {
-    let name = "BENCH_gc.json";
-    for ftl in ["conventional", "insider"] {
-        if let Some(speedup) = need_f64(doc, &format!("aged.{ftl}.speedup"), name, errors) {
-            if speedup < GC_SPEEDUP_MIN {
-                errors.push(Violation(
-                    name.into(),
-                    format!(
-                        "aged.{ftl}: GC speedup {speedup:.1}x below the {GC_SPEEDUP_MIN}x floor"
-                    ),
-                ));
-            }
-        }
-    }
-    let Some(oracle) = need_array(doc, "trace_oracle", name, errors) else {
-        return;
-    };
-    for (i, t) in oracle.iter().enumerate() {
-        if get(t, "victims_identical").and_then(as_bool) != Some(true) {
-            errors.push(Violation(
-                name.into(),
-                format!("trace_oracle.{i}: victim sequences diverged between selectors"),
-            ));
-        }
-    }
 }
 
 fn check_latency(doc: &Value, errors: &mut Vec<Violation>) {
@@ -471,9 +441,8 @@ fn main() {
     let dir = Path::new(&dir);
     let mut errors = Vec::new();
 
-    let checks: [(&str, Check); 7] = [
+    let checks: [(&str, Check); 6] = [
         ("BENCH_detect.json", check_detect),
-        ("BENCH_gc.json", check_gc),
         ("BENCH_latency.json", check_latency),
         ("BENCH_mount.json", check_mount),
         ("BENCH_multitenant.json", check_multitenant),

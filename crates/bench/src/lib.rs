@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod crash;
-pub mod gc;
 pub mod harness;
 pub mod multitenant;
 pub mod outcome;
@@ -23,10 +22,6 @@ pub mod tablefmt;
 pub use crash::{
     sweep, sweep_ftl_config, sweep_geometry, sweep_matrix, sweep_traces, CrashTarget, SweepConfig,
     SweepSummary, SWEEP_SPAN,
-};
-pub use gc::{
-    age_to_steady_state, aged_conventional, aged_insider, churn, gc_bench_config,
-    gc_bench_geometry, measure_gc_cost, ChurnCursor, GcCost,
 };
 pub use harness::{
     adversarial_training_samples, train_tree, train_tree_uncached, train_tree_variant,

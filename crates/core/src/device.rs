@@ -11,7 +11,7 @@ use bytes::Bytes;
 use insider_detect::{
     payload_entropy_milli, DecisionTree, Detector, IoMode, IoReq, Verdict, ENTROPY_SAMPLE_BYTES,
 };
-use insider_ftl::{Ftl, FtlStats, GcVictim, InsiderFtl, RollbackReport};
+use insider_ftl::{Ftl, FtlError, FtlStats, GcVictim, InsiderFtl, RollbackReport};
 use insider_nand::{Lba, NandStats, SimTime};
 
 /// An SSD with SSD-Insider firmware: a delayed-deletion FTL plus the inline
@@ -148,14 +148,14 @@ impl SsdInsider {
     }
 
     /// Percentiles of foreground GC pause time — the simulated NAND busy
-    /// time each collection episode (blocking pass or incremental pump)
-    /// inserted ahead of a host write.
+    /// time each collection episode (under either GC policy) inserted ahead
+    /// of a host write.
     pub fn gc_pause_latency(&self) -> insider_nand::KindLatency {
         self.ftl.gc_pause_latency()
     }
 
-    /// Runs any paused incremental-GC job to completion so the physical
-    /// state is comparable across devices (the differential benches call
+    /// Runs any parked GC job to completion so the physical state is
+    /// comparable across devices (the differential benches call
     /// this before diffing contents).
     ///
     /// # Errors
@@ -216,13 +216,28 @@ impl SsdInsider {
         payload_entropy_milli(&sample[..n])
     }
 
-    fn feed_detector(&mut self, req: IoReq) -> u64 {
+    /// Shows the detector one request header and returns the wall time it
+    /// cost. `req` builds the header inside the timed region — for a write
+    /// that includes the entropy stamp, the detector's largest per-write
+    /// cost — and is not called at all with detection off.
+    fn feed_detector(&mut self, req: impl FnOnce() -> IoReq) -> u64 {
         if !self.detect_enabled {
             return 0;
         }
-        let (verdicts, ns) = IoTiming::time(|| self.detector.ingest(req));
+        let (verdicts, ns) = IoTiming::time(|| self.detector.ingest(req()));
         self.absorb_verdicts(verdicts);
         ns
+    }
+
+    /// The FTL's admission checks for a write or trim, in the FTL's own
+    /// precedence (read-only latch, then range), run *before* the detector
+    /// is fed: a request the drive is about to refuse is not host activity
+    /// and must leave no trace in the counting table.
+    fn admit_mutation(&self, lba: Lba, len: u32) -> Result<()> {
+        if self.ftl.is_read_only() {
+            return Err(FtlError::ReadOnly.into());
+        }
+        Ok(self.ftl.check_extent(lba, len)?)
     }
 
     fn absorb_verdicts(&mut self, verdicts: Vec<Verdict>) {
@@ -287,7 +302,9 @@ impl SsdInsider {
         if len == 0 {
             return Ok(Vec::new());
         }
-        let insider_ns = self.feed_detector(IoReq::new(now, lba, IoMode::Read, len));
+        // Out-of-range reads are refused before the detector sees them.
+        self.ftl.check_extent(lba, len)?;
+        let insider_ns = self.feed_detector(|| IoReq::new(now, lba, IoMode::Read, len));
         let (out, ftl_ns) = IoTiming::time(|| self.ftl.read_extent(lba, len, now));
         self.timing.read_ops += len as u64;
         self.timing.ftl_read_ns += ftl_ns;
@@ -313,10 +330,11 @@ impl SsdInsider {
         if data.is_empty() {
             return Ok(());
         }
-        let insider_ns = self.feed_detector(
+        self.admit_mutation(lba, data.len() as u32)?;
+        let insider_ns = self.feed_detector(|| {
             IoReq::new(now, lba, IoMode::Write, data.len() as u32)
-                .with_entropy_milli(Self::extent_entropy_milli(data)),
-        );
+                .with_entropy_milli(Self::extent_entropy_milli(data))
+        });
         let now = if self.pacing.enabled() {
             self.pacing
                 .admit(data.len() as u64, now, self.ftl.gc_debt())
@@ -340,7 +358,8 @@ impl SsdInsider {
         if len == 0 {
             return Ok(());
         }
-        let insider_ns = self.feed_detector(IoReq::new(now, lba, IoMode::Trim, len));
+        self.admit_mutation(lba, len)?;
+        let insider_ns = self.feed_detector(|| IoReq::new(now, lba, IoMode::Trim, len));
         let (out, ftl_ns) = IoTiming::time(|| self.ftl.trim_extent(lba, len, now));
         self.timing.trim_ops += len as u64;
         self.timing.ftl_trim_ns += ftl_ns;
@@ -616,6 +635,60 @@ mod tests {
         ssd.reboot().unwrap();
         assert_eq!(ssd.state(), DeviceState::Normal);
         ssd.write(Lba::new(7), Bytes::from_static(b"w"), t).unwrap();
+    }
+
+    #[test]
+    fn refused_requests_never_reach_the_detector() {
+        let mut ssd = device();
+        let end = ssd.logical_pages();
+        let t = SimTime::from_secs(5);
+        let out_of_range = |r: Result<()>| {
+            assert!(matches!(
+                r,
+                Err(DeviceError::Ftl(FtlError::LbaOutOfRange { .. }))
+            ));
+        };
+        // Reads past the end: refused, and no counting-table entry each.
+        for i in 0..1_000u64 {
+            out_of_range(ssd.read(Lba::new(end + 2 * i), t).map(drop));
+        }
+        out_of_range(ssd.write_extent(Lba::new(end - 1), &[Bytes::new(), Bytes::new()], t));
+        out_of_range(ssd.trim_extent(Lba::new(end), 1, t));
+        let status = ssd.detector().status();
+        assert_eq!((status.table_entries, status.current_slice), (0, 0));
+
+        // Recovered and read-only: refused writes and trims — in range or
+        // not, the latch answers first — leave the detector exactly as the
+        // last accepted request left it, even stamped far in the future.
+        ssd.write(Lba::new(7), Bytes::from_static(b"v"), t).unwrap();
+        let t = attack(&mut ssd, Lba::new(7), SimTime::from_secs(60));
+        ssd.confirm_and_recover(t).unwrap();
+        let before = ssd.detector().status();
+        let later = t + SimTime::from_secs(100);
+        let read_only = Err(DeviceError::Ftl(FtlError::ReadOnly));
+        for lba in [7, end + 7].map(Lba::new) {
+            assert_eq!(ssd.write(lba, Bytes::from_static(b"w"), later), read_only);
+            assert_eq!(ssd.trim(lba, later), read_only);
+        }
+        assert_eq!(ssd.detector().status(), before);
+        // An accepted read still does.
+        ssd.read(Lba::new(7), later).unwrap();
+        assert_ne!(ssd.detector().status(), before);
+    }
+
+    #[test]
+    fn request_header_is_built_inside_the_detector_timer_and_only_with_detection_on() {
+        let mut ssd = device();
+        let pause = std::time::Duration::from_millis(2);
+        let header = || {
+            std::thread::sleep(pause);
+            IoReq::new(SimTime::ZERO, Lba::new(0), IoMode::Write, 1)
+        };
+        let ns = u128::from(ssd.feed_detector(header));
+        assert!(ns >= pause.as_nanos(), "the stamp must be charged");
+        ssd.set_detection(false);
+        let ns = ssd.feed_detector(|| unreachable!("no detector, no stamp"));
+        assert_eq!(ns, 0);
     }
 
     #[test]

@@ -69,7 +69,8 @@ use std::sync::{Mutex, MutexGuard};
 
 /// An SSD exporting `n` NVMe-style namespaces, each backed by a fully
 /// independent [`SsdInsider`] shard (detector, FTL, recovery queue, alarm
-/// domain). See the [module docs](self) for the isolation model.
+/// domain). The module docs at the top of `multitenant.rs` describe the
+/// isolation model.
 #[derive(Debug)]
 pub struct MultiTenantSsd {
     shards: Vec<Mutex<SsdInsider>>,

@@ -195,7 +195,7 @@ impl DecisionTree {
     }
 
     /// Trains a tree with ID3 over `samples`, restricted to splitting on
-    /// `features` (indices into [`FEATURE_NAMES`](crate::FEATURE_NAMES)).
+    /// `features` (indices into [`FEATURE_NAMES`]).
     /// This is how detector variants differ: the paper-faithful baseline
     /// trains on the header-only six, the evolved variant on all nine.
     ///
@@ -311,7 +311,7 @@ impl DecisionTree {
     }
 
     /// How many internal nodes split on each feature, in
-    /// [`FEATURE_NAMES`](crate::FEATURE_NAMES) order — a cheap importance
+    /// [`FEATURE_NAMES`] order — a cheap importance
     /// signal for the ablation study.
     pub fn feature_usage(&self) -> [usize; FEATURE_COUNT] {
         fn walk(n: &Node, counts: &mut [usize; FEATURE_COUNT]) {

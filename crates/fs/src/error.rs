@@ -43,7 +43,7 @@ pub enum FsError {
         max: u64,
     },
     /// On-disk metadata was unreadable or malformed (e.g. after a crash or
-    /// rollback); run [`fsck`](crate::fsck) to repair.
+    /// rollback); run [`fsck`](crate::fsck()) to repair.
     Corrupt(&'static str),
     /// An underlying device error, carried as text to keep the trait simple.
     Device(String),

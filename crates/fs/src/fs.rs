@@ -68,7 +68,7 @@ impl Dir {
 /// All metadata updates are write-through: every mutation lands on the
 /// device before the call returns, so an abrupt rollback of the underlying
 /// device leaves the same kind of partially-updated metadata a power loss
-/// would — which is exactly the state [`fsck`](crate::fsck) repairs.
+/// would — which is exactly the state [`fsck`](crate::fsck()) repairs.
 ///
 /// # Residency
 ///
@@ -77,7 +77,7 @@ impl Dir {
 /// directory are authoritative *in memory*: they are read from the device
 /// once (the directory by the first call that needs it) and only written
 /// afterwards. Whatever changes the device's contents underneath a mount —
-/// a rollback, [`fsck`](crate::fsck), raw writes through
+/// a rollback, [`fsck`](crate::fsck()), raw writes through
 /// [`dev_mut`](Self::dev_mut) — must be followed by `into_dev` and a fresh
 /// `mount`, as a host reboots after SSD-Insider rolls its drive back.
 #[derive(Debug)]

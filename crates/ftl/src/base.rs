@@ -20,7 +20,7 @@ use std::time::Instant;
 ///
 /// Every closed in-service block with a non-zero reclaimable count sits in
 /// `buckets[chip][reclaimable]`, ordered by a policy-dependent tie-break
-/// key: the raw block index for greedy (reproducing the legacy scan's
+/// key: the raw block index for greedy (reproducing the scan oracle's
 /// first-strict-max order) and the block's open epoch for the age-based
 /// policies. Candidates are bucketed *per chip* because erased blocks
 /// refill that chip's free pool alone: programs cannot cross dies, so a
@@ -38,11 +38,11 @@ use std::time::Instant;
 ///   in the same bucket (same `r`), strictly decreasing in epoch, so each
 ///   bucket's head strictly dominates the rest of its bucket; the exact
 ///   argmax is found by scoring one head per bucket with the same `f64`
-///   expression the legacy scan evaluates, keeping scores bit-identical.
+///   expression the scan oracle evaluates, keeping scores bit-identical.
 ///
 /// Updates (re-filing one block) are O(log B); per-chip selection is O(1)
 /// for greedy and O(P) for the age-based policies, where P = pages per
-/// block — versus the legacy scan's O(B) with B = total blocks.
+/// block — versus a full scan's O(B) with B = total blocks.
 #[derive(Debug)]
 struct VictimIndex {
     /// `buckets[chip][reclaimable]` → candidates on that chip.
@@ -127,7 +127,7 @@ impl VictimIndex {
     }
 
     /// Exact cost-benefit argmax over `chip`'s bucket heads, scored with
-    /// the legacy scan's expression and its lowest-block tie-break.
+    /// the scan oracle's expression and its lowest-block tie-break.
     fn best_cost_benefit(&mut self, chip: usize, next_epoch: u64, ppb: u32) -> Option<u32> {
         self.settle(chip);
         let mut best: Option<(u32, f64)> = None;
@@ -157,7 +157,7 @@ impl VictimIndex {
 
 /// Erase-count extremes maintained incrementally so wear leveling stops
 /// rescanning the device: a histogram over every non-bad block (the hottest
-/// extreme includes free and active blocks, like the legacy scan) and a
+/// extreme includes free and active blocks, like the scan oracle) and a
 /// sorted set of closed in-service blocks (the coldest migration candidate,
 /// with the scan's lowest-block-index tie-break).
 #[derive(Debug)]
@@ -275,8 +275,8 @@ pub(crate) struct FtlBase {
     active: Vec<Option<Pba>>,
     /// Round-robin chip cursor for page allocation.
     next_chip: usize,
-    /// Incremental victim index; the legacy scan behind
-    /// `FtlConfig::gc_victim_index(false)` is its differential oracle.
+    /// Incremental victim index; debug builds assert every pick against a
+    /// full-device scan (see [`select_victim`](Self::select_victim)).
     victims: VictimIndex,
     /// Incremental erase-count extremes for wear leveling.
     wear: WearTracker,
@@ -316,13 +316,14 @@ pub(crate) struct FtlBase {
     /// writes ping-pong to the other slot so a mid-write power cut can
     /// never destroy the fallback.
     ckpt_newest: Option<usize>,
-    /// In-flight incremental GC job, `None` at quiescence (and always
-    /// `None` on the blocking path). Dropped — not persisted — across a
-    /// power cut; the half-migrated victim is simply re-selectable.
+    /// The GC engine's one job, `None` at quiescence; `Some` between writes
+    /// when the incremental budget paused it or a NAND error stopped it.
+    /// Dropped — not persisted — across a power cut; the half-migrated
+    /// victim is simply re-selectable.
     gc_job: Option<GcJob>,
     /// Per-GC-entry foreground pause histogram: the growth of the device's
-    /// parallel makespan across each GC entry (blocking drain or
-    /// incremental pump) — the device-time stall a collocated host command
+    /// parallel makespan across each GC entry (unbudgeted drain or
+    /// budgeted pump) — the device-time stall a collocated host command
     /// would observe.
     gc_pause_hist: LatencyHistogram,
     pub stats: FtlStats,
@@ -352,9 +353,10 @@ pub(crate) struct ScanPage {
 /// watermarks and minimum OOB sequence numbers.
 type MountScan = (Vec<(Lba, ScanPage)>, Vec<u32>, Vec<Option<u64>>);
 
-/// A resumable garbage-collection job: one selected victim block plus a
-/// cursor over its page offsets. [`FtlBase::gc_step`] migrates pages from
-/// the cursor forward under a budget, persisting the cursor between pumps.
+/// The garbage collector's unit of work under both policies: one selected
+/// victim block plus a cursor over its page offsets. [`FtlBase::gc_step`]
+/// migrates pages from the cursor forward under a budget (unbounded for the
+/// blocking policy), persisting the cursor between pumps.
 /// Page migration re-reads the physical page state at execution time, so a
 /// job can be paused, resumed after arbitrary host writes, or dropped
 /// mid-block (power cut) without special cases: unmigrated offsets are
@@ -368,7 +370,7 @@ type MountScan = (Vec<(Lba, ScanPage)>, Vec<u32>, Vec<Option<u64>>);
 struct GcJob {
     victim: Pba,
     /// Reclaim jobs count as `gc_invocations` on completion, wear-level
-    /// jobs as `wear_level_swaps` — mirroring the blocking collector.
+    /// jobs as `wear_level_swaps`.
     kind: GcVictimKind,
     /// Next page offset to examine in the victim block.
     cursor: u32,
@@ -988,20 +990,44 @@ impl FtlBase {
         Ok(olds)
     }
 
-    /// Blocking garbage collection: collects until the free pool holds the
-    /// configured reserve *plus* enough whole blocks to absorb `pages`
-    /// upcoming programs — `reserve + ⌈pages / pages_per_block⌉` — so a
-    /// batched extent write cannot run the allocator dry mid-submit.
+    /// Garbage collection ahead of a host write of `pages` upcoming
+    /// programs — the only GC entry point. One engine (the resumable
+    /// [`GcJob`], driven by [`gc_pump`](Self::gc_pump)) runs under one of
+    /// two policies that differ only in when collection starts and how much
+    /// one entry may migrate. `target` is the reserve plus enough whole
+    /// blocks to absorb the write, so a batched extent cannot run the
+    /// allocator dry mid-submit.
     ///
-    /// `queue` carries the protection state for the SSD-Insider FTL:
-    /// invalid pages it protects are migrated (and their backup entries
-    /// redirected) rather than discarded. The conventional FTL passes
-    /// `None`.
-    pub fn gc_for_extent(&mut self, pages: u64, queue: Option<&mut RecoveryQueue>) -> Result<()> {
+    /// * **Blocking** (the default) starts below `target` and pumps
+    ///   unbudgeted: every job runs to its erase, and the drain occupies the
+    ///   single-threaded firmware — no host command is serviced until its
+    ///   last command lands.
+    /// * **Incremental** (`FtlConfig::incremental_gc`) starts
+    ///   `gc_low_water_extra` blocks early and migrates `gc_step_pages`
+    ///   (scaled by urgency) per entry, pausing the job mid-block between
+    ///   writes without stalling the host. If the pool still reaches the
+    ///   hard floor (`need + 1`), a second, unbudgeted pump drains to
+    ///   `target` stop-the-world (`FtlStats::gc_stw_fallbacks`).
+    ///
+    /// A NAND error mid-migration parks the job under either policy, so an
+    /// entry also runs whenever one is pending. `queue` carries the
+    /// SSD-Insider FTL's protection state: invalid pages it protects are
+    /// migrated (and their backup entries redirected), not discarded.
+    pub fn gc_before_write(
+        &mut self,
+        pages: u64,
+        mut queue: Option<&mut RecoveryQueue>,
+    ) -> Result<()> {
         let ppb = self.config.geometry().pages_per_block() as u64;
         let need = pages.div_ceil(ppb) as usize;
         let target = self.config.gc_reserve() as usize + need;
-        if self.free_count >= target {
+        let incremental = self.config.incremental_gc_enabled();
+        let (mut low, mut step) = (target, u64::MAX);
+        if incremental {
+            low += self.config.gc_low_water_extra_blocks() as usize;
+            step = u64::from(self.config.gc_step_budget_pages());
+        }
+        if self.free_count >= low && self.gc_job.is_none() {
             // The common no-GC case returns before the timer starts, so
             // `gc_ns` stays exactly zero for workloads that never collect.
             return Ok(());
@@ -1010,75 +1036,19 @@ impl FtlBase {
         let copies_before = self.stats.gc_page_copies;
         let pause_before = self.device.parallel_busy_ns();
         self.device.set_gc_context(true);
-        let result = self.gc_until(target, need, copies_before, queue);
-        self.device.set_gc_context(false);
-        // Blocking drains occupy the single-threaded firmware: no host
-        // command is serviced until the drain's last command lands.
-        let horizon = self.device.gc_horizon_ns();
-        self.device.stall_host_until(horizon);
-        let migrated = self.stats.gc_page_copies - copies_before;
-        self.stats.gc_migrations_max = self.stats.gc_migrations_max.max(migrated);
-        self.stats.gc_ns += started.elapsed().as_nanos() as u64;
-        let pause = self.device.parallel_busy_ns() - pause_before;
-        if pause > 0 {
-            self.gc_pause_hist.record(pause);
-        }
-        result
-    }
-
-    /// Chooses the GC path for a host write of `pages` upcoming programs:
-    /// the incremental engine ([`gc_maintain`](Self::gc_maintain)) when
-    /// `FtlConfig::incremental_gc` is on, the classic blocking collector
-    /// ([`gc_for_extent`](Self::gc_for_extent)) otherwise. Every host write
-    /// path funnels through here so the two engines are interchangeable.
-    pub fn gc_before_write(&mut self, pages: u64, queue: Option<&mut RecoveryQueue>) -> Result<()> {
-        if self.config.incremental_gc_enabled() {
-            self.gc_maintain(pages, queue)
-        } else {
-            self.gc_for_extent(pages, queue)
-        }
-    }
-
-    /// Incremental background GC: instead of draining the whole free-block
-    /// deficit in one blocking pass, each host write pumps a bounded budget
-    /// of page migrations (`FtlConfig::gc_step_pages`, scaled up by an
-    /// urgency ramp as the pool sinks) through a resumable [`GcJob`].
-    /// Collection starts `FtlConfig::gc_low_water_extra` blocks *early* —
-    /// while the pool is still above the blocking trigger — so steady state
-    /// pays many small pauses instead of rare multi-block stalls.
-    ///
-    /// Safety valve: if the pool still reaches the hard floor (`need + 1`
-    /// blocks, the same floor the blocking collector's budget early-out
-    /// honors), the engine falls back to a stop-the-world
-    /// [`gc_until`](Self::gc_until) drain so the triggering write cannot
-    /// starve; `FtlStats::gc_stw_fallbacks` counts how often that fired.
-    pub fn gc_maintain(&mut self, pages: u64, mut queue: Option<&mut RecoveryQueue>) -> Result<()> {
-        let ppb = self.config.geometry().pages_per_block() as u64;
-        let need = pages.div_ceil(ppb) as usize;
-        let target = self.config.gc_reserve() as usize + need;
-        let low = target + self.config.gc_low_water_extra_blocks() as usize;
-        if self.free_count >= low && self.gc_job.is_none() {
-            // Same cold-path discipline as the blocking collector: the
-            // common no-GC case returns before the timer starts.
-            return Ok(());
-        }
-        let started = Instant::now();
-        let copies_before = self.stats.gc_page_copies;
-        let pause_before = self.device.parallel_busy_ns();
-        self.device.set_gc_context(true);
-        let mut result = self.gc_pump(target, low, queue.as_deref_mut());
-        if result.is_ok() && self.free_count < need + 1 {
-            // Reserve exhausted despite the urgency ramp: blocking drain —
-            // which, like the classic collector, stalls the firmware for
-            // the host until the drain lands. Incremental steps never do.
+        let mut result = self.gc_pump(target, low, step, queue.as_deref_mut());
+        let mut stop_the_world = !incremental;
+        if incremental && result.is_ok() && self.free_count < need + 1 {
+            // Reserve exhausted despite the urgency ramp.
             self.stats.gc_stw_fallbacks += 1;
-            result = self
-                .gc_drain_job(queue.as_deref_mut())
-                .and_then(|()| self.gc_until(target, need, copies_before, queue));
+            result = self.gc_pump(target, target, u64::MAX, queue);
+            stop_the_world = true;
+        }
+        self.device.set_gc_context(false);
+        if stop_the_world {
             let horizon = self.device.gc_horizon_ns();
             self.device.stall_host_until(horizon);
         }
-        self.device.set_gc_context(false);
         let migrated = self.stats.gc_page_copies - copies_before;
         self.stats.gc_migrations_max = self.stats.gc_migrations_max.max(migrated);
         self.stats.gc_ns += started.elapsed().as_nanos() as u64;
@@ -1089,20 +1059,18 @@ impl FtlBase {
         result
     }
 
-    /// One budgeted pump of the incremental engine. The budget scales with
-    /// urgency — `gc_step_pages × (1 + deficit below the low watermark)` —
-    /// so a pool sinking toward the reserve migrates ever-larger steps and
-    /// the stop-the-world fallback stays cold under steady load. Order
-    /// within a pump mirrors [`gc_until`](Self::gc_until) exactly (reclaim
-    /// to target, wear-level once, top up), so an unbounded budget
-    /// reproduces the blocking collector's victim sequence verbatim.
+    /// One pump of the engine: resume the pending job, reclaim while the
+    /// pool is below `target`, wear-level once, then top up towards `low`,
+    /// until `step × (1 + deficit below low)` pages have been migrated —
+    /// the urgency ramp that keeps the incremental fallback cold under
+    /// steady load. `step = u64::MAX` drains and leaves no job pending.
     fn gc_pump(
         &mut self,
         target: usize,
         low: usize,
+        step: u64,
         mut queue: Option<&mut RecoveryQueue>,
     ) -> Result<()> {
-        let step = u64::from(self.config.gc_step_budget_pages());
         let urgency = 1 + low.saturating_sub(self.free_count) as u64;
         let mut budget = step.saturating_mul(urgency);
         let mut leveled = false;
@@ -1112,22 +1080,19 @@ impl FtlBase {
                 continue;
             }
             if self.free_count < target {
-                // Below the blocking trigger nothing reclaimable is the
-                // same hard error the blocking collector reports.
+                // Below the reserve the write cannot proceed: nothing
+                // reclaimable is a hard error.
                 if !self.start_reclaim_job(queue.as_deref()) {
                     return Err(FtlError::NoReclaimableSpace);
                 }
                 continue;
             }
             if !leveled {
+                // Static wear leveling: only right after reclaim, when
+                // the pool has headroom to migrate the coldest block.
                 leveled = true;
                 if let Some(victim) = self.wear_level_candidate()? {
-                    self.log_victim(GcVictimKind::WearLevel, victim);
-                    self.gc_job = Some(GcJob {
-                        victim,
-                        kind: GcVictimKind::WearLevel,
-                        cursor: 0,
-                    });
+                    self.start_job(GcVictimKind::WearLevel, victim);
                 }
                 continue;
             }
@@ -1142,31 +1107,35 @@ impl FtlBase {
     }
 
     /// Selects a reclaim victim and opens a job for it; `false` when
-    /// nothing is reclaimable. The victim is logged at selection time, so
-    /// the victim log stays comparable with the blocking collector's.
+    /// nothing is reclaimable.
     fn start_reclaim_job(&mut self, queue: Option<&RecoveryQueue>) -> bool {
+        let Some(victim) = self.select_victim(queue) else {
+            return false;
+        };
+        self.start_job(GcVictimKind::Reclaim, victim);
+        true
+    }
+
+    /// Opens the engine's job on `victim`, logged at selection time.
+    fn start_job(&mut self, kind: GcVictimKind, victim: Pba) {
         debug_assert!(
             self.gc_job.is_none(),
             "victim selection must not run with a job pending"
         );
-        let Some(victim) = self.select_victim(queue) else {
-            return false;
-        };
-        self.log_victim(GcVictimKind::Reclaim, victim);
+        self.log_victim(kind, victim);
         self.gc_job = Some(GcJob {
             victim,
-            kind: GcVictimKind::Reclaim,
+            kind,
             cursor: 0,
         });
-        true
     }
 
     /// Pumps the pending [`GcJob`] by up to `budget` page migrations and
     /// returns how many it performed. Offsets needing no copy (free pages,
     /// unprotected invalid pages) are skipped for free. Reaching the end of
     /// the block finishes the job: the victim is erased and returned to the
-    /// free pool, or retired if worn out — the job is simply dropped, like
-    /// the blocking collector's retry-on-retirement.
+    /// free pool, or retired as *bad* if the erase hits its endurance limit
+    /// — the job is simply dropped and the pump selects another victim.
     fn gc_step(&mut self, budget: u64, mut queue: Option<&mut RecoveryQueue>) -> Result<u64> {
         let mut job = self.gc_job.expect("gc_step requires a pending job");
         let ppb = self.config.geometry().pages_per_block();
@@ -1197,16 +1166,15 @@ impl FtlBase {
                 }
                 Ok(migrated)
             }
-            // Retirement reclaims no block, but the job is done; the pump
-            // selects another victim, mirroring `collect_once`'s retry.
+            // Retirement reclaims no block, but the job is done; the
+            // internal marker never reaches the host.
             Err(FtlError::BadBlockRetired) => Ok(migrated),
             Err(e) => Err(e),
         }
     }
 
-    /// Runs the pending job (if any) to completion, unbudgeted — the
-    /// stop-the-world fallback and quiescence helpers use this to reach a
-    /// clean `gc_job == None` state.
+    /// Runs the pending job (if any) to completion, unbudgeted — how the
+    /// quiescence helpers reach a clean `gc_job == None` state.
     pub fn gc_drain_job(&mut self, mut queue: Option<&mut RecoveryQueue>) -> Result<()> {
         while self.gc_job.is_some() {
             self.gc_step(u64::MAX, queue.as_deref_mut())?;
@@ -1214,7 +1182,7 @@ impl FtlBase {
         Ok(())
     }
 
-    /// Whether an incremental GC job is currently paused mid-block.
+    /// Whether a GC job is parked mid-block (paused budget or NAND error).
     pub fn gc_job_pending(&self) -> bool {
         self.gc_job.is_some()
     }
@@ -1241,71 +1209,10 @@ impl FtlBase {
         KindLatency::from_histogram(&self.gc_pause_hist)
     }
 
-    /// Collects until `target` free blocks are available, honoring the
-    /// per-invocation migration budget: once the budget is spent, collection
-    /// stops as soon as the *hard* floor — `need` blocks for the triggering
-    /// write plus one so GC keeps compaction headroom — is met, and wear
-    /// leveling is skipped. The budget is checked between victims, so an
-    /// invocation overshoots by at most one block's worth of migrations.
-    fn gc_until(
-        &mut self,
-        target: usize,
-        need: usize,
-        copies_before: u64,
-        mut queue: Option<&mut RecoveryQueue>,
-    ) -> Result<()> {
-        let hard = need + 1;
-        let budget = self.config.gc_migration_budget_pages();
-        while self.free_count < target {
-            let spent = self.stats.gc_page_copies - copies_before;
-            if self.free_count >= hard && budget.is_some_and(|b| spent >= b) {
-                return Ok(());
-            }
-            self.collect_once(queue.as_deref_mut())?;
-        }
-        let spent = self.stats.gc_page_copies - copies_before;
-        if budget.is_some_and(|b| spent >= b) {
-            return Ok(());
-        }
-        self.maybe_wear_level(queue.as_deref_mut())?;
-        // A wear-level victim hitting its endurance limit consumes
-        // migration pages without returning a block; top the reserve
-        // back up so the caller's write cannot starve.
-        while self.free_count < target {
-            let spent = self.stats.gc_page_copies - copies_before;
-            if self.free_count >= hard && budget.is_some_and(|b| spent >= b) {
-                return Ok(());
-            }
-            self.collect_once(queue.as_deref_mut())?;
-        }
-        Ok(())
-    }
-
-    /// Static wear leveling: when the erase-count spread exceeds the
-    /// configured threshold, migrate the coldest (least-erased) in-service
-    /// block so it rejoins the hot rotation. Runs only right after GC, when
-    /// the free pool has headroom for the migration.
-    fn maybe_wear_level(&mut self, queue: Option<&mut RecoveryQueue>) -> Result<()> {
-        let Some(victim) = self.wear_level_candidate()? else {
-            return Ok(());
-        };
-        self.log_victim(GcVictimKind::WearLevel, victim);
-        match self.migrate_and_erase(victim, GcVictimKind::WearLevel, queue) {
-            Ok(()) => self.stats.wear_level_swaps += 1,
-            // The coldest block hitting its endurance limit means
-            // leveling has nothing left to do; never surface the
-            // internal retirement marker to the host write path.
-            Err(FtlError::BadBlockRetired) => {}
-            Err(e) => return Err(e),
-        }
-        Ok(())
-    }
-
     /// The coldest in-service block, when the erase-count spread exceeds
     /// the wear-leveling threshold; `None` when leveling is off, has no
-    /// candidate, or the spread is within bounds. Shared by the blocking
-    /// and incremental wear-leveling paths; debug builds reconcile the
-    /// incremental trackers against the legacy scan on every call.
+    /// candidate, or the spread is within bounds. Debug builds reconcile
+    /// the incremental trackers against a full scan on every call.
     fn wear_level_candidate(&mut self) -> Result<Option<Pba>> {
         let Some(threshold) = self.config.wear_leveling_threshold() else {
             return Ok(None);
@@ -1314,14 +1221,9 @@ impl FtlBase {
         assert_eq!(
             self.wear_extremes_indexed(),
             self.wear_extremes_scan()?,
-            "wear trackers diverged from the legacy scan"
+            "wear trackers diverged from the scan oracle"
         );
-        let extremes = if self.config.victim_index_enabled() {
-            self.wear_extremes_indexed()
-        } else {
-            self.wear_extremes_scan()?
-        };
-        let Some((victim, wear, hottest)) = extremes else {
+        let Some((victim, wear, hottest)) = self.wear_extremes_indexed() else {
             return Ok(None);
         };
         Ok((hottest - wear > threshold).then_some(victim))
@@ -1335,7 +1237,9 @@ impl FtlBase {
         Some((Pba::new(raw), wear, self.wear.hottest()))
     }
 
-    /// Legacy wear scan — the differential oracle for the trackers.
+    /// O(total-blocks) wear scan — the debug-build differential oracle for
+    /// the trackers.
+    #[cfg(debug_assertions)]
     fn wear_extremes_scan(&self) -> Result<Option<(Pba, u32, u32)>> {
         let g = *self.config.geometry();
         let mut coldest: Option<(Pba, u32)> = None;
@@ -1376,15 +1280,15 @@ impl FtlBase {
     /// dies writable; on single-chip geometries the rule degenerates to
     /// the plain global policy.
     ///
-    /// Dispatches to the incremental index or the legacy scan per
-    /// `FtlConfig::gc_victim_index`; debug builds run *both* selectors on
-    /// every call and assert they agree — the in-process differential
-    /// oracle — and reconcile the chosen block's mirrored protected count
-    /// against the queue's.
+    /// Debug builds also run the full-device scan on every call and assert
+    /// it agrees with the index — the in-process differential oracle — and
+    /// reconcile the chosen block's mirrored protected count against the
+    /// queue's. `queue` feeds only that oracle, hence unused in release.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn select_victim(&mut self, queue: Option<&RecoveryQueue>) -> Option<Pba> {
+        let indexed = self.select_victim_indexed();
         #[cfg(debug_assertions)]
         if queue.is_none_or(RecoveryQueue::tracks_blocks) {
-            let indexed = self.select_victim_indexed();
             let scanned = self.select_victim_scan(queue);
             assert_eq!(indexed, scanned, "victim selectors diverged");
             if let Some(pba) = indexed {
@@ -1396,15 +1300,12 @@ impl FtlBase {
                 );
             }
         }
-        if self.config.victim_index_enabled() {
-            self.select_victim_indexed()
-        } else {
-            self.select_victim_scan(queue)
-        }
+        indexed
     }
 
     /// Chips ordered driest first: ascending free-pool depth, ascending
-    /// chip index on ties. Both selectors share this ordering.
+    /// chip index on ties (the scan oracle's statement of the ordering).
+    #[cfg(debug_assertions)]
     fn chips_driest_first(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.free.len()).collect();
         order.sort_by_key(|&chip| (self.free[chip].len(), chip));
@@ -1436,9 +1337,10 @@ impl FtlBase {
         None
     }
 
-    /// Legacy O(total-blocks) scan — the differential oracle for the index.
-    /// Protected counts come from the queue itself (not the FTL's mirror),
-    /// so the two selectors have independent inputs.
+    /// O(total-blocks) scan — the debug-build differential oracle for the
+    /// index. Protected counts come from the queue itself (not the FTL's
+    /// mirror), so the two selectors have independent inputs.
+    #[cfg(debug_assertions)]
     fn select_victim_scan(&self, queue: Option<&RecoveryQueue>) -> Option<Pba> {
         let g = self.config.geometry();
         let ppb = g.pages_per_block();
@@ -1484,52 +1386,9 @@ impl FtlBase {
             .map(|(pba, _)| pba)
     }
 
-    /// Collects one victim. Each page is migrated *atomically* (copy,
-    /// remap, invalidate source, clear source rmap), so an abort at any
-    /// point — allocation failure, injected fault, worn-out erase — leaves
-    /// the FTL fully consistent and the victim re-collectable. A block
-    /// whose erase hits its endurance limit is retired as *bad* and another
-    /// victim is tried.
-    fn collect_once(&mut self, mut queue: Option<&mut RecoveryQueue>) -> Result<()> {
-        loop {
-            let victim = self
-                .select_victim(queue.as_deref())
-                .ok_or(FtlError::NoReclaimableSpace)?;
-            self.log_victim(GcVictimKind::Reclaim, victim);
-            match self.migrate_and_erase(victim, GcVictimKind::Reclaim, queue.as_deref_mut()) {
-                Ok(()) => {
-                    self.stats.gc_invocations += 1;
-                    return Ok(());
-                }
-                Err(FtlError::BadBlockRetired) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Migrates every live (and protected) page out of `victim`, then
-    /// erases it and returns it to the free pool. Each page is migrated
-    /// *atomically* (copy, remap, invalidate source, clear source rmap), so
-    /// an abort at any point — allocation failure, injected fault, worn-out
-    /// erase — leaves the FTL fully consistent and the victim
-    /// re-collectable. A block whose erase hits its endurance limit is
-    /// retired as *bad* and reported as [`FtlError::BadBlockRetired`].
-    fn migrate_and_erase(
-        &mut self,
-        victim: Pba,
-        kind: GcVictimKind,
-        mut queue: Option<&mut RecoveryQueue>,
-    ) -> Result<()> {
-        let ppb = self.config.geometry().pages_per_block();
-        for off in 0..ppb {
-            self.migrate_page(victim, off, queue.as_deref_mut())?;
-        }
-        self.finish_erase(victim, kind)
-    }
-
     /// Migrates (or skips) one page offset of a GC victim — the atomic unit
-    /// both the blocking collector and the incremental [`GcJob`] engine are
-    /// built from. Physical page state is re-read here at execution time,
+    /// (copy, remap, invalidate source, clear source rmap) the [`GcJob`]
+    /// engine is built from. Physical page state is re-read at execution time,
     /// so re-running an offset (resume after a pause, retry after an
     /// injected fault) is always safe: an already-migrated page has become
     /// `Invalid`-unprotected or `Free` and falls through without work.
@@ -1709,6 +1568,19 @@ impl FtlBase {
         self.note_protected(ppa);
     }
 
+    /// Flattens per-LBA chain groups into the canonical mount order:
+    /// sorted by logical page, then `(stamp, seq)` — oldest version first —
+    /// within each page's run.
+    fn flatten_chains(chains: BTreeMap<Lba, Vec<ScanPage>>) -> Vec<(Lba, ScanPage)> {
+        let total: usize = chains.values().map(Vec::len).sum();
+        let mut flat = Vec::with_capacity(total);
+        for (lba, mut chain) in chains {
+            chain.sort_by_key(|p| (p.stamp, p.seq));
+            flat.extend(chain.into_iter().map(|p| (lba, p)));
+        }
+        flat
+    }
+
     /// Rebuilds the mount-scan inputs — per-LBA record chains, per-block
     /// programmed watermarks and per-block minimum sequence numbers — by
     /// the cheapest means available:
@@ -1730,20 +1602,6 @@ impl FtlBase {
     /// Debug builds verify path 1 against a free full-device scan: merged
     /// records must all exist on flash, per-LBA mount winners and the
     /// per-block watermark/min-seq vectors must match exactly.
-    #[allow(clippy::type_complexity)]
-    /// Flattens per-LBA chain groups into the canonical mount order:
-    /// sorted by logical page, then `(stamp, seq)` — oldest version first —
-    /// within each page's run.
-    fn flatten_chains(chains: BTreeMap<Lba, Vec<ScanPage>>) -> Vec<(Lba, ScanPage)> {
-        let total: usize = chains.values().map(Vec::len).sum();
-        let mut flat = Vec::with_capacity(total);
-        for (lba, mut chain) in chains {
-            chain.sort_by_key(|p| (p.stamp, p.seq));
-            flat.extend(chain.into_iter().map(|p| (lba, p)));
-        }
-        flat
-    }
-
     fn mount_scan(&mut self) -> Result<MountScan> {
         let g = *self.config.geometry();
         let total_blocks = g.total_blocks() as usize;
@@ -2260,7 +2118,7 @@ mod tests {
         // Overwrite one logical page enough times to exhaust the free pool.
         let lba = Lba::new(0);
         for i in 0..(15 * 16 + 8) {
-            b.gc_for_extent(1, None).unwrap();
+            b.gc_before_write(1, None).unwrap();
             put(
                 &mut b,
                 lba,
@@ -2279,15 +2137,7 @@ mod tests {
         let mut b = base();
         // Interleave one cold (never overwritten) page into every block of
         // hot overwrites, so each GC victim holds live data to migrate.
-        for i in 0..(16 * 16) {
-            b.gc_for_extent(1, None).unwrap();
-            let (lba, data) = if i % 16 == 0 {
-                (Lba::new(100 + i / 16), Bytes::from_static(b"cold"))
-            } else {
-                (Lba::new(0), Bytes::from_static(b"hot"))
-            };
-            put(&mut b, lba, data);
-        }
+        churn(&mut b, 16 * 16);
         assert!(b.stats.gc_page_copies > 0);
         for k in 0..16u64 {
             assert_eq!(
@@ -2420,7 +2270,7 @@ mod tests {
     /// Mixed hot/cold churn that forces GC with live pages on every victim.
     fn churn(b: &mut FtlBase, rounds: u64) {
         for i in 0..rounds {
-            b.gc_for_extent(1, None).unwrap();
+            b.gc_before_write(1, None).unwrap();
             let (lba, data) = if i % 16 == 0 {
                 (Lba::new(100 + i / 16), Bytes::from_static(b"cold"))
             } else {
@@ -2434,7 +2284,7 @@ mod tests {
     fn gc_timer_accumulates_only_when_collecting() {
         let mut b = base();
         put(&mut b, Lba::new(0), Bytes::from_static(b"x"));
-        b.gc_for_extent(1, None).unwrap();
+        b.gc_before_write(1, None).unwrap();
         assert_eq!(b.stats.gc_ns, 0, "no collection, no timing noise");
         churn(&mut b, 16 * 16 * 2);
         assert!(b.stats.gc_invocations > 0);
@@ -2443,27 +2293,10 @@ mod tests {
     }
 
     #[test]
-    fn migration_budget_bounds_per_invocation_copies() {
-        let budget = 4u64;
-        let mut b = FtlBase::new(FtlConfig::new(Geometry::tiny()).gc_migration_budget(budget));
-        churn(&mut b, 16 * 16 * 4);
-        assert!(b.stats.gc_invocations > 0);
-        assert!(b.stats.gc_page_copies > 0, "victims must carry live pages");
-        // The cap is checked between victims, so a single invocation can
-        // overshoot by at most one block's worth of pages.
-        let ppb = 16u64;
-        assert!(
-            b.stats.gc_migrations_max <= budget + ppb,
-            "max per-invocation migrations {} exceeded budget {budget} + one block",
-            b.stats.gc_migrations_max
-        );
-    }
-
-    #[test]
     fn unbudgeted_gc_restores_full_reserve() {
         let mut b = base();
         churn(&mut b, 16 * 16 * 2);
-        b.gc_for_extent(1, None).unwrap();
+        b.gc_before_write(1, None).unwrap();
         assert!(b.free_blocks() > b.config().gc_reserve() as usize);
     }
 
@@ -2485,33 +2318,8 @@ mod tests {
         assert!(b.gc_victims().is_empty());
     }
 
-    #[test]
-    fn legacy_scan_config_produces_identical_victims() {
-        // Belt and braces on top of the debug-build in-process oracle: run
-        // the same churn on an indexed and a scan-configured FTL and compare
-        // the recorded victim sequences in any build profile.
-        let run = |indexed: bool| {
-            let mut b = FtlBase::new(
-                FtlConfig::new(Geometry::tiny())
-                    .gc_victim_index(indexed)
-                    .record_gc_victims(true),
-            );
-            churn(&mut b, 16 * 16 * 3);
-            (b.gc_victims().to_vec(), {
-                let mut s = b.stats;
-                s.gc_ns = 0;
-                s
-            })
-        };
-        let (v_indexed, s_indexed) = run(true);
-        let (v_scan, s_scan) = run(false);
-        assert_eq!(v_indexed, v_scan);
-        assert_eq!(s_indexed, s_scan);
-    }
-
-    /// Hot/cold churn through the configured GC engine (blocking or
-    /// incremental, per `gc_before_write`), with enough cold (never
-    /// rewritten) pages per block that victims cost real migrations.
+    /// Hot/cold churn under the configured GC policy, with enough cold
+    /// (never rewritten) pages per block that victims cost real migrations.
     /// Returns whether a pump ever left a job paused mid-block.
     fn churn_mixed(b: &mut FtlBase, rounds: u64) -> bool {
         let mut saw_pending = false;
@@ -2530,11 +2338,11 @@ mod tests {
 
     #[test]
     fn incremental_degenerate_config_reproduces_blocking_exactly() {
-        // With the low watermark collapsed onto the blocking trigger and an
-        // unbounded step budget, the incremental engine must reproduce the
-        // blocking collector verbatim: same victim sequence, same stats
-        // (modulo the wall-clock timer and the step counters), same
-        // physical mapping.
+        // The flag moves only the trigger and the budget: with the low
+        // watermark collapsed onto the blocking trigger and an unbounded
+        // step, the incremental policy is the blocking policy — same victim
+        // sequence, same stats (modulo the wall-clock timer), same physical
+        // mapping, and a fallback that never fires.
         let run = |incremental: bool| {
             let mut cfg = FtlConfig::new(Geometry::tiny()).record_gc_victims(true);
             if incremental {
@@ -2552,11 +2360,11 @@ mod tests {
         assert_eq!(a.gc_victims(), b.gc_victims());
         let scrub = |mut s: FtlStats| {
             s.gc_ns = 0;
-            s.gc_steps = 0;
-            s.gc_stw_fallbacks = 0;
             s
         };
         assert_eq!(scrub(a.stats), scrub(b.stats));
+        assert!(a.stats.gc_steps > 0, "one step per victim");
+        assert_eq!(a.stats.gc_stw_fallbacks, 0);
         for l in 0..a.logical_pages() {
             assert_eq!(
                 a.mapping.get(Lba::new(l)),
@@ -2613,7 +2421,7 @@ mod tests {
         // the hard floor within its budget, so the stop-the-world drain
         // must fire and restore the full reserve.
         let free = b.free_blocks() as u64;
-        b.gc_maintain(free * 16, None).unwrap();
+        b.gc_before_write(free * 16, None).unwrap();
         assert_eq!(b.stats.gc_stw_fallbacks, 1);
         assert!(!b.gc_job_pending());
         assert!(

@@ -60,8 +60,6 @@ pub struct FtlConfig {
     protection_window: SimTime,
     gc_policy: GcPolicy,
     wear_leveling_threshold: Option<u32>,
-    gc_victim_index: bool,
-    gc_migration_budget: Option<u64>,
     record_gc_victims: bool,
     copy_payloads: bool,
     checkpoint_interval: Option<u64>,
@@ -91,8 +89,6 @@ impl FtlConfig {
             protection_window: SimTime::from_secs(10),
             gc_policy: GcPolicy::Greedy,
             wear_leveling_threshold: None,
-            gc_victim_index: true,
-            gc_migration_budget: None,
             record_gc_victims: false,
             copy_payloads: false,
             checkpoint_interval: None,
@@ -170,50 +166,9 @@ impl FtlConfig {
         self.wear_leveling_threshold
     }
 
-    /// Selects between the incrementally maintained victim index (`true`,
-    /// the default) and the legacy full-device scan (`false`) for GC victim
-    /// selection and wear-leveling extremes. The scan is kept as the
-    /// differential oracle: both paths must pick identical victims, which
-    /// debug builds assert on every selection.
-    pub fn gc_victim_index(mut self, enabled: bool) -> Self {
-        self.gc_victim_index = enabled;
-        self
-    }
-
-    /// Whether GC victim selection uses the incremental index.
-    pub fn victim_index_enabled(&self) -> bool {
-        self.gc_victim_index
-    }
-
-    /// Caps the pages a single GC invocation may migrate
-    /// (`max_migrations_per_invocation`). Once the cap is hit, collection
-    /// stops as soon as the *hard* floor — enough free blocks for the
-    /// triggering write — is met, deferring the rest of the reclamation to
-    /// later invocations so one extent write cannot absorb an unbounded
-    /// migration storm. Wear leveling is skipped in invocations that
-    /// exhaust the cap. Unlimited by default.
-    ///
-    /// The cap is checked between victims, so an invocation can overshoot
-    /// by at most one block's worth of pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pages` is zero.
-    pub fn gc_migration_budget(mut self, pages: u64) -> Self {
-        assert!(pages >= 1, "gc migration budget must be at least one page");
-        self.gc_migration_budget = Some(pages);
-        self
-    }
-
-    /// The per-invocation GC migration cap, if one is set.
-    pub fn gc_migration_budget_pages(&self) -> Option<u64> {
-        self.gc_migration_budget
-    }
-
     /// Records every GC and wear-leveling victim in an in-memory log
     /// (see `gc_victims` on the FTLs). Off by default; the differential
-    /// oracle tests and the GC benchmark turn it on to prove the indexed
-    /// and legacy-scan selectors produce identical victim sequences.
+    /// GC tests turn it on to compare and pin victim sequences.
     pub fn record_gc_victims(mut self, enabled: bool) -> Self {
         self.record_gc_victims = enabled;
         self
@@ -320,12 +275,13 @@ impl FtlConfig {
         self.mount_from_checkpoint
     }
 
-    /// Switches garbage collection from stop-the-world bursts to the
-    /// incremental background engine: foreground writes pump a resumable
-    /// `GcJob` in small budgeted steps once the free pool sinks below the
-    /// low watermark (reserve + [`gc_low_water_extra`]), with an urgency
-    /// ramp and a blocking fallback at reserve exhaustion. Off by default —
-    /// the blocking path stays byte-identical to earlier behavior.
+    /// Switches the garbage collector's policy from blocking (collect only
+    /// once the pool sinks below the reserve, then drain stop-the-world) to
+    /// incremental: foreground writes pump the same resumable `GcJob` in
+    /// small budgeted steps once the free pool sinks below the low
+    /// watermark (reserve + [`gc_low_water_extra`]), with an urgency ramp
+    /// and an unbudgeted stop-the-world fallback at reserve exhaustion. The
+    /// flag moves only the trigger and the budget; off by default.
     ///
     /// [`gc_low_water_extra`]: Self::gc_low_water_extra
     pub fn incremental_gc(mut self, enabled: bool) -> Self {
@@ -333,15 +289,15 @@ impl FtlConfig {
         self
     }
 
-    /// Whether the incremental GC engine is enabled.
+    /// Whether the incremental GC policy is selected.
     pub fn incremental_gc_enabled(&self) -> bool {
         self.incremental_gc
     }
 
-    /// Sets how many blocks *above* the GC reserve the incremental engine
+    /// Sets how many blocks *above* the GC reserve the incremental policy
     /// starts working in the background (the low watermark is
     /// `gc_reserve + extra`). `0` makes incremental GC trigger exactly
-    /// where the blocking path does — the degenerate configuration the
+    /// where the blocking policy does — the degenerate configuration the
     /// differential oracle pins. Default 2.
     pub fn gc_low_water_extra(mut self, extra: u32) -> Self {
         self.gc_low_water_extra = extra;
@@ -535,28 +491,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_wear_threshold_panics() {
         FtlConfig::new(Geometry::tiny()).wear_leveling(0);
-    }
-
-    #[test]
-    fn victim_index_defaults_on_and_is_switchable() {
-        let cfg = FtlConfig::new(Geometry::tiny());
-        assert!(cfg.victim_index_enabled());
-        let cfg = cfg.gc_victim_index(false);
-        assert!(!cfg.victim_index_enabled());
-    }
-
-    #[test]
-    fn migration_budget_knob() {
-        let cfg = FtlConfig::new(Geometry::tiny());
-        assert_eq!(cfg.gc_migration_budget_pages(), None);
-        let cfg = cfg.gc_migration_budget(64);
-        assert_eq!(cfg.gc_migration_budget_pages(), Some(64));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one page")]
-    fn zero_migration_budget_panics() {
-        FtlConfig::new(Geometry::tiny()).gc_migration_budget(0);
     }
 
     #[test]

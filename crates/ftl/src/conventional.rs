@@ -99,18 +99,19 @@ impl ConventionalFtl {
     }
 
     /// Per-GC-entry foreground pause percentiles (device makespan growth
-    /// per GC entry, blocking or incremental).
+    /// per GC entry, under either GC policy).
     pub fn gc_pause_latency(&self) -> insider_nand::KindLatency {
         self.base.gc_pause_latency()
     }
 
-    /// Whether an incremental GC job is paused mid-block.
+    /// Whether a GC job is parked mid-block — paused by the incremental
+    /// budget, or stopped by a NAND error under either policy.
     pub fn gc_job_pending(&self) -> bool {
         self.base.gc_job_pending()
     }
 
-    /// Runs any paused incremental GC job to completion (quiescence helper
-    /// for differential oracles and benchmarks).
+    /// Runs any parked GC job to completion (quiescence helper for
+    /// differential oracles and benchmarks).
     ///
     /// # Errors
     ///

@@ -110,24 +110,35 @@ impl InsiderFtl {
     }
 
     /// Per-GC-entry foreground pause percentiles (device makespan growth
-    /// per GC entry, blocking or incremental).
+    /// per GC entry, under either GC policy).
     pub fn gc_pause_latency(&self) -> insider_nand::KindLatency {
         self.base.gc_pause_latency()
     }
 
-    /// Whether an incremental GC job is paused mid-block.
+    /// Whether a GC job is parked mid-block — paused by the incremental
+    /// budget, or stopped by a NAND error under either policy.
     pub fn gc_job_pending(&self) -> bool {
         self.base.gc_job_pending()
     }
 
-    /// Runs any paused incremental GC job to completion (quiescence helper
-    /// for differential oracles and benchmarks).
+    /// Runs any parked GC job to completion (quiescence helper for
+    /// differential oracles and benchmarks).
     ///
     /// # Errors
     ///
     /// Propagates NAND failures from the drained migrations.
     pub fn gc_quiesce(&mut self) -> Result<()> {
         self.base.gc_drain_job(Some(&mut self.queue))
+    }
+
+    /// The range check every extent operation applies, for a layer above to
+    /// refuse a request before acting on it.
+    ///
+    /// # Errors
+    ///
+    /// [`FtlError::LbaOutOfRange`] naming the first page past the end.
+    pub fn check_extent(&self, lba: Lba, len: u32) -> Result<()> {
+        self.base.check_extent(lba, len)
     }
 
     /// Whether the drive is refusing writes pending recovery.

@@ -34,9 +34,10 @@ pub struct FtlStats {
     /// actually collects, so workloads that never trigger GC report zero
     /// regardless of timer resolution.
     pub gc_ns: u64,
-    /// Worst-case pages migrated by a single GC invocation — the tail
-    /// latency a host write can absorb. Bounded by the configured
-    /// `gc_migration_budget` (plus at most one block of overshoot).
+    /// Worst-case pages migrated by a single GC entry — the tail latency a
+    /// host write can absorb. Bounded by the urgency-scaled step budget
+    /// under the incremental policy (unless its fallback fires), unbounded
+    /// under the blocking one.
     pub gc_migrations_max: u64,
     /// Power-on mounts performed (full OOB-scan rebuilds after a power
     /// cut). Zero for a drive that never lost power.
@@ -49,8 +50,9 @@ pub struct FtlStats {
     /// flash-write overhead of checkpointing.
     #[serde(default)]
     pub checkpoint_pages: u64,
-    /// Budgeted pump steps executed by the incremental GC engine. Zero
-    /// for the blocking GC path.
+    /// Steps of the GC job engine: each resumption of a victim's migration
+    /// cursor, to the end of the block or of the budget — one per victim
+    /// under the blocking policy, several under the incremental one.
     #[serde(default)]
     pub gc_steps: u64,
     /// Times incremental GC fell back to a blocking stop-the-world drain
@@ -111,9 +113,9 @@ pub enum GcVictimKind {
 }
 
 /// One recorded victim-selection event (see
-/// `FtlConfig::record_gc_victims`). The log is the differential oracle's
-/// evidence: an indexed and a legacy-scan FTL fed the same workload must
-/// produce identical victim sequences.
+/// `FtlConfig::record_gc_victims`). The log is the differential GC tests'
+/// evidence: two FTLs that must collect alike are compared by it, and
+/// `gc_pin.rs` pins it against a recorded run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GcVictim {
     /// What triggered the selection.

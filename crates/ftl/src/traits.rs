@@ -138,8 +138,9 @@ pub trait Ftl {
 
     /// The recorded GC victim log, in selection order. Empty unless the FTL
     /// was configured with `FtlConfig::record_gc_victims(true)`; the
-    /// differential GC tests replay identical workloads on an indexed and a
-    /// legacy-scan FTL and require these logs to match exactly.
+    /// differential GC tests replay identical workloads under two GC
+    /// configurations (or against a recorded run) and require these logs to
+    /// match exactly.
     fn gc_victims(&self) -> &[GcVictim] {
         &[]
     }

@@ -1,16 +1,17 @@
-//! Differential oracle for the incremental background GC engine.
+//! Differential oracle for the two policies of the one GC engine.
 //!
-//! The blocking collector (`incremental_gc(false)`, the default) is the
-//! ground truth. Two equivalences are proved over random workloads:
+//! Blocking (`incremental_gc(false)`, the default) and incremental GC run
+//! the same resumable job engine; the flag moves only the trigger and the
+//! budget. Two equivalences are proved over random workloads:
 //!
 //! 1. **Degenerate parity** — with the low watermark collapsed onto the
-//!    hard trigger (`gc_low_water_extra(0)`) and an unbounded step budget,
-//!    the incremental engine must reproduce the blocking collector *byte
-//!    for byte*: same victim sequence, same statistics, same surviving
-//!    data, errors at the same operations.
+//!    blocking trigger (`gc_low_water_extra(0)`) and an unbounded step
+//!    budget the flag has nothing left to move, so the two policies must
+//!    agree *byte for byte*: same victim sequence, same statistics, same
+//!    surviving data, errors at the same operations.
 //! 2. **Quiescent-state equivalence** — with a real (finite) budget the
 //!    collection *schedule* legitimately differs, but once the incremental
-//!    engine drains its paused job the logical contents must be identical
+//!    policy's paused job is drained the logical contents must be identical
 //!    to the blocking run, and rollback must restore identical state.
 //!
 //! A deterministic anchor additionally forces a rollback *while a GC job
@@ -45,8 +46,8 @@ fn config() -> FtlConfig {
     FtlConfig::new(geometry()).record_gc_victims(true)
 }
 
-/// The degenerate incremental configuration: identical trigger points and
-/// an unbounded pump budget make it provably equal to the blocking path.
+/// The degenerate incremental configuration: the blocking policy's trigger
+/// and its unbounded budget, reached through the other arm of the flag.
 fn degenerate() -> FtlConfig {
     config()
         .incremental_gc(true)
@@ -83,9 +84,9 @@ struct Outcome {
 }
 
 /// Replays `ops` at 200 ms apart (old versions keep expiring, so the mix
-/// stays feasible) and snapshots the observable end state. Incremental-only
-/// counters and wall-clock GC time are scrubbed: the oracle compares *what*
-/// was collected, not how the work was sliced.
+/// stays feasible) and snapshots the observable end state. The step and
+/// fallback counters and wall-clock GC time are scrubbed: the oracle
+/// compares *what* was collected, not how the work was sliced.
 fn run(ftl: &mut dyn Ftl, ops: &[Op]) -> (Outcome, SimTime) {
     let mut now = SimTime::from_secs(1);
     let mut first_error = None;
@@ -127,7 +128,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Conventional FTL: the degenerate incremental configuration is
-    /// indistinguishable from the blocking collector.
+    /// indistinguishable from the blocking policy.
     #[test]
     fn conventional_degenerate_matches_blocking(ops in op_strategy()) {
         let mut blocking = ConventionalFtl::new(config());

@@ -1,0 +1,142 @@
+//! Pins what garbage collection does to a fixed GC-heavy script: as one
+//! FNV-1a hash per configuration over the `Debug` rendering of the victim
+//! sequence (reclaim and wear-level picks), `FtlStats` with the wall-clock
+//! timer and the step counter zeroed, `NandStats` (counters and busy
+//! integrals), the host-only latency percentiles (which carry the firmware
+//! stall a drain raises) and the final contents of the span. A change to
+//! the collector that is meant to keep the drain order, the wear-level
+//! placement and the host stall must leave every hash alone — including on
+//! the wear-leveling branch, which no `benchmark/` workload turns on.
+//!
+//! The constants were recorded by running this file at commit 203dff0 (PR
+//! 14, the last commit with a separate blocking collector); re-record them
+//! only for a change that is *meant* to move simulated GC behaviour, or that
+//! adds a field to one of the hashed structs.
+
+use bytes::Bytes;
+use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, GcPolicy, InsiderFtl};
+use insider_nand::{Geometry, Lba, SimTime};
+
+/// Logical pages the script touches: a cold body written once and rewritten
+/// rarely, and a hot tail absorbing most overwrites.
+const SPAN: u64 = 160;
+const HOT: u64 = 12;
+const OPS: u64 = 5_000;
+
+/// Four dies (2 channels × 2 ways) of 12 eight-page blocks: small enough
+/// that the script collects constantly, multi-chip so die-balanced selection
+/// and per-chip free pools are on the path.
+fn config(policy: GcPolicy, incremental: bool) -> FtlConfig {
+    let geometry = Geometry::builder()
+        .channels(2)
+        .chips_per_channel(2)
+        .blocks_per_chip(12)
+        .pages_per_block(8)
+        .page_size(64)
+        .build();
+    let cfg = FtlConfig::new(geometry)
+        .gc_policy(policy)
+        .wear_leveling(3)
+        .record_gc_victims(true);
+    if incremental {
+        // One-page steps from the blocking trigger: the pump cannot keep up,
+        // so the stop-the-world fallback is on the pinned path too.
+        cfg.incremental_gc(true)
+            .gc_low_water_extra(0)
+            .gc_step_pages(1)
+    } else {
+        cfg
+    }
+}
+
+/// FNV-1a (64-bit).
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs the script and hashes everything observable about it. 100 ms per
+/// operation keeps a 10 s protection window of pre-images (~100 pages,
+/// mostly of hot overwrites) inside the drive's slack while leaving
+/// protected pages for the collector to copy.
+fn run(ftl: &mut dyn Ftl) -> u64 {
+    let mut now = SimTime::from_secs(1);
+    for lba in 0..SPAN - HOT {
+        ftl.write(Lba::new(lba), Bytes::from_static(b"cold"), now)
+            .unwrap();
+    }
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for i in 0..OPS {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let r = x >> 33;
+        let tag = Bytes::copy_from_slice(&(i as u32).to_le_bytes());
+        match r % 16 {
+            0 => ftl.trim(Lba::new((r >> 4) % SPAN), now).unwrap(),
+            1 => ftl
+                .write(Lba::new((r >> 4) % (SPAN - HOT)), tag, now)
+                .unwrap(),
+            2 => {
+                // A three-page extent: the trigger rises by a whole block.
+                let lba = SPAN - HOT + (r >> 4) % (HOT - 2);
+                let pages = [tag.clone(), tag.clone(), tag];
+                ftl.write_extent(Lba::new(lba), &pages, now).unwrap();
+            }
+            _ => ftl
+                .write(Lba::new(SPAN - HOT + (r >> 4) % HOT), tag, now)
+                .unwrap(),
+        }
+        now += SimTime::from_millis(100);
+    }
+    ftl.sync();
+
+    let mut s = *ftl.stats();
+    (s.gc_ns, s.gc_steps) = (0, 0);
+    let n = ftl.nand_stats().clone();
+    let host = ftl
+        .host_latency_snapshot()
+        .expect("the default scheduler keeps host histograms");
+    let contents = ftl.read_extent(Lba::new(0), SPAN as u32, now).unwrap();
+    let observed = format!("{:?}{s:?}{n:?}{host:?}{contents:?}", ftl.gc_victims());
+
+    // The pin is only worth its name if the script reaches every branch it
+    // claims to cover.
+    assert!(s.gc_invocations > 100, "reclaim GC must dominate the run");
+    assert!(s.wear_level_swaps > 0, "wear leveling must run");
+    assert!(s.gc_page_copies > 0, "victims must carry live pages");
+    assert!(n.gc_stalled_cmds > 0, "a drain must stall the host");
+    fnv(observed.as_bytes())
+}
+
+/// `(policy, incremental GC)` per row of [`RECORDED`].
+const CONFIGS: [(GcPolicy, bool); 4] = [
+    (GcPolicy::Greedy, false),
+    (GcPolicy::Fifo, false),
+    (GcPolicy::CostBenefit, false),
+    (GcPolicy::Greedy, true),
+];
+
+/// `[conventional, insider]` hashes per row of [`CONFIGS`].
+const RECORDED: [[u64; 2]; 4] = [
+    [0x6e74c6a80690516d, 0x16c2baa3ca1f5629],
+    [0x57c916c8ddfaf61c, 0x219c92357e57c963],
+    [0xf9a914b3ce562d68, 0x7b44482cb0206482],
+    [0x5be5e50bf4cf6c12, 0x47e1ec315aef3ce8],
+];
+
+#[test]
+fn gc_behaviour_is_pinned() {
+    let hex = |hashes: [u64; 2]| hashes.map(|h| format!("{h:#018x}"));
+    let got = CONFIGS.map(|(policy, incremental)| {
+        let mut conventional = ConventionalFtl::new(config(policy, incremental));
+        let mut insider = InsiderFtl::new(config(policy, incremental));
+        let hashes = [run(&mut conventional), run(&mut insider)];
+        assert!(insider.stats().gc_protected_copies > 0);
+        let fallbacks = |f: &dyn Ftl| f.stats().gc_stw_fallbacks > 0;
+        assert_eq!(fallbacks(&conventional) && fallbacks(&insider), incremental);
+        hex(hashes)
+    });
+    assert_eq!(got, RECORDED.map(hex), "GC behaviour moved");
+}

@@ -292,6 +292,7 @@ mod gc_policies {
 
 mod fault_injection {
     use super::*;
+    use insider_ftl::FtlError;
     use insider_nand::{FaultKind, FaultPlan, NandError};
 
     #[test]
@@ -345,6 +346,109 @@ mod fault_injection {
         ftl.write(Lba::new(0), payload(666), attack_t).unwrap();
         ftl.rollback(attack_t + SimTime::from_secs(1)).unwrap();
         assert_eq!(read_tag(&mut ftl, 0, attack_t), Some(7));
+    }
+
+    /// Applies `ops[range]`, op `i` writing tag `i`.
+    fn apply(ftl: &mut InsiderFtl, ops: &[(u64, SimTime)], range: std::ops::Range<usize>) {
+        for i in range {
+            ftl.write(Lba::new(ops[i].0), payload(i as u32), ops[i].1)
+                .unwrap();
+        }
+    }
+
+    /// Under the blocking policy a NAND error in the middle of a drain
+    /// parks the half-collected victim as the engine's job, exactly as the
+    /// incremental policy's budget would: the write fails, the next write —
+    /// or `gc_quiesce` — resumes the *same* victim from the failed offset,
+    /// and nothing is lost. Checked for a fault at every program of one
+    /// collection. The script: eight blocks of cold data, two rounds of
+    /// overwrites 20 s apart (so by the second the first round's pre-images
+    /// have expired and every cold block holds valid, dead *and* protected
+    /// pages), then fresh pages until the pool sinks below the reserve.
+    #[test]
+    fn program_fault_inside_a_drain_parks_the_job() {
+        let g = Geometry::builder()
+            .blocks_per_chip(16)
+            .pages_per_block(8)
+            .page_size(64)
+            .build();
+        let fresh = || InsiderFtl::new(FtlConfig::new(g).record_gc_victims(true));
+        let round = |rem: Option<u64>, secs: u64| {
+            let keep = move |l: &u64| rem.is_none_or(|r| l % 4 == r);
+            (0..64)
+                .filter(keep)
+                .map(move |l| (l, SimTime::from_secs(secs)))
+        };
+        let ops: Vec<(u64, SimTime)> = round(None, 0)
+            .chain(round(Some(1), 20))
+            .chain(round(Some(2), 40))
+            .chain((64..78).map(|l| (l, SimTime::from_secs(41))))
+            .collect();
+
+        // Probe run: which write is the first to collect, and how many
+        // pages (valid and protected) that one collection programs.
+        let mut probe = fresh();
+        let collected = |i: &usize| {
+            apply(&mut probe, &ops, *i..*i + 1);
+            !probe.gc_victims().is_empty()
+        };
+        let trigger = (0..ops.len()).find(collected).unwrap();
+        assert_eq!(probe.gc_victims().len(), 1, "one collection, one victim");
+        let victim = probe.gc_victims()[0];
+        let copies = probe.stats().gc_page_copies;
+        assert!(
+            probe.stats().gc_protected_copies > 0 && copies > probe.stats().gc_protected_copies
+        );
+
+        for k in 1..=copies {
+            for resume_by_write in [true, false] {
+                let mut ftl = fresh();
+                apply(&mut ftl, &ops, 0..trigger);
+                let mut plan = FaultPlan::new();
+                plan.fail_nth(FaultKind::Program, k);
+                ftl.set_fault_plan(plan);
+                let (lba, now) = ops[trigger];
+                let err = ftl.write(Lba::new(lba), payload(trigger as u32), now);
+                let injected = matches!(err, Err(FtlError::Nand(NandError::InjectedFault(_))));
+                assert!(injected, "k={k}: {err:?}");
+                assert!(ftl.gc_job_pending(), "k={k}: the victim must be parked");
+                assert_eq!(ftl.gc_victims(), [victim]);
+                assert_eq!(ftl.stats().gc_page_copies, k - 1);
+                assert_eq!(ftl.stats().gc_erases, 0);
+
+                if resume_by_write {
+                    apply(&mut ftl, &ops, trigger..trigger + 1);
+                } else {
+                    ftl.gc_quiesce().unwrap();
+                }
+                assert!(!ftl.gc_job_pending(), "k={k}");
+                // Resumed, not re-selected: still one selection, now erased,
+                // and no page was copied twice.
+                assert_eq!(ftl.gc_victims(), [victim], "k={k}");
+                assert_eq!(ftl.stats().gc_invocations, 1);
+                assert_eq!(ftl.stats().gc_page_copies, copies, "k={k}");
+
+                apply(
+                    &mut ftl,
+                    &ops,
+                    trigger + usize::from(resume_by_write)..ops.len(),
+                );
+                let end = SimTime::from_secs(42);
+                let last_before = |lba: u64, t: SimTime| {
+                    let i = ops.iter().rposition(|&(l, at)| l == lba && at < t);
+                    i.map(|i| i as u32)
+                };
+                for lba in 0..78 {
+                    assert_eq!(read_tag(&mut ftl, lba, end), last_before(lba, end), "k={k}");
+                }
+                // The second round's pre-images survived the faulted drain.
+                ftl.rollback(end).unwrap();
+                for lba in (0..64).filter(|l| l % 4 == 2) {
+                    let want = last_before(lba, SimTime::from_secs(32));
+                    assert_eq!(read_tag(&mut ftl, lba, end), want, "k={k}: rollback");
+                }
+            }
+        }
     }
 }
 

@@ -164,8 +164,8 @@ impl Window {
     }
 }
 
-/// The per-channel/per-die command scheduler. See the [module
-/// docs](self) for the model.
+/// The per-channel/per-die command scheduler. The module docs at the top
+/// of `sched.rs` describe the model.
 #[derive(Debug, Clone)]
 pub struct CmdScheduler {
     mode: SchedMode,
