@@ -20,8 +20,15 @@
 #                      headline ratio, then the end-to-end benchmark's own
 #                      self-tests and a `benchmark/run.sh --quick` smoke run
 #                      (all four workloads, both passes, every byte verified;
-#                      builds into benchmark/target/). No network needed:
-#                      deps are vendored.
+#                      builds into benchmark/target/), then gc-guard. No
+#                      network needed: deps are vendored.
+#   make gc-guard    — the one full-size benchmark run in CI: `--quick`
+#                      divides operation counts by ten and never collects on
+#                      `dev-churn-gc`, so this runs that workload whole
+#                      (seed 1, three repetitions, ~10 s) and fails unless
+#                      its result line says correct, no failed operation and
+#                      `write_amp` < 2 (1.155 with score-first victim
+#                      selection, 11.2 with the chip-first order it replaced).
 #   make test        — alias of tier-1's `cargo test -q` (same suite).
 #   make bench       — criterion micro-benchmarks (detector group includes
 #                      the interval-vs-naive counting-table comparison).
@@ -85,7 +92,7 @@ CI_LAT_ENV = LAT_PASSES=1
 CI_MT_ENV = MT_SHARDS=1,2 MT_WORKERS=2 MT_REPEATS=2
 CI_ROC_ENV = ROC_TRACES=1
 
-.PHONY: tier1 ci test bench bench-json crash-sweep bench-mount bench-multitenant bench-latency bench-roc bench-steady
+.PHONY: tier1 ci gc-guard test bench bench-json crash-sweep bench-mount bench-multitenant bench-latency bench-roc bench-steady
 
 tier1:
 	$(CARGO) build --release
@@ -105,6 +112,17 @@ ci: tier1
 	$(CARGO) run --release -p insider-bench --bin bench_check
 	cd benchmark && $(CARGO) test --release --offline
 	bash benchmark/run.sh --quick
+	$(MAKE) gc-guard
+
+gc-guard:
+	@line="$$(bash benchmark/run.sh --workload dev-churn-gc --seed 1 --seconds 1 --trace 0 | tail -n 1)"; \
+	echo "$$line"; \
+	wa="$$(echo "$$line" | sed -n 's/.*"write_amp": *{"value": *\([0-9.e+-]*\).*/\1/p')"; \
+	if [ -z "$$wa" ]; then echo "gc-guard: no write_amp in the result line: the report format moved, not GC" >&2; exit 1; fi; \
+	echo "$$line" | grep -Eq '"correct": *true' \
+		&& echo "$$line" | grep -Eq '"failed": *0[,}]' \
+		&& awk -v wa="$$wa" 'BEGIN { exit !(wa + 0 < 2) }' \
+		|| { echo "gc-guard: want correct, failed 0 and write_amp < 2 on dev-churn-gc (got write_amp $$wa)" >&2; exit 1; }
 
 test:
 	$(CARGO) test -q

@@ -22,11 +22,11 @@ use std::time::Instant;
 /// `buckets[chip][reclaimable]`, ordered by a policy-dependent tie-break
 /// key: the raw block index for greedy (reproducing the scan oracle's
 /// first-strict-max order) and the block's open epoch for the age-based
-/// policies. Candidates are bucketed *per chip* because erased blocks
-/// refill that chip's free pool alone: programs cannot cross dies, so a
-/// globally-best victim on an already-full chip does nothing for a dry
-/// one. Selection queries one chip at a time (see
-/// [`FtlBase::select_victim`] for the dryest-chip ordering). Within a
+/// policies. Candidates are bucketed *per chip* because an erased block
+/// refills that chip's free pool alone, so selection needs to know which
+/// die a candidate is on: each chip reports its best candidate with its
+/// policy score, and [`FtlBase::select_victim`] takes the best score on
+/// the device, using free-pool depth only between equal scores. Within a
 /// chip, one structure serves all three policies *exactly*:
 ///
 /// * **Greedy** — head of the highest non-empty bucket, O(1) amortized via
@@ -106,16 +106,19 @@ impl VictimIndex {
         }
     }
 
-    /// Most reclaimable pages on `chip`, lowest block index on ties.
-    fn best_greedy(&mut self, chip: usize) -> Option<u32> {
+    /// Most reclaimable pages on `chip`, lowest block index on ties. Like
+    /// its two siblings, returns the candidate with its policy score
+    /// (higher is better) in the scan oracle's terms.
+    fn best_greedy(&mut self, chip: usize) -> Option<(u32, f64)> {
         self.settle(chip);
-        self.buckets[chip][self.max_r[chip]]
+        let r = self.max_r[chip];
+        self.buckets[chip][r]
             .first()
-            .map(|&(_, raw)| raw)
+            .map(|&(_, raw)| (raw, r as f64))
     }
 
     /// Oldest open epoch among `chip`'s candidates (epochs are unique).
-    fn best_fifo(&mut self, chip: usize) -> Option<u32> {
+    fn best_fifo(&mut self, chip: usize) -> Option<(u32, f64)> {
         self.settle(chip);
         self.buckets[chip]
             .iter()
@@ -123,12 +126,12 @@ impl VictimIndex {
             .take(self.max_r[chip])
             .filter_map(BTreeSet::first)
             .min_by_key(|&&(epoch, _)| epoch)
-            .map(|&(_, raw)| raw)
+            .map(|&(epoch, raw)| (raw, -(epoch as f64)))
     }
 
     /// Exact cost-benefit argmax over `chip`'s bucket heads, scored with
     /// the scan oracle's expression and its lowest-block tie-break.
-    fn best_cost_benefit(&mut self, chip: usize, next_epoch: u64, ppb: u32) -> Option<u32> {
+    fn best_cost_benefit(&mut self, chip: usize, next_epoch: u64, ppb: u32) -> Option<(u32, f64)> {
         self.settle(chip);
         let mut best: Option<(u32, f64)> = None;
         for (r, bucket) in self.buckets[chip]
@@ -151,7 +154,7 @@ impl VictimIndex {
                 best = Some((raw, score));
             }
         }
-        best.map(|(raw, _)| raw)
+        best
     }
 }
 
@@ -687,9 +690,11 @@ impl FtlBase {
 
     fn log_victim(&mut self, kind: GcVictimKind, pba: Pba) {
         if self.config.gc_victim_recording() {
+            let raw = pba.index() as usize;
             self.victim_log.push(GcVictim {
                 kind,
                 block: pba.index(),
+                reclaimable: self.invalid_per_block[raw] - self.protected_per_block[raw],
             });
         }
     }
@@ -1268,17 +1273,21 @@ impl FtlBase {
     /// active and retired-bad blocks), or `None` when nothing is
     /// reclaimable.
     ///
-    /// Selection is **die-balanced**: chips are tried from driest (fewest
-    /// free blocks, lowest index on ties) to wettest, and the policy picks
-    /// within the first chip that has any candidate. An erased victim
+    /// **Score first, die second**: the block with the highest policy
+    /// score on the whole device wins (greedy: reclaimable pages; FIFO:
+    /// oldest epoch; cost-benefit: `r · age / (ppb − r + 1)`); between
+    /// equal scores, the one on the die with the fewest free blocks, then
+    /// the lowest block index. The die matters because an erased victim
     /// refills only its own chip's free pool — programs cannot cross dies
-    /// — so a globally-greedy pick starves every other die: hot
-    /// overwrites concentrate invalidations on the chip currently being
-    /// written, global-best victims land there too, and the allocator's
-    /// round-robin collapses onto one die (serializing the host stream
-    /// behind that die's erases). Preferring the driest chip keeps all
-    /// dies writable; on single-chip geometries the rule degenerates to
-    /// the plain global policy.
+    /// — and a die that never gets a free block drops out of the
+    /// allocator's striping. It may only break ties, though. Ordering
+    /// chips driest-first and scoring within the first one was measured
+    /// to starve dies instead: with the default reserve nearly every die
+    /// has zero free blocks when GC runs, the lowest chip index won, and
+    /// GC ground through that die's almost-valid blocks while the others'
+    /// garbage was never collected (`dev-churn-gc`: 2.2 of 64 pages freed
+    /// per erase and `nand.die_util` 0.40, against 45 and 0.99 with this
+    /// rule; DESIGN.md §13).
     ///
     /// Debug builds also run the full-device scan on every call and assert
     /// it agrees with the index — the in-process differential oracle — and
@@ -1303,52 +1312,42 @@ impl FtlBase {
         indexed
     }
 
-    /// Chips ordered driest first: ascending free-pool depth, ascending
-    /// chip index on ties (the scan oracle's statement of the ordering).
-    #[cfg(debug_assertions)]
-    fn chips_driest_first(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.free.len()).collect();
-        order.sort_by_key(|&chip| (self.free[chip].len(), chip));
-        order
-    }
-
-    /// Index-backed victim selection: per candidate chip, O(1) for greedy,
-    /// O(pages-per-block) for the age-based policies. Single-chip
-    /// geometries skip the chip ordering entirely (driest-first over one
-    /// chip is the identity).
+    /// Index-backed victim selection: each chip's best candidate (O(1) for
+    /// greedy, O(pages-per-block) for the age-based policies), then the
+    /// best of those by `(score, fewest free blocks, lowest chip)`.
     fn select_victim_indexed(&mut self) -> Option<Pba> {
         let ppb = self.config.geometry().pages_per_block();
         let policy = self.config.gc_policy_ref();
-        let pick = |victims: &mut VictimIndex, chip: usize| match policy {
-            GcPolicy::Greedy => victims.best_greedy(chip),
-            GcPolicy::Fifo => victims.best_fifo(chip),
-            GcPolicy::CostBenefit => victims.best_cost_benefit(chip, self.next_epoch, ppb),
-        };
-        if self.free.len() == 1 {
-            return pick(&mut self.victims, 0).map(Pba::new);
-        }
-        let mut order: Vec<usize> = (0..self.free.len()).collect();
-        order.sort_unstable_by_key(|&chip| (self.free[chip].len(), chip));
-        for chip in order {
-            if let Some(raw) = pick(&mut self.victims, chip) {
-                return Some(Pba::new(raw));
+        let mut best: Option<(u32, f64, usize)> = None;
+        for (chip, pool) in self.free.iter().enumerate() {
+            let candidate = match policy {
+                GcPolicy::Greedy => self.victims.best_greedy(chip),
+                GcPolicy::Fifo => self.victims.best_fifo(chip),
+                GcPolicy::CostBenefit => self.victims.best_cost_benefit(chip, self.next_epoch, ppb),
+            };
+            let Some((raw, score)) = candidate else {
+                continue;
+            };
+            if best.is_none_or(|(_, s, free)| score > s || (score == s && pool.len() < free)) {
+                best = Some((raw, score, pool.len()));
             }
         }
-        None
+        best.map(|(raw, ..)| Pba::new(raw))
     }
 
     /// O(total-blocks) scan — the debug-build differential oracle for the
-    /// index. Protected counts come from the queue itself (not the FTL's
-    /// mirror), so the two selectors have independent inputs.
+    /// index, stating the rule flat: one pass in block order keeping the
+    /// first strict maximum of `(score, fewest free blocks on its chip)`.
+    /// Protected counts come from the queue itself (not the FTL's mirror),
+    /// so the two selectors have independent inputs.
     #[cfg(debug_assertions)]
     fn select_victim_scan(&self, queue: Option<&RecoveryQueue>) -> Option<Pba> {
         let g = self.config.geometry();
         let ppb = g.pages_per_block();
         let bpc = g.blocks_per_chip();
         let policy = self.config.gc_policy_ref();
-        let mut best: Vec<Option<(Pba, f64)>> = vec![None; self.free.len()];
+        let mut best: Option<(Pba, f64, usize)> = None;
         for raw in 0..g.total_blocks() {
-            let pba = Pba::new(raw);
             if self.active_flags[raw as usize]
                 || self.free_flags[raw as usize]
                 || self.bad_flags[raw as usize]
@@ -1375,15 +1374,12 @@ impl FtlBase {
                     reclaimable as f64 * age / cost
                 }
             };
-            let chip = (raw / bpc) as usize;
-            if best[chip].is_none_or(|(_, s)| score > s) {
-                best[chip] = Some((pba, score));
+            let free = self.free[(raw / bpc) as usize].len();
+            if best.is_none_or(|(_, s, f)| score > s || (score == s && free < f)) {
+                best = Some((Pba::new(raw), score, free));
             }
         }
-        self.chips_driest_first()
-            .into_iter()
-            .find_map(|chip| best[chip])
-            .map(|(pba, _)| pba)
+        best.map(|(pba, ..)| pba)
     }
 
     /// Migrates (or skips) one page offset of a GC victim — the atomic unit

@@ -120,8 +120,12 @@ pub enum GcVictimKind {
 pub struct GcVictim {
     /// What triggered the selection.
     pub kind: GcVictimKind,
-    /// Raw index of the chosen block.
+    /// Raw index of the chosen block (its chip is `block / blocks_per_chip`).
     pub block: u32,
+    /// Pages the erase will free (`invalid − protected`) as counted when
+    /// the block was selected; the rest of the block has to be copied or
+    /// was never programmed.
+    pub reclaimable: u32,
 }
 
 impl std::fmt::Display for FtlStats {
