@@ -12,7 +12,11 @@
 #   make ci          — the full offline CI gate (what .github/workflows/ci.yml
 #                      runs): tier1, rustfmt check, clippy over all targets,
 #                      rustdoc with warnings denied (a deleted item cannot
-#                      leave a doc link pointing at it), bounded crash-sweep / latency / multitenant /
+#                      leave a doc link pointing at it), the block-cache
+#                      oracle once more on a seed taken from the clock
+#                      (`CACHE_ORACLE_SEED`, echoed first so a failure can be
+#                      replayed; tier1 already ran its fixed seeds),
+#                      bounded crash-sweep / latency / multitenant /
 #                      steady-state / ROC smoke runs
 #                      (env bounds below; smoke JSON goes to target/ci/, never
 #                      touching the committed artifacts), then bench_check
@@ -103,6 +107,8 @@ ci: tier1
 	$(CARGO) fmt --all -- --check
 	$(CARGO) clippy --release --workspace --all-targets -- -D warnings
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --document-private-items
+	@seed=$$(date +%s); echo "CACHE_ORACLE_SEED=$$seed"; \
+	CACHE_ORACLE_SEED=$$seed $(CARGO) test -q -p insider-fs --test cache_oracle
 	mkdir -p target/ci
 	$(CI_SWEEP_ENV) $(CARGO) run --release -p insider-bench --bin crash_sweep
 	$(CI_LAT_ENV) $(CARGO) run --release -p insider-bench --bin bench_latency target/ci/BENCH_latency.json

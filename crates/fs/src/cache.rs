@@ -26,7 +26,7 @@
 
 use crate::{BlockDev, FsError, Result};
 use bytes::Bytes;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Counters describing cache effectiveness. Monotone over the cache's life.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,26 +53,52 @@ impl CacheStats {
     }
 }
 
+/// "No slot": the end of the recency list in either direction.
+const NIL: u32 = u32::MAX;
+
+/// One resident block, threaded into the recency list by slot number.
 #[derive(Debug)]
-struct Entry {
+struct Slot {
+    block: u64,
     data: Bytes,
+    /// Mirrors membership of `block` in [`BlockCache::dirty`], so eviction
+    /// and re-dirtying need no set lookup.
     dirty: bool,
-    tick: u64,
+    /// Neighbour towards `oldest`.
+    prev: u32,
+    /// Neighbour towards `newest`.
+    next: u32,
 }
 
 /// A write-back LRU block cache over any [`BlockDev`].
 ///
 /// The wrapper is itself a [`BlockDev`], so `MiniExt` mounts on it
-/// unchanged. Capacity is counted in blocks; recency is a logical tick
-/// bumped on every touch, with the `tick → block` index giving O(log n)
-/// victim selection.
+/// unchanged. Capacity is counted in blocks. Resident blocks live in a slab
+/// of slots linked into one recency list, found through one `block → slot`
+/// index; dirty blocks are additionally members of an ordered set. The work
+/// per block is constant whatever the capacity:
+///
+/// * a **read hit** is one index probe, a splice of the slot to the `newest`
+///   end (skipped when it is already there) and a reference-counted clone;
+/// * a **write** to a resident block replaces the slot's payload in place; a
+///   write to a new block takes a slot from the free list or the slab's end;
+/// * an **eviction** unlinks `oldest`.
+///
+/// [`flush`](Self::flush) visits only the dirty set, which is already in the
+/// ascending order the write-back runs are built in, so its cost follows the
+/// number of dirty blocks and not the number resident.
 #[derive(Debug)]
 pub struct BlockCache<D: BlockDev> {
     inner: D,
     capacity: usize,
-    entries: HashMap<u64, Entry>,
-    by_tick: BTreeMap<u64, u64>,
-    tick: u64,
+    slots: Vec<Slot>,
+    /// Slots released by [`trim_block`](BlockDev::trim_block), reused before
+    /// the slab grows.
+    free: Vec<u32>,
+    index: HashMap<u64, u32>,
+    oldest: u32,
+    newest: u32,
+    dirty: BTreeSet<u64>,
     stats: CacheStats,
 }
 
@@ -87,10 +113,15 @@ impl<D: BlockDev> BlockCache<D> {
         assert!(capacity > 0, "cache capacity must be at least one block");
         BlockCache {
             inner,
-            capacity,
-            entries: HashMap::new(),
-            by_tick: BTreeMap::new(),
-            tick: 0,
+            // Slot numbers are `u32` with `NIL` reserved; four billion
+            // resident blocks is beyond any DRAM this could run in.
+            capacity: capacity.min(NIL as usize),
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: HashMap::new(),
+            oldest: NIL,
+            newest: NIL,
+            dirty: BTreeSet::new(),
             stats: CacheStats::default(),
         }
     }
@@ -102,17 +133,17 @@ impl<D: BlockDev> BlockCache<D> {
 
     /// Number of blocks currently resident.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Number of resident blocks with unwritten modifications.
     pub fn dirty_blocks(&self) -> usize {
-        self.entries.values().filter(|e| e.dirty).count()
+        self.dirty.len()
     }
 
     /// The wrapped device.
@@ -148,7 +179,7 @@ impl<D: BlockDev> BlockCache<D> {
         self.inner
     }
 
-    /// Writes every dirty block back to the device, oldest index first,
+    /// Writes every dirty block back to the device, lowest index first,
     /// batching contiguous runs into single [`write_blocks`] requests. The
     /// cache stays populated (entries become clean) — flushing is a
     /// durability point, not an invalidation.
@@ -160,90 +191,122 @@ impl<D: BlockDev> BlockCache<D> {
     /// Fails when the device rejects a write-back; already-flushed runs
     /// stay clean, the failing run's blocks stay dirty.
     pub fn flush(&mut self) -> Result<()> {
-        let mut dirty: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.dirty)
-            .map(|(&b, _)| b)
-            .collect();
-        dirty.sort_unstable();
+        let dirty: Vec<(u64, u32)> = self.dirty.iter().map(|&b| (b, self.index[&b])).collect();
         let mut i = 0;
         while i < dirty.len() {
             // Extend the run while indices stay contiguous.
             let mut j = i + 1;
-            while j < dirty.len() && dirty[j] == dirty[j - 1] + 1 {
+            while j < dirty.len() && dirty[j].0 == dirty[j - 1].0 + 1 {
                 j += 1;
             }
             let run: Vec<Bytes> = dirty[i..j]
                 .iter()
-                .map(|b| self.entries[b].data.clone())
+                .map(|&(_, slot)| self.slots[slot as usize].data.clone())
                 .collect();
-            self.inner.write_blocks(dirty[i], &run)?;
-            for b in &dirty[i..j] {
-                self.entries.get_mut(b).expect("dirty entry resident").dirty = false;
+            if let Err(e) = self.inner.write_blocks(dirty[i].0, &run) {
+                self.dirty = self.dirty.split_off(&dirty[i].0);
+                return Err(e);
+            }
+            for &(_, slot) in &dirty[i..j] {
+                self.slots[slot as usize].dirty = false;
                 self.stats.writebacks += 1;
             }
             i = j;
         }
+        self.dirty.clear();
         Ok(())
     }
 
-    /// Bumps `block` to most-recently-used.
-    fn touch(&mut self, block: u64) {
-        let entry = self
-            .entries
-            .get_mut(&block)
-            .expect("touch of non-resident block");
-        self.by_tick.remove(&entry.tick);
-        self.tick += 1;
-        entry.tick = self.tick;
-        self.by_tick.insert(self.tick, block);
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        match prev {
+            NIL => self.oldest = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.newest = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
     }
 
-    /// Inserts (or replaces) an entry, evicting the LRU block first when at
-    /// capacity. Dirty victims are written back before the insert.
-    fn insert(&mut self, block: u64, data: Bytes, dirty: bool) -> Result<()> {
-        if let Some(old) = self.entries.remove(&block) {
-            self.by_tick.remove(&old.tick);
-            // A clean overwrite of a dirty entry still owes the device
-            // nothing extra — the new data supersedes the old.
-        } else if self.entries.len() == self.capacity {
-            let (&tick, &victim) = self.by_tick.iter().next().expect("cache full implies lru");
-            let evicted = self.entries.remove(&victim).expect("lru entry resident");
-            self.by_tick.remove(&tick);
-            self.stats.evictions += 1;
-            if evicted.dirty {
-                self.inner.write_block(victim, evicted.data)?;
-                self.stats.writebacks += 1;
-            }
+    /// Appends an unlinked `slot` at the most-recently-used end.
+    fn link_newest(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.prev = self.newest;
+        s.next = NIL;
+        match self.newest {
+            NIL => self.oldest = slot,
+            n => self.slots[n as usize].next = slot,
         }
-        self.tick += 1;
-        self.by_tick.insert(self.tick, block);
-        self.entries.insert(
+        self.newest = slot;
+    }
+
+    /// Makes a resident `slot` the most recently used.
+    fn promote(&mut self, slot: u32) {
+        if slot != self.newest {
+            self.unlink(slot);
+            self.link_newest(slot);
+        }
+    }
+
+    /// Makes a non-resident `block` resident as the most recently used,
+    /// evicting the least recently used block first when at capacity. A
+    /// dirty victim is written back *before* it is let go: if the device
+    /// refuses, the victim stays resident and dirty (the cache may hold the
+    /// only copy of an acknowledged write), `block` is not admitted and
+    /// nothing is counted.
+    fn admit(&mut self, block: u64, data: Bytes, dirty: bool) -> Result<()> {
+        let entry = Slot {
             block,
-            Entry {
-                data,
-                dirty,
-                tick: self.tick,
-            },
-        );
+            data,
+            dirty,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = if self.index.len() == self.capacity {
+            let slot = self.oldest;
+            let victim = &self.slots[slot as usize];
+            let victim_block = victim.block;
+            if victim.dirty {
+                self.inner.write_block(victim_block, victim.data.clone())?;
+                self.stats.writebacks += 1;
+                self.dirty.remove(&victim_block);
+            }
+            self.stats.evictions += 1;
+            self.index.remove(&victim_block);
+            self.unlink(slot);
+            self.slots[slot as usize] = entry;
+            slot
+        } else if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = entry;
+            slot
+        } else {
+            self.slots.push(entry);
+            (self.slots.len() - 1) as u32
+        };
+        self.link_newest(slot);
+        self.index.insert(block, slot);
+        if dirty {
+            self.dirty.insert(block);
+        }
         Ok(())
     }
 }
 
 impl<D: BlockDev> BlockDev for BlockCache<D> {
     fn read_block(&mut self, index: u64) -> Result<Option<Bytes>> {
-        if self.entries.contains_key(&index) {
+        if let Some(&slot) = self.index.get(&index) {
             self.stats.hits += 1;
-            self.touch(index);
-            return Ok(Some(self.entries[&index].data.clone()));
+            self.promote(slot);
+            return Ok(Some(self.slots[slot as usize].data.clone()));
         }
         self.stats.misses += 1;
         let fetched = self.inner.read_block(index)?;
         // Absent blocks are not cached: a `None` carries no payload worth a
         // slot, and trim-volatile devices may legitimately flip absence.
         if let Some(data) = &fetched {
-            self.insert(index, data.clone(), false)?;
+            self.admit(index, data.clone(), false)?;
         }
         Ok(fetched)
     }
@@ -260,12 +323,29 @@ impl<D: BlockDev> BlockDev for BlockCache<D> {
                 block_size: self.inner.block_size(),
             });
         }
-        self.insert(index, data, true)
+        let Some(&slot) = self.index.get(&index) else {
+            return self.admit(index, data, true);
+        };
+        let entry = &mut self.slots[slot as usize];
+        entry.data = data;
+        if !entry.dirty {
+            entry.dirty = true;
+            self.dirty.insert(index);
+        }
+        self.promote(slot);
+        Ok(())
     }
 
     fn trim_block(&mut self, index: u64) -> Result<()> {
-        if let Some(entry) = self.entries.remove(&index) {
-            self.by_tick.remove(&entry.tick);
+        if let Some(slot) = self.index.remove(&index) {
+            self.unlink(slot);
+            let entry = &mut self.slots[slot as usize];
+            // The slot waits on the free list; its payload need not.
+            entry.data = Bytes::new();
+            if std::mem::take(&mut entry.dirty) {
+                self.dirty.remove(&index);
+            }
+            self.free.push(slot);
         }
         self.inner.trim_block(index)
     }
@@ -385,6 +465,120 @@ mod tests {
             Err(FsError::PayloadTooLarge { .. })
         ));
         assert!(c.is_empty(), "rejected writes must not populate the cache");
+    }
+
+    /// A [`MemDev`] whose `fail_at`-th write (counting from zero) is refused.
+    struct FaultyDev {
+        inner: MemDev,
+        writes: usize,
+        fail_at: Option<usize>,
+    }
+
+    impl BlockDev for FaultyDev {
+        fn read_block(&mut self, index: u64) -> Result<Option<Bytes>> {
+            self.inner.read_block(index)
+        }
+
+        fn write_block(&mut self, index: u64, data: Bytes) -> Result<()> {
+            let nth = self.writes;
+            self.writes += 1;
+            if self.fail_at == Some(nth) {
+                return Err(FsError::Device("injected write fault".into()));
+            }
+            self.inner.write_block(index, data)
+        }
+
+        fn trim_block(&mut self, index: u64) -> Result<()> {
+            self.inner.trim_block(index)
+        }
+
+        fn block_size(&self) -> u32 {
+            self.inner.block_size()
+        }
+
+        fn block_count(&self) -> u64 {
+            self.inner.block_count()
+        }
+    }
+
+    #[test]
+    fn failed_eviction_writeback_keeps_the_dirty_victim() {
+        let dev = FaultyDev {
+            inner: MemDev::new(64, 32),
+            writes: 0,
+            fail_at: Some(1),
+        };
+        let mut c = BlockCache::new(dev, 2);
+        c.write_block(0, Bytes::from_static(b"a")).unwrap();
+        c.write_block(1, Bytes::from_static(b"b")).unwrap();
+        // Device write 0: block 0 is evicted and written back.
+        c.write_block(2, Bytes::from_static(b"c")).unwrap();
+        let before = c.stats();
+        assert_eq!((before.evictions, before.writebacks), (1, 1));
+        // Device write 1 is refused: block 1 cannot leave, block 3 cannot
+        // enter, on the write path and on the read-miss path alike.
+        assert!(matches!(
+            c.write_block(3, Bytes::from_static(b"d")),
+            Err(FsError::Device(_))
+        ));
+        c.inner.fail_at = Some(2);
+        assert!(matches!(c.read_block(0), Err(FsError::Device(_))));
+        assert_eq!((c.len(), c.dirty_blocks()), (2, 2));
+        assert_eq!(
+            (c.stats().evictions, c.stats().writebacks),
+            (before.evictions, before.writebacks)
+        );
+        assert_eq!(c.read_block(1).unwrap().unwrap().as_ref(), b"b");
+        assert_eq!(c.inner.inner.blocks_snapshot(1), None);
+        assert_eq!(c.inner.inner.blocks_snapshot(3), None);
+        // The fault clears; nothing acknowledged was lost.
+        c.flush().unwrap();
+        assert_eq!(c.inner.inner.blocks_snapshot(1).unwrap().as_ref(), b"b");
+        assert_eq!(c.inner.inner.blocks_snapshot(2).unwrap().as_ref(), b"c");
+    }
+
+    #[test]
+    fn failed_flush_leaves_exactly_the_unwritten_runs_dirty() {
+        let dev = FaultyDev {
+            inner: MemDev::new(64, 32),
+            writes: 0,
+            fail_at: Some(3),
+        };
+        let mut c = BlockCache::new(dev, 16);
+        for i in [3u64, 4, 5, 9, 11, 12] {
+            c.write_block(i, Bytes::from(format!("{i}"))).unwrap();
+        }
+        // Runs are [3, 4, 5], [9], [11, 12]; the fourth device write is 9.
+        assert!(c.flush().is_err());
+        assert_eq!(c.dirty_blocks(), 3);
+        assert_eq!(c.stats().writebacks, 3);
+        c.flush().unwrap();
+        assert_eq!(c.dirty_blocks(), 0);
+        assert_eq!(c.stats().writebacks, 6);
+        for i in [9u64, 11, 12] {
+            assert_eq!(
+                c.inner.inner.blocks_snapshot(i).unwrap(),
+                Bytes::from(format!("{i}"))
+            );
+        }
+    }
+
+    #[test]
+    fn trimmed_slots_are_reused() {
+        let mut c = cached(4);
+        for round in 0..10u64 {
+            for i in 0..4 {
+                c.write_block(round * 4 + i, Bytes::from_static(b"x"))
+                    .unwrap();
+            }
+            for i in 0..4 {
+                c.trim_block(round * 4 + i).unwrap();
+            }
+        }
+        assert!(c.is_empty());
+        assert_eq!(c.dirty_blocks(), 0);
+        assert_eq!(c.slots.len(), 4, "the slab grew past capacity");
+        assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]

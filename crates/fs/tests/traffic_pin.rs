@@ -6,7 +6,7 @@
 //! meant to be invisible to the device must leave the hash alone.
 
 use bytes::Bytes;
-use insider_fs::{BlockDev, FsConfig, MemDev, MiniExt, Result};
+use insider_fs::{BlockCache, BlockDev, FsConfig, MemDev, MiniExt, Result};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Call {
@@ -56,27 +56,37 @@ impl BlockDev for Recorder {
     }
 }
 
-/// FNV-1a (64-bit) over every `(write|trim, block, len, payload)`.
-fn mutation_hash(calls: &[Call]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |bytes: &[u8]| {
+/// FNV-1a (64-bit).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn feed(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-    };
+    }
+}
+
+/// FNV-1a over every `(write|trim, block, len, payload)`.
+fn mutation_hash(calls: &[Call]) -> u64 {
+    let mut h = Fnv::new();
     for call in calls {
         let (tag, block, payload): (u8, u64, &[u8]) = match call {
             Call::Read(_) => continue,
             Call::Write(block, data) => (1, *block, data),
             Call::Trim(block) => (2, *block, &[]),
         };
-        feed(&[tag]);
-        feed(&block.to_le_bytes());
-        feed(&(payload.len() as u64).to_le_bytes());
-        feed(payload);
+        h.feed(&[tag]);
+        h.feed(&block.to_le_bytes());
+        h.feed(&(payload.len() as u64).to_le_bytes());
+        h.feed(payload);
     }
-    h
+    h.0
 }
 
 fn content(tag: u64, len: usize) -> Vec<u8> {
@@ -94,31 +104,42 @@ fn content(tag: u64, len: usize) -> Vec<u8> {
 /// Format, 40 writes of mixed sizes (empty, sub-block, multi-block,
 /// indirect), 8 deletes, 4 renames, then one file grown and shrunk across
 /// the indirect boundary, with creates after the deletes so freed inodes and
-/// blocks are reused.
-fn script() -> MiniExt<Recorder> {
+/// blocks are reused. `after_op` runs after each of the 60 operations.
+fn script_on<D: BlockDev>(dev: D, mut after_op: impl FnMut(&mut MiniExt<D>)) -> MiniExt<D> {
     const SIZES: [usize; 8] = [0, 100, 4096, 9000, 20_000, 40_960, 45_000, 70_000];
-    let mut fs = MiniExt::format(Recorder::new(2048), &FsConfig { inode_count: 64 }).unwrap();
+    let mut fs = MiniExt::format(dev, &FsConfig { inode_count: 64 }).unwrap();
     for i in 0..40u64 {
         let data = content(i, SIZES[i as usize % SIZES.len()]);
         fs.write_file(&format!("file-{i:02}.dat"), &data).unwrap();
+        after_op(&mut fs);
     }
     for i in (0..40).step_by(5) {
         fs.delete(&format!("file-{i:02}.dat")).unwrap();
+        after_op(&mut fs);
     }
     for i in [1, 12, 23, 34] {
         fs.rename(&format!("file-{i:02}.dat"), &format!("moved-{i:02}.dat"))
             .unwrap();
+        after_op(&mut fs);
     }
     fs.create("empty").unwrap();
+    after_op(&mut fs);
     for (step, blocks) in [5usize, 14, 2, 11, 10].into_iter().enumerate() {
         let data = content(100 + step as u64, blocks * 4096);
         fs.write_file("grow.bin", &data).unwrap();
+        after_op(&mut fs);
     }
     // Overwrites in place, one of them of a renamed file.
     fs.write_file("moved-12.dat", &content(200, 20_000))
         .unwrap();
+    after_op(&mut fs);
     fs.write_file("file-02.dat", &content(201, 300)).unwrap();
+    after_op(&mut fs);
     fs
+}
+
+fn script() -> MiniExt<Recorder> {
+    script_on(Recorder::new(2048), |_| {})
 }
 
 /// The hash below was recorded at the commit *before* the directory became
@@ -200,3 +221,102 @@ fn warm_mount_reads_nothing_but_file_data() {
     assert_eq!(expect.len(), 1 + large.block_count as usize);
     assert_eq!(fs.dev_mut().calls, expect);
 }
+
+/// A [`MemDev`] that hashes every request as the *extent* it arrived as:
+/// `read_blocks`/`write_blocks` are overridden, so a flush's contiguous run
+/// is one entry and an eviction's single block another.
+struct ExtentRecorder {
+    inner: MemDev,
+    hash: Fnv,
+    extents: usize,
+}
+
+impl ExtentRecorder {
+    fn log(&mut self, tag: u8, index: u64, blocks: u64) {
+        self.extents += 1;
+        self.hash.feed(&[tag]);
+        self.hash.feed(&index.to_le_bytes());
+        self.hash.feed(&blocks.to_le_bytes());
+    }
+}
+
+impl BlockDev for ExtentRecorder {
+    fn read_block(&mut self, index: u64) -> Result<Option<Bytes>> {
+        self.log(0, index, 1);
+        self.inner.read_block(index)
+    }
+
+    fn write_block(&mut self, index: u64, data: Bytes) -> Result<()> {
+        self.write_blocks(index, &[data])
+    }
+
+    fn trim_block(&mut self, index: u64) -> Result<()> {
+        self.log(2, index, 1);
+        self.inner.trim_block(index)
+    }
+
+    fn read_blocks(&mut self, index: u64, count: u64) -> Result<Vec<Option<Bytes>>> {
+        self.log(0, index, count);
+        self.inner.read_blocks(index, count)
+    }
+
+    fn write_blocks(&mut self, index: u64, data: &[Bytes]) -> Result<()> {
+        self.log(1, index, data.len() as u64);
+        for block in data {
+            self.hash.feed(&(block.len() as u64).to_le_bytes());
+            self.hash.feed(block);
+        }
+        self.inner.write_blocks(index, data)
+    }
+
+    fn block_size(&self) -> u32 {
+        self.inner.block_size()
+    }
+
+    fn block_count(&self) -> u64 {
+        self.inner.block_count()
+    }
+}
+
+/// The same script through a 48-block write-back cache, flushed every 25
+/// operations and once at the end: every extent the device below the cache
+/// sees — miss reads, eviction write-backs, flush runs, trims — in order,
+/// with its payload. Recorded at ea12cf4, the commit before the cache's
+/// tick-indexed LRU became a linked list with a dirty set: that change is
+/// about how fast the cache decides, never about what it sends.
+#[test]
+fn extent_stream_below_a_small_cache_is_pinned() {
+    let dev = ExtentRecorder {
+        inner: MemDev::new(2048, 4096),
+        hash: Fnv::new(),
+        extents: 0,
+    };
+    let mut ops = 0;
+    let mut fs = script_on(BlockCache::new(dev, 48), |fs| {
+        ops += 1;
+        if ops % 25 == 0 {
+            fs.dev_mut().flush().unwrap();
+        }
+    });
+    fs.dev_mut().flush().unwrap();
+    let cache = fs.into_dev();
+    let stats = cache.stats();
+    let dev = cache.into_inner_discarding();
+    assert_eq!(
+        (dev.extents, dev.hash.0, stats.evictions, stats.writebacks),
+        (
+            CACHED_EXTENTS,
+            CACHED_HASH,
+            CACHED_EVICTIONS,
+            CACHED_WRITEBACKS
+        ),
+        "the traffic below the cache changed: {} extents, hash {:#018x}, {stats:?}",
+        dev.extents,
+        dev.hash.0
+    );
+}
+
+const CACHED_EXTENTS: usize = 244;
+const CACHED_HASH: u64 = 0x10ee_9e31_5c49_7bdd;
+const CACHED_EVICTIONS: u64 = 227;
+const CACHED_WRITEBACKS: u64 = 283;

@@ -1564,19 +1564,6 @@ impl FtlBase {
         self.note_protected(ppa);
     }
 
-    /// Flattens per-LBA chain groups into the canonical mount order:
-    /// sorted by logical page, then `(stamp, seq)` — oldest version first —
-    /// within each page's run.
-    fn flatten_chains(chains: BTreeMap<Lba, Vec<ScanPage>>) -> Vec<(Lba, ScanPage)> {
-        let total: usize = chains.values().map(Vec::len).sum();
-        let mut flat = Vec::with_capacity(total);
-        for (lba, mut chain) in chains {
-            chain.sort_by_key(|p| (p.stamp, p.seq));
-            flat.extend(chain.into_iter().map(|p| (lba, p)));
-        }
-        flat
-    }
-
     /// Rebuilds the mount-scan inputs — per-LBA record chains, per-block
     /// programmed watermarks and per-block minimum sequence numbers — by
     /// the cheapest means available:
@@ -1591,9 +1578,10 @@ impl FtlBase {
     /// 2. **Sharded bulk scan** (`mount_threads != 1`): the device walks
     ///    every spare area across one `std::thread::scope` shard per
     ///    contiguous block range and the results are folded in block order.
-    /// 3. **Legacy serial scan** (`mount_threads == 1`, the default): one
-    ///    charged `read_oob` per programmed page — byte-identical in cost
-    ///    accounting to the historical mount path.
+    /// 3. **Serial scan** (`mount_threads == 1`, the default): one charged
+    ///    `read_oob` per programmed page, collected flat and sorted like
+    ///    path 2 — byte-identical in cost accounting to the historical
+    ///    mount path.
     ///
     /// Debug builds verify path 1 against a free full-device scan: merged
     /// records must all exist on flash, per-LBA mount winners and the
@@ -1684,12 +1672,15 @@ impl FtlBase {
             }
         }
 
-        // Path 3: the legacy serial scan, one charged spare-area read per
-        // programmed page — the reference cost model, container and all.
+        // Both full scans collect flat and end in one global sort into the
+        // canonical mount order — logical page, then `(stamp, seq)`, oldest
+        // version first (`seq` is unique, so the order is total).
+        let mut flat = Vec::new();
+        let mut programmed = vec![0u32; total_blocks];
+        let mut min_seq: Vec<Option<u64>> = vec![None; total_blocks];
         if threads == 1 {
-            let mut chains: BTreeMap<Lba, Vec<ScanPage>> = BTreeMap::new();
-            let mut programmed = vec![0u32; total_blocks];
-            let mut min_seq: Vec<Option<u64>> = vec![None; total_blocks];
+            // Path 3: the serial scan, one charged spare-area read per
+            // programmed page — the reference cost model.
             for raw in 0..total_blocks as u32 {
                 let pba = Pba::new(raw);
                 let count = self.device.block(pba)?.write_ptr().unwrap_or(ppb);
@@ -1701,38 +1692,36 @@ impl FtlBase {
                     };
                     let slot = &mut min_seq[raw as usize];
                     *slot = Some(slot.map_or(rec.seq, |m| m.min(rec.seq)));
-                    chains.entry(rec.lba).or_default().push(ScanPage {
-                        ppa,
-                        seq: rec.seq,
-                        stamp: rec.stamp,
-                        live: rec.live,
-                    });
+                    flat.push((
+                        rec.lba,
+                        ScanPage {
+                            ppa,
+                            seq: rec.seq,
+                            stamp: rec.stamp,
+                            live: rec.live,
+                        },
+                    ));
                 }
             }
-            return Ok((Self::flatten_chains(chains), programmed, min_seq));
-        }
-
-        // Path 2: sharded bulk scan, bulk-charged by the device; flat
-        // collect plus one global sort.
-        let report = self.device.scan_oob(None, threads)?;
-        let total: usize = report.blocks.iter().map(|b| b.records.len()).sum();
-        let mut flat = Vec::with_capacity(total);
-        let mut programmed = vec![0u32; total_blocks];
-        let mut min_seq: Vec<Option<u64>> = vec![None; total_blocks];
-        for (i, block) in report.blocks.iter().enumerate() {
-            programmed[i] = block.scanned_to;
-            for &(offset, rec) in &block.records {
-                let slot = &mut min_seq[i];
-                *slot = Some(slot.map_or(rec.seq, |m| m.min(rec.seq)));
-                flat.push((
-                    rec.lba,
-                    ScanPage {
-                        ppa: Pba::new(i as u32).page(&g, offset),
-                        seq: rec.seq,
-                        stamp: rec.stamp,
-                        live: rec.live,
-                    },
-                ));
+        } else {
+            // Path 2: sharded bulk scan, bulk-charged by the device.
+            let report = self.device.scan_oob(None, threads)?;
+            flat.reserve(report.blocks.iter().map(|b| b.records.len()).sum());
+            for (i, block) in report.blocks.iter().enumerate() {
+                programmed[i] = block.scanned_to;
+                for &(offset, rec) in &block.records {
+                    let slot = &mut min_seq[i];
+                    *slot = Some(slot.map_or(rec.seq, |m| m.min(rec.seq)));
+                    flat.push((
+                        rec.lba,
+                        ScanPage {
+                            ppa: Pba::new(i as u32).page(&g, offset),
+                            seq: rec.seq,
+                            stamp: rec.stamp,
+                            live: rec.live,
+                        },
+                    ));
+                }
             }
         }
         flat.sort_unstable_by_key(|(lba, p)| (lba.index(), p.stamp, p.seq));

@@ -430,16 +430,17 @@ impl CmdScheduler {
             // or still queued (slot in front of the remainder). Each
             // preemption spends one of the erase's `max_suspends` tokens,
             // so a background erase bounded-starves at worst.
-            let mut ins = 0;
-            for (i, q) in queue.iter().enumerate() {
-                let passable = q.kind == FaultKind::Erase
-                    && q.block != block
-                    && q.suspends < max_suspends
-                    && q.end_ns() > arrival_ns;
-                if !passable {
-                    ins = i + 1;
-                }
-            }
+            // Found from the back: what it may pass sits at the tail.
+            let ins = queue
+                .iter()
+                .rposition(|q| {
+                    let passable = q.kind == FaultKind::Erase
+                        && q.block != block
+                        && q.suspends < max_suspends
+                        && q.end_ns() > arrival_ns;
+                    !passable
+                })
+                .map_or(0, |i| i + 1);
             for q in queue.iter_mut().skip(ins) {
                 if q.kind == FaultKind::Erase {
                     if q.start_ns < arrival_ns {
@@ -460,30 +461,51 @@ impl CmdScheduler {
             // erase-suspend enabled, an *in-flight* erase of another block
             // straddling this arrival is the one started window that does
             // not block: the read preempts it mid-pulse.
-            let mut ins = 0;
-            let mut suspendable = None;
-            for (i, q) in queue.iter().enumerate() {
-                if let Some((_, max_suspends)) = suspend_cfg {
-                    if q.kind == FaultKind::Erase
+            let suspend_candidate = |q: &Window| {
+                suspend_cfg.is_some_and(|(_, max_suspends)| {
+                    q.kind == FaultKind::Erase
                         && q.start_ns < arrival_ns
                         && q.end_ns() > arrival_ns
                         && q.block != block
                         && q.suspends < max_suspends
-                    {
-                        suspendable = Some(i);
-                        continue;
-                    }
-                }
-                let blocking = q.start_ns < arrival_ns
+                })
+            };
+            let blocking = |q: &Window| {
+                q.start_ns < arrival_ns
                     || match q.kind {
                         FaultKind::Read => true,
                         FaultKind::Program => q.page == page,
                         FaultKind::Erase => q.block == block,
-                    };
-                if blocking {
+                    }
+            };
+            // The slot is behind the *last* blocking window, so the walk
+            // starts at the back and stops at the first one it meets: a read
+            // behind reads (a mount scan's quarter of a million, all at one
+            // frozen `now`, against a queue at its cap) looks at one window,
+            // not all of them.
+            let mut ins = 0;
+            let mut suspendable = None;
+            for (i, q) in queue.iter().enumerate().rev() {
+                if suspend_candidate(q) {
+                    suspendable.get_or_insert(i);
+                } else if blocking(q) {
                     ins = i + 1;
-                    suspendable = None;
+                    break;
                 }
+            }
+            // The front-to-back walk over the whole queue that this
+            // replaced, as the oracle at every admission of a debug build.
+            #[cfg(debug_assertions)]
+            {
+                let mut forward = (0, None);
+                for (i, q) in queue.iter().enumerate() {
+                    if suspend_candidate(q) {
+                        forward.1 = Some(i);
+                    } else if blocking(q) {
+                        forward = (i + 1, None);
+                    }
+                }
+                assert_eq!((ins, suspendable), forward, "read admission slot");
             }
             if let Some(i) = suspendable {
                 // Suspend: the erase keeps the progress it made before the
