@@ -4,19 +4,22 @@
 #                      test -q` plus a zero-warning clippy pass. The root
 #                      manifest's `default-members = [".", "crates/*"]` makes
 #                      those bare commands cover the umbrella package and
-#                      every product crate — the whole suite (about 690
+#                      every product crate — the whole suite (693
 #                      tests: unit, differential oracles, proptests, the
 #                      strided crash sweep and the bench smokes), about a
 #                      minute warm — and leave out only `vendored/*`, the
 #                      offline dependency stand-ins.
 #   make ci          — the full offline CI gate (what .github/workflows/ci.yml
-#                      runs): tier1, rustfmt check, clippy over all targets,
-#                      rustdoc with warnings denied (a deleted item cannot
-#                      leave a doc link pointing at it), the block-cache
-#                      oracle once more on a seed taken from the clock
-#                      (`CACHE_ORACLE_SEED`, echoed first so a failure can be
-#                      replayed; tier1 already ran its fixed seeds),
-#                      bounded crash-sweep / latency / multitenant /
+#                      runs): tier1, then the benchmark package built
+#                      against the tree (`benchmark/` is a crate no product
+#                      PR edits, so an API deletion that breaks it fails
+#                      here, in the first minutes), rustfmt check, clippy
+#                      over all targets, rustdoc with warnings denied (a
+#                      deleted item cannot leave a doc link pointing at it),
+#                      the block-cache oracle once more on a seed taken from
+#                      the clock (`CACHE_ORACLE_SEED`, echoed first so a
+#                      failure can be replayed; tier1 already ran its fixed
+#                      seeds), bounded crash-sweep / multitenant /
 #                      steady-state / ROC smoke runs
 #                      (env bounds below; smoke JSON goes to target/ci/, never
 #                      touching the committed artifacts), then bench_check
@@ -65,13 +68,6 @@
 #                      Delete target/insider-tree-*.json or set
 #                      INSIDER_RETRAIN=1 after changing generators/trainer.
 #                      bench_check gates the committed artifact's TPR floors.)
-#   make bench-latency — regenerate BENCH_latency.json (device replay of the
-#                      three traces under {copy, zero-copy} payloads ×
-#                      {in-order, out-of-order} NAND scheduling: wall-clock
-#                      throughput, simulated p50/p95/p99 command latency,
-#                      die/bus utilization; LAT_PASSES overrides the timed
-#                      passes. Tier 1 runs a bounded latency smoke test with
-#                      LAT_PAGES override instead.)
 #
 # Env knobs (all optional):
 #   CKPT_INTERVAL      — host-write pages between mapping-table checkpoints
@@ -84,7 +80,7 @@
 #                        write budget, filesystem-scenario cut points.
 #   (Block buffer cache capacity is an API knob, not env:
 #    FsBridge::cached(capacity) / BlockCache::new(dev, capacity).)
-#   MT_SHARDS / MT_WORKERS / MT_REPEATS, LAT_PASSES, ROC_TRACES / ROC_PAGES
+#   MT_SHARDS / MT_WORKERS / MT_REPEATS, ROC_TRACES / ROC_PAGES
 #                      — bench sweep bounds.
 
 CARGO ?= cargo
@@ -92,11 +88,10 @@ CARGO ?= cargo
 # Bounds for the CI smoke runs: dense enough to cross several checkpoint
 # writes and every code path, small enough to finish in seconds.
 CI_SWEEP_ENV = CRASH_SWEEP_STRIDE=41 CRASH_SWEEP_PAGES=160 CRASH_SWEEP_FS_POINTS=6
-CI_LAT_ENV = LAT_PASSES=1
 CI_MT_ENV = MT_SHARDS=1,2 MT_WORKERS=2 MT_REPEATS=2
 CI_ROC_ENV = ROC_TRACES=1
 
-.PHONY: tier1 ci gc-guard test bench bench-json crash-sweep bench-mount bench-multitenant bench-latency bench-roc bench-steady
+.PHONY: tier1 ci gc-guard test bench bench-json crash-sweep bench-mount bench-multitenant bench-roc bench-steady
 
 tier1:
 	$(CARGO) build --release
@@ -104,6 +99,7 @@ tier1:
 	$(CARGO) clippy --release --workspace -- -D warnings
 
 ci: tier1
+	cd benchmark && $(CARGO) build --release --offline
 	$(CARGO) fmt --all -- --check
 	$(CARGO) clippy --release --workspace --all-targets -- -D warnings
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --document-private-items
@@ -111,7 +107,6 @@ ci: tier1
 	CACHE_ORACLE_SEED=$$seed $(CARGO) test -q -p insider-fs --test cache_oracle
 	mkdir -p target/ci
 	$(CI_SWEEP_ENV) $(CARGO) run --release -p insider-bench --bin crash_sweep
-	$(CI_LAT_ENV) $(CARGO) run --release -p insider-bench --bin bench_latency target/ci/BENCH_latency.json
 	$(CI_MT_ENV) $(CARGO) run --release -p insider-bench --bin bench_multitenant target/ci/BENCH_multitenant.json
 	$(CARGO) run --release -p insider-bench --bin bench_steady target/ci/BENCH_steady.json
 	$(CI_ROC_ENV) $(CARGO) run --release -p insider-bench --bin bench_roc target/ci/BENCH_roc.json
@@ -147,9 +142,6 @@ bench-mount:
 
 bench-multitenant:
 	$(CARGO) run --release -p insider-bench --bin bench_multitenant
-
-bench-latency:
-	$(CARGO) run --release -p insider-bench --bin bench_latency
 
 bench-roc:
 	$(CARGO) run --release -p insider-bench --bin bench_roc

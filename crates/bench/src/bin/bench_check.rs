@@ -9,7 +9,6 @@
 //!
 //! * detect: interval table at least as fast as the naive layout on every
 //!   trace, and >= [`DETECT_HEADLINE_MIN`]x on the best one.
-//! * latency: zero-copy never slower than the copying payload path.
 //! * mount: checkpoint+tail remount >= [`MOUNT_SPEEDUP_MIN`]x the serial
 //!   full scan at 90 % utilization (both arms measured on the same host in
 //!   the same run, so the ratio is noise-resistant).
@@ -193,31 +192,6 @@ fn check_detect(doc: &Value, errors: &mut Vec<Violation>) {
         ));
     }
     need_f64(doc, "device_replay.speedup", name, errors);
-}
-
-fn check_latency(doc: &Value, errors: &mut Vec<Violation>) {
-    let name = "BENCH_latency.json";
-    let Some(traces) = need_array(doc, "traces", name, errors) else {
-        return;
-    };
-    for (i, t) in traces.iter().enumerate() {
-        let Some(configs) = need_array(t, "configs", name, errors) else {
-            continue;
-        };
-        for (j, c) in configs.iter().enumerate() {
-            for field in ["requests_per_sec", "latency.total.p99_ns"] {
-                need_f64(c, field, &format!("{name} traces.{i}.configs.{j}"), errors);
-            }
-        }
-        if let Some(zc) = need_f64(t, "zero_copy_speedup", name, errors) {
-            if zc < 1.0 {
-                errors.push(Violation(
-                    name.into(),
-                    format!("traces.{i}: zero-copy slower than the copying path ({zc:.2}x)"),
-                ));
-            }
-        }
-    }
 }
 
 fn check_mount(doc: &Value, errors: &mut Vec<Violation>) {
@@ -441,9 +415,8 @@ fn main() {
     let dir = Path::new(&dir);
     let mut errors = Vec::new();
 
-    let checks: [(&str, Check); 6] = [
+    let checks: [(&str, Check); 5] = [
         ("BENCH_detect.json", check_detect),
-        ("BENCH_latency.json", check_latency),
         ("BENCH_mount.json", check_mount),
         ("BENCH_multitenant.json", check_multitenant),
         ("BENCH_roc.json", check_roc),

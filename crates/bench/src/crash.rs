@@ -152,7 +152,6 @@ impl SweepConfig {
                 .incremental_gc(true)
                 .gc_low_water_extra(1)
                 .gc_step_pages(1)
-                .scheduler(insider_nand::SchedMode::OutOfOrder)
                 .erase_suspend(true);
         }
         cfg

@@ -32,8 +32,8 @@ pub use outcome::RunOutcome;
 pub use replay::feature_series;
 pub use replay::{
     prefill_ftl, random_trace, random_trace_seeded, ransomware_mix_trace,
-    ransomware_mix_trace_seeded, replay_detector, replay_device, replay_device_payload, replay_ftl,
-    replay_geometry, sequential_trace, small_space, ReplayOutcome,
+    ransomware_mix_trace_seeded, replay_detector, replay_device, replay_ftl, replay_geometry,
+    sequential_trace, small_space, ReplayOutcome,
 };
 pub use roc::{run_roc, FamilyCurve, RocParams, RocPoint, RocReport, PAPER_CLASSES};
 pub use steady::{run_steady, SteadyArm, SteadyArmOutcome, SteadyParams, SteadyReport};

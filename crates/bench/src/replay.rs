@@ -155,11 +155,9 @@ pub struct ReplayOutcome {
     pub applied: u64,
     /// Blocks dropped for exceeding the device's logical capacity.
     pub skipped: u64,
-    /// Per-command completion latencies observed by the NAND scheduler,
-    /// when one was active (`None` under [`SchedMode::Legacy`]). Captured
-    /// after a final sync so every queued command is finalized.
-    ///
-    /// [`SchedMode::Legacy`]: insider_nand::SchedMode::Legacy
+    /// Per-command completion latencies observed by the NAND scheduler:
+    /// always `Some` after a replay (`None` only in the `Default` value).
+    /// Captured after a final sync so every queued command is finalized.
     pub latency: Option<LatencySnapshot>,
 }
 
@@ -266,23 +264,6 @@ pub fn replay_ftl(trace: &Trace, ftl: &mut dyn Ftl) -> ReplayOutcome {
 ///
 /// Panics on device errors other than capacity exhaustion.
 pub fn replay_device(trace: &Trace, device: &mut SsdInsider) -> ReplayOutcome {
-    replay_device_payload(trace, device, &payload())
-}
-
-/// [`replay_device`] with a caller-chosen write payload. Every written
-/// block shares (refcounts) the same buffer, so the replay itself never
-/// copies — whether the *device* copies is decided by its
-/// `copy_payloads` configuration, which is exactly what the zero-copy
-/// benchmarks measure. Pass a page-sized buffer to make that measurable.
-///
-/// # Panics
-///
-/// Panics on device errors other than capacity exhaustion.
-pub fn replay_device_payload(
-    trace: &Trace,
-    device: &mut SsdInsider,
-    payload: &Bytes,
-) -> ReplayOutcome {
     use ssd_insider::DeviceState;
     let logical = Ftl::logical_pages(device);
     let mut outcome = ReplayOutcome::default();
@@ -297,7 +278,7 @@ pub fn replay_device_payload(
                     .expect("replay read failed");
             }
             IoMode::Write => {
-                let payloads = vec![payload.clone(); fit as usize];
+                let payloads = vec![payload(); fit as usize];
                 device
                     .write_extent(lba, &payloads, req.time)
                     .expect("replay write failed");

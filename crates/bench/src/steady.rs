@@ -27,7 +27,7 @@
 use bytes::Bytes;
 use insider_detect::{DecisionTree, DetectorConfig};
 use insider_ftl::{FtlConfig, FtlStats};
-use insider_nand::{Geometry, KindLatency, LatencySnapshot, Lba, NandStats, SchedMode, SimTime};
+use insider_nand::{Geometry, KindLatency, LatencySnapshot, Lba, NandStats, SimTime};
 use serde::Serialize;
 use ssd_insider::{InsiderConfig, SsdInsider};
 
@@ -79,11 +79,6 @@ pub struct SteadyParams {
     pub gc_low_water_extra: u32,
     /// `FtlConfig::gc_step_pages` for the incremental arms.
     pub gc_step_pages: u32,
-    /// Per-erase suspend budget for the incremental arms. The default is
-    /// generous: under sustained foreground traffic each background erase
-    /// absorbs many preemptions, finishing in the gaps (starvation stays
-    /// bounded because the host active block rotates dies).
-    pub max_erase_suspends: u32,
     /// Token-bucket rate (pages/sec of simulated time) for the paced arm.
     pub pacing_rate: u64,
     /// Token-bucket burst capacity (pages) for the paced arm.
@@ -110,7 +105,6 @@ impl SteadyParams {
             window: SimTime::from_millis(100),
             gc_low_water_extra: 8,
             gc_step_pages: 2,
-            max_erase_suspends: 64,
             pacing_rate: 3_000,
             pacing_burst: 64,
         }
@@ -134,7 +128,6 @@ impl SteadyParams {
             window: SimTime::from_millis(40),
             gc_low_water_extra: 2,
             gc_step_pages: 4,
-            max_erase_suspends: 64,
             pacing_rate: 3_000,
             pacing_burst: 32,
         }
@@ -165,15 +158,13 @@ impl SteadyParams {
     pub fn arm_config(&self, arm: SteadyArm) -> InsiderConfig {
         let mut ftl = FtlConfig::new(self.geometry)
             .over_provisioning(0.25)
-            .protection_window(self.window)
-            .scheduler(SchedMode::OutOfOrder);
+            .protection_window(self.window);
         if arm != SteadyArm::Blocking {
             ftl = ftl
                 .incremental_gc(true)
                 .gc_low_water_extra(self.gc_low_water_extra)
                 .gc_step_pages(self.gc_step_pages)
-                .erase_suspend(true)
-                .max_erase_suspends(self.max_erase_suspends);
+                .erase_suspend(true);
         }
         if arm == SteadyArm::Paced {
             ftl = ftl

@@ -2,7 +2,7 @@
 //! pattern): a small write/read churn through a whole [`SsdInsider`] device
 //! under the default out-of-order scheduler must produce internally
 //! consistent per-command percentiles. `LAT_PAGES` overrides the page
-//! count; `make bench-latency` runs the full benchmark matrix.
+//! count.
 
 use bytes::Bytes;
 use insider_detect::DecisionTree;
@@ -61,9 +61,7 @@ fn scheduled_device_reports_consistent_percentiles() {
         }
     }
     device.sync();
-    let snap = device
-        .latency_snapshot()
-        .expect("scheduler active by default");
+    let snap = device.latency_snapshot().expect("always Some");
     assert_ordered("read", &snap.read);
     assert_ordered("program", &snap.program);
     assert_ordered("total", &snap.total);

@@ -35,12 +35,6 @@ impl InsiderConfig {
         }
     }
 
-    /// Sets the alarm threshold (default 3).
-    pub fn threshold(mut self, threshold: u32) -> Self {
-        self.detector.threshold = threshold;
-        self
-    }
-
     /// The same configuration over a different geometry — namespace
     /// sharding uses this to give each shard its slice of the drive while
     /// keeping every FTL and detector knob identical.
@@ -97,11 +91,5 @@ mod tests {
         let ftl = FtlConfig::new(Geometry::tiny()).protection_window(SimTime::from_secs(60));
         let cfg = InsiderConfig::from_parts(ftl, DetectorConfig::default());
         assert_eq!(cfg.ftl().window(), SimTime::from_secs(60));
-    }
-
-    #[test]
-    fn threshold_builder() {
-        let cfg = InsiderConfig::new(Geometry::tiny()).threshold(7);
-        assert_eq!(cfg.detector().threshold, 7);
     }
 }

@@ -130,13 +130,13 @@ impl SsdInsider {
     }
 
     /// Per-command completion-latency percentiles from the NAND command
-    /// scheduler, `None` under the legacy makespan model.
+    /// scheduler. Always `Some`.
     pub fn latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
         self.ftl.latency_snapshot()
     }
 
     /// Latency percentiles over host-issued NAND commands only (GC-internal
-    /// traffic excluded), `None` under the legacy makespan model.
+    /// traffic excluded). Always `Some`.
     pub fn host_latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
         self.ftl.host_latency_snapshot()
     }

@@ -61,8 +61,8 @@ pub struct DramUsage {
     /// data path). Provenance counters, not a byte bill — excluded from
     /// [`total_bytes`](Self::total_bytes).
     pub buffers_shared: u64,
-    /// Programs whose payload arrived as a private copy (legacy deep-copy
-    /// hops). Zero on the default data path.
+    /// Programs whose payload arrived as a private copy. Zero: no FTL hop
+    /// copies.
     pub buffers_copied: u64,
 }
 

@@ -270,8 +270,7 @@ impl MultiTenantSsd {
     }
 
     /// Per-command NAND latency percentiles of namespace `ns`'s shard
-    /// (drained first, so queued commands are included), or `None` under
-    /// the legacy scheduling model.
+    /// (drained first, so queued commands are included). Always `Some`.
     ///
     /// # Errors
     ///

@@ -2,7 +2,7 @@
 //! allocation, the reverse map, and greedy garbage collection.
 
 use crate::checkpoint::{self, BlockMeta, Checkpoint};
-use crate::config::{FtlConfig, GcPolicy};
+use crate::config::{FtlConfig, GcPolicy, GC_RESERVE_BLOCKS};
 use crate::mapping::MappingTable;
 use crate::recovery_queue::{BackupEntry, RecoveryQueue};
 use crate::stats::{FtlStats, GcVictim, GcVictimKind};
@@ -490,41 +490,6 @@ impl FtlBase {
         self.device.sync();
     }
 
-    /// Scheduler latency percentiles, `None` under the legacy makespan
-    /// model (see [`Ftl::latency_snapshot`]).
-    ///
-    /// [`Ftl::latency_snapshot`]: crate::Ftl::latency_snapshot
-    pub fn latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        if self.device.sched_mode() == insider_nand::SchedMode::Legacy {
-            None
-        } else {
-            Some(self.device.latency_snapshot())
-        }
-    }
-
-    /// Latency percentiles over host-issued commands only — GC-context
-    /// work excluded (see [`Ftl::host_latency_snapshot`]).
-    ///
-    /// [`Ftl::host_latency_snapshot`]: crate::Ftl::host_latency_snapshot
-    pub fn host_latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        if self.device.sched_mode() == insider_nand::SchedMode::Legacy {
-            None
-        } else {
-            Some(self.device.host_latency_snapshot())
-        }
-    }
-
-    /// Passes a payload across an internal hop: a refcount bump on the
-    /// zero-copy path, a deep copy when the FTL was configured with
-    /// `FtlConfig::copy_payloads(true)` (the benchmark's legacy baseline).
-    fn hop(&self, data: &Bytes) -> Bytes {
-        if self.config.copy_payloads_enabled() {
-            Bytes::copy_from_slice(data)
-        } else {
-            data.clone()
-        }
-    }
-
     pub fn logical_pages(&self) -> u64 {
         self.mapping.len()
     }
@@ -948,7 +913,7 @@ impl FtlBase {
             .map(|(i, &ppa)| {
                 (
                     ppa,
-                    self.hop(&data[i]),
+                    data[i].clone(),
                     OobTag::live(lba.offset(i as u64), stamp),
                 )
             })
@@ -1025,7 +990,7 @@ impl FtlBase {
     ) -> Result<()> {
         let ppb = self.config.geometry().pages_per_block() as u64;
         let need = pages.div_ceil(ppb) as usize;
-        let target = self.config.gc_reserve() as usize + need;
+        let target = GC_RESERVE_BLOCKS as usize + need;
         let incremental = self.config.incremental_gc_enabled();
         let (mut low, mut step) = (target, u64::MAX);
         if incremental {
@@ -1199,8 +1164,7 @@ impl FtlBase {
     ///
     /// [`Ftl::gc_debt`]: crate::Ftl::gc_debt
     pub fn gc_debt(&self) -> f64 {
-        let low =
-            self.config.gc_reserve() as usize + self.config.gc_low_water_extra_blocks() as usize;
+        let low = GC_RESERVE_BLOCKS as usize + self.config.gc_low_water_extra_blocks() as usize;
         if self.free_count >= low || low <= 1 {
             return 0.0;
         }
@@ -1405,7 +1369,6 @@ impl FtlBase {
                 // the program hands the same backing allocation to
                 // the destination page.
                 let data = self.device.read(ppa)?;
-                let data = self.hop(&data);
                 // Carry the host write stamp across the relocation;
                 // the fresh sequence number marks the copy as newer
                 // than its source, which is how a post-crash mount
@@ -1434,7 +1397,6 @@ impl FtlBase {
                     // the protected old version's backing buffer is
                     // shared into its new home, never duplicated.
                     let data = self.device.read(ppa)?;
-                    let data = self.hop(&data);
                     // A backup tag: the copy holds a superseded
                     // version, so a post-crash mount must never pick
                     // it as the current mapping — but the preserved
@@ -2282,7 +2244,7 @@ mod tests {
         let mut b = base();
         churn(&mut b, 16 * 16 * 2);
         b.gc_before_write(1, None).unwrap();
-        assert!(b.free_blocks() > b.config().gc_reserve() as usize);
+        assert!(b.free_blocks() > GC_RESERVE_BLOCKS as usize);
     }
 
     #[test]

@@ -39,6 +39,10 @@ impl std::fmt::Display for GcPolicy {
     }
 }
 
+/// Free blocks garbage collection keeps in reserve: a write of `n` pages
+/// collects while the pool is below this plus `⌈n / pages_per_block⌉`.
+pub const GC_RESERVE_BLOCKS: u32 = 2;
+
 /// Configuration shared by both FTL variants.
 ///
 /// # Example
@@ -56,12 +60,10 @@ impl std::fmt::Display for GcPolicy {
 pub struct FtlConfig {
     nand: NandConfig,
     over_provisioning: f64,
-    gc_reserve_blocks: u32,
     protection_window: SimTime,
     gc_policy: GcPolicy,
     wear_leveling_threshold: Option<u32>,
     record_gc_victims: bool,
-    copy_payloads: bool,
     checkpoint_interval: Option<u64>,
     mount_threads: usize,
     mount_from_checkpoint: bool,
@@ -85,12 +87,10 @@ impl FtlConfig {
         FtlConfig {
             nand,
             over_provisioning: 0.07,
-            gc_reserve_blocks: 2,
             protection_window: SimTime::from_secs(10),
             gc_policy: GcPolicy::Greedy,
             wear_leveling_threshold: None,
             record_gc_victims: false,
-            copy_payloads: false,
             checkpoint_interval: None,
             mount_threads: 1,
             mount_from_checkpoint: true,
@@ -114,17 +114,6 @@ impl FtlConfig {
             "over-provisioning ratio must be in [0, 1)"
         );
         self.over_provisioning = ratio;
-        self
-    }
-
-    /// Sets how many free blocks garbage collection keeps in reserve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks` is zero.
-    pub fn gc_reserve_blocks(mut self, blocks: u32) -> Self {
-        assert!(blocks >= 1, "gc reserve must be at least one block");
-        self.gc_reserve_blocks = blocks;
         self
     }
 
@@ -179,24 +168,12 @@ impl FtlConfig {
         self.record_gc_victims
     }
 
-    /// Selects the NAND command-scheduling model (see
-    /// [`SchedMode`]): `Legacy` keeps the original per-die makespan
-    /// estimate, `InOrder` queues commands per die in submission order, and
-    /// `OutOfOrder` (the default) additionally lets reads overtake queued
-    /// mutations on the same die when no dependency forbids it.
+    /// Selects the NAND scheduler's read-ordering policy (see
+    /// [`SchedMode`]): `InOrder` queues commands per die in submission
+    /// order, `OutOfOrder` (the default) additionally lets reads overtake
+    /// queued mutations on the same die when no dependency forbids it.
     pub fn scheduler(mut self, mode: SchedMode) -> Self {
         self.nand = self.nand.scheduler(mode);
-        self
-    }
-
-    /// Caps the simulated host queue depth used by the command scheduler's
-    /// closed-loop throttle (default 32).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.nand = self.nand.queue_depth(depth);
         self
     }
 
@@ -206,20 +183,6 @@ impl FtlConfig {
     pub fn capture_commands(mut self, enabled: bool) -> Self {
         self.nand = self.nand.capture_commands(enabled);
         self
-    }
-
-    /// Forces the FTL to deep-copy every payload at each internal hop
-    /// instead of passing refcounted buffer handles — the legacy data path,
-    /// kept as the baseline arm of the zero-copy benchmark. Off by default.
-    pub fn copy_payloads(mut self, enabled: bool) -> Self {
-        self.copy_payloads = enabled;
-        self
-    }
-
-    /// Whether payloads are deep-copied at internal hops (benchmark
-    /// baseline) instead of moved by reference.
-    pub fn copy_payloads_enabled(&self) -> bool {
-        self.copy_payloads
     }
 
     /// Enables periodic mapping-table checkpoints: after every `pages`
@@ -329,26 +292,10 @@ impl FtlConfig {
 
     /// Enables erase-suspend/resume in the NAND scheduler: an out-of-order
     /// read arriving while an erase is mid-pulse on its die preempts it
-    /// (never an erase of the read's own block) at the configured resume
-    /// penalty. Timing only; off by default.
+    /// (never an erase of the read's own block) at a fixed resume penalty.
+    /// Timing only; off by default.
     pub fn erase_suspend(mut self, enabled: bool) -> Self {
         self.nand = self.nand.erase_suspend(enabled);
-        self
-    }
-
-    /// Sets the erase resume penalty in nanoseconds (default 50 µs).
-    pub fn erase_resume_ns(mut self, ns: u64) -> Self {
-        self.nand = self.nand.erase_resume_ns(ns);
-        self
-    }
-
-    /// Caps how many times one erase may be suspended (default 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max` is zero.
-    pub fn max_erase_suspends(mut self, max: u32) -> Self {
-        self.nand = self.nand.max_erase_suspends(max);
         self
     }
 
@@ -408,11 +355,6 @@ impl FtlConfig {
         self.over_provisioning
     }
 
-    /// The GC free-block reserve.
-    pub fn gc_reserve(&self) -> u32 {
-        self.gc_reserve_blocks
-    }
-
     /// The protection window.
     pub fn window(&self) -> SimTime {
         self.protection_window
@@ -426,7 +368,7 @@ impl FtlConfig {
         let g = self.geometry();
         let total = g.total_pages();
         let op_pages = (total as f64 * self.over_provisioning).ceil() as u64;
-        let reserve_pages = (self.gc_reserve_blocks as u64 + 1) * g.pages_per_block() as u64;
+        let reserve_pages = (GC_RESERVE_BLOCKS as u64 + 1) * g.pages_per_block() as u64;
         total.saturating_sub(op_pages.max(reserve_pages))
     }
 }
@@ -441,9 +383,7 @@ mod tests {
             .blocks_per_chip(100)
             .pages_per_block(10)
             .build(); // 1000 pages
-        let cfg = FtlConfig::new(g)
-            .over_provisioning(0.10)
-            .gc_reserve_blocks(2);
+        let cfg = FtlConfig::new(g).over_provisioning(0.10);
         // 10% of 1000 = 100 held back > 3 blocks * 10 pages reserve.
         assert_eq!(cfg.logical_pages(), 900);
     }
@@ -454,9 +394,7 @@ mod tests {
             .blocks_per_chip(100)
             .pages_per_block(10)
             .build();
-        let cfg = FtlConfig::new(g)
-            .over_provisioning(0.0)
-            .gc_reserve_blocks(2);
+        let cfg = FtlConfig::new(g).over_provisioning(0.0);
         // (2 + 1) blocks * 10 pages held back.
         assert_eq!(cfg.logical_pages(), 970);
     }
@@ -465,12 +403,6 @@ mod tests {
     #[should_panic(expected = "over-provisioning")]
     fn invalid_op_ratio_panics() {
         FtlConfig::new(Geometry::tiny()).over_provisioning(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one block")]
-    fn zero_reserve_panics() {
-        FtlConfig::new(Geometry::tiny()).gc_reserve_blocks(0);
     }
 
     #[test]
@@ -504,21 +436,8 @@ mod tests {
     fn scheduler_and_copy_knobs_pass_through() {
         let cfg = FtlConfig::new(Geometry::tiny());
         assert_eq!(cfg.nand().sched_mode(), SchedMode::OutOfOrder);
-        assert!(!cfg.copy_payloads_enabled());
-        let cfg = cfg
-            .scheduler(SchedMode::InOrder)
-            .queue_depth(8)
-            .capture_commands(true)
-            .copy_payloads(true);
+        let cfg = cfg.scheduler(SchedMode::InOrder).capture_commands(true);
         assert_eq!(cfg.nand().sched_mode(), SchedMode::InOrder);
-        assert_eq!(cfg.nand().queue_depth_limit(), 8);
-        assert!(cfg.copy_payloads_enabled());
-    }
-
-    #[test]
-    #[should_panic(expected = "queue depth")]
-    fn zero_queue_depth_panics() {
-        let _ = FtlConfig::new(Geometry::tiny()).queue_depth(0);
     }
 
     #[test]
@@ -567,13 +486,8 @@ mod tests {
     fn erase_suspend_passes_through_to_nand() {
         let cfg = FtlConfig::new(Geometry::tiny());
         assert!(!cfg.nand().erase_suspend_enabled());
-        let cfg = cfg
-            .erase_suspend(true)
-            .erase_resume_ns(80_000)
-            .max_erase_suspends(2);
+        let cfg = cfg.erase_suspend(true);
         assert!(cfg.nand().erase_suspend_enabled());
-        assert_eq!(cfg.nand().erase_resume_latency_ns(), 80_000);
-        assert_eq!(cfg.nand().max_erase_suspends_limit(), 2);
     }
 
     #[test]

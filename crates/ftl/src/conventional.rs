@@ -162,11 +162,11 @@ impl Ftl for ConventionalFtl {
     }
 
     fn latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        self.base.latency_snapshot()
+        Some(self.base.device.latency_snapshot())
     }
 
     fn host_latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        self.base.host_latency_snapshot()
+        Some(self.base.device.host_latency_snapshot())
     }
 
     fn gc_debt(&self) -> f64 {

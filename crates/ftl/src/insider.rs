@@ -401,11 +401,11 @@ impl Ftl for InsiderFtl {
     }
 
     fn latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        self.base.latency_snapshot()
+        Some(self.base.device.latency_snapshot())
     }
 
     fn host_latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        self.base.host_latency_snapshot()
+        Some(self.base.device.host_latency_snapshot())
     }
 
     fn gc_debt(&self) -> f64 {

@@ -25,7 +25,7 @@
 //! [`read`](Ftl::read), [`write`](Ftl::write) and [`trim`](Ftl::trim), used
 //! below, are the trait's provided one-page wrappers over them. Before a
 //! write of `n` pages, garbage collection runs until the free pool holds
-//! `gc_reserve + ⌈n / pages_per_block⌉` blocks, whatever `n` is.
+//! [`GC_RESERVE_BLOCKS`] plus `⌈n / pages_per_block⌉` blocks, whatever `n` is.
 //!
 //! ## Example
 //!
@@ -67,7 +67,7 @@ mod recovery_queue;
 mod stats;
 mod traits;
 
-pub use config::{FtlConfig, GcPolicy};
+pub use config::{FtlConfig, GcPolicy, GC_RESERVE_BLOCKS};
 pub use conventional::ConventionalFtl;
 pub use error::FtlError;
 pub use insider::{InsiderFtl, RollbackReport};

@@ -99,15 +99,16 @@ pub trait Ftl {
     fn sync(&mut self) {}
 
     /// Per-command completion-latency percentiles from the device command
-    /// scheduler, or `None` when the device runs the legacy makespan model
-    /// (the default for implementors without a scheduled device).
+    /// scheduler. Always `Some` for the FTLs of this workspace; `None` is
+    /// the default for implementors without a scheduled device.
     fn latency_snapshot(&self) -> Option<LatencySnapshot> {
         None
     }
 
     /// Latency percentiles over *host-issued* commands only — GC-internal
-    /// reads, programs and erases excluded. `None` for implementors without
-    /// a scheduled device (the default).
+    /// reads, programs and erases excluded. Always `Some` for the FTLs of
+    /// this workspace; `None` is the default for implementors without a
+    /// scheduled device.
     fn host_latency_snapshot(&self) -> Option<LatencySnapshot> {
         None
     }

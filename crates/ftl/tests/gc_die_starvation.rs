@@ -13,13 +13,20 @@
 //! the full-scan oracle.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, GcPolicy, GcVictimKind, InsiderFtl};
+use insider_ftl::{
+    ConventionalFtl, Ftl, FtlConfig, GcPolicy, GcVictimKind, InsiderFtl, GC_RESERVE_BLOCKS,
+};
 use insider_nand::{Geometry, Lba, SimTime};
 
 const DIES: usize = 8;
 const BLOCKS_PER_DIE: u32 = 32;
 const PAGES_PER_BLOCK: u32 = 16;
 const CHURN_WRITES: u32 = 30_000;
+
+const _: () = assert!(
+    GC_RESERVE_BLOCKS < DIES as u32,
+    "the case needs fewer reserve blocks than dies, so that dies tie at zero free"
+);
 
 fn config(policy: GcPolicy) -> FtlConfig {
     let geometry = Geometry::builder()
@@ -114,10 +121,6 @@ fn assert_no_die_starves(o: &Outcome, what: &str) {
 fn both_ftls(policy: GcPolicy) -> [(String, Outcome); 2] {
     let mut conventional = ConventionalFtl::new(config(policy));
     let mut insider = InsiderFtl::new(config(policy));
-    assert!(
-        config(policy).gc_reserve() < DIES as u32,
-        "the case needs fewer reserve blocks than dies, so that dies tie at zero free"
-    );
     let outcomes = [
         (format!("{policy:?}/conventional"), churn(&mut conventional)),
         (format!("{policy:?}/insider"), churn(&mut insider)),

@@ -1,8 +1,7 @@
 //! Zero-copy data-path guarantees: payload buffers move by reference
 //! through the FTL — host writes, GC relocation (including protected-page
 //! migration) and read-back all alias one backing allocation — and the
-//! device's provenance counters prove it. The `copy_payloads` knob is the
-//! legacy deep-copy baseline and must classify every program as a copy.
+//! device's provenance counters prove it.
 
 use bytes::Bytes;
 use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl};
@@ -66,18 +65,6 @@ fn insider_relocation_never_copies_buffers() {
     assert_eq!(stats.buffers_shared, stats.programs);
     let back = f.read(Lba::new(40), secs(0)).unwrap().unwrap();
     assert_eq!(back.as_ref().as_ptr(), precious.as_ref().as_ptr());
-}
-
-#[test]
-fn copy_payloads_mode_classifies_every_program_as_a_copy() {
-    let mut f = ConventionalFtl::new(FtlConfig::new(Geometry::tiny()).copy_payloads(true));
-    let _ = churn_until_gc_copies(&mut f);
-    let stats = f.nand_stats();
-    assert_eq!(
-        stats.buffers_shared, 0,
-        "copy mode must deep-copy at every hop"
-    );
-    assert_eq!(stats.buffers_copied, stats.programs);
 }
 
 #[test]

@@ -29,8 +29,6 @@ pub struct NandConfig {
     queue_depth: usize,
     capture_commands: bool,
     erase_suspend: bool,
-    erase_resume_ns: u64,
-    max_erase_suspends: u32,
 }
 
 impl NandConfig {
@@ -51,10 +49,6 @@ impl NandConfig {
             queue_depth: 32,
             capture_commands: false,
             erase_suspend: false,
-            // Datasheet-class erase resume overhead: tens of µs to rebuild
-            // the erase pulse after a suspend window.
-            erase_resume_ns: 50_000,
-            max_erase_suspends: 3,
         }
     }
 
@@ -93,16 +87,15 @@ impl NandConfig {
         self.endurance
     }
 
-    /// Selects the timing model: the legacy busy-integral estimate, a
-    /// strict in-order command queue, or the out-of-order scheduler
-    /// (the default). All three apply data identically; see
-    /// [`SchedMode`].
+    /// Selects the scheduler's read-ordering policy: a strict in-order
+    /// command queue or out-of-order reads (the default). Both apply data
+    /// identically; see [`SchedMode`].
     pub fn scheduler(mut self, mode: SchedMode) -> Self {
         self.sched_mode = mode;
         self
     }
 
-    /// The configured timing model.
+    /// The configured read-ordering policy.
     pub fn sched_mode(&self) -> SchedMode {
         self.sched_mode
     }
@@ -120,11 +113,6 @@ impl NandConfig {
         self
     }
 
-    /// The configured host queue depth.
-    pub fn queue_depth_limit(&self) -> usize {
-        self.queue_depth
-    }
-
     /// Enables the per-command capture log
     /// (`NandDevice::take_captured_commands`), used by the ordering
     /// proptests. Off by default — the log grows with every command.
@@ -135,8 +123,9 @@ impl NandConfig {
 
     /// Enables erase-suspend/resume: in [`SchedMode::OutOfOrder`], a read
     /// arriving while an erase is mid-pulse on its die preempts it (never
-    /// an erase of the read's own block) at the configured resume penalty.
-    /// Timing only — data application is unaffected. Off by default.
+    /// an erase of the read's own block) at a 50 µs resume penalty, at most
+    /// 64 times per erase. Timing only — data application is unaffected.
+    /// Off by default.
     pub fn erase_suspend(mut self, enabled: bool) -> Self {
         self.erase_suspend = enabled;
         self
@@ -145,36 +134,6 @@ impl NandConfig {
     /// Whether erase-suspend is enabled.
     pub fn erase_suspend_enabled(&self) -> bool {
         self.erase_suspend
-    }
-
-    /// Sets the erase resume penalty in nanoseconds (default 50 µs): extra
-    /// die time a suspended erase pays to rebuild its pulse.
-    pub fn erase_resume_ns(mut self, ns: u64) -> Self {
-        self.erase_resume_ns = ns;
-        self
-    }
-
-    /// The configured erase resume penalty, ns.
-    pub fn erase_resume_latency_ns(&self) -> u64 {
-        self.erase_resume_ns
-    }
-
-    /// Caps how many times one erase may be suspended (default 3), so a
-    /// read-heavy burst cannot starve an erase indefinitely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max` is zero — use [`erase_suspend`](Self::erase_suspend)
-    /// to disable suspension instead.
-    pub fn max_erase_suspends(mut self, max: u32) -> Self {
-        assert!(max >= 1, "an erase must be suspendable at least once");
-        self.max_erase_suspends = max;
-        self
-    }
-
-    /// The per-erase suspend cap.
-    pub fn max_erase_suspends_limit(&self) -> u32 {
-        self.max_erase_suspends
     }
 
     /// The device geometry.
@@ -191,6 +150,14 @@ impl NandConfig {
         self
     }
 }
+
+/// Datasheet-class erase resume overhead: tens of µs of extra die time a
+/// suspended erase pays to rebuild its pulse.
+const ERASE_RESUME_NS: u64 = 50_000;
+
+/// How many preemptions one erase absorbs before it becomes blocking
+/// again, so sustained foreground traffic cannot starve it.
+const MAX_ERASE_SUSPENDS: u32 = 64;
 
 /// Number of controller checkpoint slots a [`NandDevice`] reserves.
 ///
@@ -273,8 +240,8 @@ pub struct NandDevice {
     /// rather than the serial sum.
     stats: NandStats,
     /// The per-channel/per-die command queue: every successful operation
-    /// is also admitted here (unless the legacy mode is selected), which
-    /// yields per-command completion timestamps and latency percentiles.
+    /// is also admitted here, which yields per-command completion
+    /// timestamps and latency percentiles.
     /// Timing only — data application stays synchronous at submit.
     sched: CmdScheduler,
     faults: FaultPlan,
@@ -313,7 +280,7 @@ impl NandDevice {
             config.capture_commands,
         );
         if config.erase_suspend {
-            sched = sched.with_erase_suspend(config.erase_resume_ns, config.max_erase_suspends);
+            sched = sched.with_erase_suspend(ERASE_RESUME_NS, MAX_ERASE_SUSPENDS);
         }
         NandDevice {
             stats: NandStats::with_shape(chips, channels),
@@ -333,46 +300,43 @@ impl NandDevice {
         self.next_seq - 1
     }
 
-    /// Charges one successful command to the busy integrals and, unless
-    /// the legacy timing model is selected, admits it to the command
-    /// scheduler. `page` is the flat physical page index (`u64::MAX` for
-    /// erases). Debug builds run both accountings and assert the
-    /// scheduler's busy integrals match the legacy vectors exactly — the
+    /// Charges one successful command to the busy integrals and admits it
+    /// to the command scheduler. `page` is the flat physical page index
+    /// (`u64::MAX` for erases). Debug builds assert the scheduler's own
+    /// busy integrals match the `NandStats` vectors exactly — the
     /// scheduler/makespan differential oracle.
     fn charge(&mut self, kind: FaultKind, page: u64, pba: Pba, ns: u64, bus_ns: u64) {
         let chip = (pba.index() / self.config.geometry.blocks_per_chip()) as usize;
         self.stats.die_busy_ns[chip] += ns;
         let ch = pba.channel(&self.config.geometry) as usize;
         self.stats.bus_busy_ns[ch] += bus_ns;
-        if self.config.sched_mode != SchedMode::Legacy {
-            let overhead_before = self.sched.suspend_overhead_ns();
-            self.sched
-                .admit(kind, chip, ch, page, u64::from(pba.index()), ns, bus_ns);
-            // A suspended erase pays its resume penalty on the die of the
-            // *read* that preempted it (same die by construction); mirror
-            // that extra service time into the legacy integrals so the
-            // makespan differential oracle keeps holding.
-            let penalty = self.sched.suspend_overhead_ns() - overhead_before;
-            if penalty > 0 {
-                self.stats.die_busy_ns[chip] += penalty;
-                self.stats.busy_ns += penalty;
-                self.stats.suspend_overhead_ns += penalty;
-            }
-            self.stats.erases_suspended = self.sched.erases_suspended();
-            let (stalls, stall_ns) = self.sched.gc_stall_totals();
-            self.stats.gc_stalled_cmds = stalls;
-            self.stats.gc_stall_ns = stall_ns;
-            debug_assert_eq!(
-                self.sched.die_busy_ns(),
-                &self.stats.die_busy_ns[..],
-                "scheduler die busy integrals diverged from legacy accounting"
-            );
-            debug_assert_eq!(
-                self.sched.bus_busy_ns(),
-                &self.stats.bus_busy_ns[..],
-                "scheduler bus busy integrals diverged from legacy accounting"
-            );
+        let overhead_before = self.sched.suspend_overhead_ns();
+        self.sched
+            .admit(kind, chip, ch, page, u64::from(pba.index()), ns, bus_ns);
+        // A suspended erase pays its resume penalty on the die of the
+        // command that preempted it (same die by construction); mirror that
+        // extra service time into the reference integrals so the makespan
+        // differential oracle keeps holding.
+        let penalty = self.sched.suspend_overhead_ns() - overhead_before;
+        if penalty > 0 {
+            self.stats.die_busy_ns[chip] += penalty;
+            self.stats.busy_ns += penalty;
+            self.stats.suspend_overhead_ns += penalty;
         }
+        self.stats.erases_suspended = self.sched.erases_suspended();
+        let (stalls, stall_ns) = self.sched.gc_stall_totals();
+        self.stats.gc_stalled_cmds = stalls;
+        self.stats.gc_stall_ns = stall_ns;
+        debug_assert_eq!(
+            self.sched.die_busy_ns(),
+            &self.stats.die_busy_ns[..],
+            "scheduler die busy integrals diverged from the reference accounting"
+        );
+        debug_assert_eq!(
+            self.sched.bus_busy_ns(),
+            &self.stats.bus_busy_ns[..],
+            "scheduler bus busy integrals diverged from the reference accounting"
+        );
     }
 
     /// Simulated busy time per chip (die), in nanoseconds.
@@ -397,11 +361,9 @@ impl NandDevice {
     /// Advances the device clock to the simulated instant `now`: command
     /// arrivals are stamped with it, and every queued window whose service
     /// already started is finalized into the latency histograms. The FTL
-    /// calls this at the top of each host operation. No-op in legacy mode.
+    /// calls this at the top of each host operation.
     pub fn set_now(&mut self, now: SimTime) {
-        if self.config.sched_mode != SchedMode::Legacy {
-            self.sched.set_now(now.as_micros().saturating_mul(1000));
-        }
+        self.sched.set_now(now.as_micros().saturating_mul(1000));
     }
 
     /// Flushes the command scheduler: every queued window is finalized so
@@ -413,7 +375,7 @@ impl NandDevice {
 
     /// Per-kind latency percentiles over every finalized command. Covers
     /// only commands the scheduler has finalized — [`sync`](Self::sync)
-    /// first for end-of-run figures. Empty in legacy mode.
+    /// first for end-of-run figures.
     pub fn latency_snapshot(&self) -> LatencySnapshot {
         self.sched.snapshot()
     }
@@ -421,7 +383,7 @@ impl NandDevice {
     /// Latency percentiles over finalized *host-issued* commands only:
     /// commands admitted inside the GC context
     /// ([`set_gc_context`](Self::set_gc_context)) are excluded. This is the
-    /// foreground distribution a host observes. Empty in legacy mode.
+    /// foreground distribution a host observes.
     pub fn host_latency_snapshot(&self) -> LatencySnapshot {
         self.sched.host_snapshot()
     }
@@ -440,13 +402,13 @@ impl NandDevice {
 
     /// The scheduler's busy-integral makespan. Equal to
     /// [`parallel_busy_ns`](Self::parallel_busy_ns) by construction (both
-    /// sum pure service time per resource); zero in legacy mode.
+    /// sum pure service time per resource).
     pub fn sched_makespan_ns(&self) -> u64 {
         self.sched.makespan_ns()
     }
 
     /// Queue-aware completion horizon: when the last known command
-    /// finishes, including idle gaps between arrivals. Zero in legacy mode.
+    /// finishes, including idle gaps between arrivals.
     pub fn completion_horizon_ns(&self) -> u64 {
         self.sched.completion_horizon_ns()
     }
@@ -458,7 +420,7 @@ impl NandDevice {
     }
 
     /// Latest completion among GC-context admissions — when the most
-    /// recent GC work fully lands on the arrays. Zero in legacy mode.
+    /// recent GC work fully lands on the arrays.
     pub fn gc_horizon_ns(&self) -> u64 {
         self.sched.gc_horizon_ns()
     }
@@ -466,14 +428,9 @@ impl NandDevice {
     /// Stalls the firmware for the host until `ns`: host commands
     /// submitted earlier dispatch at `ns`, with the wait counted into
     /// their host-visible latency. A blocking GC drain calls this with
-    /// [`gc_horizon_ns`](Self::gc_horizon_ns); no-op in legacy mode.
+    /// [`gc_horizon_ns`](Self::gc_horizon_ns).
     pub fn stall_host_until(&mut self, ns: u64) {
         self.sched.stall_host_until(ns);
-    }
-
-    /// The timing model in effect.
-    pub fn sched_mode(&self) -> SchedMode {
-        self.config.sched_mode
     }
 
     /// Drains the per-command capture log (empty unless
@@ -1532,7 +1489,6 @@ mod tests {
     #[test]
     fn scheduler_records_per_command_latency() {
         let mut d = dev();
-        assert_eq!(d.sched_mode(), SchedMode::OutOfOrder);
         d.set_now(SimTime::from_secs(1));
         d.program(Ppa::new(0), Bytes::from_static(b"a")).unwrap();
         d.read(Ppa::new(0)).unwrap();
@@ -1544,21 +1500,6 @@ mod tests {
         // Same-page read-after-program: the read waited for the program.
         assert!(snap.read.max_ns >= 500_000 + 50_000);
         assert_eq!(d.sched_makespan_ns(), d.parallel_busy_ns());
-    }
-
-    #[test]
-    fn legacy_mode_reports_no_percentiles() {
-        let g = Geometry::tiny();
-        let mut d = NandDevice::new(NandConfig::new(g).scheduler(SchedMode::Legacy));
-        d.program(Ppa::new(0), Bytes::from_static(b"a")).unwrap();
-        d.read(Ppa::new(0)).unwrap();
-        d.sync();
-        assert_eq!(d.latency_snapshot().total.count, 0);
-        assert_eq!(d.sched_makespan_ns(), 0);
-        assert!(
-            d.stats().busy_ns > 0,
-            "legacy busy integrals still accumulate"
-        );
     }
 
     #[test]

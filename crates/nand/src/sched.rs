@@ -1,10 +1,10 @@
 //! Per-channel/per-die NAND command scheduler.
 //!
-//! The legacy timing model charges every successful operation to a per-die
-//! and per-channel *busy integral* and reports the makespan `max(die, bus)` —
-//! an aggregate estimate with no notion of a queue, so it cannot say what
-//! latency any single command observed. This module adds a queueing
-//! simulator on top of the same integrals:
+//! `NandStats` charges every successful operation to a per-die and a
+//! per-channel *busy integral* and reports the makespan `max(die, bus)` —
+//! an aggregate with no notion of a queue, so it cannot say what latency
+//! any single command observed. This module is the queueing simulator over
+//! the same integrals:
 //!
 //! - every command *arrives* at the device clock (`set_now`, driven by the
 //!   simulated trace time), waits for its die and its channel bus, and
@@ -12,8 +12,8 @@
 //! - dies execute their queue in order, back to back; the channel bus is a
 //!   second, independently seized resource (transfer and array time are not
 //!   serialized against each other, matching the decoupled busy-integral
-//!   accounting — the scheduler's busy makespan therefore equals the legacy
-//!   estimate exactly, which debug builds assert);
+//!   accounting — the scheduler's busy makespan therefore equals
+//!   `NandStats::parallel_busy_ns` exactly, which debug builds assert);
 //! - in [`SchedMode::OutOfOrder`] a read may be promoted ahead of *queued*
 //!   (not yet started) programs and erases on its die. Reads never pass
 //!   reads, mutations never pass anything, and a read never passes a
@@ -61,7 +61,8 @@
 //! The scheduler is *timing only*: page contents, OOB records and error
 //! results are applied synchronously at submit, in submission order, so
 //! data-path behavior (and the crash sweep's acked-prefix durability
-//! contract) is byte-identical across all three modes.
+//! contract) is byte-identical under both read-ordering policies
+//! ([`SchedMode::InOrder`] is the one tests use as their reference).
 
 use crate::fault::FaultKind;
 use crate::latency::{KindLatency, LatencyHistogram, LatencySnapshot};
@@ -73,18 +74,14 @@ use std::collections::VecDeque;
 /// freezes a latency sample that could otherwise still grow.
 const MAX_WINDOWS_PER_DIE: usize = 256;
 
-/// Which timing model the device runs.
+/// How the command queue orders reads against queued mutations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SchedMode {
-    /// Busy-integral estimate only (the pre-scheduler model): no command
-    /// queue, no per-command timestamps, no latency percentiles. Kept as
-    /// the differential baseline.
-    Legacy,
-    /// Full command queue, strict FIFO per die.
+    /// Strict FIFO per die. The reference the differential tests compare
+    /// against.
     InOrder,
-    /// Full command queue; reads may overtake queued programs/erases on
-    /// their die (never same-page/same-block dependencies, never other
-    /// reads). The default.
+    /// Reads may overtake queued programs/erases on their die (never
+    /// same-page/same-block dependencies, never other reads). The default.
     #[default]
     OutOfOrder,
 }
@@ -93,7 +90,6 @@ impl SchedMode {
     /// Display name for reports.
     pub fn name(self) -> &'static str {
         match self {
-            SchedMode::Legacy => "legacy",
             SchedMode::InOrder => "in-order",
             SchedMode::OutOfOrder => "out-of-order",
         }
@@ -179,7 +175,7 @@ pub struct CmdScheduler {
     /// Channel-bus free time (the bus is seized in admission order).
     bus_free_ns: Vec<u64>,
     /// Busy integrals, maintained independently of `NandStats` as the
-    /// differential check against the legacy accounting.
+    /// differential check against its reference accounting.
     die_busy_ns: Vec<u64>,
     bus_busy_ns: Vec<u64>,
     queue_depth: usize,
@@ -272,11 +268,6 @@ impl CmdScheduler {
     pub fn with_erase_suspend(mut self, resume_ns: u64, max_suspends: u32) -> Self {
         self.erase_suspend = Some((resume_ns, max_suspends));
         self
-    }
-
-    /// The timing model in effect.
-    pub fn mode(&self) -> SchedMode {
-        self.mode
     }
 
     /// Flags subsequent admissions as GC-internal (true) or host-issued
@@ -605,7 +596,7 @@ impl CmdScheduler {
     }
 
     /// Busy-integral makespan: the most loaded die or channel bus. Equal by
-    /// construction to the legacy `parallel_busy_ns` estimate (both sum
+    /// construction to `NandStats::parallel_busy_ns` (both sum
     /// pure service time), which the differential oracle asserts.
     pub fn makespan_ns(&self) -> u64 {
         let die = self.die_busy_ns.iter().copied().max().unwrap_or(0);
@@ -999,12 +990,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mode_is_inert_estimation() {
-        // Legacy mode still exists as an enum value the device gates on;
-        // the scheduler itself behaves identically if driven — the device
-        // simply never admits in legacy mode.
+    fn default_mode_and_display_names() {
         assert_eq!(SchedMode::default(), SchedMode::OutOfOrder);
-        assert_eq!(SchedMode::Legacy.to_string(), "legacy");
+        assert_eq!(SchedMode::OutOfOrder.to_string(), "out-of-order");
         assert_eq!(SchedMode::InOrder.name(), "in-order");
     }
 }

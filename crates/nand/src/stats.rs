@@ -48,7 +48,7 @@ pub struct NandStats {
     #[serde(default)]
     pub suspend_overhead_ns: u64,
     /// Host commands a blocking-GC firmware stall delayed before
-    /// dispatch (zero unless a blocking drain ran in a scheduled mode).
+    /// dispatch (zero unless a blocking drain ran).
     #[serde(default)]
     pub gc_stalled_cmds: u64,
     /// Total submission-to-dispatch wait those commands paid, ns.
