@@ -4,7 +4,7 @@
 #                      test -q` plus a zero-warning clippy pass. The root
 #                      manifest's `default-members = [".", "crates/*"]` makes
 #                      those bare commands cover the umbrella package and
-#                      every product crate — the whole suite (693
+#                      every product crate — the whole suite (669
 #                      tests: unit, differential oracles, proptests, the
 #                      strided crash sweep and the bench smokes), about a
 #                      minute warm — and leave out only `vendored/*`, the
@@ -19,8 +19,8 @@
 #                      the block-cache oracle once more on a seed taken from
 #                      the clock (`CACHE_ORACLE_SEED`, echoed first so a
 #                      failure can be replayed; tier1 already ran its fixed
-#                      seeds), bounded crash-sweep / multitenant /
-#                      steady-state / ROC smoke runs
+#                      seeds), bounded crash-sweep / steady-state / ROC
+#                      smoke runs
 #                      (env bounds below; smoke JSON goes to target/ci/, never
 #                      touching the committed artifacts), then bench_check
 #                      validating every committed BENCH_*.json schema and
@@ -47,10 +47,6 @@
 #                      (Tier 1 runs a strided fast version as a plain test.)
 #   make bench-mount — regenerate BENCH_mount.json (OOB remount scan time
 #                      on an 8192-block drive at rising utilization).
-#   make bench-multitenant — regenerate BENCH_multitenant.json (1→N-shard
-#                      namespace scaling: wall and modeled-parallel req/s,
-#                      per-shard p50/p99 dispatch latency; MT_SHARDS /
-#                      MT_WORKERS / MT_REPEATS override the sweep).
 #   make bench-steady — regenerate BENCH_steady.json (steady-state foreground
 #                      p50/p95/p99 under sustained hot churn at ~90 %
 #                      utilization: blocking GC vs incremental GC with
@@ -74,13 +70,14 @@
 #                        (bench_mount default 65536; crash_sweep arms a small
 #                        interval for its checkpointed pass; 0 disables).
 #   MOUNT_THREADS      — remount scan shards (0 = one per available core,
-#                        1 = the serial legacy path; bench_mount measures both).
+#                        1 = the default serial scan, the reference cost
+#                        model; bench_mount measures both).
 #   CRASH_SWEEP_STRIDE / CRASH_SWEEP_PAGES / CRASH_SWEEP_FS_POINTS
 #                      — crash-sweep density: cut-point stride, per-trace
 #                        write budget, filesystem-scenario cut points.
 #   (Block buffer cache capacity is an API knob, not env:
 #    FsBridge::cached(capacity) / BlockCache::new(dev, capacity).)
-#   MT_SHARDS / MT_WORKERS / MT_REPEATS, ROC_TRACES / ROC_PAGES
+#   ROC_TRACES / ROC_PAGES
 #                      — bench sweep bounds.
 
 CARGO ?= cargo
@@ -88,10 +85,9 @@ CARGO ?= cargo
 # Bounds for the CI smoke runs: dense enough to cross several checkpoint
 # writes and every code path, small enough to finish in seconds.
 CI_SWEEP_ENV = CRASH_SWEEP_STRIDE=41 CRASH_SWEEP_PAGES=160 CRASH_SWEEP_FS_POINTS=6
-CI_MT_ENV = MT_SHARDS=1,2 MT_WORKERS=2 MT_REPEATS=2
 CI_ROC_ENV = ROC_TRACES=1
 
-.PHONY: tier1 ci gc-guard test bench bench-json crash-sweep bench-mount bench-multitenant bench-roc bench-steady
+.PHONY: tier1 ci gc-guard test bench bench-json crash-sweep bench-mount bench-roc bench-steady
 
 tier1:
 	$(CARGO) build --release
@@ -107,7 +103,6 @@ ci: tier1
 	CACHE_ORACLE_SEED=$$seed $(CARGO) test -q -p insider-fs --test cache_oracle
 	mkdir -p target/ci
 	$(CI_SWEEP_ENV) $(CARGO) run --release -p insider-bench --bin crash_sweep
-	$(CI_MT_ENV) $(CARGO) run --release -p insider-bench --bin bench_multitenant target/ci/BENCH_multitenant.json
 	$(CARGO) run --release -p insider-bench --bin bench_steady target/ci/BENCH_steady.json
 	$(CI_ROC_ENV) $(CARGO) run --release -p insider-bench --bin bench_roc target/ci/BENCH_roc.json
 	$(CARGO) run --release -p insider-bench --bin bench_check
@@ -139,9 +134,6 @@ crash-sweep:
 
 bench-mount:
 	$(CARGO) run --release -p insider-bench --bin bench_mount
-
-bench-multitenant:
-	$(CARGO) run --release -p insider-bench --bin bench_multitenant
 
 bench-roc:
 	$(CARGO) run --release -p insider-bench --bin bench_roc

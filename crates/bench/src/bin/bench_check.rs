@@ -1,6 +1,6 @@
 //! CI gate over the committed benchmark artifacts: validates the schema of
-//! every `BENCH_*.json` in the repo and fails when a headline ratio
-//! regresses below its floor.
+//! the four `BENCH_*.json` files in the repo root (detect, mount, roc,
+//! steady) and fails when a headline ratio regresses below its floor.
 //!
 //! The floors are deliberately far below the currently measured values —
 //! they catch "the optimization silently fell off" (the checkpoint mount
@@ -12,7 +12,6 @@
 //! * mount: checkpoint+tail remount >= [`MOUNT_SPEEDUP_MIN`]x the serial
 //!   full scan at 90 % utilization (both arms measured on the same host in
 //!   the same run, so the ratio is noise-resistant).
-//! * multitenant: the shard curve is present and strictly increasing.
 //! * steady: incremental GC + erase-suspend cuts the foreground write p99
 //!   by >= [`STEADY_P99_RATIO_MIN`]x vs blocking GC, with throughput no
 //!   worse than [`STEADY_THROUGHPUT_MIN`]x and byte-identical contents.
@@ -96,14 +95,6 @@ fn as_f64(v: &Value) -> Option<f64> {
         Value::F64(f) => Some(f),
         Value::U64(n) => Some(n as f64),
         Value::I64(n) => Some(n as f64),
-        _ => None,
-    }
-}
-
-fn as_i64(v: &Value) -> Option<i64> {
-    match *v {
-        Value::U64(n) => i64::try_from(n).ok(),
-        Value::I64(n) => Some(n),
         _ => None,
     }
 }
@@ -234,27 +225,6 @@ fn check_mount(doc: &Value, errors: &mut Vec<Violation>) {
             name.into(),
             "missing serial and/or ckpt_tail rows at 0.9 utilization".into(),
         )),
-    }
-}
-
-fn check_multitenant(doc: &Value, errors: &mut Vec<Violation>) {
-    let name = "BENCH_multitenant.json";
-    let Some(curve) = need_array(doc, "curve", name, errors) else {
-        return;
-    };
-    let mut prev_shards = 0i64;
-    for (i, point) in curve.iter().enumerate() {
-        let shards = get(point, "shards").and_then(as_i64).unwrap_or(0);
-        if shards <= prev_shards {
-            errors.push(Violation(
-                name.into(),
-                format!("curve.{i}: shard counts not strictly increasing"),
-            ));
-        }
-        prev_shards = shards;
-        for field in ["wall_rps", "parallel_rps"] {
-            need_f64(point, field, &format!("{name} curve.{i}"), errors);
-        }
     }
 }
 
@@ -415,10 +385,9 @@ fn main() {
     let dir = Path::new(&dir);
     let mut errors = Vec::new();
 
-    let checks: [(&str, Check); 5] = [
+    let checks: [(&str, Check); 4] = [
         ("BENCH_detect.json", check_detect),
         ("BENCH_mount.json", check_mount),
-        ("BENCH_multitenant.json", check_multitenant),
         ("BENCH_roc.json", check_roc),
         ("BENCH_steady.json", check_steady),
     ];

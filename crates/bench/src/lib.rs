@@ -11,7 +11,6 @@
 
 pub mod crash;
 pub mod harness;
-pub mod multitenant;
 pub mod outcome;
 pub mod replay;
 pub mod roc;
@@ -27,7 +26,6 @@ pub use harness::{
     adversarial_training_samples, train_tree, train_tree_uncached, train_tree_variant,
     train_tree_variant_uncached, training_duration, training_samples, ADV_TRAIN_SEEDS, TRAIN_SEEDS,
 };
-pub use multitenant::{replay_multitenant, tenant_trace, tile_trace, MultiTenantRun, ShardMetrics};
 pub use outcome::RunOutcome;
 pub use replay::feature_series;
 pub use replay::{

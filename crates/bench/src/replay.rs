@@ -139,7 +139,7 @@ pub fn replay_detector(trace: &Trace, tree: DecisionTree, config: DetectorConfig
 
 /// Payload stamped into replayed writes; content is irrelevant to every
 /// metric, so a tiny constant keeps memory flat.
-pub(crate) fn payload() -> Bytes {
+fn payload() -> Bytes {
     Bytes::from_static(b"replayed")
 }
 
@@ -198,11 +198,7 @@ impl ReplayOutcome {
 /// Clips a request to the device's logical capacity, charging any excess
 /// blocks to `outcome.skipped`. Returns the in-range prefix as
 /// `(lba, len)`, or `None` when the whole request is out of range.
-pub(crate) fn clamp_extent(
-    req: &IoReq,
-    logical: u64,
-    outcome: &mut ReplayOutcome,
-) -> Option<(Lba, u32)> {
+fn clamp_extent(req: &IoReq, logical: u64, outcome: &mut ReplayOutcome) -> Option<(Lba, u32)> {
     if req.lba.index() >= logical {
         outcome.skipped += req.len as u64;
         return None;

@@ -1,8 +1,7 @@
-//! Bounded tier-1 latency smoke test (mirrors the `MT_SHARDS`/`MT_PAGES`
-//! pattern): a small write/read churn through a whole [`SsdInsider`] device
-//! under the default out-of-order scheduler must produce internally
-//! consistent per-command percentiles. `LAT_PAGES` overrides the page
-//! count.
+//! Bounded tier-1 latency smoke test: a small write/read churn through a
+//! whole [`SsdInsider`] device under the default out-of-order scheduler
+//! must produce internally consistent per-command percentiles. `LAT_PAGES`
+//! overrides the page count.
 
 use bytes::Bytes;
 use insider_detect::DecisionTree;

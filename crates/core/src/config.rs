@@ -35,16 +35,6 @@ impl InsiderConfig {
         }
     }
 
-    /// The same configuration over a different geometry — namespace
-    /// sharding uses this to give each shard its slice of the drive while
-    /// keeping every FTL and detector knob identical.
-    pub fn with_geometry(&self, geometry: insider_nand::Geometry) -> Self {
-        InsiderConfig {
-            ftl: self.ftl.clone().with_geometry(geometry),
-            detector: self.detector,
-        }
-    }
-
     /// The configured drive geometry.
     pub fn geometry(&self) -> &Geometry {
         self.ftl.geometry()

@@ -1,8 +1,7 @@
 //! The full SSD-Insider device.
 
 use crate::config::InsiderConfig;
-use crate::events::{DeviceEvent, EventLog, TaggedEvent};
-use crate::namespace::NamespaceId;
+use crate::events::{DeviceEvent, EventLog};
 use crate::pacing::PacingBucket;
 use crate::state::DeviceState;
 use crate::timing::IoTiming;
@@ -32,7 +31,6 @@ pub struct SsdInsider {
     timing: IoTiming,
     detect_enabled: bool,
     events: EventLog,
-    namespace: NamespaceId,
     pacing: PacingBucket,
 }
 
@@ -51,7 +49,6 @@ impl SsdInsider {
             timing: IoTiming::new(),
             detect_enabled: true,
             events: EventLog::new(),
-            namespace: NamespaceId::new(0),
             pacing,
         }
     }
@@ -60,37 +57,6 @@ impl SsdInsider {
     /// oldest first — the paper's vendor-command notification channel.
     pub fn take_events(&mut self) -> Vec<DeviceEvent> {
         self.events.drain()
-    }
-
-    /// Drains the event mailbox with each event tagged by this device's
-    /// namespace — the multi-tenant notification channel.
-    pub fn take_tagged_events(&mut self) -> Vec<TaggedEvent> {
-        self.events.drain_tagged()
-    }
-
-    /// Attributes this device (as a shard) to `namespace`: events, stats
-    /// lines and DRAM breakdowns it produces are tagged with the id.
-    pub fn set_namespace(&mut self, namespace: NamespaceId) {
-        self.namespace = namespace;
-        self.events.set_namespace(namespace);
-    }
-
-    /// The namespace this device serves (namespace 0 when standalone).
-    pub fn namespace(&self) -> NamespaceId {
-        self.namespace
-    }
-
-    /// One human-readable line summarizing this shard — lifecycle state,
-    /// detector status and FTL counters, all tagged with the namespace —
-    /// for per-tenant debugging of multi-tenant runs.
-    pub fn status_line(&self) -> String {
-        format!(
-            "[{}] state={} {} {}",
-            self.namespace,
-            self.state,
-            self.detector.status(),
-            self.ftl.stats()
-        )
     }
 
     /// Current lifecycle state.
@@ -489,28 +455,28 @@ impl Ftl for SsdInsider {
     ) -> insider_ftl::Result<Vec<Option<Bytes>>> {
         SsdInsider::read_extent(self, lba, len, now).map_err(|e| match e {
             DeviceError::Ftl(f) => f,
-            _ => unreachable!("read never gates on state"),
+            DeviceError::WrongState { .. } => unreachable!("read never gates on state"),
         })
     }
 
     fn write_extent(&mut self, lba: Lba, data: &[Bytes], now: SimTime) -> insider_ftl::Result<()> {
         SsdInsider::write_extent(self, lba, data, now).map_err(|e| match e {
             DeviceError::Ftl(f) => f,
-            _ => unreachable!("write never gates on state"),
+            DeviceError::WrongState { .. } => unreachable!("write never gates on state"),
         })
     }
 
     fn trim_extent(&mut self, lba: Lba, len: u32, now: SimTime) -> insider_ftl::Result<()> {
         SsdInsider::trim_extent(self, lba, len, now).map_err(|e| match e {
             DeviceError::Ftl(f) => f,
-            _ => unreachable!("trim never gates on state"),
+            DeviceError::WrongState { .. } => unreachable!("trim never gates on state"),
         })
     }
 
     fn power_cut(&mut self, now: SimTime) -> insider_ftl::Result<()> {
         SsdInsider::power_cut(self, now).map_err(|e| match e {
             DeviceError::Ftl(f) => f,
-            _ => unreachable!("power cut never gates on state"),
+            DeviceError::WrongState { .. } => unreachable!("power cut never gates on state"),
         })
     }
 
@@ -837,6 +803,7 @@ mod tests {
         ssd.reboot().unwrap();
         let events = ssd.take_events();
         assert!(matches!(events[0], DeviceEvent::AlarmRaised { .. }));
+        assert!(events[0].to_string().starts_with("alarm-raised"));
         assert!(matches!(events[1], DeviceEvent::Recovered { .. }));
         assert!(matches!(events[2], DeviceEvent::Rebooted));
         assert!(ssd.take_events().is_empty(), "drain empties the mailbox");

@@ -1,13 +1,6 @@
 //! DRAM accounting for SSD-Insider's data structures (paper Table III).
-//!
-//! A multi-tenant device holds one copy of every structure *per shard*;
-//! [`MultiTenantDram`] sums them and keeps the per-namespace breakdown, so
-//! capacity planning sees both the whole-drive bill and which tenant is
-//! spending it.
 
 use crate::device::SsdInsider;
-use crate::multitenant::MultiTenantSsd;
-use crate::namespace::NamespaceId;
 use insider_ftl::RecoveryQueue;
 use serde::{Deserialize, Serialize};
 
@@ -131,98 +124,6 @@ impl DramUsage {
     }
 }
 
-impl std::ops::Add for DramUsage {
-    type Output = DramUsage;
-
-    fn add(self, rhs: DramUsage) -> DramUsage {
-        DramUsage {
-            hash_entries: self.hash_entries + rhs.hash_entries,
-            counting_entries: self.counting_entries + rhs.counting_entries,
-            queue_entries: self.queue_entries + rhs.queue_entries,
-            mount_scan_entries: self.mount_scan_entries + rhs.mount_scan_entries,
-            chain_index_entries: self.chain_index_entries + rhs.chain_index_entries,
-            buffers_shared: self.buffers_shared + rhs.buffers_shared,
-            buffers_copied: self.buffers_copied + rhs.buffers_copied,
-        }
-    }
-}
-
-impl std::ops::AddAssign for DramUsage {
-    fn add_assign(&mut self, rhs: DramUsage) {
-        *self = *self + rhs;
-    }
-}
-
-impl std::iter::Sum for DramUsage {
-    fn sum<I: Iterator<Item = DramUsage>>(iter: I) -> DramUsage {
-        iter.fold(DramUsage::default(), |acc, u| acc + u)
-    }
-}
-
-/// Per-namespace DRAM accounting for a [`MultiTenantSsd`]: each shard's
-/// [`DramUsage`] plus the device-wide sum.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MultiTenantDram {
-    /// `(namespace id, that shard's usage)`, in namespace order.
-    pub per_namespace: Vec<(u32, DramUsage)>,
-}
-
-impl MultiTenantDram {
-    /// Snapshot of every shard's structure sizes.
-    pub fn measure(device: &MultiTenantSsd) -> Self {
-        let per_namespace = (0..device.namespaces())
-            .map(|id| {
-                let usage = device
-                    .with_namespace(NamespaceId::new(id), |dev| DramUsage::measure(dev))
-                    .expect("iterating the device's own namespace ids");
-                (id, usage)
-            })
-            .collect();
-        MultiTenantDram { per_namespace }
-    }
-
-    /// Device-wide usage: the sum over all shards.
-    pub fn total(&self) -> DramUsage {
-        self.per_namespace.iter().map(|(_, u)| *u).sum()
-    }
-
-    /// Total steady-state bytes across every shard.
-    pub fn total_bytes(&self) -> usize {
-        self.total().total_bytes()
-    }
-}
-
-impl std::fmt::Display for MultiTenantDram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "{:<6} {:>10} {:>10} {:>10} {:>12}",
-            "ns", "hash", "counting", "queue", "bytes"
-        )?;
-        for (id, usage) in &self.per_namespace {
-            writeln!(
-                f,
-                "{:<6} {:>10} {:>10} {:>10} {:>12}",
-                format!("ns{id}"),
-                usage.hash_entries,
-                usage.counting_entries,
-                usage.queue_entries,
-                usage.total_bytes()
-            )?;
-        }
-        let total = self.total();
-        write!(
-            f,
-            "{:<6} {:>10} {:>10} {:>10} {:>12}",
-            "total",
-            total.hash_entries,
-            total.counting_entries,
-            total.queue_entries,
-            total.total_bytes()
-        )
-    }
-}
-
 impl std::fmt::Display for DramUsage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -333,85 +234,6 @@ mod tests {
             remounted.hash_bytes() + remounted.counting_bytes() + remounted.queue_bytes(),
             "scan buffer is transient and excluded from the steady-state total"
         );
-    }
-
-    #[test]
-    fn multitenant_breakdown_sums_shards() {
-        use crate::namespace::NamespaceLayout;
-
-        let ssd = MultiTenantSsd::new(
-            &InsiderConfig::new(Geometry::tiny()),
-            &DecisionTree::constant(false),
-            2,
-            NamespaceLayout::Provisioned,
-        );
-        let t = SimTime::from_secs(1);
-        // ns0 writes 3 pages, ns1 writes 5 — each shard's queue bills its
-        // own tenant.
-        for i in 0..3u64 {
-            ssd.write(
-                NamespaceId::new(0),
-                Lba::new(i),
-                Bytes::from_static(b"a"),
-                t,
-            )
-            .unwrap();
-        }
-        for i in 0..5u64 {
-            ssd.write(
-                NamespaceId::new(1),
-                Lba::new(i),
-                Bytes::from_static(b"b"),
-                t,
-            )
-            .unwrap();
-        }
-        let dram = MultiTenantDram::measure(&ssd);
-        assert_eq!(dram.per_namespace.len(), 2);
-        assert_eq!(dram.per_namespace[0].1.queue_entries, 3);
-        assert_eq!(dram.per_namespace[1].1.queue_entries, 5);
-        assert_eq!(dram.total().queue_entries, 8);
-        assert_eq!(
-            dram.total_bytes(),
-            dram.per_namespace[0].1.total_bytes() + dram.per_namespace[1].1.total_bytes()
-        );
-        let rendered = dram.to_string();
-        assert!(rendered.contains("ns0"), "{rendered}");
-        assert!(rendered.contains("ns1"));
-        assert!(rendered.contains("total"));
-    }
-
-    #[test]
-    fn usage_addition_is_fieldwise() {
-        let a = DramUsage {
-            hash_entries: 1,
-            counting_entries: 2,
-            queue_entries: 3,
-            mount_scan_entries: 4,
-            chain_index_entries: 7,
-            buffers_shared: 5,
-            buffers_copied: 6,
-        };
-        let b = DramUsage {
-            hash_entries: 10,
-            counting_entries: 20,
-            queue_entries: 30,
-            mount_scan_entries: 40,
-            chain_index_entries: 70,
-            buffers_shared: 50,
-            buffers_copied: 60,
-        };
-        let sum: DramUsage = [a, b].into_iter().sum();
-        assert_eq!(sum.hash_entries, 11);
-        assert_eq!(sum.counting_entries, 22);
-        assert_eq!(sum.queue_entries, 33);
-        assert_eq!(sum.mount_scan_entries, 44);
-        assert_eq!(sum.chain_index_entries, 77);
-        assert_eq!(sum.buffers_shared, 55);
-        assert_eq!(sum.buffers_copied, 66);
-        let mut acc = a;
-        acc += b;
-        assert_eq!(acc, sum);
     }
 
     #[test]

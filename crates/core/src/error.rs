@@ -19,14 +19,6 @@ pub enum DeviceError {
     },
     /// An FTL operation failed.
     Ftl(FtlError),
-    /// A request addressed a namespace the device does not export.
-    UnknownNamespace {
-        /// The namespace id the host asked for.
-        requested: u32,
-        /// How many namespaces the device exports (valid ids are
-        /// `0..namespaces`).
-        namespaces: u32,
-    },
 }
 
 impl fmt::Display for DeviceError {
@@ -36,13 +28,6 @@ impl fmt::Display for DeviceError {
                 write!(f, "device is {actual}, operation needs {needed}")
             }
             DeviceError::Ftl(e) => write!(f, "ftl: {e}"),
-            DeviceError::UnknownNamespace {
-                requested,
-                namespaces,
-            } => write!(
-                f,
-                "namespace ns{requested} does not exist (device exports {namespaces} namespaces)"
-            ),
         }
     }
 }

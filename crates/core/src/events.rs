@@ -5,7 +5,6 @@
 //! [`SsdInsider::take_events`](crate::SsdInsider::take_events) and reacts —
 //! showing the warning dialog, confirming recovery, prompting a reboot.
 
-use crate::namespace::NamespaceId;
 use insider_detect::Verdict;
 use insider_ftl::RollbackReport;
 use insider_nand::SimTime;
@@ -64,32 +63,12 @@ impl std::fmt::Display for DeviceEvent {
     }
 }
 
-/// A device event attributed to the namespace that emitted it — what
-/// multi-tenant hosts consume, so an alarm names its tenant instead of
-/// arriving anonymously from "the drive".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TaggedEvent {
-    /// Namespace whose shard emitted the event.
-    pub namespace: NamespaceId,
-    /// The event itself.
-    pub event: DeviceEvent,
-}
-
-impl std::fmt::Display for TaggedEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}] {}", self.namespace, self.event)
-    }
-}
-
-/// Bounded FIFO of pending events (a real device would expose a small
-/// mailbox; unconsumed events age out oldest-first). Each log belongs to
-/// one namespace (namespace 0 for a single-tenant device) and stamps that
-/// identity on every event it stores.
+/// The drive's bounded FIFO of pending events (a real device would expose
+/// a small mailbox; unconsumed events age out oldest-first).
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
     events: std::collections::VecDeque<DeviceEvent>,
     dropped: u64,
-    namespace: NamespaceId,
 }
 
 /// Capacity of the event mailbox.
@@ -122,27 +101,6 @@ impl EventLog {
     /// Drains all pending events, oldest first.
     pub fn drain(&mut self) -> Vec<DeviceEvent> {
         self.events.drain(..).collect()
-    }
-
-    /// Drains all pending events tagged with the owning namespace, oldest
-    /// first.
-    pub fn drain_tagged(&mut self) -> Vec<TaggedEvent> {
-        let namespace = self.namespace;
-        self.events
-            .drain(..)
-            .map(|event| TaggedEvent { namespace, event })
-            .collect()
-    }
-
-    /// Attributes this log (and every event subsequently drained from it)
-    /// to `namespace`.
-    pub fn set_namespace(&mut self, namespace: NamespaceId) {
-        self.namespace = namespace;
-    }
-
-    /// The namespace this log belongs to.
-    pub fn namespace(&self) -> NamespaceId {
-        self.namespace
     }
 
     /// Number of pending events.
@@ -185,20 +143,6 @@ mod tests {
         let drained = log.drain();
         assert_eq!(drained.last(), Some(&DeviceEvent::Rebooted));
         assert_eq!(drained.len(), EVENT_CAPACITY);
-    }
-
-    #[test]
-    fn drain_tagged_stamps_the_owning_namespace() {
-        let mut log = EventLog::new();
-        assert_eq!(log.namespace(), NamespaceId::new(0));
-        log.set_namespace(NamespaceId::new(5));
-        log.push(DeviceEvent::AlarmDismissed);
-        log.push(DeviceEvent::Rebooted);
-        let tagged = log.drain_tagged();
-        assert_eq!(tagged.len(), 2);
-        assert!(tagged.iter().all(|e| e.namespace == NamespaceId::new(5)));
-        assert_eq!(tagged[1].to_string(), "[ns5] rebooted");
-        assert!(log.is_empty());
     }
 
     #[test]

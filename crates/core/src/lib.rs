@@ -63,8 +63,6 @@ mod device;
 pub mod dram;
 mod error;
 mod events;
-mod multitenant;
-mod namespace;
 mod pacing;
 mod state;
 mod timing;
@@ -72,11 +70,9 @@ mod timing;
 pub use bridge::{CachedFsBridge, FsBridge};
 pub use config::InsiderConfig;
 pub use device::SsdInsider;
-pub use dram::{DramUsage, MultiTenantDram};
+pub use dram::DramUsage;
 pub use error::DeviceError;
-pub use events::{DeviceEvent, EventLog, TaggedEvent, EVENT_CAPACITY};
-pub use multitenant::MultiTenantSsd;
-pub use namespace::{shard_geometry, NamespaceId, NamespaceLayout};
+pub use events::{DeviceEvent, EventLog, EVENT_CAPACITY};
 pub use pacing::PacingBucket;
 pub use state::DeviceState;
 pub use timing::{IoTiming, TimingSummary};

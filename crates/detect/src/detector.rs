@@ -456,11 +456,10 @@ impl Detector {
         self.judge(slice, f)
     }
 
-    /// A snapshot of the detector's live state for status lines and
-    /// multi-tenant debugging (see [`DetectorStatus`]).
+    /// A snapshot of the detector's live state for status lines (see
+    /// [`DetectorStatus`]).
     pub fn status(&self) -> DetectorStatus {
         DetectorStatus {
-            namespace: None,
             score: self.votes.score(),
             threshold: self.config.threshold,
             current_slice: self.engine.current_slice(),
@@ -470,14 +469,10 @@ impl Detector {
     }
 }
 
-/// A point-in-time summary of one detector instance, displayable per
-/// namespace so multi-tenant runs can be debugged tenant by tenant instead
-/// of from one aggregated score.
+/// A point-in-time summary of the drive's detector: score against
+/// threshold, window position and counting-table size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DetectorStatus {
-    /// Namespace the detector shard belongs to, if it is sharded (set via
-    /// [`DetectorStatus::tagged`]).
-    pub namespace: Option<u32>,
     /// Positive votes currently in the window.
     pub score: u32,
     /// Votes needed to alarm.
@@ -490,19 +485,8 @@ pub struct DetectorStatus {
     pub table_entries: usize,
 }
 
-impl DetectorStatus {
-    /// The same status attributed to `namespace`.
-    pub fn tagged(mut self, namespace: u32) -> Self {
-        self.namespace = Some(namespace);
-        self
-    }
-}
-
 impl std::fmt::Display for DetectorStatus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if let Some(ns) = self.namespace {
-            write!(f, "[ns{ns}] ")?;
-        }
         write!(
             f,
             "det[score={}/{} slice={} window={} entries={}]",
@@ -693,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn status_snapshot_tracks_score_and_tags_namespaces() {
+    fn status_snapshot_tracks_score() {
         let mut d = Detector::new(DetectorConfig::default(), DecisionTree::stump(0, 0.5));
         d.ingest(IoReq::read(t(0, 0), l(1)));
         d.ingest(IoReq::write(t(0, 1), l(1)));
@@ -705,8 +689,6 @@ mod tests {
         assert!(status.table_entries >= 1);
         let plain = status.to_string();
         assert!(plain.starts_with("det[score=1/3"), "got {plain}");
-        let tagged = status.tagged(4).to_string();
-        assert!(tagged.starts_with("[ns4] det[score=1/3"), "got {tagged}");
     }
 
     #[test]

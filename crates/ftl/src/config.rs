@@ -208,17 +208,19 @@ impl FtlConfig {
     }
 
     /// Sets how many threads the mount-time OOB scan shards across.
-    /// `1` (the default) keeps the legacy serial scan — every spare-area
-    /// read individually charged through the command path; `0` picks the
-    /// host's available parallelism; any other value shards the scan into
-    /// that many contiguous block ranges with bulk charging. All settings
-    /// produce identical mounted state.
+    /// `1` (the default) is the serial scan the benchmark runs and the
+    /// reference cost model — every spare-area read individually charged
+    /// through the command path; `0` picks the host's available
+    /// parallelism; any other value shards the scan into that many
+    /// contiguous block ranges with bulk charging. All settings produce
+    /// identical mounted state.
     pub fn mount_threads(mut self, threads: usize) -> Self {
         self.mount_threads = threads;
         self
     }
 
-    /// The configured mount scan thread count (`1` = legacy serial).
+    /// The configured mount scan thread count (`1` = the default serial
+    /// scan).
     pub fn mount_threads_count(&self) -> usize {
         self.mount_threads
     }
@@ -339,15 +341,6 @@ impl FtlConfig {
     /// The device geometry.
     pub fn geometry(&self) -> &Geometry {
         self.nand.geometry()
-    }
-
-    /// The same configuration (timings, over-provisioning, GC policy,
-    /// protection window, …) over a different geometry. Namespace
-    /// partitioning uses this to hand each shard an equal slice of the
-    /// physical drive without disturbing any other knob.
-    pub fn with_geometry(mut self, geometry: Geometry) -> Self {
-        self.nand = self.nand.with_geometry(geometry);
-        self
     }
 
     /// The over-provisioning ratio.

@@ -77,30 +77,6 @@ impl FtlStats {
             (self.host_writes + self.gc_page_copies) as f64 / self.host_writes as f64
         }
     }
-
-    /// A [`Display`](std::fmt::Display) wrapper prefixing every line with
-    /// the owning namespace, so multi-tenant stat dumps attribute counters
-    /// to a tenant instead of aggregating them anonymously.
-    pub fn tagged(&self, namespace: u32) -> TaggedFtlStats<'_> {
-        TaggedFtlStats {
-            namespace,
-            stats: self,
-        }
-    }
-}
-
-/// [`FtlStats`] display tagged with the namespace that owns the counters
-/// (see [`FtlStats::tagged`]).
-#[derive(Debug, Clone, Copy)]
-pub struct TaggedFtlStats<'a> {
-    namespace: u32,
-    stats: &'a FtlStats,
-}
-
-impl std::fmt::Display for TaggedFtlStats<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[ns{}] {}", self.namespace, self.stats)
-    }
 }
 
 /// Why garbage collection migrated and erased a block.
@@ -183,17 +159,6 @@ mod tests {
         ] {
             assert!(msg.contains(key), "missing {key} in {msg}");
         }
-    }
-
-    #[test]
-    fn tagged_display_prefixes_namespace() {
-        let s = FtlStats {
-            host_reads: 7,
-            ..FtlStats::new()
-        };
-        let msg = s.tagged(3).to_string();
-        assert!(msg.starts_with("[ns3] "), "got {msg}");
-        assert!(msg.contains("reads=7"));
     }
 
     #[test]

@@ -140,15 +140,6 @@ impl NandConfig {
     pub fn geometry(&self) -> &Geometry {
         &self.geometry
     }
-
-    /// The same timing/endurance configuration over a different geometry —
-    /// used by namespace partitioning, where every shard of a physical
-    /// drive inherits the drive's NAND characteristics but owns only a
-    /// slice of its blocks.
-    pub fn with_geometry(mut self, geometry: Geometry) -> Self {
-        self.geometry = geometry;
-        self
-    }
 }
 
 /// Datasheet-class erase resume overhead: tens of µs of extra die time a

@@ -1,27 +1,24 @@
-//! Static thread-safety assertions for the multi-tenant sharding layer.
+//! Static thread-safety assertions for the device stack.
 //!
-//! [`ssd_insider::MultiTenantSsd`] hands `&self` to a pool of worker
-//! threads, so every type reachable from a shard must be `Send + Sync`.
+//! The mount scan shards its OOB reads across threads, and a host driver
+//! may move the device or share traces between threads, so every type
+//! reachable from the device must be `Send + Sync`.
 //! That holds today because the whole workspace is `Rc`/`RefCell`-free and
 //! `#![forbid(unsafe_code)]`, but nothing short of these assertions keeps
-//! it true: one stray `Rc` deep inside the FTL would silently make the
-//! device single-threaded again. These checks fail at *compile* time, so a
+//! it true: one stray `Rc` deep inside the FTL would silently pin the
+//! device to one thread. These checks fail at *compile* time, so a
 //! regression can never reach a runtime test, let alone a release.
 
 fn assert_send_sync<T: Send + Sync>() {}
 
 #[test]
 fn device_layer_is_send_sync() {
-    assert_send_sync::<ssd_insider::MultiTenantSsd>();
     assert_send_sync::<ssd_insider::SsdInsider>();
     assert_send_sync::<ssd_insider::InsiderConfig>();
     assert_send_sync::<ssd_insider::DeviceError>();
     assert_send_sync::<ssd_insider::DeviceEvent>();
-    assert_send_sync::<ssd_insider::TaggedEvent>();
     assert_send_sync::<ssd_insider::EventLog>();
     assert_send_sync::<ssd_insider::DramUsage>();
-    assert_send_sync::<ssd_insider::MultiTenantDram>();
-    assert_send_sync::<ssd_insider::NamespaceId>();
     assert_send_sync::<ssd_insider::FsBridge>();
 }
 
@@ -58,8 +55,8 @@ fn nand_layer_is_send_sync() {
 
 #[test]
 fn workload_layer_is_send_sync() {
-    // Traces are generated once and shared (`&Trace`) across replay
-    // worker threads.
+    // Traces are generated once and may be shared (`&Trace`) across
+    // threads.
     assert_send_sync::<insider_workloads::Trace>();
     assert_send_sync::<insider_detect::IoReq>();
 }
