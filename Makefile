@@ -4,7 +4,7 @@
 #                      test -q` plus a zero-warning clippy pass. The root
 #                      manifest's `default-members = [".", "crates/*"]` makes
 #                      those bare commands cover the umbrella package and
-#                      every product crate — the whole suite (669
+#                      every product crate — the whole suite (662
 #                      tests: unit, differential oracles, proptests, the
 #                      strided crash sweep and the bench smokes), about a
 #                      minute warm — and leave out only `vendored/*`, the
@@ -45,8 +45,6 @@
 #                      program/erase boundary of three traces on both FTLs,
 #                      plus the filesystem attack/crash/rollback scenario.
 #                      (Tier 1 runs a strided fast version as a plain test.)
-#   make bench-mount — regenerate BENCH_mount.json (OOB remount scan time
-#                      on an 8192-block drive at rising utilization).
 #   make bench-steady — regenerate BENCH_steady.json (steady-state foreground
 #                      p50/p95/p99 under sustained hot churn at ~90 %
 #                      utilization: blocking GC vs incremental GC with
@@ -67,11 +65,8 @@
 #
 # Env knobs (all optional):
 #   CKPT_INTERVAL      — host-write pages between mapping-table checkpoints
-#                        (bench_mount default 65536; crash_sweep arms a small
-#                        interval for its checkpointed pass; 0 disables).
-#   MOUNT_THREADS      — remount scan shards (0 = one per available core,
-#                        1 = the default serial scan, the reference cost
-#                        model; bench_mount measures both).
+#                        (crash_sweep arms a small interval for its
+#                        checkpointed pass; 0 disables).
 #   CRASH_SWEEP_STRIDE / CRASH_SWEEP_PAGES / CRASH_SWEEP_FS_POINTS
 #                      — crash-sweep density: cut-point stride, per-trace
 #                        write budget, filesystem-scenario cut points.
@@ -87,7 +82,7 @@ CARGO ?= cargo
 CI_SWEEP_ENV = CRASH_SWEEP_STRIDE=41 CRASH_SWEEP_PAGES=160 CRASH_SWEEP_FS_POINTS=6
 CI_ROC_ENV = ROC_TRACES=1
 
-.PHONY: tier1 ci gc-guard test bench bench-json crash-sweep bench-mount bench-roc bench-steady
+.PHONY: tier1 ci gc-guard test bench bench-json crash-sweep bench-roc bench-steady
 
 tier1:
 	$(CARGO) build --release
@@ -131,9 +126,6 @@ bench-json:
 
 crash-sweep:
 	$(CARGO) run --release -p insider-bench --bin crash_sweep
-
-bench-mount:
-	$(CARGO) run --release -p insider-bench --bin bench_mount
 
 bench-roc:
 	$(CARGO) run --release -p insider-bench --bin bench_roc

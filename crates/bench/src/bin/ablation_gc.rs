@@ -37,19 +37,9 @@ fn main() {
         eprintln!("replaying {}...", scenario.name());
         let run = scenario.build_with_space(0x6Cu64, duration, &small_space());
         let mut rows = Vec::new();
-        // (policy, wear-leveling threshold)
-        let variants = [
-            (GcPolicy::Greedy, None),
-            (GcPolicy::Greedy, Some(1)),
-            (GcPolicy::Fifo, None),
-            (GcPolicy::CostBenefit, None),
-        ];
-        for (policy, leveling) in variants {
+        for policy in [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit] {
             for insider in [false, true] {
-                let mut cfg = FtlConfig::new(replay_geometry()).gc_policy(policy);
-                if let Some(t) = leveling {
-                    cfg = cfg.wear_leveling(t);
-                }
+                let cfg = FtlConfig::new(replay_geometry()).gc_policy(policy);
                 let mut conv;
                 let mut ins;
                 let ftl: &mut dyn Ftl = if insider {
@@ -67,13 +57,8 @@ fn main() {
                 );
                 let s = ftl.stats();
                 let (wmin, wmax, wmean) = ftl.wear_summary();
-                let label = if leveling.is_some() {
-                    format!("{policy}+WL")
-                } else {
-                    policy.to_string()
-                };
                 rows.push(vec![
-                    label,
+                    policy.to_string(),
                     if insider { "insider" } else { "conventional" }.to_string(),
                     s.gc_page_copies.to_string(),
                     s.gc_protected_copies.to_string(),

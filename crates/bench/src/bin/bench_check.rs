@@ -1,17 +1,14 @@
 //! CI gate over the committed benchmark artifacts: validates the schema of
-//! the four `BENCH_*.json` files in the repo root (detect, mount, roc,
-//! steady) and fails when a headline ratio regresses below its floor.
+//! the three `BENCH_*.json` files in the repo root (detect, roc, steady)
+//! and fails when a headline ratio regresses below its floor.
 //!
 //! The floors are deliberately far below the currently measured values —
-//! they catch "the optimization silently fell off" (the checkpoint mount
-//! path degenerating to a full scan), not run-to-run noise on a shared CI
-//! host:
+//! they catch "the optimization silently fell off" (incremental GC
+//! degenerating to the blocking drain), not run-to-run noise on a shared
+//! CI host:
 //!
 //! * detect: interval table at least as fast as the naive layout on every
 //!   trace, and >= [`DETECT_HEADLINE_MIN`]x on the best one.
-//! * mount: checkpoint+tail remount >= [`MOUNT_SPEEDUP_MIN`]x the serial
-//!   full scan at 90 % utilization (both arms measured on the same host in
-//!   the same run, so the ratio is noise-resistant).
 //! * steady: incremental GC + erase-suspend cuts the foreground write p99
 //!   by >= [`STEADY_P99_RATIO_MIN`]x vs blocking GC, with throughput no
 //!   worse than [`STEADY_THROUGHPUT_MIN`]x and byte-identical contents.
@@ -32,7 +29,6 @@ use serde_json::Value;
 use std::path::Path;
 
 const DETECT_HEADLINE_MIN: f64 = 10.0;
-const MOUNT_SPEEDUP_MIN: f64 = 5.0;
 const STEADY_P99_RATIO_MIN: f64 = 2.0;
 const STEADY_THROUGHPUT_MIN: f64 = 0.9;
 /// The paper reports FRR 0 % on known classes; anything below 1.0 means a
@@ -183,49 +179,6 @@ fn check_detect(doc: &Value, errors: &mut Vec<Violation>) {
         ));
     }
     need_f64(doc, "device_replay.speedup", name, errors);
-}
-
-fn check_mount(doc: &Value, errors: &mut Vec<Violation>) {
-    let name = "BENCH_mount.json";
-    let Some(rows) = need_array(doc, "rows", name, errors) else {
-        return;
-    };
-    let ms_at = |arm: &str, util: f64| -> Option<f64> {
-        rows.iter()
-            .find(|r| {
-                get(r, "arm").and_then(as_str) == Some(arm)
-                    && get(r, "utilization").and_then(as_f64) == Some(util)
-            })
-            .and_then(|r| get(r, "mount_ms"))
-            .and_then(as_f64)
-    };
-    for (i, r) in rows.iter().enumerate() {
-        for field in ["utilization", "mount_ms", "records_per_sec"] {
-            need_f64(r, field, &format!("{name} rows.{i}"), errors);
-        }
-        if get(r, "arm").and_then(as_str).is_none() {
-            errors.push(Violation(name.into(), format!("rows.{i}: missing `arm`")));
-        }
-    }
-    match (ms_at("serial", 0.9), ms_at("ckpt_tail", 0.9)) {
-        (Some(serial), Some(ckpt)) if ckpt > 0.0 => {
-            let ratio = serial / ckpt;
-            if ratio < MOUNT_SPEEDUP_MIN {
-                errors.push(Violation(
-                    name.into(),
-                    format!(
-                        "checkpoint+tail remount only {ratio:.1}x the serial scan at 0.9 \
-                         utilization ({ckpt:.1} ms vs {serial:.1} ms) — floor is \
-                         {MOUNT_SPEEDUP_MIN}x"
-                    ),
-                ));
-            }
-        }
-        _ => errors.push(Violation(
-            name.into(),
-            "missing serial and/or ckpt_tail rows at 0.9 utilization".into(),
-        )),
-    }
 }
 
 fn check_steady(doc: &Value, errors: &mut Vec<Violation>) {
@@ -385,9 +338,8 @@ fn main() {
     let dir = Path::new(&dir);
     let mut errors = Vec::new();
 
-    let checks: [(&str, Check); 4] = [
+    let checks: [(&str, Check); 3] = [
         ("BENCH_detect.json", check_detect),
-        ("BENCH_mount.json", check_mount),
         ("BENCH_roc.json", check_roc),
         ("BENCH_steady.json", check_steady),
     ];

@@ -5,12 +5,12 @@ use crate::checkpoint::{self, BlockMeta, Checkpoint};
 use crate::config::{FtlConfig, GcPolicy, GC_RESERVE_BLOCKS};
 use crate::mapping::MappingTable;
 use crate::recovery_queue::{BackupEntry, RecoveryQueue};
-use crate::stats::{FtlStats, GcVictim, GcVictimKind};
+use crate::stats::{FtlStats, GcVictim};
 use crate::{FtlError, Result};
 use bytes::Bytes;
 use insider_nand::{
     KindLatency, LatencyHistogram, Lba, NandDevice, NandError, OobTag, PageState, Pba, Ppa,
-    ScanBaseline, SimTime, CKPT_SLOTS,
+    SimTime, CKPT_SLOTS,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Instant;
@@ -158,83 +158,6 @@ impl VictimIndex {
     }
 }
 
-/// Erase-count extremes maintained incrementally so wear leveling stops
-/// rescanning the device: a histogram over every non-bad block (the hottest
-/// extreme includes free and active blocks, like the scan oracle) and a
-/// sorted set of closed in-service blocks (the coldest migration candidate,
-/// with the scan's lowest-block-index tie-break).
-#[derive(Debug)]
-struct WearTracker {
-    all: BTreeMap<u32, u32>,
-    closed: BTreeMap<u32, BTreeSet<u32>>,
-}
-
-impl WearTracker {
-    fn new(total_blocks: u32) -> Self {
-        let mut all = BTreeMap::new();
-        if total_blocks > 0 {
-            all.insert(0, total_blocks);
-        }
-        WearTracker {
-            all,
-            closed: BTreeMap::new(),
-        }
-    }
-
-    /// A full active block became a closed (coldest-eligible) block.
-    fn close(&mut self, raw: u32, wear: u32) {
-        let fresh = self.closed.entry(wear).or_default().insert(raw);
-        debug_assert!(fresh, "block {raw} closed twice");
-    }
-
-    /// A closed block was erased back into the free pool; erase counts only
-    /// advance on *successful* erases (the device checks endurance and
-    /// injected faults first), so `wear_before + 1` is its new count.
-    fn erase(&mut self, raw: u32, wear_before: u32) {
-        self.remove_closed(raw, wear_before);
-        self.shift_all(wear_before, 1);
-    }
-
-    /// A closed block hit its endurance limit and left service for good.
-    fn retire(&mut self, raw: u32, wear: u32) {
-        self.remove_closed(raw, wear);
-        self.shift_all(wear, 0);
-    }
-
-    fn remove_closed(&mut self, raw: u32, wear: u32) {
-        let set = self.closed.get_mut(&wear).expect("closed block tracked");
-        let removed = set.remove(&raw);
-        debug_assert!(removed, "closed block {raw} missing from wear tracker");
-        if set.is_empty() {
-            self.closed.remove(&wear);
-        }
-    }
-
-    /// Moves one block out of histogram bin `wear`, into `wear + by` when
-    /// `by > 0` (erase) or out of the histogram entirely (retirement).
-    fn shift_all(&mut self, wear: u32, by: u32) {
-        let slot = self.all.get_mut(&wear).expect("wear histogram entry");
-        *slot -= 1;
-        if *slot == 0 {
-            self.all.remove(&wear);
-        }
-        if by > 0 {
-            *self.all.entry(wear + by).or_insert(0) += 1;
-        }
-    }
-
-    /// Highest erase count among non-bad blocks (0 when none remain).
-    fn hottest(&self) -> u32 {
-        self.all.keys().next_back().copied().unwrap_or(0)
-    }
-
-    /// Coldest closed in-service block `(raw, wear)`.
-    fn coldest(&self) -> Option<(u32, u32)> {
-        let (&wear, set) = self.closed.iter().next()?;
-        set.first().map(|&raw| (raw, wear))
-    }
-}
-
 /// Common FTL state: the device, the forward and reverse maps, the free-block
 /// pool and the statistics. The two public FTLs compose this and differ only
 /// in how they treat superseded pages.
@@ -281,8 +204,6 @@ pub(crate) struct FtlBase {
     /// Incremental victim index; debug builds assert every pick against a
     /// full-device scan (see [`select_victim`](Self::select_victim)).
     victims: VictimIndex,
-    /// Incremental erase-count extremes for wear leveling.
-    wear: WearTracker,
     /// Victim log, populated when `FtlConfig::record_gc_victims` is on.
     victim_log: Vec<GcVictim>,
     /// OOB records decoded by the most recent [`remount`](Self::remount)
@@ -372,9 +293,6 @@ type MountScan = (Vec<(Lba, ScanPage)>, Vec<u32>, Vec<Option<u64>>);
 #[derive(Debug, Clone, Copy)]
 struct GcJob {
     victim: Pba,
-    /// Reclaim jobs count as `gc_invocations` on completion, wear-level
-    /// jobs as `wear_level_swaps`.
-    kind: GcVictimKind,
     /// Next page offset to examine in the victim block.
     cursor: u32,
 }
@@ -411,7 +329,6 @@ impl FtlBase {
                 config.gc_policy_ref(),
                 g.blocks_per_chip(),
             ),
-            wear: WearTracker::new(g.total_blocks()),
             victim_log: Vec::new(),
             mount_scan_entries: 0,
             chain_index: config.checkpoint_interval_pages().map(|_| BTreeMap::new()),
@@ -544,8 +461,7 @@ impl FtlBase {
                         self.next_chip = (chip + 1) % chips;
                         return Ok(pba.page(&g, offset));
                     }
-                    let wear = block.erase_count();
-                    self.close_active(chip, pba, wear);
+                    self.close_active(chip, pba);
                 }
                 match self.free[chip].pop_front() {
                     Some(pba) => self.open_block(chip, pba),
@@ -567,13 +483,11 @@ impl FtlBase {
         self.active[chip] = Some(pba);
     }
 
-    /// Closes `chip`'s full active block: it becomes a GC-victim and a
-    /// wear-leveling (coldest) candidate.
-    fn close_active(&mut self, chip: usize, pba: Pba, wear: u32) {
+    /// Closes `chip`'s full active block: it becomes a GC-victim candidate.
+    fn close_active(&mut self, chip: usize, pba: Pba) {
         let raw = pba.index();
         self.active[chip] = None;
         self.active_flags[raw as usize] = false;
-        self.wear.close(raw, wear);
         self.refresh_victim(raw);
     }
 
@@ -653,11 +567,10 @@ impl FtlBase {
         &self.victim_log
     }
 
-    fn log_victim(&mut self, kind: GcVictimKind, pba: Pba) {
+    fn log_victim(&mut self, pba: Pba) {
         if self.config.gc_victim_recording() {
             let raw = pba.index() as usize;
             self.victim_log.push(GcVictim {
-                kind,
                 block: pba.index(),
                 reclaimable: self.invalid_per_block[raw] - self.protected_per_block[raw],
             });
@@ -698,8 +611,7 @@ impl FtlBase {
                             out.push(pba.page(&g, offset));
                             continue 'pages;
                         }
-                        let wear = block.erase_count();
-                        self.close_active(chip, pba, wear);
+                        self.close_active(chip, pba);
                         reserved[chip] = 0;
                     }
                     match self.free[chip].pop_front() {
@@ -1030,7 +942,7 @@ impl FtlBase {
     }
 
     /// One pump of the engine: resume the pending job, reclaim while the
-    /// pool is below `target`, wear-level once, then top up towards `low`,
+    /// pool is below `target`, then top up towards `low`,
     /// until `step × (1 + deficit below low)` pages have been migrated —
     /// the urgency ramp that keeps the incremental fallback cold under
     /// steady load. `step = u64::MAX` drains and leaves no job pending.
@@ -1043,7 +955,6 @@ impl FtlBase {
     ) -> Result<()> {
         let urgency = 1 + low.saturating_sub(self.free_count) as u64;
         let mut budget = step.saturating_mul(urgency);
-        let mut leveled = false;
         while budget > 0 {
             if self.gc_job.is_some() {
                 budget = budget.saturating_sub(self.gc_step(budget, queue.as_deref_mut())?);
@@ -1052,23 +963,14 @@ impl FtlBase {
             if self.free_count < target {
                 // Below the reserve the write cannot proceed: nothing
                 // reclaimable is a hard error.
-                if !self.start_reclaim_job(queue.as_deref()) {
+                if !self.start_job(queue.as_deref()) {
                     return Err(FtlError::NoReclaimableSpace);
-                }
-                continue;
-            }
-            if !leveled {
-                // Static wear leveling: only right after reclaim, when
-                // the pool has headroom to migrate the coldest block.
-                leveled = true;
-                if let Some(victim) = self.wear_level_candidate()? {
-                    self.start_job(GcVictimKind::WearLevel, victim);
                 }
                 continue;
             }
             // Above target but below the low watermark: proactive top-up,
             // stopping quietly when nothing is reclaimable.
-            if self.free_count < low && self.start_reclaim_job(queue.as_deref()) {
+            if self.free_count < low && self.start_job(queue.as_deref()) {
                 continue;
             }
             break;
@@ -1076,28 +978,19 @@ impl FtlBase {
         Ok(())
     }
 
-    /// Selects a reclaim victim and opens a job for it; `false` when
-    /// nothing is reclaimable.
-    fn start_reclaim_job(&mut self, queue: Option<&RecoveryQueue>) -> bool {
-        let Some(victim) = self.select_victim(queue) else {
-            return false;
-        };
-        self.start_job(GcVictimKind::Reclaim, victim);
-        true
-    }
-
-    /// Opens the engine's job on `victim`, logged at selection time.
-    fn start_job(&mut self, kind: GcVictimKind, victim: Pba) {
+    /// Selects a victim and opens the engine's job on it, logged at
+    /// selection time; `false` when nothing is reclaimable.
+    fn start_job(&mut self, queue: Option<&RecoveryQueue>) -> bool {
         debug_assert!(
             self.gc_job.is_none(),
             "victim selection must not run with a job pending"
         );
-        self.log_victim(kind, victim);
-        self.gc_job = Some(GcJob {
-            victim,
-            kind,
-            cursor: 0,
-        });
+        let Some(victim) = self.select_victim(queue) else {
+            return false;
+        };
+        self.log_victim(victim);
+        self.gc_job = Some(GcJob { victim, cursor: 0 });
+        true
     }
 
     /// Pumps the pending [`GcJob`] by up to `budget` page migrations and
@@ -1128,12 +1021,9 @@ impl FtlBase {
         }
         // Every offset handled: erase, close out the job.
         self.gc_job = None;
-        match self.finish_erase(job.victim, job.kind) {
+        match self.finish_erase(job.victim) {
             Ok(()) => {
-                match job.kind {
-                    GcVictimKind::Reclaim => self.stats.gc_invocations += 1,
-                    GcVictimKind::WearLevel => self.stats.wear_level_swaps += 1,
-                }
+                self.stats.gc_invocations += 1;
                 Ok(migrated)
             }
             // Retirement reclaims no block, but the job is done; the
@@ -1176,61 +1066,6 @@ impl FtlBase {
     /// inserted ahead of the foreground.
     pub fn gc_pause_latency(&self) -> KindLatency {
         KindLatency::from_histogram(&self.gc_pause_hist)
-    }
-
-    /// The coldest in-service block, when the erase-count spread exceeds
-    /// the wear-leveling threshold; `None` when leveling is off, has no
-    /// candidate, or the spread is within bounds. Debug builds reconcile
-    /// the incremental trackers against a full scan on every call.
-    fn wear_level_candidate(&mut self) -> Result<Option<Pba>> {
-        let Some(threshold) = self.config.wear_leveling_threshold() else {
-            return Ok(None);
-        };
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            self.wear_extremes_indexed(),
-            self.wear_extremes_scan()?,
-            "wear trackers diverged from the scan oracle"
-        );
-        let Some((victim, wear, hottest)) = self.wear_extremes_indexed() else {
-            return Ok(None);
-        };
-        Ok((hottest - wear > threshold).then_some(victim))
-    }
-
-    /// Wear-leveling extremes from the incremental erase-count trackers:
-    /// the coldest closed in-service block `(pba, wear)` plus the hottest
-    /// non-bad erase count, in O(log W) with W distinct wear values.
-    fn wear_extremes_indexed(&self) -> Option<(Pba, u32, u32)> {
-        let (raw, wear) = self.wear.coldest()?;
-        Some((Pba::new(raw), wear, self.wear.hottest()))
-    }
-
-    /// O(total-blocks) wear scan — the debug-build differential oracle for
-    /// the trackers.
-    #[cfg(debug_assertions)]
-    fn wear_extremes_scan(&self) -> Result<Option<(Pba, u32, u32)>> {
-        let g = *self.config.geometry();
-        let mut coldest: Option<(Pba, u32)> = None;
-        let mut hottest = 0u32;
-        for raw in 0..g.total_blocks() {
-            let pba = Pba::new(raw);
-            // Retired blocks never cycle again: counting their (maximal)
-            // wear would hold the spread open forever and make leveling
-            // thrash on every GC.
-            if self.bad_flags[raw as usize] {
-                continue;
-            }
-            let wear = self.device.block(pba)?.erase_count();
-            hottest = hottest.max(wear);
-            if self.active_flags[raw as usize] || self.free_flags[raw as usize] {
-                continue;
-            }
-            if coldest.is_none_or(|(_, w)| wear < w) {
-                coldest = Some((pba, wear));
-            }
-        }
-        Ok(coldest.map(|(pba, wear)| (pba, wear, hottest)))
     }
 
     /// Picks the best victim under the configured policy (excluding free,
@@ -1426,21 +1261,10 @@ impl FtlBase {
         Ok(())
     }
 
-    /// Erases a fully migrated victim back into the free pool, or retires
-    /// it as *bad* when the erase hits its endurance limit (reported as
-    /// [`FtlError::BadBlockRetired`]).
-    ///
-    /// A reclaimed block queues at the back of its chip's pool. A block
-    /// freed by a wear-level swap goes to the *front*: it is the least-worn
-    /// block on the drive, and the swap only levels anything if the next
-    /// host allocation — hot data — lands on it. Queued at the back it
-    /// would instead be opened by the next swap's migration whenever the
-    /// pool depth and the swap cadence line up, and cold data would
-    /// ping-pong between the least-worn blocks.
-    fn finish_erase(&mut self, victim: Pba, kind: GcVictimKind) -> Result<()> {
-        // Sampled before the erase: counts only advance on success, so this
-        // is the tracker's current bin either way.
-        let wear_before = self.device.block(victim)?.erase_count();
+    /// Erases a fully migrated victim to the back of its chip's free pool,
+    /// or retires it as *bad* when the erase hits its endurance limit
+    /// (reported as [`FtlError::BadBlockRetired`]).
+    fn finish_erase(&mut self, victim: Pba) -> Result<()> {
         let raw = victim.index();
         debug_assert_eq!(
             self.protected_per_block[raw as usize], 0,
@@ -1452,14 +1276,9 @@ impl FtlBase {
                 self.invalid_per_block[raw as usize] = 0;
                 self.free_flags[raw as usize] = true;
                 self.free_count += 1;
-                self.wear.erase(raw, wear_before);
                 self.refresh_victim(raw);
-                let g = self.config.geometry();
-                let pool = &mut self.free[(raw / g.blocks_per_chip()) as usize];
-                match kind {
-                    GcVictimKind::Reclaim => pool.push_back(victim),
-                    GcVictimKind::WearLevel => pool.push_front(victim),
-                }
+                let chip = (raw / self.config.geometry().blocks_per_chip()) as usize;
+                self.free[chip].push_back(victim);
                 self.stats.gc_erases += 1;
                 Ok(())
             }
@@ -1469,7 +1288,6 @@ impl FtlBase {
                 // the capacity just shrinks by one block.
                 self.bad_flags[raw as usize] = true;
                 self.invalid_per_block[raw as usize] = 0;
-                self.wear.retire(raw, wear_before);
                 self.refresh_victim(raw);
                 self.stats.bad_blocks += 1;
                 Err(FtlError::BadBlockRetired)
@@ -1527,166 +1345,100 @@ impl FtlBase {
     }
 
     /// Rebuilds the mount-scan inputs — per-LBA record chains, per-block
-    /// programmed watermarks and per-block minimum sequence numbers — by
-    /// the cheapest means available:
+    /// programmed watermarks and per-block minimum sequence numbers — with
+    /// one loop over the blocks in index order: one charged `read_oob` per
+    /// programmed page scanned, collected flat and sorted once into the
+    /// canonical mount order (logical page, then `(stamp, seq)`, oldest
+    /// version first; `seq` is unique, so the order is total).
     ///
-    /// 1. **Checkpoint + tail**: when checkpointing is configured and a
-    ///    slot holds a valid (CRC-checked) checkpoint, only the OOB records
-    ///    programmed *after* the checkpoint are scanned; blocks erased
-    ///    since (erase-count mismatch) are rescanned in full and their
-    ///    checkpointed records dropped. The merge is order-independent —
-    ///    chains are sets keyed by unique sequence numbers — so shard
-    ///    results and checkpointed records combine with a plain fold.
-    /// 2. **Sharded bulk scan** (`mount_threads != 1`): the device walks
-    ///    every spare area across one `std::thread::scope` shard per
-    ///    contiguous block range and the results are folded in block order.
-    /// 3. **Serial scan** (`mount_threads == 1`, the default): one charged
-    ///    `read_oob` per programmed page, collected flat and sorted like
-    ///    path 2 — byte-identical in cost accounting to the historical
-    ///    mount path.
-    ///
-    /// Debug builds verify path 1 against a free full-device scan: merged
-    /// records must all exist on flash, per-LBA mount winners and the
-    /// per-block watermark/min-seq vectors must match exactly.
+    /// When checkpointing is configured and a slot holds a valid
+    /// (CRC-checked) checkpoint, a block whose erase count still matches
+    /// the checkpoint's starts at its checkpointed watermark, so only the
+    /// OOB *tail* programmed since is read; a block erased since starts at
+    /// page 0 and its checkpointed records are dropped. The checkpoint's
+    /// records are already canonical, so the sorted tail joins them by a
+    /// linear two-way merge. Debug builds verify that merge against a free
+    /// full-device scan: merged records must all exist on flash, per-LBA
+    /// mount winners and the per-block watermark/min-seq vectors must
+    /// match exactly.
     fn mount_scan(&mut self) -> Result<MountScan> {
         let g = *self.config.geometry();
         let total_blocks = g.total_blocks() as usize;
         let ppb = g.pages_per_block();
-        let threads = match self.config.mount_threads_count() {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            n => n,
-        };
-
-        // Path 1: checkpoint + OOB tail. The merge stays flat — one
-        // near-sorted global sort instead of hundreds of thousands of
-        // per-LBA container insertions; this is where the <50 ms remount
-        // target is won or lost.
-        if self.config.checkpoint_interval_pages().is_some()
+        let ckpt = if self.config.checkpoint_interval_pages().is_some()
             && self.config.mount_from_checkpoint_enabled()
         {
-            if let Some(ckpt) = self.load_checkpoint(total_blocks) {
-                let baseline: Vec<ScanBaseline> = ckpt
-                    .blocks
-                    .iter()
-                    .map(|b| ScanBaseline {
-                        erase_count: b.erase_count,
-                        programmed: b.programmed,
-                    })
-                    .collect();
-                let report = self.device.scan_oob(Some(&baseline), threads)?;
-                let rescanned: Vec<bool> = report.blocks.iter().map(|b| b.rescanned).collect();
-                let tail: usize = report.blocks.iter().map(|b| b.records.len()).sum();
-                // Checkpointed records survive unless their block was
-                // recycled — flash is the truth for rescanned blocks. The
-                // filter preserves the checkpoint's canonical order.
-                let mut kept = ckpt.records;
-                kept.retain(|(_, p)| !rescanned[p.ppa.block(&g).index() as usize]);
-                let mut programmed = vec![0u32; total_blocks];
-                let mut min_seq: Vec<Option<u64>> = (0..total_blocks)
-                    .map(|i| {
-                        if rescanned[i] {
-                            None
-                        } else {
-                            ckpt.blocks[i].min_seq
-                        }
-                    })
-                    .collect();
-                let mut tail_recs = Vec::with_capacity(tail);
-                for (i, block) in report.blocks.iter().enumerate() {
-                    programmed[i] = block.scanned_to;
-                    for &(offset, rec) in &block.records {
-                        let slot = &mut min_seq[i];
-                        *slot = Some(slot.map_or(rec.seq, |m| m.min(rec.seq)));
-                        tail_recs.push((
-                            rec.lba,
-                            ScanPage {
-                                ppa: Pba::new(i as u32).page(&g, offset),
-                                seq: rec.seq,
-                                stamp: rec.stamp,
-                                live: rec.live,
-                            },
-                        ));
-                    }
-                }
-                // The checkpoint is already in canonical order (the encoder
-                // writes filter_chains output), so only the tail needs
-                // sorting; the result is a linear two-way merge instead of
-                // a global re-sort of the whole record set.
-                let key = |e: &(Lba, ScanPage)| (e.0.index(), e.1.stamp, e.1.seq);
-                debug_assert!(kept.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
-                tail_recs.sort_unstable_by_key(key);
-                let mut flat = Vec::with_capacity(kept.len() + tail_recs.len());
-                let (mut a, mut b) = (0, 0);
-                while a < kept.len() && b < tail_recs.len() {
-                    if key(&kept[a]) <= key(&tail_recs[b]) {
-                        flat.push(kept[a]);
-                        a += 1;
-                    } else {
-                        flat.push(tail_recs[b]);
-                        b += 1;
-                    }
-                }
-                flat.extend_from_slice(&kept[a..]);
-                flat.extend_from_slice(&tail_recs[b..]);
-                #[cfg(debug_assertions)]
-                self.verify_checkpoint_merge(&flat, &programmed, &min_seq);
-                return Ok((flat, programmed, min_seq));
-            }
-        }
+            self.load_checkpoint(total_blocks)
+        } else {
+            None
+        };
 
-        // Both full scans collect flat and end in one global sort into the
-        // canonical mount order — logical page, then `(stamp, seq)`, oldest
-        // version first (`seq` is unique, so the order is total).
-        let mut flat = Vec::new();
+        let mut scanned = Vec::new();
         let mut programmed = vec![0u32; total_blocks];
         let mut min_seq: Vec<Option<u64>> = vec![None; total_blocks];
-        if threads == 1 {
-            // Path 3: the serial scan, one charged spare-area read per
-            // programmed page — the reference cost model.
-            for raw in 0..total_blocks as u32 {
-                let pba = Pba::new(raw);
-                let count = self.device.block(pba)?.write_ptr().unwrap_or(ppb);
-                programmed[raw as usize] = count;
-                for off in 0..count {
-                    let ppa = pba.page(&g, off);
-                    let Some(rec) = self.device.read_oob(ppa)? else {
-                        continue; // untagged page: invisible to recovery
-                    };
-                    let slot = &mut min_seq[raw as usize];
-                    *slot = Some(slot.map_or(rec.seq, |m| m.min(rec.seq)));
-                    flat.push((
-                        rec.lba,
-                        ScanPage {
-                            ppa,
-                            seq: rec.seq,
-                            stamp: rec.stamp,
-                            live: rec.live,
-                        },
-                    ));
+        let mut rescanned = vec![false; total_blocks];
+        for raw in 0..total_blocks as u32 {
+            let i = raw as usize;
+            let pba = Pba::new(raw);
+            let block = self.device.block(pba)?;
+            let count = block.write_ptr().unwrap_or(ppb);
+            programmed[i] = count;
+            let start = match &ckpt {
+                Some(c) if c.blocks[i].erase_count == block.erase_count() => {
+                    min_seq[i] = c.blocks[i].min_seq;
+                    c.blocks[i].programmed.min(count)
                 }
-            }
-        } else {
-            // Path 2: sharded bulk scan, bulk-charged by the device.
-            let report = self.device.scan_oob(None, threads)?;
-            flat.reserve(report.blocks.iter().map(|b| b.records.len()).sum());
-            for (i, block) in report.blocks.iter().enumerate() {
-                programmed[i] = block.scanned_to;
-                for &(offset, rec) in &block.records {
-                    let slot = &mut min_seq[i];
-                    *slot = Some(slot.map_or(rec.seq, |m| m.min(rec.seq)));
-                    flat.push((
-                        rec.lba,
-                        ScanPage {
-                            ppa: Pba::new(i as u32).page(&g, offset),
-                            seq: rec.seq,
-                            stamp: rec.stamp,
-                            live: rec.live,
-                        },
-                    ));
+                Some(_) => {
+                    rescanned[i] = true;
+                    0
                 }
+                None => 0,
+            };
+            for off in start..count {
+                let ppa = pba.page(&g, off);
+                let Some(rec) = self.device.read_oob(ppa)? else {
+                    continue; // untagged page: invisible to recovery
+                };
+                let slot = &mut min_seq[i];
+                *slot = Some(slot.map_or(rec.seq, |m| m.min(rec.seq)));
+                scanned.push((
+                    rec.lba,
+                    ScanPage {
+                        ppa,
+                        seq: rec.seq,
+                        stamp: rec.stamp,
+                        live: rec.live,
+                    },
+                ));
             }
         }
-        flat.sort_unstable_by_key(|(lba, p)| (lba.index(), p.stamp, p.seq));
+        let key = |e: &(Lba, ScanPage)| (e.0.index(), e.1.stamp, e.1.seq);
+        scanned.sort_unstable_by_key(key);
+        let Some(ckpt) = ckpt else {
+            return Ok((scanned, programmed, min_seq));
+        };
+
+        // Checkpointed records survive unless their block was recycled —
+        // flash is the truth for rescanned blocks. The filter preserves the
+        // checkpoint's canonical order.
+        let mut kept = ckpt.records;
+        kept.retain(|(_, p)| !rescanned[p.ppa.block(&g).index() as usize]);
+        debug_assert!(kept.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
+        let mut flat = Vec::with_capacity(kept.len() + scanned.len());
+        let (mut a, mut b) = (0, 0);
+        while a < kept.len() && b < scanned.len() {
+            if key(&kept[a]) <= key(&scanned[b]) {
+                flat.push(kept[a]);
+                a += 1;
+            } else {
+                flat.push(scanned[b]);
+                b += 1;
+            }
+        }
+        flat.extend_from_slice(&kept[a..]);
+        flat.extend_from_slice(&scanned[b..]);
+        #[cfg(debug_assertions)]
+        self.verify_checkpoint_merge(&flat, &programmed, &min_seq);
         Ok((flat, programmed, min_seq))
     }
 
@@ -1832,10 +1584,12 @@ impl FtlBase {
     ///
     /// The NAND keeps page *contents*, OOB records and erase counters across
     /// a power cut; everything else — the mapping table, the reverse map,
-    /// per-block valid/invalid/protected counts, the free pools, the victim
-    /// index and the wear trackers — is DRAM and is reconstructed here:
+    /// per-block valid/invalid/protected counts, the free pools and the
+    /// victim index — is DRAM and is reconstructed here:
     ///
-    /// 1. Every programmed page's spare area is scanned (charged as reads).
+    /// 1. Every programmed page's spare area is read — only the tail
+    ///    programmed since the checkpoint when one loads — one `read_oob`
+    ///    per page, charged through the command scheduler.
     /// 2. Per logical page, the **newest live copy wins**: the live-tagged
     ///    record with the highest device sequence number is revalidated and
     ///    mapped; every superseded or backup copy stays invalid. A crash
@@ -1888,16 +1642,12 @@ impl FtlBase {
             self.config.gc_policy_ref(),
             self.config.geometry().blocks_per_chip(),
         );
-        self.wear = WearTracker {
-            all: BTreeMap::new(),
-            closed: BTreeMap::new(),
-        };
         // A half-done incremental job does not survive power loss: its
         // victim is re-scored from physical state like every other block.
         self.gc_job = None;
 
         // Rebuild the scan inputs — checkpoint + OOB tail when a valid
-        // checkpoint exists, a full (serial or sharded) scan otherwise.
+        // checkpoint exists, a full scan otherwise.
         let (chains, programmed, min_seq) = self.mount_scan()?;
         self.mount_scan_entries = chains.len() as u64;
 
@@ -1946,7 +1696,6 @@ impl FtlBase {
                 self.bad_flags[i] = true;
                 continue;
             }
-            *self.wear.all.entry(wear).or_insert(0) += 1;
             if programmed[i] == 0 {
                 self.free_flags[i] = true;
                 self.free_count += 1;
@@ -1976,17 +1725,13 @@ impl FtlBase {
         }
 
         // Re-rank block ages by first-program order and rebuild the victim
-        // index and the closed-block wear set.
+        // index.
         in_service.sort_unstable();
         for (rank, &(_, raw)) in in_service.iter().enumerate() {
             self.block_epoch[raw as usize] = rank as u64 + 1;
         }
         self.next_epoch = in_service.len() as u64 + 1;
         for &(_, raw) in &in_service {
-            if !self.active_flags[raw as usize] {
-                let wear = self.device.block(Pba::new(raw))?.erase_count();
-                self.wear.close(raw, wear);
-            }
             self.refresh_victim(raw);
         }
         self.rebuild_chain_state(&chains, &min_seq);
@@ -2253,7 +1998,6 @@ mod tests {
         churn(&mut b, 16 * 16 * 2);
         let log = b.gc_victims();
         assert!(!log.is_empty());
-        assert!(log.iter().all(|v| v.kind == GcVictimKind::Reclaim));
         assert_eq!(log.len() as u64, b.stats.gc_invocations);
     }
 

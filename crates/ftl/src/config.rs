@@ -62,10 +62,8 @@ pub struct FtlConfig {
     over_provisioning: f64,
     protection_window: SimTime,
     gc_policy: GcPolicy,
-    wear_leveling_threshold: Option<u32>,
     record_gc_victims: bool,
     checkpoint_interval: Option<u64>,
-    mount_threads: usize,
     mount_from_checkpoint: bool,
     incremental_gc: bool,
     gc_low_water_extra: u32,
@@ -89,10 +87,8 @@ impl FtlConfig {
             over_provisioning: 0.07,
             protection_window: SimTime::from_secs(10),
             gc_policy: GcPolicy::Greedy,
-            wear_leveling_threshold: None,
             record_gc_victims: false,
             checkpoint_interval: None,
-            mount_threads: 1,
             mount_from_checkpoint: true,
             incremental_gc: false,
             gc_low_water_extra: 2,
@@ -136,26 +132,7 @@ impl FtlConfig {
         self.gc_policy
     }
 
-    /// Enables static wear leveling: after garbage collection, if the
-    /// erase-count spread (max − min) exceeds `threshold`, the coldest
-    /// in-service block is migrated and erased so it rejoins the hot
-    /// rotation. Disabled by default (the paper's prototype has none).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is zero.
-    pub fn wear_leveling(mut self, threshold: u32) -> Self {
-        assert!(threshold >= 1, "wear-leveling threshold must be at least 1");
-        self.wear_leveling_threshold = Some(threshold);
-        self
-    }
-
-    /// The static wear-leveling threshold, if enabled.
-    pub fn wear_leveling_threshold(&self) -> Option<u32> {
-        self.wear_leveling_threshold
-    }
-
-    /// Records every GC and wear-leveling victim in an in-memory log
+    /// Records every GC victim in an in-memory log
     /// (see `gc_victims` on the FTLs). Off by default; the differential
     /// GC tests turn it on to compare and pin victim sequences.
     pub fn record_gc_victims(mut self, enabled: bool) -> Self {
@@ -205,24 +182,6 @@ impl FtlConfig {
     /// The checkpoint trigger interval in host page writes, if enabled.
     pub fn checkpoint_interval_pages(&self) -> Option<u64> {
         self.checkpoint_interval
-    }
-
-    /// Sets how many threads the mount-time OOB scan shards across.
-    /// `1` (the default) is the serial scan the benchmark runs and the
-    /// reference cost model — every spare-area read individually charged
-    /// through the command path; `0` picks the host's available
-    /// parallelism; any other value shards the scan into that many
-    /// contiguous block ranges with bulk charging. All settings produce
-    /// identical mounted state.
-    pub fn mount_threads(mut self, threads: usize) -> Self {
-        self.mount_threads = threads;
-        self
-    }
-
-    /// The configured mount scan thread count (`1` = the default serial
-    /// scan).
-    pub fn mount_threads_count(&self) -> usize {
-        self.mount_threads
     }
 
     /// When checkpointing is enabled, controls whether mount actually
@@ -405,20 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn wear_leveling_knob() {
-        let cfg = FtlConfig::new(Geometry::tiny());
-        assert_eq!(cfg.wear_leveling_threshold(), None);
-        let cfg = cfg.wear_leveling(8);
-        assert_eq!(cfg.wear_leveling_threshold(), Some(8));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_wear_threshold_panics() {
-        FtlConfig::new(Geometry::tiny()).wear_leveling(0);
-    }
-
-    #[test]
     fn victim_recording_defaults_off() {
         let cfg = FtlConfig::new(Geometry::tiny());
         assert!(!cfg.gc_victim_recording());
@@ -437,14 +382,9 @@ mod tests {
     fn checkpoint_knobs_default_off_and_are_settable() {
         let cfg = FtlConfig::new(Geometry::tiny());
         assert_eq!(cfg.checkpoint_interval_pages(), None);
-        assert_eq!(cfg.mount_threads_count(), 1);
         assert!(cfg.mount_from_checkpoint_enabled());
-        let cfg = cfg
-            .checkpoint_interval(64)
-            .mount_threads(0)
-            .mount_from_checkpoint(false);
+        let cfg = cfg.checkpoint_interval(64).mount_from_checkpoint(false);
         assert_eq!(cfg.checkpoint_interval_pages(), Some(64));
-        assert_eq!(cfg.mount_threads_count(), 0);
         assert!(!cfg.mount_from_checkpoint_enabled());
     }
 

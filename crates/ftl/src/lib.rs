@@ -73,7 +73,7 @@ pub use error::FtlError;
 pub use insider::{InsiderFtl, RollbackReport};
 pub use mapping::MappingTable;
 pub use recovery_queue::{BackupEntry, RecoveryQueue};
-pub use stats::{FtlStats, GcVictim, GcVictimKind};
+pub use stats::{FtlStats, GcVictim};
 pub use traits::Ftl;
 
 /// Convenience result alias for FTL operations.

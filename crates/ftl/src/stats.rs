@@ -27,8 +27,6 @@ pub struct FtlStats {
     pub gc_erases: u64,
     /// Blocks retired after reaching their endurance limit.
     pub bad_blocks: u64,
-    /// Static wear-leveling migrations performed.
-    pub wear_level_swaps: u64,
     /// Wall-clock nanoseconds spent inside garbage collection (victim
     /// selection, migration and erasure). Only accumulates when a GC pass
     /// actually collects, so workloads that never trigger GC report zero
@@ -79,23 +77,12 @@ impl FtlStats {
     }
 }
 
-/// Why garbage collection migrated and erased a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GcVictimKind {
-    /// Selected by the victim-selection policy to reclaim space.
-    Reclaim,
-    /// Selected by static wear leveling as the coldest in-service block.
-    WearLevel,
-}
-
 /// One recorded victim-selection event (see
 /// `FtlConfig::record_gc_victims`). The log is the differential GC tests'
 /// evidence: two FTLs that must collect alike are compared by it, and
 /// `gc_pin.rs` pins it against a recorded run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GcVictim {
-    /// What triggered the selection.
-    pub kind: GcVictimKind,
     /// Raw index of the chosen block (its chip is `block / blocks_per_chip`).
     pub block: u32,
     /// Pages the erase will free (`invalid − protected`) as counted when

@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, FtlError, InsiderFtl};
-use insider_nand::{FaultPlan, Geometry, Lba, NandError, SimTime};
+use insider_nand::{FaultPlan, Geometry, Lba, NandConfig, NandError, SimTime, CKPT_SLOTS};
 
 const WINDOW: SimTime = SimTime::from_millis(50);
 const INTERVAL: u64 = 48;
@@ -62,7 +62,7 @@ where
     F: Ftl,
     M: Fn(FtlConfig) -> F,
 {
-    let mut ckpt = make(config().checkpoint_interval(INTERVAL).mount_threads(0));
+    let mut ckpt = make(config().checkpoint_interval(INTERVAL));
     let mut full = make(
         config()
             .checkpoint_interval(INTERVAL)
@@ -117,29 +117,58 @@ fn conventional_ckpt_mount_matches_full_scan() {
     check_ckpt_mount_matches_full_scan(ConventionalFtl::new);
 }
 
-/// Every mount-thread setting — legacy serial, sharded, auto — must produce
-/// identical logical contents (with checkpointing off, isolating the scan).
+/// A checkpointed mount reads only the OOB tail, but each of those reads is
+/// a spare-area read like the full scan's: counted, and charged to the die
+/// and channel bus it lands on. Same workload twice, one drive mounting from
+/// its checkpoint and one scanning everything; across each remount the
+/// summed per-die and per-bus busy integrals must grow by exactly the
+/// spare-area reads times the read and transfer latencies.
 #[test]
-fn mount_thread_count_is_invisible() {
-    let mut serial = InsiderFtl::new(config());
-    let now = run(&mut serial);
-    serial.power_cut(now).expect("serial remount failed");
-    for threads in [0, 2, 7] {
-        let mut sharded = InsiderFtl::new(config().mount_threads(threads));
-        run(&mut sharded);
-        sharded.power_cut(now).expect("sharded remount failed");
-        assert_same_contents(
-            &mut serial,
-            &mut sharded,
-            now,
-            &format!("threads={threads} vs serial"),
-        );
-        assert_eq!(
-            serial.stats().mounts,
-            sharded.stats().mounts,
-            "mount counters diverged"
-        );
+fn ckpt_tail_scan_is_charged_like_the_full_scan() {
+    const READ_NS: u64 = 50_000;
+    const BUS_NS: u64 = 30_000;
+    let nand = NandConfig::new(Geometry::tiny())
+        .read_latency_ns(READ_NS)
+        .bus_transfer_ns(BUS_NS);
+    let config = FtlConfig::with_nand(nand)
+        .protection_window(WINDOW)
+        .checkpoint_interval(INTERVAL);
+    let busy = |ftl: &InsiderFtl| {
+        let s = ftl.nand_stats();
+        (
+            s.reads,
+            s.die_busy_ns.iter().sum::<u64>(),
+            s.bus_busy_ns.iter().sum::<u64>(),
+        )
+    };
+    let mut spare_reads = Vec::new();
+    for from_checkpoint in [true, false] {
+        let mut ftl = InsiderFtl::new(config.clone().mount_from_checkpoint(from_checkpoint));
+        let now = run(&mut ftl);
+        // Loading a checkpoint also reads both controller slots. Those
+        // count as reads but live on no die, so they are not spare reads.
+        let slot_pages: u64 = if from_checkpoint {
+            (0..CKPT_SLOTS)
+                .map(|slot| ftl.device().ckpt_peek(slot).len() as u64)
+                .sum()
+        } else {
+            0
+        };
+        let (reads, die, bus) = busy(&ftl);
+        ftl.power_cut(now).expect("remount failed");
+        let (reads_after, die_after, bus_after) = busy(&ftl);
+        let spare = reads_after - reads - slot_pages;
+        let what = format!("from_checkpoint={from_checkpoint}, {spare} spare reads");
+        assert_eq!(die_after - die, spare * READ_NS, "{what}: die time");
+        assert_eq!(bus_after - bus, spare * BUS_NS, "{what}: bus time");
+        spare_reads.push(spare);
     }
+    let (tail, full) = (spare_reads[0], spare_reads[1]);
+    assert!(
+        0 < tail && tail < full,
+        "the checkpointed mount must read a non-empty tail, not everything: \
+         {tail} vs {full}"
+    );
 }
 
 /// Sweeps power cuts across the region where checkpoint slot erases and

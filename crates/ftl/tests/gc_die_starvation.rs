@@ -13,9 +13,7 @@
 //! the full-scan oracle.
 
 use bytes::Bytes;
-use insider_ftl::{
-    ConventionalFtl, Ftl, FtlConfig, GcPolicy, GcVictimKind, InsiderFtl, GC_RESERVE_BLOCKS,
-};
+use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, GcPolicy, InsiderFtl, GC_RESERVE_BLOCKS};
 use insider_nand::{Geometry, Lba, SimTime};
 
 const DIES: usize = 8;
@@ -43,9 +41,9 @@ fn config(policy: GcPolicy) -> FtlConfig {
 
 /// What the victim log and the counters say about one run.
 struct Outcome {
-    /// Reclaim victims per die.
+    /// Victims per die.
     per_die: [u64; DIES],
-    /// Mean `reclaimable` over reclaim victims, in pages.
+    /// Mean `reclaimable` over victims, in pages.
     mean_reclaimable: f64,
     /// NAND programs per host page written.
     write_amp: f64,
@@ -91,10 +89,8 @@ fn churn(ftl: &mut dyn Ftl) -> Outcome {
     let mut per_die = [0u64; DIES];
     let mut reclaimable = 0u64;
     for v in ftl.gc_victims() {
-        if v.kind == GcVictimKind::Reclaim {
-            per_die[(v.block / BLOCKS_PER_DIE) as usize] += 1;
-            reclaimable += v.reclaimable as u64;
-        }
+        per_die[(v.block / BLOCKS_PER_DIE) as usize] += 1;
+        reclaimable += v.reclaimable as u64;
     }
     let victims: u64 = per_die.iter().sum();
     assert!(victims > 1_000, "the churn must collect constantly");

@@ -1,21 +1,21 @@
 //! Pins what garbage collection does to a fixed GC-heavy script: as one
 //! FNV-1a hash per configuration over the `Debug` rendering of the victim
-//! sequence (reclaim and wear-level picks), `FtlStats` with the wall-clock
-//! timer and the step counter zeroed, `NandStats` (counters and busy
-//! integrals), the host-only latency percentiles (which carry the firmware
-//! stall a drain raises) and the final contents of the span. A change to
-//! the collector that is meant to keep the drain order, the wear-level
-//! placement and the host stall must leave every hash alone — including on
-//! the wear-leveling branch, which no `benchmark/` workload turns on.
+//! sequence, `FtlStats` with the wall-clock timer and the step counter
+//! zeroed, `NandStats` (counters and busy integrals), the host-only latency
+//! percentiles (which carry the firmware stall a drain raises) and the final
+//! contents of the span. A change to the collector that is meant to keep
+//! the drain order and the host stall must leave every hash alone.
 //!
-//! The constants were first recorded at commit 203dff0 (PR 14, the last
-//! commit with a separate blocking collector) and re-recorded by PR 18,
-//! which replaced chip-first victim selection with score-first (a different
-//! victim sequence by intent), added `GcVictim::reclaimable` to the hashed
-//! log and tightened the wear-leveling threshold from 3 to 1 so that the FIFO
-//! rows still reach the leveler (see `config`). Re-record them only for a
-//! change that is *meant* to move simulated GC behaviour, or that adds a
-//! field to one of the hashed structs.
+//! The constants were first recorded at commit 203dff0 (the last commit
+//! with a separate blocking collector) and re-recorded twice: when
+//! score-first victim selection replaced chip-first (a different victim
+//! sequence by intent) and `GcVictim::reclaimable` joined the hashed log,
+//! and when static wear leveling was deleted together with `GcVictim::kind`
+//! and the swap counter in `FtlStats` — the rendered strings were checked
+//! to equal the previous commit's with the leveler off, minus those two
+//! fields. Re-record them only for a change that is *meant* to move
+//! simulated GC behaviour, or that adds or removes a field of one of the
+//! hashed structs.
 
 use bytes::Bytes;
 use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, GcPolicy, InsiderFtl};
@@ -38,12 +38,8 @@ fn config(policy: GcPolicy, incremental: bool) -> FtlConfig {
         .pages_per_block(8)
         .page_size(64)
         .build();
-    // Threshold 1, the tightest: device-wide FIFO erases blocks in the order
-    // they were opened and holds the erase-count spread at 3 or less by
-    // itself, so a looser threshold never reaches the leveler on that row.
     let cfg = FtlConfig::new(geometry)
         .gc_policy(policy)
-        .wear_leveling(1)
         .record_gc_victims(true);
     if incremental {
         // One-page steps from the blocking trigger: the pump cannot keep up,
@@ -111,7 +107,6 @@ fn run(ftl: &mut dyn Ftl) -> u64 {
     // The pin is only worth its name if the script reaches every branch it
     // claims to cover.
     assert!(s.gc_invocations > 100, "reclaim GC must dominate the run");
-    assert!(s.wear_level_swaps > 0, "wear leveling must run");
     assert!(s.gc_page_copies > 0, "victims must carry live pages");
     assert!(n.gc_stalled_cmds > 0, "a drain must stall the host");
     fnv(observed.as_bytes())
@@ -127,10 +122,10 @@ const CONFIGS: [(GcPolicy, bool); 4] = [
 
 /// `[conventional, insider]` hashes per row of [`CONFIGS`].
 const RECORDED: [[u64; 2]; 4] = [
-    [0x653f20308932fbba, 0x54916903b5878768],
-    [0x70218102ffdd60c8, 0x938aa882aa98775f],
-    [0x8af65a45c6a15812, 0xdf9006a3ac166ac2],
-    [0x5af089b651bdef8c, 0x33e35ae8b34a9843],
+    [0x1204ecfb81b1a664, 0x8c9758fbafc5e5da],
+    [0x5096bce678fd4acf, 0x2cb854ec69232c04],
+    [0x9e6dcbe8667e8b61, 0xf2ae4eae4927c779],
+    [0x24f310c2a8fbbc0e, 0xf9bb506eca03200d],
 ];
 
 #[test]

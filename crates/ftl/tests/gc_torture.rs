@@ -526,164 +526,6 @@ mod bad_blocks {
     }
 }
 
-mod wear_leveling {
-    use super::*;
-
-    const PAGES_PER_BLOCK: u32 = 16;
-
-    fn geometry() -> Geometry {
-        Geometry::builder()
-            .blocks_per_chip(32)
-            .pages_per_block(PAGES_PER_BLOCK)
-            .page_size(64)
-            .build()
-    }
-
-    /// Host write granularities the tests run at: single pages, a short
-    /// extent, and an extent that always straddles a block boundary.
-    const GRANULARITIES: [u64; 3] = [1, 3, PAGES_PER_BLOCK as u64 + 1];
-
-    /// Writes `pages` hot pages as `per_write`-page extents cycling over a
-    /// hot set of (at least) 8 pages just above `cold`, stamping every
-    /// request with `clock()`.
-    fn churn_hot(
-        ftl: &mut dyn Ftl,
-        cold: u64,
-        per_write: u64,
-        pages: u64,
-        mut clock: impl FnMut() -> SimTime,
-    ) {
-        let hot = 8u64.div_ceil(per_write) * per_write;
-        for k in 0..pages / per_write {
-            let first = k * per_write;
-            let data: Vec<Bytes> = (first..first + per_write)
-                .map(|i| payload(i as u32))
-                .collect();
-            ftl.write_extent(Lba::new(cold + first % hot), &data, clock())
-                .unwrap();
-        }
-    }
-
-    /// With static wear leveling on, a hot/cold split workload keeps the
-    /// erase-count spread bounded near the threshold; without it the cold
-    /// blocks never cycle. Must hold at every write granularity and under
-    /// both GC engines — the free-pool depth GC maintains differs across
-    /// all of them.
-    #[test]
-    fn leveling_bounds_the_wear_spread() {
-        const THRESHOLD: u32 = 4;
-        let run = |threshold: Option<u32>, per_write: u64, incremental: bool| {
-            let mut cfg = FtlConfig::new(geometry()).incremental_gc(incremental);
-            if let Some(t) = threshold {
-                cfg = cfg.wear_leveling(t);
-            }
-            let mut ftl = ConventionalFtl::new(cfg);
-            // Cold region: 60% of the drive, written once.
-            let logical = ftl.logical_pages();
-            let cold = (logical * 6) / 10;
-            for lba in 0..cold {
-                ftl.write(Lba::new(lba), payload(lba as u32), SimTime::ZERO)
-                    .unwrap();
-            }
-            churn_hot(&mut ftl, cold, per_write, 30_000, || SimTime::ZERO);
-            // Cold data must be intact either way.
-            for lba in (0..cold).step_by(37) {
-                assert_eq!(read_tag(&mut ftl, lba, SimTime::ZERO), Some(lba as u32));
-            }
-            let (min, max, _) = ftl.wear_summary();
-            (min, max - min, ftl.stats().wear_level_swaps)
-        };
-
-        for per_write in GRANULARITIES {
-            for incremental in [false, true] {
-                let case = format!("{per_write} pages/write, incremental_gc={incremental}");
-                let (_, spread_off, swaps_off) = run(None, per_write, incremental);
-                let (min_on, spread_on, swaps_on) = run(Some(THRESHOLD), per_write, incremental);
-                assert_eq!(swaps_off, 0, "{case}");
-                assert!(swaps_on > 0, "{case}: leveling must have triggered");
-                assert!(
-                    spread_on < spread_off / 4,
-                    "{case}: leveling must tighten the wear spread ({spread_on} vs {spread_off})"
-                );
-                assert!(min_on > 0, "{case}: cold blocks must have been cycled");
-                if per_write == 1 && !incremental {
-                    assert!(
-                        spread_on <= THRESHOLD + 2,
-                        "{case}: spread {spread_on} must settle at the threshold"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Wear leveling composes with the insider FTL: protected pre-images in
-    /// a migrated cold block stay recoverable.
-    #[test]
-    fn leveling_preserves_protected_versions() {
-        for per_write in GRANULARITIES {
-            let mut ftl = InsiderFtl::new(FtlConfig::new(geometry()).wear_leveling(2));
-            let logical = ftl.logical_pages();
-            let cold = (logical * 6) / 10;
-            for lba in 0..cold {
-                ftl.write(Lba::new(lba), payload(lba as u32), SimTime::ZERO)
-                    .unwrap();
-            }
-            // Long churn with time advancing: retirement keeps GC feasible
-            // and wear leveling cycles the cold blocks. 100 ms per page
-            // keeps one window of pre-images (~100 pages) inside this
-            // 512-page drive's slack.
-            let mut now = SimTime::from_secs(60);
-            churn_hot(&mut ftl, cold, per_write, 20_000, || {
-                now += SimTime::from_millis(100 * per_write);
-                now
-            });
-            assert!(ftl.stats().wear_level_swaps > 0, "{}", ftl.stats());
-            // Attack: overwrite one cold page, then a short burst (within
-            // the drive's protection capacity) so GC/leveling run while the
-            // pre-image is protected.
-            ftl.write(Lba::new(5), payload(0xDEAD), now).unwrap();
-            churn_hot(&mut ftl, cold, per_write, 60, || now);
-            ftl.rollback(now + SimTime::from_secs(1)).unwrap();
-            assert_eq!(
-                read_tag(&mut ftl, 5, now),
-                Some(5),
-                "{per_write} pages/write"
-            );
-        }
-    }
-}
-
-/// Wear leveling must coexist with bad-block retirement: retired blocks'
-/// (maximal) wear counts must not hold the spread open and make leveling
-/// thrash, and churn past the first retirements still completes cleanly.
-#[test]
-fn wear_leveling_with_bad_blocks_does_not_thrash() {
-    let g = Geometry::builder()
-        .blocks_per_chip(16)
-        .pages_per_block(8)
-        .page_size(64)
-        .build();
-    let cfg = FtlConfig::with_nand(insider_nand::NandConfig::new(g).endurance(6)).wear_leveling(2);
-    let mut ftl = ConventionalFtl::new(cfg);
-    ftl.write(Lba::new(100), payload(7), SimTime::ZERO).unwrap();
-    let mut i = 0u64;
-    loop {
-        match ftl.write(Lba::new(i % 4), payload(i as u32), SimTime::ZERO) {
-            Ok(()) => i += 1,
-            Err(insider_ftl::FtlError::NoReclaimableSpace) => break,
-            Err(e) => panic!("unexpected error {e}"),
-        }
-        assert!(i < 200_000, "churn never terminated");
-    }
-    let s = ftl.stats();
-    assert!(s.bad_blocks > 0, "endurance 6 must retire blocks: {s}");
-    assert!(
-        s.wear_level_swaps <= s.gc_erases,
-        "leveling must not thrash: {s}"
-    );
-    assert_eq!(read_tag(&mut ftl, 100, SimTime::ZERO), Some(7));
-}
-
 /// Page allocation stripes across channels: on a multi-channel geometry a
 /// sequential write burst must overlap nearly perfectly, with the
 /// per-channel-parallel makespan close to serial ÷ channels.

@@ -157,56 +157,14 @@ const MAX_ERASE_SUSPENDS: u32 = 64;
 /// power cut mid-checkpoint can never destroy the last good one.
 pub const CKPT_SLOTS: usize = 2;
 
-/// Per-block baseline a tail scan starts from (see
-/// [`NandDevice::scan_oob`]): the block's erase count and programmed page
-/// count at the time a checkpoint was taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanBaseline {
-    /// Erase count recorded for the block when the baseline was captured.
-    pub erase_count: u32,
-    /// Pages programmed (in order, from offset 0) at capture time.
-    pub programmed: u32,
-}
-
-/// One block's result from a [`NandDevice::scan_oob`] pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockScan {
-    /// The block's current erase count.
-    pub erase_count: u32,
-    /// First page offset this pass actually read (nonzero only when a
-    /// matching [`ScanBaseline`] let the scan skip a prefix).
-    pub start: u32,
-    /// Exclusive end of the scan: the block's write pointer (or the full
-    /// block when it is completely programmed).
-    pub scanned_to: u32,
-    /// Whether a baseline existed for this block but its erase count no
-    /// longer matched, forcing a full rescan — the caller must drop any
-    /// checkpointed records it held for this block.
-    pub rescanned: bool,
-    /// `(page offset, record)` for every scanned page carrying an OOB
-    /// record, in page order.
-    pub records: Vec<(u32, OobRecord)>,
-}
-
-/// The merged result of a [`NandDevice::scan_oob`] pass: one entry per
-/// block, in block-index order, plus the number of spare-area reads the
-/// pass was charged for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanReport {
-    /// Per-block scan results, indexed by raw block number.
-    pub blocks: Vec<BlockScan>,
-    /// Spare-area page reads performed (and charged to stats).
-    pub pages_scanned: u64,
-}
-
 /// A simulated NAND flash device.
 ///
 /// Enforces the physical constraints of NAND (no in-place updates, in-order
 /// programming, erase-before-reuse, endurance) and accounts per-operation
 /// latency into [`NandStats`].
 ///
-/// The device is deliberately *dumb*: address translation, garbage collection
-/// and wear leveling belong to the FTL crate layered on top.
+/// The device is deliberately *dumb*: address translation and garbage
+/// collection belong to the FTL crate layered on top.
 ///
 /// # Example
 ///
@@ -776,110 +734,6 @@ impl NandDevice {
         Ok(record)
     }
 
-    /// Bulk spare-area scan of every block, sharded across `threads` OS
-    /// threads (clamped to the block count; `0` and `1` both mean a single
-    /// thread). Blocks are split into contiguous ranges — the simulator's
-    /// stand-in for per-channel/per-die scan parallelism — and the merged
-    /// report is always in block-index order, so the result is
-    /// deterministic regardless of thread count.
-    ///
-    /// With a `baseline`, a block whose erase count still matches its
-    /// [`ScanBaseline`] is scanned only from the baseline's programmed
-    /// count to its write pointer (the OOB *tail*); a mismatched block is
-    /// rescanned in full and flagged [`rescanned`](BlockScan::rescanned).
-    ///
-    /// Each scanned page is charged as one spare-area read (array time
-    /// plus bus transfer) in bulk: counts and the serial busy integral
-    /// move, but the per-die vectors and the command scheduler do not — a
-    /// mount scan runs before the host queue exists. Unlike
-    /// [`read_oob`](Self::read_oob), per-page faults are not consulted
-    /// (the caller power-cycled the device; a scan is all-or-nothing).
-    ///
-    /// # Errors
-    ///
-    /// [`NandError::PowerLoss`] if the device is latched off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baseline` is present but not sized to the block count.
-    pub fn scan_oob(
-        &mut self,
-        baseline: Option<&[ScanBaseline]>,
-        threads: usize,
-    ) -> Result<ScanReport> {
-        if self.faults.is_powered_off() {
-            self.stats.record_failure();
-            return Err(NandError::PowerLoss);
-        }
-        let ppb = self.config.geometry.pages_per_block();
-        let nblocks = self.blocks.len();
-        if let Some(base) = baseline {
-            assert_eq!(base.len(), nblocks, "scan baseline must cover every block");
-        }
-        let shard_count = threads.max(1).min(nblocks.max(1));
-        let chunk = nblocks.div_ceil(shard_count);
-        let blocks = &self.blocks;
-        let scan_range = |lo: usize, hi: usize| -> Vec<BlockScan> {
-            let mut out = Vec::with_capacity(hi - lo);
-            for b in lo..hi {
-                let block = &blocks[b];
-                let scanned_to = block.write_ptr().unwrap_or(ppb);
-                let (start, rescanned) = match baseline {
-                    Some(base) if base[b].erase_count == block.erase_count() => {
-                        (base[b].programmed.min(scanned_to), false)
-                    }
-                    Some(_) => (0, true),
-                    None => (0, false),
-                };
-                let mut records = Vec::with_capacity((scanned_to - start) as usize);
-                for offset in start..scanned_to {
-                    if let Some(record) = block.page(offset).oob() {
-                        records.push((offset, *record));
-                    }
-                }
-                out.push(BlockScan {
-                    erase_count: block.erase_count(),
-                    start,
-                    scanned_to,
-                    rescanned,
-                    records,
-                });
-            }
-            out
-        };
-        let merged: Vec<BlockScan> = if shard_count <= 1 {
-            scan_range(0, nblocks)
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..shard_count)
-                    .map(|i| {
-                        let lo = (i * chunk).min(nblocks);
-                        let hi = ((i + 1) * chunk).min(nblocks);
-                        s.spawn(move || scan_range(lo, hi))
-                    })
-                    .collect();
-                // Shards are contiguous block ranges joined in spawn
-                // order, so the fold is a plain order-preserving concat.
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("scan shard panicked"))
-                    .collect()
-            })
-        };
-        let pages_scanned: u64 = merged
-            .iter()
-            .map(|b| u64::from(b.scanned_to - b.start))
-            .sum();
-        self.stats.record_scan(
-            pages_scanned,
-            self.config.read_latency_ns + self.config.bus_transfer_ns,
-        );
-        Ok(ScanReport {
-            blocks: merged,
-            pages_scanned,
-        })
-    }
-
     /// Erases checkpoint slot `slot`, preparing it for a new checkpoint.
     /// Counts as one erase mutation: it is fault-checked and charged like
     /// a block erase, so crash sweeps enumerate cut points on it.
@@ -1088,7 +942,7 @@ impl NandDevice {
     }
 
     /// Per-block wear summary: `(min, max, mean)` erase counts. The spread
-    /// between min and max is what wear-leveling tries to keep small.
+    /// between min and max is what a wear leveler would keep small.
     pub fn wear_summary(&self) -> (u32, u32, f64) {
         let min = self
             .blocks
@@ -1562,77 +1416,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_oob_matches_per_page_reads_and_is_thread_invariant() {
-        use crate::{Lba, SimTime};
-        let mut d = dev();
-        for p in 0..5u64 {
-            d.program_tagged(
-                Ppa::new(p),
-                Bytes::from_static(b"x"),
-                crate::OobTag::live(Lba::new(p), SimTime::from_secs(p)),
-            )
-            .unwrap();
-        }
-        let die_before = d.stats().die_busy_ns.clone();
-        let serial = d.scan_oob(None, 1).unwrap();
-        let sharded = d.scan_oob(None, 7).unwrap();
-        assert_eq!(serial, sharded, "shard merge must be order-independent");
-        assert_eq!(serial.pages_scanned, 5);
-        let records: Vec<_> = serial
-            .blocks
-            .iter()
-            .flat_map(|b| b.records.iter().map(|(_, r)| *r))
-            .collect();
-        assert_eq!(records.len(), 5);
-        assert_eq!(records[4].lba, Lba::new(4));
-        // Charged as 5 + 5 spare reads in bulk (serial busy only; the
-        // per-die vectors and scheduler never see a mount scan).
-        assert_eq!(d.stats().reads, 10);
-        assert_eq!(d.stats().die_busy_ns, die_before);
-    }
-
-    #[test]
-    fn scan_oob_baseline_skips_unchanged_prefix_and_flags_erased_blocks() {
-        use crate::{Lba, SimTime};
-        let mut d = dev();
-        let tag = |l: u64| crate::OobTag::live(Lba::new(l), SimTime::ZERO);
-        d.program_tagged(Ppa::new(0), Bytes::from_static(b"a"), tag(0))
-            .unwrap();
-        d.program_tagged(Ppa::new(1), Bytes::from_static(b"b"), tag(1))
-            .unwrap();
-        let full = d.scan_oob(None, 1).unwrap();
-        let baseline: Vec<ScanBaseline> = full
-            .blocks
-            .iter()
-            .map(|b| ScanBaseline {
-                erase_count: b.erase_count,
-                programmed: b.scanned_to,
-            })
-            .collect();
-        // Tail write in block 0, and block 1 erased+rewritten.
-        d.program_tagged(Ppa::new(2), Bytes::from_static(b"c"), tag(2))
-            .unwrap();
-        let ppb = u64::from(d.geometry().pages_per_block());
-        d.program_tagged(Ppa::new(ppb), Bytes::from_static(b"d"), tag(3))
-            .unwrap();
-        d.erase(Pba::new(1)).unwrap();
-        d.program_tagged(Ppa::new(ppb), Bytes::from_static(b"e"), tag(4))
-            .unwrap();
-        let tail = d.scan_oob(Some(&baseline), 1).unwrap();
-        assert_eq!(tail.blocks[0].start, 2, "block 0 scans only its tail");
-        assert!(!tail.blocks[0].rescanned);
-        assert_eq!(tail.blocks[0].records.len(), 1);
-        assert_eq!(tail.blocks[0].records[0].1.lba, Lba::new(2));
-        assert!(
-            tail.blocks[1].rescanned,
-            "erased block forces a full rescan"
-        );
-        assert_eq!(tail.blocks[1].start, 0);
-        assert_eq!(tail.blocks[1].records[0].1.lba, Lba::new(4));
-        assert_eq!(tail.pages_scanned, 2);
-    }
-
-    #[test]
     fn ckpt_slots_survive_power_cut_and_tear_on_mid_write_cut() {
         let mut d = dev();
         d.ckpt_erase(0).unwrap();
@@ -1651,7 +1434,7 @@ mod tests {
         );
         assert!(d.is_powered_off());
         assert_eq!(d.ckpt_read(0), Err(NandError::PowerLoss));
-        assert_eq!(d.scan_oob(None, 1), Err(NandError::PowerLoss));
+        assert_eq!(d.read_oob(Ppa::new(0)), Err(NandError::PowerLoss));
         d.power_cut();
         // The old checkpoint survived intact; the torn one holds a prefix.
         assert_eq!(d.ckpt_read(0).unwrap().len(), 2);

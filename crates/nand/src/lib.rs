@@ -61,7 +61,7 @@ mod types;
 
 pub use address::{Pba, Ppa};
 pub use block::{Block, BlockState};
-pub use device::{BlockScan, NandConfig, NandDevice, ScanBaseline, ScanReport, CKPT_SLOTS};
+pub use device::{NandConfig, NandDevice, CKPT_SLOTS};
 pub use error::NandError;
 pub use fault::{FaultKind, FaultPlan};
 pub use geometry::{Geometry, GeometryBuilder};

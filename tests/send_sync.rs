@@ -1,8 +1,7 @@
 //! Static thread-safety assertions for the device stack.
 //!
-//! The mount scan shards its OOB reads across threads, and a host driver
-//! may move the device or share traces between threads, so every type
-//! reachable from the device must be `Send + Sync`.
+//! A host driver may move the device or share traces between threads, so
+//! every type reachable from the device must be `Send + Sync`.
 //! That holds today because the whole workspace is `Rc`/`RefCell`-free and
 //! `#![forbid(unsafe_code)]`, but nothing short of these assertions keeps
 //! it true: one stray `Rc` deep inside the FTL would silently pin the
