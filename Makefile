@@ -4,7 +4,7 @@
 #                      test -q` plus a zero-warning clippy pass. The root
 #                      manifest's `default-members = [".", "crates/*"]` makes
 #                      those bare commands cover the umbrella package and
-#                      every product crate — the whole suite (662
+#                      every product crate — the whole suite (665
 #                      tests: unit, differential oracles, proptests, the
 #                      strided crash sweep and the bench smokes), about a
 #                      minute warm — and leave out only `vendored/*`, the
@@ -16,10 +16,11 @@
 #                      here, in the first minutes), rustfmt check, clippy
 #                      over all targets, rustdoc with warnings denied (a
 #                      deleted item cannot leave a doc link pointing at it),
-#                      the block-cache oracle once more on a seed taken from
-#                      the clock (`CACHE_ORACLE_SEED`, echoed first so a
-#                      failure can be replayed; tier1 already ran its fixed
-#                      seeds), bounded crash-sweep / steady-state / ROC
+#                      the block-cache oracle and the recovery-queue model
+#                      test once more, each on a seed taken from the clock
+#                      (`CACHE_ORACLE_SEED`, `QUEUE_MODEL_SEED`, echoed first
+#                      so a failure can be replayed; tier1 already ran their
+#                      fixed seeds), bounded crash-sweep / steady-state / ROC
 #                      smoke runs
 #                      (env bounds below; smoke JSON goes to target/ci/, never
 #                      touching the committed artifacts), then bench_check
@@ -96,6 +97,8 @@ ci: tier1
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --document-private-items
 	@seed=$$(date +%s); echo "CACHE_ORACLE_SEED=$$seed"; \
 	CACHE_ORACLE_SEED=$$seed $(CARGO) test -q -p insider-fs --test cache_oracle
+	@seed=$$(date +%s); echo "QUEUE_MODEL_SEED=$$seed"; \
+	QUEUE_MODEL_SEED=$$seed $(CARGO) test -q -p insider-ftl --test recovery_queue_model
 	mkdir -p target/ci
 	$(CI_SWEEP_ENV) $(CARGO) run --release -p insider-bench --bin crash_sweep
 	$(CARGO) run --release -p insider-bench --bin bench_steady target/ci/BENCH_steady.json

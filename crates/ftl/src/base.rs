@@ -77,9 +77,18 @@ impl VictimIndex {
         (raw / self.blocks_per_chip) as usize
     }
 
+    /// The tie-break key block `raw` is filed under.
+    fn key(&self, raw: u32, epoch: u64) -> u64 {
+        if self.key_by_epoch {
+            epoch
+        } else {
+            raw as u64
+        }
+    }
+
     /// Files candidate `raw` under `reclaimable`, dropping it when zero.
     fn update(&mut self, raw: u32, reclaimable: u32, epoch: u64) {
-        let key = if self.key_by_epoch { epoch } else { raw as u64 };
+        let key = self.key(raw, epoch);
         if reclaimable > 0 && self.slot[raw as usize] == Some((reclaimable, key)) {
             return;
         }
@@ -509,15 +518,29 @@ impl FtlBase {
             .update(raw, invalid - protected, self.block_epoch[i]);
     }
 
-    /// Records that the recovery queue began protecting `ppa`. The FTL
-    /// mirrors the queue's per-block protected counts so victim scoring
-    /// never has to poll it; every protection change must flow through
-    /// these hooks.
-    pub fn note_protected(&mut self, ppa: Ppa) {
+    /// Supersedes physical page `ppa`: marks it invalid (a no-op unless it
+    /// is valid) and, when `protect` is set, counts it in the protected
+    /// mirror, then re-files its block in the victim index once.
+    ///
+    /// The FTL mirrors the recovery queue's per-block protected counts so
+    /// victim scoring never has to poll it; a protection begins only here,
+    /// and the caller pushes the matching backup entry. Doing both counts
+    /// before the one refresh is what makes the common protected overwrite
+    /// cheap: invalid and protected both rise by one, the block's
+    /// reclaimable count is unchanged, and [`VictimIndex::update`] returns
+    /// without touching its tree.
+    fn supersede(&mut self, ppa: Ppa, protect: bool) -> Result<()> {
         let raw = ppa.block(self.config.geometry()).index();
-        self.protected_per_block[raw as usize] += 1;
-        self.protected_total += 1;
+        if self.device.page_state(ppa)? == PageState::Valid {
+            self.device.invalidate(ppa)?;
+            self.invalid_per_block[raw as usize] += 1;
+        }
+        if protect {
+            self.protected_per_block[raw as usize] += 1;
+            self.protected_total += 1;
+        }
         self.refresh_victim(raw);
+        Ok(())
     }
 
     /// Records that the recovery queue released `ppa`.
@@ -834,6 +857,7 @@ impl FtlBase {
         // The device stamps the batch's programmed prefix with consecutive
         // sequence numbers ending at its current watermark.
         let first_seq = self.device.last_seq() + 1 - done as u64;
+        let protect = queue.is_some();
         let mut olds = Vec::with_capacity(done);
         for (i, &new) in ppas[..done].iter().enumerate() {
             let l = lba.offset(i as u64);
@@ -841,30 +865,27 @@ impl FtlBase {
             self.rmap[new.index() as usize] = Some(l);
             let old = self.mapping.set(l, Some(new));
             if let Some(old) = old {
-                self.invalidate(old)?;
+                self.supersede(old, protect)?;
             }
             olds.push(old);
         }
         if let Some(queue) = queue {
             queue.push_extent(lba, &olds, stamp);
-            for old in olds.iter().flatten() {
-                self.note_protected(*old);
-            }
         }
         self.stats.host_writes += done as u64;
         result.map_err(Into::into)
     }
 
     /// Unmaps `len` consecutive logical pages in one batched pass,
-    /// invalidating their current versions, and returns the per-page old
-    /// mappings (in extent order) for the caller's recovery bookkeeping.
-    /// Host trim stats are counted here.
-    pub fn unmap_extent(&mut self, lba: Lba, len: u32) -> Result<Vec<Option<Ppa>>> {
+    /// superseding their current versions — protected when `protect` is
+    /// set — and returns the per-page old mappings (in extent order) for
+    /// the caller's backup entries. Host trim stats are counted here.
+    pub fn unmap_extent(&mut self, lba: Lba, len: u32, protect: bool) -> Result<Vec<Option<Ppa>>> {
         let mut olds = Vec::with_capacity(len as usize);
         for i in 0..len as u64 {
             let old = self.mapping.set(lba.offset(i), None);
             if let Some(old) = old {
-                self.invalidate(old)?;
+                self.supersede(old, protect)?;
             }
             olds.push(old);
         }
@@ -1090,8 +1111,9 @@ impl FtlBase {
     ///
     /// Debug builds also run the full-device scan on every call and assert
     /// it agrees with the index — the in-process differential oracle — and
-    /// reconcile the chosen block's mirrored protected count against the
-    /// queue's. `queue` feeds only that oracle, hence unused in release.
+    /// reconcile the whole index against the per-block counts it is built
+    /// from (see [`reconcile_victim_index`](Self::reconcile_victim_index)).
+    /// `queue` feeds only those checks, hence unused in release.
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn select_victim(&mut self, queue: Option<&RecoveryQueue>) -> Option<Pba> {
         let indexed = self.select_victim_indexed();
@@ -1099,16 +1121,54 @@ impl FtlBase {
         if queue.is_none_or(RecoveryQueue::tracks_blocks) {
             let scanned = self.select_victim_scan(queue);
             assert_eq!(indexed, scanned, "victim selectors diverged");
-            if let Some(pba) = indexed {
-                assert_eq!(
-                    self.protected_per_block[pba.index() as usize],
-                    queue.map_or(0, |q| q.protected_in_block(pba.index())),
-                    "protected-count mirror diverged for block {}",
-                    pba.index()
-                );
-            }
+            self.reconcile_victim_index(queue);
         }
         indexed
+    }
+
+    /// Debug-build check that every block's victim-index slot is exactly
+    /// what its flags and `invalid − protected` imply, that each filed slot
+    /// is in its bucket and the buckets hold nothing else, and that the
+    /// protected mirror equals the queue's own per-block counts. The
+    /// selector comparison alone only sees the blocks that win; a missed
+    /// refresh on any other block shows up here at the next selection (and
+    /// the SSD-Insider mount runs it once its queue is rebuilt).
+    #[cfg(debug_assertions)]
+    pub fn reconcile_victim_index(&self, queue: Option<&RecoveryQueue>) {
+        let bpc = self.config.geometry().blocks_per_chip();
+        let mut filed = 0;
+        for raw in 0..self.config.geometry().total_blocks() {
+            let i = raw as usize;
+            let protected = self.protected_per_block[i];
+            assert_eq!(
+                protected,
+                queue.map_or(0, |q| q.protected_in_block(raw)),
+                "protected-count mirror diverged for block {raw}"
+            );
+            let candidate = !(self.free_flags[i] || self.bad_flags[i] || self.active_flags[i]);
+            let reclaimable = self.invalid_per_block[i] - protected;
+            let want = (candidate && reclaimable > 0)
+                .then(|| (reclaimable, self.victims.key(raw, self.block_epoch[i])));
+            assert_eq!(
+                self.victims.slot[i], want,
+                "victim index slot for block {raw} is stale"
+            );
+            if let Some((r, key)) = want {
+                assert!(
+                    self.victims.buckets[(raw / bpc) as usize][r as usize].contains(&(key, raw)),
+                    "block {raw} is missing from its bucket"
+                );
+                filed += 1;
+            }
+        }
+        let held: usize = self
+            .victims
+            .buckets
+            .iter()
+            .flatten()
+            .map(BTreeSet::len)
+            .sum();
+        assert_eq!(held, filed, "victim index holds blocks no slot names");
     }
 
     /// Index-backed victim selection: each chip's best candidate (O(1) for
@@ -1216,7 +1276,7 @@ impl FtlBase {
                 self.chain_note(lba, new, self.device.last_seq(), stamp, true);
                 self.rmap[new.index() as usize] = Some(lba);
                 self.mapping.set(lba, Some(new));
-                self.invalidate(ppa)?;
+                self.supersede(ppa, false)?;
                 self.rmap[ppa.index() as usize] = None;
                 self.stats.gc_page_copies += 1;
             }
@@ -1242,15 +1302,15 @@ impl FtlBase {
                     self.device
                         .program_tagged(new, data, OobTag::backup(lba, stamp))?;
                     self.chain_note(lba, new, self.device.last_seq(), stamp, false);
-                    // The copy holds an *old* version, not live data.
-                    self.invalidate(new)?;
+                    // The copy holds an *old* version, not live data: it
+                    // is invalid and protected from birth.
+                    self.supersede(new, true)?;
                     self.rmap[new.index() as usize] = Some(lba);
                     queue
                         .as_mut()
                         .expect("protection implies a queue")
                         .relocate(ppa, new);
                     self.note_unprotected(ppa);
-                    self.note_protected(new);
                     self.stats.gc_page_copies += 1;
                     self.stats.gc_protected_copies += 1;
                 }
@@ -1296,17 +1356,6 @@ impl FtlBase {
         }
     }
 
-    /// Marks a superseded physical page invalid (no-op unless valid).
-    pub fn invalidate(&mut self, ppa: Ppa) -> Result<()> {
-        if self.device.page_state(ppa)? == PageState::Valid {
-            self.device.invalidate(ppa)?;
-            let raw = ppa.block(self.config.geometry()).index();
-            self.invalid_per_block[raw as usize] += 1;
-            self.refresh_victim(raw);
-        }
-        Ok(())
-    }
-
     /// Marks an old version valid again (no-op unless invalid).
     fn revalidate(&mut self, ppa: Ppa) -> Result<()> {
         if self.device.page_state(ppa)? == PageState::Invalid {
@@ -1323,7 +1372,7 @@ impl FtlBase {
     pub fn restore_mapping(&mut self, lba: Lba, old: Option<Ppa>) -> Result<()> {
         let current = self.mapping.set(lba, old);
         if let Some(cur) = current {
-            self.invalidate(cur)?;
+            self.supersede(cur, false)?;
         }
         if let Some(ppa) = old {
             self.revalidate(ppa)?;
@@ -1339,9 +1388,11 @@ impl FtlBase {
     /// Re-registers a protection that a post-crash mount reconstructed from
     /// the OOB scan: restores the reverse mapping of the protected old
     /// version (lost with DRAM) and bumps the per-block protected mirror.
-    pub fn note_mount_protected(&mut self, ppa: Ppa, lba: Lba) {
+    /// The page is already invalid — mount revalidates only the newest
+    /// copy of each logical page — so superseding it only protects it.
+    pub fn note_mount_protected(&mut self, ppa: Ppa, lba: Lba) -> Result<()> {
         self.rmap[ppa.index() as usize] = Some(lba);
-        self.note_protected(ppa);
+        self.supersede(ppa, true)
     }
 
     /// Rebuilds the mount-scan inputs — per-LBA record chains, per-block
@@ -1805,6 +1856,36 @@ mod tests {
     }
 
     #[test]
+    fn protected_overwrite_keeps_the_slot_and_retirement_moves_it_by_one() {
+        let mut b = base();
+        let mut q = RecoveryQueue::with_block_size(b.config().geometry().pages_per_block());
+        // Fill block 0, close it by writing one page into block 1, then
+        // overwrite lba 0 unprotected so block 0 is a candidate (r = 1).
+        let page = Bytes::from_static(b"v1");
+        b.program_extent_mapped(Lba::new(0), &vec![page.clone(); 17], SimTime::ZERO, None)
+            .unwrap();
+        put(&mut b, Lba::new(0), page.clone());
+        let before = b.victims.slot[0];
+        assert_eq!(before, Some((1, 0)));
+
+        // A protected overwrite raises invalid and protected together.
+        b.program_extent_mapped(Lba::new(1), &[page], SimTime::ZERO, Some(&mut q))
+            .unwrap();
+        assert_eq!(b.invalid_per_block[0], 2);
+        assert_eq!(b.protected_per_block[0], 1);
+        assert_eq!(
+            b.victims.slot[0], before,
+            "net-zero change must not re-file"
+        );
+
+        // Retiring the entry releases the page: one more reclaimable page.
+        let retired = q.retire_before(SimTime::from_secs(1));
+        assert_eq!(retired.len(), 1);
+        b.note_retired(&retired);
+        assert_eq!(b.victims.slot[0], Some((2, 0)));
+    }
+
+    #[test]
     fn gc_reclaims_invalid_pages() {
         let mut b = base();
         // Overwrite one logical page enough times to exhaust the free pool.
@@ -1924,7 +2005,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let olds = b.unmap_extent(Lba::new(0), 4).unwrap();
+        let olds = b.unmap_extent(Lba::new(0), 4, false).unwrap();
         assert_eq!(olds.len(), 4);
         assert!(olds[0].is_some() && olds[1].is_some());
         assert_eq!(olds[2], None);

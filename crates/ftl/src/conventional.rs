@@ -153,7 +153,7 @@ impl Ftl for ConventionalFtl {
         }
         self.base.set_clock(now);
         self.base.check_extent(lba, len)?;
-        self.base.unmap_extent(lba, len)?;
+        self.base.unmap_extent(lba, len, false)?;
         Ok(())
     }
 

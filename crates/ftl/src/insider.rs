@@ -325,7 +325,7 @@ impl InsiderFtl {
         for (stamp, _seq, lba, old) in rebuilt {
             self.queue.push(lba, old, stamp);
             if let Some(old) = old {
-                self.base.note_mount_protected(old, lba);
+                self.base.note_mount_protected(old, lba)?;
             }
         }
         debug_assert_eq!(
@@ -333,6 +333,8 @@ impl InsiderFtl {
             self.queue.protected_count() as u64,
             "rebuilt protected mirror diverged from the rebuilt queue"
         );
+        #[cfg(debug_assertions)]
+        self.base.reconcile_victim_index(Some(&self.queue));
         Ok(())
     }
 }
@@ -384,13 +386,12 @@ impl Ftl for InsiderFtl {
         self.base.set_clock(now);
         self.base.check_extent(lba, len)?;
         self.tick(now);
-        let olds = self.base.unmap_extent(lba, len)?;
+        let olds = self.base.unmap_extent(lba, len, true)?;
         // Only pages that were actually mapped leave a backup entry —
         // trimming a hole is not an undoable event.
         for (i, old) in olds.into_iter().enumerate() {
             if let Some(old) = old {
                 self.queue.push(lba.offset(i as u64), Some(old), now);
-                self.base.note_protected(old);
             }
         }
         Ok(())

@@ -10,6 +10,36 @@
 use insider_nand::{Lba, Ppa, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a page number with one folded 64 × 64 → 128-bit multiply: the
+/// high and low halves of the product XORed, so every input bit reaches
+/// the low bits the table indexes by. The keys are physical pages the
+/// FTL's allocator chose, never values a host can pick, so the collision
+/// resistance of the SipHash that `HashMap` defaults to buys nothing here,
+/// and it cost a measurable share of every protected overwrite.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product >> 64) as u64 ^ product as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+}
+
+/// Protected page → sequence number of the entry that protects it.
+type PageIndex = HashMap<Ppa, u64, BuildHasherDefault<PageHasher>>;
 
 /// One backup record in the recovery queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,7 +82,7 @@ pub struct BackupEntry {
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryQueue {
     entries: VecDeque<BackupEntry>,
-    by_old_ppa: HashMap<Ppa, u64>,
+    by_old_ppa: PageIndex,
     /// Sequence number of the entry currently at the front of the deque.
     front_seq: u64,
     next_seq: u64,
@@ -60,7 +90,9 @@ pub struct RecoveryQueue {
     /// (block = `ppa / pages_per_block`) so garbage collection can pick
     /// victims in O(blocks) instead of O(pages).
     pages_per_block: u64,
-    per_block: HashMap<u32, u32>,
+    /// Protected pages per block, indexed by block and grown on demand up
+    /// to the highest block that has held one.
+    per_block: Vec<u32>,
 }
 
 impl RecoveryQueue {
@@ -83,26 +115,24 @@ impl RecoveryQueue {
         }
     }
 
-    fn block_of(&self, ppa: Ppa) -> Option<u32> {
-        (self.pages_per_block > 0).then(|| (ppa.index() / self.pages_per_block) as u32)
-    }
-
     fn count_block(&mut self, ppa: Ppa, delta: i32) {
-        if let Some(block) = self.block_of(ppa) {
-            let slot = self.per_block.entry(block).or_insert(0);
-            *slot = slot
-                .checked_add_signed(delta)
-                .expect("per-block protected count underflow");
-            if *slot == 0 {
-                self.per_block.remove(&block);
-            }
+        if self.pages_per_block == 0 {
+            return;
         }
+        let block = (ppa.index() / self.pages_per_block) as usize;
+        if block >= self.per_block.len() {
+            self.per_block.resize(block + 1, 0);
+        }
+        let slot = &mut self.per_block[block];
+        *slot = slot
+            .checked_add_signed(delta)
+            .expect("per-block protected count underflow");
     }
 
     /// Number of protected pages inside erase block `block`. Always zero
     /// unless the queue was built with [`RecoveryQueue::with_block_size`].
     pub fn protected_in_block(&self, block: u32) -> u32 {
-        self.per_block.get(&block).copied().unwrap_or(0)
+        self.per_block.get(block as usize).copied().unwrap_or(0)
     }
 
     /// Whether this queue maintains per-block protected-page counts (built
