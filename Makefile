@@ -4,7 +4,7 @@
 #                      test -q` plus a zero-warning clippy pass. The root
 #                      manifest's `default-members = [".", "crates/*"]` makes
 #                      those bare commands cover the umbrella package and
-#                      every product crate — the whole suite (665
+#                      every product crate — the whole suite (667
 #                      tests: unit, differential oracles, proptests, the
 #                      strided crash sweep and the bench smokes), about a
 #                      minute warm — and leave out only `vendored/*`, the
@@ -16,9 +16,10 @@
 #                      here, in the first minutes), rustfmt check, clippy
 #                      over all targets, rustdoc with warnings denied (a
 #                      deleted item cannot leave a doc link pointing at it),
-#                      the block-cache oracle and the recovery-queue model
-#                      test once more, each on a seed taken from the clock
-#                      (`CACHE_ORACLE_SEED`, `QUEUE_MODEL_SEED`, echoed first
+#                      the block-cache oracle, the recovery-queue model test
+#                      and the device-lifecycle fuzz once more, each on a
+#                      seed taken from the clock (`CACHE_ORACLE_SEED`,
+#                      `QUEUE_MODEL_SEED`, `PROPTEST_RNG_SEED`, echoed first
 #                      so a failure can be replayed; tier1 already ran their
 #                      fixed seeds), bounded crash-sweep / steady-state / ROC
 #                      smoke runs
@@ -99,6 +100,8 @@ ci: tier1
 	CACHE_ORACLE_SEED=$$seed $(CARGO) test -q -p insider-fs --test cache_oracle
 	@seed=$$(date +%s); echo "QUEUE_MODEL_SEED=$$seed"; \
 	QUEUE_MODEL_SEED=$$seed $(CARGO) test -q -p insider-ftl --test recovery_queue_model
+	@seed=$$(date +%s); echo "PROPTEST_RNG_SEED=$$seed"; \
+	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p ssd-insider --test state_machine
 	mkdir -p target/ci
 	$(CI_SWEEP_ENV) $(CARGO) run --release -p insider-bench --bin crash_sweep
 	$(CARGO) run --release -p insider-bench --bin bench_steady target/ci/BENCH_steady.json

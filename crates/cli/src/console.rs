@@ -282,7 +282,7 @@ commands:
   events                   drain the device event mailbox
   recover                  confirm the alarm and roll back 10 s
   dismiss                  dismiss the alarm as a false positive
-  reboot                   leave read-only mode after recovery
+  reboot                   leave read-only mode after a recovery, failed or not
   help                     this text
 ";
 

@@ -3,7 +3,7 @@
 use crate::config::InsiderConfig;
 use crate::events::{DeviceEvent, EventLog};
 use crate::pacing::PacingBucket;
-use crate::state::DeviceState;
+use crate::state::{Command, DeviceState, Lifecycle};
 use crate::timing::IoTiming;
 use crate::{DeviceError, Result};
 use bytes::Bytes;
@@ -26,8 +26,7 @@ use insider_nand::{Lba, NandStats, SimTime};
 pub struct SsdInsider {
     ftl: InsiderFtl,
     detector: Detector,
-    state: DeviceState,
-    last_alarm: Option<Verdict>,
+    lifecycle: Lifecycle,
     timing: IoTiming,
     detect_enabled: bool,
     events: EventLog,
@@ -44,8 +43,7 @@ impl SsdInsider {
         SsdInsider {
             ftl: InsiderFtl::new(config.ftl().clone()),
             detector: Detector::new(*config.detector(), tree),
-            state: DeviceState::Normal,
-            last_alarm: None,
+            lifecycle: Lifecycle::Normal,
             timing: IoTiming::new(),
             detect_enabled: true,
             events: EventLog::new(),
@@ -61,12 +59,13 @@ impl SsdInsider {
 
     /// Current lifecycle state.
     pub fn state(&self) -> DeviceState {
-        self.state
+        self.lifecycle.state()
     }
 
-    /// The most recent alarm-raising verdict, if any.
+    /// The verdict that raised the open incident's alarm; `None` exactly
+    /// when the device is [`DeviceState::Normal`].
     pub fn last_alarm(&self) -> Option<&Verdict> {
-        self.last_alarm.as_ref()
+        self.lifecycle.alarm()
     }
 
     /// The current detection score (0..=N).
@@ -200,24 +199,26 @@ impl SsdInsider {
     /// is fed: a request the drive is about to refuse is not host activity
     /// and must leave no trace in the counting table.
     fn admit_mutation(&self, lba: Lba, len: u32) -> Result<()> {
-        if self.ftl.is_read_only() {
+        if self.ftl.hold().read_only {
             return Err(FtlError::ReadOnly.into());
         }
         Ok(self.ftl.check_extent(lba, len)?)
     }
 
+    /// Moves the lifecycle one step and holds the FTL to the new state —
+    /// the only writer of either.
+    fn transition(&mut self, command: Command) -> Result<()> {
+        self.lifecycle = self.lifecycle.next(command)?;
+        self.ftl
+            .set_hold(self.lifecycle.hold(self.detector.config().slice));
+        Ok(())
+    }
+
     fn absorb_verdicts(&mut self, verdicts: Vec<Verdict>) {
+        // Only a normal drive takes an alarm: the verdict that opened an
+        // incident stays, and later alarms are dropped.
         for v in verdicts {
-            if v.alarm && self.state == DeviceState::Normal {
-                self.state = DeviceState::Suspicious;
-                self.last_alarm = Some(v);
-                // Pin every recoverable version until the user answers: a
-                // slow confirmation must not let pre-attack data age out of
-                // the recovery queue, and rollback stays anchored to the
-                // alarm instant (end of the alarming slice).
-                let alarm_time =
-                    SimTime::from_micros((v.slice + 1) * self.detector.config().slice.as_micros());
-                self.ftl.freeze_retirement(alarm_time);
+            if v.alarm && self.transition(Command::Alarm(v)).is_ok() {
                 self.events.push(DeviceEvent::AlarmRaised { verdict: v });
             }
         }
@@ -343,28 +344,26 @@ impl SsdInsider {
         self.ftl.tick(now);
     }
 
-    /// The user confirmed the alarm: freeze writes, roll the mapping table
-    /// back one window, and enter [`DeviceState::Recovered`].
+    /// The user confirmed the alarm: roll the mapping table back one window
+    /// before the alarm and enter [`DeviceState::Recovered`], read-only
+    /// until [`reboot`](Self::reboot).
     ///
     /// # Errors
     ///
     /// Fails with [`DeviceError::WrongState`] unless an alarm is pending,
     /// and propagates FTL bookkeeping failures. On such a failure the
-    /// device deliberately stays suspicious *and read-only*: writes to a
-    /// partially rolled-back drive would destroy recoverable data, while
-    /// the pending alarm allows the recovery to be retried.
+    /// device enters [`DeviceState::RecoveryFailed`]: read-only, because
+    /// writes to a partially rolled-back drive would destroy recoverable
+    /// data, and with no retry, because the rollback consumed the recovery
+    /// queue before it failed. Only a reboot leaves that state.
     pub fn confirm_and_recover(&mut self, now: SimTime) -> Result<RollbackReport> {
-        if self.state != DeviceState::Suspicious {
-            return Err(DeviceError::WrongState {
-                actual: self.state,
-                needed: "a pending alarm (suspicious state)",
-            });
-        }
-        self.ftl.set_read_only(true);
-        // The FTL anchors the rollback window to the freeze (alarm) time
-        // it recorded when the alarm fired.
-        let report = self.ftl.rollback(now)?;
-        self.state = DeviceState::Recovered;
+        // Either outcome needs a pending alarm: ask before the FTL acts.
+        self.lifecycle
+            .next(Command::Confirm { rolled_back: true })?;
+        let rollback = self.ftl.rollback(now);
+        let rolled_back = rollback.is_ok();
+        self.transition(Command::Confirm { rolled_back })?;
+        let report = rollback?;
         self.events.push(DeviceEvent::Recovered { at: now, report });
         Ok(report)
     }
@@ -376,17 +375,9 @@ impl SsdInsider {
     ///
     /// Fails with [`DeviceError::WrongState`] unless an alarm is pending.
     pub fn dismiss_alarm(&mut self) -> Result<()> {
-        if self.state != DeviceState::Suspicious {
-            return Err(DeviceError::WrongState {
-                actual: self.state,
-                needed: "a pending alarm (suspicious state)",
-            });
-        }
-        self.state = DeviceState::Normal;
-        self.last_alarm = None;
-        // The user judged the evidence benign: spend it, thaw retirement.
+        self.transition(Command::Dismiss)?;
+        // The user judged the evidence benign: spend it.
         self.detector.reset_votes();
-        self.ftl.thaw_retirement();
         self.events.push(DeviceEvent::AlarmDismissed);
         Ok(())
     }
@@ -396,18 +387,10 @@ impl SsdInsider {
     ///
     /// # Errors
     ///
-    /// Fails with [`DeviceError::WrongState`] unless the device is in the
-    /// recovered state.
+    /// Fails with [`DeviceError::WrongState`] unless the device is
+    /// recovered or its recovery failed.
     pub fn reboot(&mut self) -> Result<()> {
-        if self.state != DeviceState::Recovered {
-            return Err(DeviceError::WrongState {
-                actual: self.state,
-                needed: "the recovered state",
-            });
-        }
-        self.ftl.set_read_only(false);
-        self.state = DeviceState::Normal;
-        self.last_alarm = None;
+        self.transition(Command::Reboot)?;
         self.detector.reset_votes();
         self.events.push(DeviceEvent::Rebooted);
         Ok(())
@@ -419,10 +402,10 @@ impl SsdInsider {
     /// victim index, recovery queue — and rebuilds it from the per-page OOB
     /// records (see [`InsiderFtl::power_cut`]); the detector restarts cold
     /// from its decision tree and configuration, its sliding window of
-    /// request features lost with DRAM. The lifecycle state, last alarm,
-    /// read-only latch and retirement freeze survive: they model the small
-    /// NVRAM flags real firmware keeps so a pending attack alarm cannot be
-    /// cleared by yanking the power cable.
+    /// request features lost with DRAM. The one lifecycle value (state,
+    /// alarm, and the FTL hold derived from them) survives by not being
+    /// cleared: it models the small NVRAM record real firmware keeps so a
+    /// pending alarm cannot be cleared by yanking the power cable.
     ///
     /// # Errors
     ///
@@ -443,6 +426,16 @@ impl SsdInsider {
     }
 }
 
+/// A device error as the block interface reports it. Only the lifecycle
+/// commands return [`DeviceError::WrongState`]; a block operation drops an
+/// alarm the lifecycle refuses.
+fn ftl_error(e: DeviceError) -> FtlError {
+    match e {
+        DeviceError::Ftl(f) => f,
+        DeviceError::WrongState { .. } => unreachable!("block I/O returns no WrongState"),
+    }
+}
+
 /// `SsdInsider` exposes the same host-facing block interface as the raw
 /// FTLs, so experiment harnesses can swap a monitored device in anywhere a
 /// plain FTL is accepted. Every operation flows through the inline detector.
@@ -453,31 +446,19 @@ impl Ftl for SsdInsider {
         len: u32,
         now: SimTime,
     ) -> insider_ftl::Result<Vec<Option<Bytes>>> {
-        SsdInsider::read_extent(self, lba, len, now).map_err(|e| match e {
-            DeviceError::Ftl(f) => f,
-            DeviceError::WrongState { .. } => unreachable!("read never gates on state"),
-        })
+        SsdInsider::read_extent(self, lba, len, now).map_err(ftl_error)
     }
 
     fn write_extent(&mut self, lba: Lba, data: &[Bytes], now: SimTime) -> insider_ftl::Result<()> {
-        SsdInsider::write_extent(self, lba, data, now).map_err(|e| match e {
-            DeviceError::Ftl(f) => f,
-            DeviceError::WrongState { .. } => unreachable!("write never gates on state"),
-        })
+        SsdInsider::write_extent(self, lba, data, now).map_err(ftl_error)
     }
 
     fn trim_extent(&mut self, lba: Lba, len: u32, now: SimTime) -> insider_ftl::Result<()> {
-        SsdInsider::trim_extent(self, lba, len, now).map_err(|e| match e {
-            DeviceError::Ftl(f) => f,
-            DeviceError::WrongState { .. } => unreachable!("trim never gates on state"),
-        })
+        SsdInsider::trim_extent(self, lba, len, now).map_err(ftl_error)
     }
 
     fn power_cut(&mut self, now: SimTime) -> insider_ftl::Result<()> {
-        SsdInsider::power_cut(self, now).map_err(|e| match e {
-            DeviceError::Ftl(f) => f,
-            DeviceError::WrongState { .. } => unreachable!("power cut never gates on state"),
-        })
+        SsdInsider::power_cut(self, now).map_err(ftl_error)
     }
 
     fn sync(&mut self) {

@@ -53,11 +53,12 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = DeviceError::WrongState {
-            actual: DeviceState::Normal,
-            needed: "a pending alarm",
-        };
-        assert!(e.to_string().contains("normal"));
+        use crate::state::{Command, Lifecycle};
+        let e = Lifecycle::Normal.next(Command::Dismiss).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "device is normal, operation needs a pending alarm (suspicious state)"
+        );
         assert!(e.source().is_none());
 
         let e = DeviceError::from(FtlError::ReadOnly);

@@ -17,8 +17,8 @@
 //! ```text
 //!        I/O + verdicts            user confirms        reboot + fsck
 //! Normal ────────────▶ Suspicious ─────────────▶ Recovered ─────▶ Normal
-//!    ▲                     │ user dismisses          (read-only)
-//!    └─────────────────────┘
+//!    ▲                  │      │ rollback fails                     ▲
+//!    └─ user dismisses ─┘      └────────▶ RecoveryFailed ─ reboot ──┘
 //! ```
 //!
 //! # Example

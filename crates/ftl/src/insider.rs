@@ -24,6 +24,17 @@ pub struct RollbackReport {
     pub restored_to: SimTime,
 }
 
+/// What the layer above holds the drive to while an incident is open, set
+/// with [`InsiderFtl::set_hold`]. The default holds nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Hold {
+    /// Writes and trims fail with [`FtlError::ReadOnly`].
+    pub read_only: bool,
+    /// Retirement is paused, and rollback, remount and checkpoints measure
+    /// the window back from this instant (the alarm), not the call time.
+    pub frozen_at: Option<SimTime>,
+}
+
 /// The SSD-Insider FTL (paper §III-C).
 ///
 /// The write path is identical to [`ConventionalFtl`](crate::ConventionalFtl)
@@ -41,10 +52,7 @@ pub struct RollbackReport {
 pub struct InsiderFtl {
     base: FtlBase,
     queue: RecoveryQueue,
-    read_only: bool,
-    /// When set, retirement is paused and rollback anchors its window to
-    /// this instant (the alarm time) rather than the call time.
-    frozen_at: Option<SimTime>,
+    hold: Hold,
 }
 
 impl InsiderFtl {
@@ -54,8 +62,7 @@ impl InsiderFtl {
         InsiderFtl {
             base: FtlBase::new(config),
             queue: RecoveryQueue::with_block_size(ppb),
-            read_only: false,
-            frozen_at: None,
+            hold: Hold::default(),
         }
     }
 
@@ -141,22 +148,29 @@ impl InsiderFtl {
         self.base.check_extent(lba, len)
     }
 
-    /// Whether the drive is refusing writes pending recovery.
-    pub fn is_read_only(&self) -> bool {
-        self.read_only
+    /// What the drive is currently held to.
+    pub fn hold(&self) -> Hold {
+        self.hold
     }
 
-    /// Switches write protection on or off. The detection layer sets this
-    /// before recovery and clears it after the host reboots.
-    pub fn set_read_only(&mut self, read_only: bool) {
-        self.read_only = read_only;
+    /// Replaces the hold. The detection layer derives it from its lifecycle
+    /// on every transition — an alarm freezes retirement, so pre-attack
+    /// versions are "never removed until the detection algorithm confirms
+    /// the new versions are safe"; the FTL never changes it on its own.
+    pub fn set_hold(&mut self, hold: Hold) {
+        self.hold = hold;
+    }
+
+    /// The instant the protection window is measured back from.
+    fn anchor(&self, now: SimTime) -> SimTime {
+        self.hold.frozen_at.map_or(now, |f| f.min(now))
     }
 
     /// Retires backup entries older than the protection window as of `now`.
     /// Called implicitly by every write; exposed so idle periods can also
     /// release protected space. A no-op while retirement is frozen.
     pub fn tick(&mut self, now: SimTime) {
-        if self.frozen_at.is_some() {
+        if self.hold.frozen_at.is_some() {
             return;
         }
         let cutoff = now.saturating_sub(self.base.config().window());
@@ -169,49 +183,25 @@ impl InsiderFtl {
         );
     }
 
-    /// Freezes backup-entry retirement as of `at` (the alarm time). The
-    /// detection layer freezes the queue the moment an alarm is raised: the
-    /// paper's guarantee is that old versions are "never removed until the
-    /// detection algorithm confirms the new versions are safe" — if the
-    /// user takes minutes to answer the alarm dialog, the pre-attack
-    /// versions must not age out, and a later [`rollback`](Self::rollback)
-    /// still rewinds relative to the alarm, not the confirmation.
-    pub fn freeze_retirement(&mut self, at: SimTime) {
-        self.frozen_at = Some(at);
-    }
-
-    /// Thaws retirement (the alarm was dismissed).
-    pub fn thaw_retirement(&mut self) {
-        self.frozen_at = None;
-    }
-
-    /// Whether retirement is currently frozen, and since when.
-    pub fn retirement_frozen_at(&self) -> Option<SimTime> {
-        self.frozen_at
-    }
-
     /// Rolls the mapping table back to its state one protection window before
-    /// `now` (paper Fig. 5).
+    /// `now`, or before the freeze instant if that is earlier (paper Fig. 5).
     ///
     /// Backup entries are scanned newest-to-oldest; entries younger than the
     /// window are applied (current version invalidated, old version revived),
     /// older entries are ignored as already safe. The queue is emptied
-    /// afterwards. No page data is copied — recovery cost is proportional to
-    /// the number of mapping updates, which is why the paper reports < 1 s.
-    ///
-    /// The caller usually brackets this with
-    /// [`set_read_only`](InsiderFtl::set_read_only).
+    /// first, so a failed rollback cannot be retried. No page data is
+    /// copied — recovery cost is proportional to the number of mapping
+    /// updates, which is why the paper reports < 1 s. The [`Hold`] is left
+    /// to the caller.
     ///
     /// # Errors
     ///
     /// Propagates NAND bookkeeping failures (out-of-range addresses), which
     /// indicate an internal inconsistency rather than a user error.
     pub fn rollback(&mut self, now: SimTime) -> Result<RollbackReport> {
-        // Anchor the window to the freeze (alarm) time when one is set — a
-        // user who takes minutes to confirm still gets the 10 s before the
+        // A user who takes minutes to confirm still gets the 10 s before the
         // alarm undone, which is exactly what the freeze preserved.
-        let anchor = self.frozen_at.map_or(now, |f| f.min(now));
-        let cutoff = anchor.saturating_sub(self.base.config().window());
+        let cutoff = self.anchor(now).saturating_sub(self.base.config().window());
         let mut report = RollbackReport {
             restored_to: cutoff,
             ..RollbackReport::default()
@@ -234,8 +224,6 @@ impl InsiderFtl {
             report.restored += 1;
         }
         report.lbas_touched = touched.len() as u64;
-        // The incident is over: resume normal retirement for new entries.
-        self.frozen_at = None;
         Ok(report)
     }
 
@@ -274,10 +262,9 @@ impl InsiderFtl {
     /// record) are volatile — a trimmed page whose last content is still on
     /// flash comes back mapped.
     ///
-    /// The read-only latch and the retirement freeze are preserved (modeled
-    /// as NVRAM-backed flags, like the alarm state), so a crash between an
-    /// alarm and the user's confirmation still rolls back from the alarm
-    /// anchor.
+    /// The [`Hold`] survives: it is derived from the one lifecycle value the
+    /// layer above keeps in (modeled) NVRAM, so a crash between an alarm and
+    /// the user's confirmation still rolls back from the alarm anchor.
     ///
     /// # Errors
     ///
@@ -286,8 +273,7 @@ impl InsiderFtl {
         self.base.set_clock(now);
         let chains = self.base.remount()?;
         self.queue.clear();
-        let anchor = self.frozen_at.map_or(now, |f| f.min(now));
-        let cutoff = anchor.saturating_sub(self.base.config().window());
+        let cutoff = self.anchor(now).saturating_sub(self.base.config().window());
         let mut rebuilt: Vec<(SimTime, u64, Lba, Option<Ppa>)> = Vec::new();
         // The scan is flat and sorted by logical page, oldest version
         // first — walk each page's adjacent run in place.
@@ -352,7 +338,7 @@ impl Ftl for InsiderFtl {
         if data.is_empty() {
             return Ok(());
         }
-        if self.read_only {
+        if self.hold.read_only {
             return Err(FtlError::ReadOnly);
         }
         self.base.set_clock(now);
@@ -368,8 +354,7 @@ impl Ftl for InsiderFtl {
         // Checkpoints anchor their horizon at the same frozen-aware time
         // the rollback path uses, so a checkpointed mount never forgets a
         // version rollback could still need.
-        self.base
-            .maybe_checkpoint(self.frozen_at.map_or(now, |f| f.min(now)))
+        self.base.maybe_checkpoint(self.anchor(now))
     }
 
     fn power_cut(&mut self, now: SimTime) -> Result<()> {
@@ -380,7 +365,7 @@ impl Ftl for InsiderFtl {
         if len == 0 {
             return Ok(());
         }
-        if self.read_only {
+        if self.hold.read_only {
             return Err(FtlError::ReadOnly);
         }
         self.base.set_clock(now);
@@ -449,6 +434,18 @@ mod tests {
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    const READ_ONLY: Hold = Hold {
+        read_only: true,
+        frozen_at: None,
+    };
+
+    fn frozen_at(t: SimTime) -> Hold {
+        Hold {
+            read_only: false,
+            frozen_at: Some(t),
+        }
     }
 
     #[test]
@@ -545,7 +542,7 @@ mod tests {
         let mut f = ftl();
         f.write(Lba::new(0), Bytes::from_static(b"x"), secs(0))
             .unwrap();
-        f.set_read_only(true);
+        f.set_hold(READ_ONLY);
         assert_eq!(
             f.write(Lba::new(0), Bytes::from_static(b"y"), secs(1)),
             Err(FtlError::ReadOnly)
@@ -553,7 +550,7 @@ mod tests {
         assert_eq!(f.trim(Lba::new(0), secs(1)), Err(FtlError::ReadOnly));
         // Reads still work.
         assert!(f.read(Lba::new(0), secs(1)).unwrap().is_some());
-        f.set_read_only(false);
+        f.set_hold(Hold::default());
         f.write(Lba::new(0), Bytes::from_static(b"y"), secs(2))
             .unwrap();
     }
@@ -678,7 +675,7 @@ mod tests {
         // Attack at t=20; alarm freezes the queue at t=21.
         f.write(Lba::new(0), Bytes::from_static(b"cipher"), secs(20))
             .unwrap();
-        f.freeze_retirement(secs(21));
+        f.set_hold(frozen_at(secs(21)));
         // The user dithers: ticks and reads at t=300 must not retire the
         // pre-image, and rollback at t=300 anchors to the alarm.
         f.tick(secs(300));
@@ -689,8 +686,10 @@ mod tests {
             f.read(Lba::new(0), secs(300)).unwrap().unwrap().as_ref(),
             b"plain"
         );
-        // Rollback thaws: new entries retire normally again.
-        assert_eq!(f.retirement_frozen_at(), None);
+        // Rollback leaves the hold alone; once the caller thaws it, new
+        // entries retire normally again.
+        assert_eq!(f.hold(), frozen_at(secs(21)));
+        f.set_hold(Hold::default());
         f.write(Lba::new(1), Bytes::from_static(b"x"), secs(301))
             .unwrap();
         f.tick(secs(400));
@@ -702,10 +701,10 @@ mod tests {
         let mut f = ftl();
         f.write(Lba::new(0), Bytes::from_static(b"a"), secs(0))
             .unwrap();
-        f.freeze_retirement(secs(1));
+        f.set_hold(frozen_at(secs(1)));
         f.tick(secs(100));
         assert_eq!(f.recovery_queue().len(), 1, "frozen queue must not drain");
-        f.thaw_retirement();
+        f.set_hold(Hold::default());
         f.tick(secs(100));
         assert!(f.recovery_queue().is_empty());
     }
@@ -783,7 +782,7 @@ mod tests {
         let mut f = ftl();
         f.write(Lba::new(0), Bytes::from_static(b"x"), secs(0))
             .unwrap();
-        f.set_read_only(true);
+        f.set_hold(READ_ONLY);
         assert_eq!(
             f.write_extent(Lba::new(0), &[Bytes::from_static(b"y")], secs(1)),
             Err(FtlError::ReadOnly)

@@ -30,7 +30,7 @@
 //! ## Example
 //!
 //! ```rust
-//! use insider_ftl::{FtlConfig, InsiderFtl, Ftl};
+//! use insider_ftl::{FtlConfig, Hold, InsiderFtl, Ftl};
 //! use insider_nand::{Geometry, Lba, SimTime};
 //! use bytes::Bytes;
 //!
@@ -42,10 +42,10 @@
 //! // Ransomware overwrites the block with ciphertext:
 //! ftl.write(lba, Bytes::from_static(b"ciphertext"), SimTime::from_secs(15))?;
 //!
-//! // Detection fires; roll the drive back one window:
-//! ftl.set_read_only(true);
-//! ftl.rollback(SimTime::from_secs(16))?;
-//! ftl.set_read_only(false);
+//! // Detection fires; hold the drive read-only and roll it back one window:
+//! ftl.set_hold(Hold { read_only: true, frozen_at: Some(SimTime::from_secs(16)) });
+//! ftl.rollback(SimTime::from_secs(20))?; // anchored at the freeze, t = 16 s
+//! ftl.set_hold(Hold::default());
 //!
 //! let restored = ftl.read(lba, SimTime::from_secs(16))?.unwrap();
 //! assert_eq!(restored.as_ref(), b"precious document");
@@ -70,7 +70,7 @@ mod traits;
 pub use config::{FtlConfig, GcPolicy, GC_RESERVE_BLOCKS};
 pub use conventional::ConventionalFtl;
 pub use error::FtlError;
-pub use insider::{InsiderFtl, RollbackReport};
+pub use insider::{Hold, InsiderFtl, RollbackReport};
 pub use mapping::MappingTable;
 pub use recovery_queue::{BackupEntry, RecoveryQueue};
 pub use stats::{FtlStats, GcVictim};

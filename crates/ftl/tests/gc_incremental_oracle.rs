@@ -19,7 +19,9 @@
 //! pinned victim, and the resumed job must migrate them as live data.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, FtlError, FtlStats, GcVictim, InsiderFtl};
+use insider_ftl::{
+    ConventionalFtl, Ftl, FtlConfig, FtlError, FtlStats, GcVictim, Hold, InsiderFtl,
+};
 use insider_nand::{Geometry, Lba, SimTime};
 use proptest::prelude::*;
 
@@ -294,7 +296,10 @@ fn rollback_mid_gc_job_restores_pre_attack_data() {
             .unwrap();
         t += SimTime::from_millis(100);
     }
-    f.freeze_retirement(t);
+    f.set_hold(Hold {
+        read_only: false,
+        frozen_at: Some(t),
+    });
     // The ransomware keeps churning; GC works the pre-freeze stock until
     // the 1-page budget leaves a collection job paused mid-block.
     let mut guard = 0u64;
@@ -305,8 +310,10 @@ fn rollback_mid_gc_job_restores_pre_attack_data() {
         guard += 1;
         assert!(guard < 150, "GC job never paused under churn");
     }
-    // Roll back with the job still parked.
+    // Roll back with the job still parked, then release the hold as the
+    // device's reboot would.
     let report = f.rollback(t).unwrap();
+    f.set_hold(Hold::default());
     assert!(report.restored >= 32, "all 32 pages must be restored");
     for (i, page) in precious.iter().enumerate() {
         assert_eq!(

@@ -148,9 +148,7 @@ fn insider_rollback_after_torture_still_restores_window() {
     }
     assert!(now.saturating_sub(attack_start) < SimTime::from_secs(10));
 
-    ftl.set_read_only(true);
     let report = ftl.rollback(now).unwrap();
-    ftl.set_read_only(false);
     assert!(report.restored >= 64);
     for k in 0..64u64 {
         let lba = 100 + k;

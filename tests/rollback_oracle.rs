@@ -73,9 +73,7 @@ proptest! {
 
         // Roll back at the end of the history.
         let cutoff = now.saturating_sub(ftl.config().window());
-        ftl.set_read_only(true);
         ftl.rollback(now).unwrap();
-        ftl.set_read_only(false);
 
         // Oracle: apply only ops strictly before the cutoff.
         let mut oracle: HashMap<u8, Option<u16>> = HashMap::new();
