@@ -4,7 +4,7 @@
 #                      test -q` plus a zero-warning clippy pass. The root
 #                      manifest's `default-members = [".", "crates/*"]` makes
 #                      those bare commands cover the umbrella package and
-#                      every product crate — the whole suite (667
+#                      every product crate — the whole suite (664
 #                      tests: unit, differential oracles, proptests, the
 #                      strided crash sweep and the bench smokes), about a
 #                      minute warm — and leave out only `vendored/*`, the

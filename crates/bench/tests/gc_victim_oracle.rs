@@ -15,7 +15,7 @@
 use bytes::Bytes;
 use insider_bench::{random_trace, ransomware_mix_trace, sequential_trace};
 use insider_detect::IoMode;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, GcPolicy};
+use insider_ftl::{ConventionalFtl, Ftl, FtlConfig};
 use insider_nand::{Geometry, Lba};
 use insider_workloads::Trace;
 
@@ -49,25 +49,21 @@ fn replay_folded(trace: &Trace, ftl: &mut ConventionalFtl, span: u64) {
 }
 
 fn assert_selectors_agree(name: &str, trace: &Trace, expect_gc: bool) {
-    for policy in [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit] {
-        let cfg = FtlConfig::new(mini_geometry())
-            .gc_policy(policy)
-            .record_gc_victims(true);
-        let mut ftl = ConventionalFtl::new(cfg);
-        let span = ftl.logical_pages() / 2;
-        replay_folded(trace, &mut ftl, span);
-        let stats = ftl.stats();
-        assert_eq!(
-            ftl.gc_victims().len() as u64,
-            stats.gc_invocations,
-            "{name}/{policy}: every logged victim must have been collected"
-        );
-        assert_eq!(
-            stats.gc_invocations > 0,
-            expect_gc,
-            "{name}/{policy}: the folded replay must exercise GC exactly when it writes"
-        );
-    }
+    let cfg = FtlConfig::new(mini_geometry()).record_gc_victims(true);
+    let mut ftl = ConventionalFtl::new(cfg);
+    let span = ftl.logical_pages() / 2;
+    replay_folded(trace, &mut ftl, span);
+    let stats = ftl.stats();
+    assert_eq!(
+        ftl.gc_victims().len() as u64,
+        stats.gc_invocations,
+        "{name}: every logged victim must have been collected"
+    );
+    assert_eq!(
+        stats.gc_invocations > 0,
+        expect_gc,
+        "{name}: the folded replay must exercise GC exactly when it writes"
+    );
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! allocation, the reverse map, and greedy garbage collection.
 
 use crate::checkpoint::{self, BlockMeta, Checkpoint};
-use crate::config::{FtlConfig, GcPolicy, GC_RESERVE_BLOCKS};
+use crate::config::{FtlConfig, GC_RESERVE_BLOCKS};
 use crate::mapping::MappingTable;
-use crate::recovery_queue::{BackupEntry, RecoveryQueue};
+use crate::recovery_queue::RecoveryQueue;
 use crate::stats::{FtlStats, GcVictim};
 use crate::{FtlError, Result};
 use bytes::Bytes;
@@ -19,56 +19,33 @@ use std::time::Instant;
 /// page count (`invalid − protected`).
 ///
 /// Every closed in-service block with a non-zero reclaimable count sits in
-/// `buckets[chip][reclaimable]`, ordered by a policy-dependent tie-break
-/// key: the raw block index for greedy (reproducing the scan oracle's
-/// first-strict-max order) and the block's open epoch for the age-based
-/// policies. Candidates are bucketed *per chip* because an erased block
-/// refills that chip's free pool alone, so selection needs to know which
-/// die a candidate is on: each chip reports its best candidate with its
-/// policy score, and [`FtlBase::select_victim`] takes the best score on
-/// the device, using free-pool depth only between equal scores. Within a
-/// chip, one structure serves all three policies *exactly*:
-///
-/// * **Greedy** — head of the highest non-empty bucket, O(1) amortized via
-///   the lazily lowered `max_r` hint.
-/// * **FIFO** — open epochs are unique, and within a bucket the head holds
-///   the minimum epoch, so the oldest candidate is the minimum over the
-///   ≤ pages-per-block bucket heads.
-/// * **Cost-benefit** — the score `r · age / (ppb − r + 1)` is, for blocks
-///   in the same bucket (same `r`), strictly decreasing in epoch, so each
-///   bucket's head strictly dominates the rest of its bucket; the exact
-///   argmax is found by scoring one head per bucket with the same `f64`
-///   expression the scan oracle evaluates, keeping scores bit-identical.
-///
-/// Updates (re-filing one block) are O(log B); per-chip selection is O(1)
-/// for greedy and O(P) for the age-based policies, where P = pages per
-/// block — versus a full scan's O(B) with B = total blocks.
+/// `buckets[chip][reclaimable]`, ordered by raw block index, which
+/// reproduces the scan oracle's first-strict-max order. Candidates are
+/// bucketed *per chip* because an erased block refills that chip's free
+/// pool alone, so selection needs to know which die a candidate is on: each
+/// chip reports the head of its highest non-empty bucket (O(1) amortized
+/// via the lazily lowered `max_r` hint), and [`FtlBase::select_victim`]
+/// takes the most reclaimable on the device, using free-pool depth only
+/// between equal counts. Updates (re-filing one block) are O(log B) —
+/// versus a full scan's O(B) per selection, with B = total blocks.
 #[derive(Debug)]
 struct VictimIndex {
-    /// `buckets[chip][reclaimable]` → candidates on that chip.
-    buckets: Vec<Vec<BTreeSet<(u64, u32)>>>,
-    /// For indexed blocks, the `(reclaimable, key)` they are filed under.
-    slot: Vec<Option<(u32, u64)>>,
+    /// `buckets[chip][reclaimable]` → candidate blocks on that chip.
+    buckets: Vec<Vec<BTreeSet<u32>>>,
+    /// For indexed blocks, the reclaimable count they are filed under.
+    slot: Vec<Option<u32>>,
     /// Per-chip upper bound on the highest non-empty bucket, lowered lazily.
     max_r: Vec<usize>,
-    /// Age-based policies key by epoch; greedy keys by block index.
-    key_by_epoch: bool,
     blocks_per_chip: u32,
 }
 
 impl VictimIndex {
-    fn new(
-        total_blocks: usize,
-        pages_per_block: usize,
-        policy: GcPolicy,
-        blocks_per_chip: u32,
-    ) -> Self {
+    fn new(total_blocks: usize, pages_per_block: usize, blocks_per_chip: u32) -> Self {
         let chips = total_blocks / blocks_per_chip as usize;
         VictimIndex {
             buckets: vec![vec![BTreeSet::new(); pages_per_block + 1]; chips],
             slot: vec![None; total_blocks],
             max_r: vec![0; chips],
-            key_by_epoch: !matches!(policy, GcPolicy::Greedy),
             blocks_per_chip,
         }
     }
@@ -77,93 +54,35 @@ impl VictimIndex {
         (raw / self.blocks_per_chip) as usize
     }
 
-    /// The tie-break key block `raw` is filed under.
-    fn key(&self, raw: u32, epoch: u64) -> u64 {
-        if self.key_by_epoch {
-            epoch
-        } else {
-            raw as u64
-        }
-    }
-
     /// Files candidate `raw` under `reclaimable`, dropping it when zero.
-    fn update(&mut self, raw: u32, reclaimable: u32, epoch: u64) {
-        let key = self.key(raw, epoch);
-        if reclaimable > 0 && self.slot[raw as usize] == Some((reclaimable, key)) {
+    fn update(&mut self, raw: u32, reclaimable: u32) {
+        if reclaimable > 0 && self.slot[raw as usize] == Some(reclaimable) {
             return;
         }
         self.remove(raw);
         if reclaimable > 0 {
             let chip = self.chip_of(raw);
-            self.buckets[chip][reclaimable as usize].insert((key, raw));
-            self.slot[raw as usize] = Some((reclaimable, key));
+            self.buckets[chip][reclaimable as usize].insert(raw);
+            self.slot[raw as usize] = Some(reclaimable);
             self.max_r[chip] = self.max_r[chip].max(reclaimable as usize);
         }
     }
 
     fn remove(&mut self, raw: u32) {
-        if let Some((r, key)) = self.slot[raw as usize].take() {
+        if let Some(r) = self.slot[raw as usize].take() {
             let chip = self.chip_of(raw);
-            self.buckets[chip][r as usize].remove(&(key, raw));
+            self.buckets[chip][r as usize].remove(&raw);
         }
     }
 
-    /// Lowers a chip's `max_r` hint onto its highest non-empty bucket.
-    fn settle(&mut self, chip: usize) {
+    /// Most reclaimable pages on `chip`, lowest block index on ties, as
+    /// `(block, reclaimable)`.
+    fn best(&mut self, chip: usize) -> Option<(u32, u32)> {
         while self.max_r[chip] > 0 && self.buckets[chip][self.max_r[chip]].is_empty() {
             self.max_r[chip] -= 1;
         }
-    }
-
-    /// Most reclaimable pages on `chip`, lowest block index on ties. Like
-    /// its two siblings, returns the candidate with its policy score
-    /// (higher is better) in the scan oracle's terms.
-    fn best_greedy(&mut self, chip: usize) -> Option<(u32, f64)> {
-        self.settle(chip);
         let r = self.max_r[chip];
-        self.buckets[chip][r]
-            .first()
-            .map(|&(_, raw)| (raw, r as f64))
-    }
-
-    /// Oldest open epoch among `chip`'s candidates (epochs are unique).
-    fn best_fifo(&mut self, chip: usize) -> Option<(u32, f64)> {
-        self.settle(chip);
-        self.buckets[chip]
-            .iter()
-            .skip(1)
-            .take(self.max_r[chip])
-            .filter_map(BTreeSet::first)
-            .min_by_key(|&&(epoch, _)| epoch)
-            .map(|&(epoch, raw)| (raw, -(epoch as f64)))
-    }
-
-    /// Exact cost-benefit argmax over `chip`'s bucket heads, scored with
-    /// the scan oracle's expression and its lowest-block tie-break.
-    fn best_cost_benefit(&mut self, chip: usize, next_epoch: u64, ppb: u32) -> Option<(u32, f64)> {
-        self.settle(chip);
-        let mut best: Option<(u32, f64)> = None;
-        for (r, bucket) in self.buckets[chip]
-            .iter()
-            .enumerate()
-            .skip(1)
-            .take(self.max_r[chip])
-        {
-            let Some(&(epoch, raw)) = bucket.first() else {
-                continue;
-            };
-            let age = (next_epoch - epoch) as f64;
-            let cost = (ppb - r as u32) as f64 + 1.0;
-            let score = r as f64 * age / cost;
-            let better = match best {
-                None => true,
-                Some((best_raw, s)) => score > s || (score == s && raw < best_raw),
-            };
-            if better {
-                best = Some((raw, score));
-            }
-        }
-        best
+        self.buckets[chip][r].first().map(|&raw| (raw, r as u32))
     }
 }
 
@@ -196,16 +115,11 @@ pub(crate) struct FtlBase {
     active_flags: Vec<bool>,
     /// Invalid-page count per block, maintained incrementally.
     invalid_per_block: Vec<u32>,
-    /// Per-block count of pages the recovery queue currently protects,
-    /// mirrored here from the queue's push/retire/relocate deltas so victim
-    /// scoring never polls the queue. Debug builds assert the mirror
-    /// reconciles with the queue's own counts.
+    /// Per-block count of pages the recovery queue currently protects —
+    /// the only per-block count there is: the queue keeps a page index and
+    /// hands over every protection change, so victim scoring never polls
+    /// it. Debug builds recount it from the queue at every selection.
     protected_per_block: Vec<u32>,
-    protected_total: u64,
-    /// Monotone counter of block openings; `block_epoch[b]` is the epoch at
-    /// which block `b` last became the active block (FIFO/cost-benefit age).
-    block_epoch: Vec<u64>,
-    next_epoch: u64,
     /// One active (partially programmed) block per chip.
     active: Vec<Option<Pba>>,
     /// Round-robin chip cursor for page allocation.
@@ -327,15 +241,11 @@ impl FtlBase {
             active_flags: vec![false; g.total_blocks() as usize],
             invalid_per_block: vec![0; g.total_blocks() as usize],
             protected_per_block: vec![0; g.total_blocks() as usize],
-            protected_total: 0,
-            block_epoch: vec![0; g.total_blocks() as usize],
-            next_epoch: 1,
             active: vec![None; chips],
             next_chip: 0,
             victims: VictimIndex::new(
                 g.total_blocks() as usize,
                 g.pages_per_block() as usize,
-                config.gc_policy_ref(),
                 g.blocks_per_chip(),
             ),
             victim_log: Vec::new(),
@@ -451,6 +361,11 @@ impl FtlBase {
         self.rmap[ppa.index() as usize]
     }
 
+    #[cfg(test)]
+    pub fn protected_per_block(&self) -> &[u32] {
+        &self.protected_per_block
+    }
+
     /// Hands out the next programmable physical page, rotating across one
     /// active block per chip so consecutive pages land on different dies;
     /// a chip whose pool is empty is skipped until GC refills it.
@@ -487,8 +402,6 @@ impl FtlBase {
         self.free_flags[raw] = false;
         self.free_count -= 1;
         self.active_flags[raw] = true;
-        self.block_epoch[raw] = self.next_epoch;
-        self.next_epoch += 1;
         self.active[chip] = Some(pba);
     }
 
@@ -514,21 +427,18 @@ impl FtlBase {
             protected <= invalid,
             "protected pages must be invalid (block {raw}: {protected} > {invalid})"
         );
-        self.victims
-            .update(raw, invalid - protected, self.block_epoch[i]);
+        self.victims.update(raw, invalid - protected);
     }
 
     /// Supersedes physical page `ppa`: marks it invalid (a no-op unless it
-    /// is valid) and, when `protect` is set, counts it in the protected
-    /// mirror, then re-files its block in the victim index once.
+    /// is valid) and, when `protect` is set, counts it protected, then
+    /// re-files its block in the victim index once.
     ///
-    /// The FTL mirrors the recovery queue's per-block protected counts so
-    /// victim scoring never has to poll it; a protection begins only here,
-    /// and the caller pushes the matching backup entry. Doing both counts
-    /// before the one refresh is what makes the common protected overwrite
-    /// cheap: invalid and protected both rise by one, the block's
-    /// reclaimable count is unchanged, and [`VictimIndex::update`] returns
-    /// without touching its tree.
+    /// A protection begins only here, and the caller pushes the matching
+    /// backup entry. Doing both counts before the one refresh is what makes
+    /// the common protected overwrite cheap: invalid and protected both rise
+    /// by one, the block's reclaimable count is unchanged, and
+    /// [`VictimIndex::update`] returns without touching its tree.
     fn supersede(&mut self, ppa: Ppa, protect: bool) -> Result<()> {
         let raw = ppa.block(self.config.geometry()).index();
         if self.device.page_state(ppa)? == PageState::Valid {
@@ -537,51 +447,44 @@ impl FtlBase {
         }
         if protect {
             self.protected_per_block[raw as usize] += 1;
-            self.protected_total += 1;
         }
         self.refresh_victim(raw);
         Ok(())
     }
 
-    /// Records that the recovery queue released `ppa`.
-    pub fn note_unprotected(&mut self, ppa: Ppa) {
+    /// Ends the protection of `ppa`: its block has one protected page less
+    /// and one reclaimable page more.
+    fn unprotect(&mut self, ppa: Ppa) {
         let raw = ppa.block(self.config.geometry()).index();
         self.protected_per_block[raw as usize] -= 1;
-        self.protected_total -= 1;
         self.refresh_victim(raw);
     }
 
-    /// Applies the per-block deltas of a retirement batch — the entries
-    /// [`RecoveryQueue::retire_before`] returned.
-    pub fn note_retired(&mut self, retired: &[BackupEntry]) {
-        for entry in retired {
+    /// Retires `queue`'s entries stamped before `cutoff` and releases their
+    /// pages as the queue hands them over. One retirement is typically the
+    /// pre-images of one host write, which the allocator striped across
+    /// dies, so a block rarely loses two protections in one batch and
+    /// re-filing per page costs no more than batching per block.
+    pub fn retire_protected(&mut self, queue: &mut RecoveryQueue, cutoff: SimTime) {
+        queue.retire_before(cutoff, |entry| {
             if let Some(old) = entry.old {
-                self.note_unprotected(old);
+                self.unprotect(old);
             }
-        }
+        });
     }
 
-    /// Zeroes the protected-count mirror. Rollback drains the whole queue
-    /// up front (see [`RecoveryQueue::take_all`]) and must release the
-    /// mirror *before* rewinding mappings: revalidating an old version
-    /// decrements its block's invalid count, which may never drop below the
-    /// protected count.
+    /// Zeroes every protected count. Rollback drains the whole queue up
+    /// front (see [`RecoveryQueue::take_all`]) and must release the counts
+    /// *before* rewinding mappings: revalidating an old version decrements
+    /// its block's invalid count, which may never drop below the protected
+    /// count.
     pub fn clear_protected(&mut self) {
-        if self.protected_total == 0 {
-            return;
-        }
-        self.protected_total = 0;
         for raw in 0..self.protected_per_block.len() {
             if self.protected_per_block[raw] != 0 {
                 self.protected_per_block[raw] = 0;
                 self.refresh_victim(raw as u32);
             }
         }
-    }
-
-    /// Total protected pages mirrored from the queue (debug reconciliation).
-    pub fn protected_pages(&self) -> u64 {
-        self.protected_total
     }
 
     /// Recorded victim-selection events (empty unless
@@ -1089,73 +992,80 @@ impl FtlBase {
         KindLatency::from_histogram(&self.gc_pause_hist)
     }
 
-    /// Picks the best victim under the configured policy (excluding free,
+    /// Picks the victim with the most reclaimable pages (excluding free,
     /// active and retired-bad blocks), or `None` when nothing is
-    /// reclaimable.
+    /// reclaimable — the paper prototype's greedy rule (§V-C).
     ///
-    /// **Score first, die second**: the block with the highest policy
-    /// score on the whole device wins (greedy: reclaimable pages; FIFO:
-    /// oldest epoch; cost-benefit: `r · age / (ppb − r + 1)`); between
-    /// equal scores, the one on the die with the fewest free blocks, then
-    /// the lowest block index. The die matters because an erased victim
-    /// refills only its own chip's free pool — programs cannot cross dies
-    /// — and a die that never gets a free block drops out of the
-    /// allocator's striping. It may only break ties, though. Ordering
-    /// chips driest-first and scoring within the first one was measured
-    /// to starve dies instead: with the default reserve nearly every die
-    /// has zero free blocks when GC runs, the lowest chip index won, and
-    /// GC ground through that die's almost-valid blocks while the others'
-    /// garbage was never collected (`dev-churn-gc`: 2.2 of 64 pages freed
-    /// per erase and `nand.die_util` 0.40, against 45 and 0.99 with this
-    /// rule; DESIGN.md §13).
+    /// **Reclaimable first, die second**: the most reclaimable block on the
+    /// whole device wins; between equal counts, the one on the die with the
+    /// fewest free blocks, then the lowest block index. The die matters
+    /// because an erased victim refills only its own chip's free pool —
+    /// programs cannot cross dies — and a die that never gets a free block
+    /// drops out of the allocator's striping. It may only break ties,
+    /// though. Ordering chips driest-first and picking within the first one
+    /// was measured to starve dies instead: with the default reserve nearly
+    /// every die has zero free blocks when GC runs, the lowest chip index
+    /// won, and GC ground through that die's almost-valid blocks while the
+    /// others' garbage was never collected (`dev-churn-gc`: 2.2 of 64 pages
+    /// freed per erase and `nand.die_util` 0.40, against 45 and 0.99 with
+    /// this rule; DESIGN.md §13).
     ///
-    /// Debug builds also run the full-device scan on every call and assert
-    /// it agrees with the index — the in-process differential oracle — and
-    /// reconcile the whole index against the per-block counts it is built
-    /// from (see [`reconcile_victim_index`](Self::reconcile_victim_index)).
-    /// `queue` feeds only those checks, hence unused in release.
+    /// Debug builds also reconcile the whole index against a recount of
+    /// the protected pages (see
+    /// [`reconcile_victim_index`](Self::reconcile_victim_index)), then run
+    /// the full-device scan on that recount and assert it agrees with the
+    /// index — the in-process differential oracle. `queue` feeds only those
+    /// checks, hence unused in release.
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn select_victim(&mut self, queue: Option<&RecoveryQueue>) -> Option<Pba> {
         let indexed = self.select_victim_indexed();
         #[cfg(debug_assertions)]
-        if queue.is_none_or(RecoveryQueue::tracks_blocks) {
-            let scanned = self.select_victim_scan(queue);
+        {
+            let protected = self.reconcile_victim_index(queue);
+            let scanned = self.select_victim_scan(&protected);
             assert_eq!(indexed, scanned, "victim selectors diverged");
-            self.reconcile_victim_index(queue);
         }
         indexed
     }
 
-    /// Debug-build check that every block's victim-index slot is exactly
-    /// what its flags and `invalid − protected` imply, that each filed slot
-    /// is in its bucket and the buckets hold nothing else, and that the
-    /// protected mirror equals the queue's own per-block counts. The
-    /// selector comparison alone only sees the blocks that win; a missed
-    /// refresh on any other block shows up here at the next selection (and
-    /// the SSD-Insider mount runs it once its queue is rebuilt).
+    /// Debug-build check of everything the victim index is built from.
+    /// The protected pages per block are recounted from the pages `queue`'s
+    /// entries hold, and must equal the FTL's counts. Every block's index
+    /// slot must be exactly what its flags and `invalid − protected` imply,
+    /// each filed slot must be in its bucket, and the buckets must hold
+    /// nothing else. The selector comparison alone only sees the blocks
+    /// that win; a missed refresh on any other block shows up here at the
+    /// next selection (and the SSD-Insider mount runs it once its queue is
+    /// rebuilt). Returns the recount, for the selector scan.
     #[cfg(debug_assertions)]
-    pub fn reconcile_victim_index(&self, queue: Option<&RecoveryQueue>) {
-        let bpc = self.config.geometry().blocks_per_chip();
+    pub fn reconcile_victim_index(&self, queue: Option<&RecoveryQueue>) -> Vec<u32> {
+        let g = self.config.geometry();
+        let mut recount = vec![0u32; g.total_blocks() as usize];
+        for ppa in queue
+            .into_iter()
+            .flat_map(RecoveryQueue::iter)
+            .filter_map(|e| e.old)
+        {
+            recount[ppa.block(g).index() as usize] += 1;
+        }
+        assert_eq!(
+            self.protected_per_block, recount,
+            "protected counts diverged from the recovery queue"
+        );
+        let bpc = g.blocks_per_chip();
         let mut filed = 0;
-        for raw in 0..self.config.geometry().total_blocks() {
+        for raw in 0..g.total_blocks() {
             let i = raw as usize;
-            let protected = self.protected_per_block[i];
-            assert_eq!(
-                protected,
-                queue.map_or(0, |q| q.protected_in_block(raw)),
-                "protected-count mirror diverged for block {raw}"
-            );
             let candidate = !(self.free_flags[i] || self.bad_flags[i] || self.active_flags[i]);
-            let reclaimable = self.invalid_per_block[i] - protected;
-            let want = (candidate && reclaimable > 0)
-                .then(|| (reclaimable, self.victims.key(raw, self.block_epoch[i])));
+            let reclaimable = self.invalid_per_block[i] - recount[i];
+            let want = (candidate && reclaimable > 0).then_some(reclaimable);
             assert_eq!(
                 self.victims.slot[i], want,
                 "victim index slot for block {raw} is stale"
             );
-            if let Some((r, key)) = want {
+            if let Some(r) = want {
                 assert!(
-                    self.victims.buckets[(raw / bpc) as usize][r as usize].contains(&(key, raw)),
+                    self.victims.buckets[(raw / bpc) as usize][r as usize].contains(&raw),
                     "block {raw} is missing from its bucket"
                 );
                 filed += 1;
@@ -1169,26 +1079,20 @@ impl FtlBase {
             .map(BTreeSet::len)
             .sum();
         assert_eq!(held, filed, "victim index holds blocks no slot names");
+        recount
     }
 
-    /// Index-backed victim selection: each chip's best candidate (O(1) for
-    /// greedy, O(pages-per-block) for the age-based policies), then the
-    /// best of those by `(score, fewest free blocks, lowest chip)`.
+    /// Index-backed victim selection: each chip's best candidate (O(1)
+    /// amortized), then the best of those by `(reclaimable, fewest free
+    /// blocks, lowest chip)`.
     fn select_victim_indexed(&mut self) -> Option<Pba> {
-        let ppb = self.config.geometry().pages_per_block();
-        let policy = self.config.gc_policy_ref();
-        let mut best: Option<(u32, f64, usize)> = None;
+        let mut best: Option<(u32, u32, usize)> = None;
         for (chip, pool) in self.free.iter().enumerate() {
-            let candidate = match policy {
-                GcPolicy::Greedy => self.victims.best_greedy(chip),
-                GcPolicy::Fifo => self.victims.best_fifo(chip),
-                GcPolicy::CostBenefit => self.victims.best_cost_benefit(chip, self.next_epoch, ppb),
-            };
-            let Some((raw, score)) = candidate else {
+            let Some((raw, r)) = self.victims.best(chip) else {
                 continue;
             };
-            if best.is_none_or(|(_, s, free)| score > s || (score == s && pool.len() < free)) {
-                best = Some((raw, score, pool.len()));
+            if best.is_none_or(|(_, br, free)| r > br || (r == br && pool.len() < free)) {
+                best = Some((raw, r, pool.len()));
             }
         }
         best.map(|(raw, ..)| Pba::new(raw))
@@ -1196,46 +1100,26 @@ impl FtlBase {
 
     /// O(total-blocks) scan — the debug-build differential oracle for the
     /// index, stating the rule flat: one pass in block order keeping the
-    /// first strict maximum of `(score, fewest free blocks on its chip)`.
-    /// Protected counts come from the queue itself (not the FTL's mirror),
-    /// so the two selectors have independent inputs.
+    /// first strict maximum of `(reclaimable, fewest free blocks on its
+    /// chip)`. Protected counts are the recount from the queue's entries
+    /// (not the FTL's own), so the two selectors have independent inputs.
     #[cfg(debug_assertions)]
-    fn select_victim_scan(&self, queue: Option<&RecoveryQueue>) -> Option<Pba> {
+    fn select_victim_scan(&self, protected: &[u32]) -> Option<Pba> {
         let g = self.config.geometry();
-        let ppb = g.pages_per_block();
         let bpc = g.blocks_per_chip();
-        let policy = self.config.gc_policy_ref();
-        let mut best: Option<(Pba, f64, usize)> = None;
+        let mut best: Option<(Pba, u32, usize)> = None;
         for raw in 0..g.total_blocks() {
-            if self.active_flags[raw as usize]
-                || self.free_flags[raw as usize]
-                || self.bad_flags[raw as usize]
-            {
+            let i = raw as usize;
+            if self.active_flags[i] || self.free_flags[i] || self.bad_flags[i] {
                 continue;
             }
-            let invalid = self.invalid_per_block[raw as usize];
-            if invalid == 0 {
-                continue;
-            }
-            let protected = queue.map_or(0, |q| q.protected_in_block(raw));
-            debug_assert!(protected <= invalid, "protected pages must be invalid");
-            let reclaimable = invalid - protected;
+            let reclaimable = self.invalid_per_block[i] - protected[i];
             if reclaimable == 0 {
                 continue;
             }
-            let score = match policy {
-                GcPolicy::Greedy => reclaimable as f64,
-                // Older epoch = larger score; reclaimability only gates.
-                GcPolicy::Fifo => -(self.block_epoch[raw as usize] as f64),
-                GcPolicy::CostBenefit => {
-                    let age = (self.next_epoch - self.block_epoch[raw as usize]) as f64;
-                    let cost = (ppb - reclaimable) as f64 + 1.0;
-                    reclaimable as f64 * age / cost
-                }
-            };
             let free = self.free[(raw / bpc) as usize].len();
-            if best.is_none_or(|(_, s, f)| score > s || (score == s && free < f)) {
-                best = Some((Pba::new(raw), score, free));
+            if best.is_none_or(|(_, r, f)| reclaimable > r || (reclaimable == r && free < f)) {
+                best = Some((Pba::new(raw), reclaimable, free));
             }
         }
         best.map(|(pba, ..)| pba)
@@ -1310,7 +1194,7 @@ impl FtlBase {
                         .as_mut()
                         .expect("protection implies a queue")
                         .relocate(ppa, new);
-                    self.note_unprotected(ppa);
+                    self.unprotect(ppa);
                     self.stats.gc_page_copies += 1;
                     self.stats.gc_protected_copies += 1;
                 }
@@ -1387,7 +1271,7 @@ impl FtlBase {
 
     /// Re-registers a protection that a post-crash mount reconstructed from
     /// the OOB scan: restores the reverse mapping of the protected old
-    /// version (lost with DRAM) and bumps the per-block protected mirror.
+    /// version (lost with DRAM) and bumps its block's protected count.
     /// The page is already invalid — mount revalidates only the newest
     /// copy of each logical page — so superseding it only protects it.
     pub fn note_mount_protected(&mut self, ppa: Ppa, lba: Lba) -> Result<()> {
@@ -1652,16 +1536,14 @@ impl FtlBase {
     ///    worn block may still have had one program cycle left, but mount
     ///    cannot tell and a lost block is cheaper than a lost erase), the
     ///    most recently opened partial block per chip → active, everything
-    ///    else → closed in-service. Block ages (epochs) are re-ranked by
-    ///    each block's minimum sequence number, preserving the relative
-    ///    order the FIFO/cost-benefit GC policies depend on.
+    ///    else → closed in-service, and the victim index is rebuilt.
     ///
     /// Returns the scan as a flat vector sorted by logical page, each
     /// page's run ordered oldest version first by `(stamp, seq)`, so the
     /// caller can rebuild version-history state (the recovery queue)
     /// without re-reading flash. Cumulative statistics survive (they model
     /// NVRAM-backed counters, as firmware keeps wear data); the protected
-    /// mirror restarts at zero and is re-filled by the caller via
+    /// counts restart at zero and are re-filled by the caller via
     /// [`note_mount_protected`].
     ///
     /// [`note_mount_protected`]: Self::note_mount_protected
@@ -1683,16 +1565,9 @@ impl FtlBase {
         self.active_flags = vec![false; total_blocks as usize];
         self.invalid_per_block = vec![0; total_blocks as usize];
         self.protected_per_block = vec![0; total_blocks as usize];
-        self.protected_total = 0;
-        self.block_epoch = vec![0; total_blocks as usize];
         self.active = vec![None; chips];
         self.next_chip = 0;
-        self.victims = VictimIndex::new(
-            total_blocks as usize,
-            ppb as usize,
-            self.config.gc_policy_ref(),
-            self.config.geometry().blocks_per_chip(),
-        );
+        self.victims = VictimIndex::new(total_blocks as usize, ppb as usize, g.blocks_per_chip());
         // A half-done incremental job does not survive power loss: its
         // victim is re-scored from physical state like every other block.
         self.gc_job = None;
@@ -1775,13 +1650,6 @@ impl FtlBase {
             }
         }
 
-        // Re-rank block ages by first-program order and rebuild the victim
-        // index.
-        in_service.sort_unstable();
-        for (rank, &(_, raw)) in in_service.iter().enumerate() {
-            self.block_epoch[raw as usize] = rank as u64 + 1;
-        }
-        self.next_epoch = in_service.len() as u64 + 1;
         for &(_, raw) in &in_service {
             self.refresh_victim(raw);
         }
@@ -1858,7 +1726,7 @@ mod tests {
     #[test]
     fn protected_overwrite_keeps_the_slot_and_retirement_moves_it_by_one() {
         let mut b = base();
-        let mut q = RecoveryQueue::with_block_size(b.config().geometry().pages_per_block());
+        let mut q = RecoveryQueue::new();
         // Fill block 0, close it by writing one page into block 1, then
         // overwrite lba 0 unprotected so block 0 is a candidate (r = 1).
         let page = Bytes::from_static(b"v1");
@@ -1866,7 +1734,7 @@ mod tests {
             .unwrap();
         put(&mut b, Lba::new(0), page.clone());
         let before = b.victims.slot[0];
-        assert_eq!(before, Some((1, 0)));
+        assert_eq!(before, Some(1));
 
         // A protected overwrite raises invalid and protected together.
         b.program_extent_mapped(Lba::new(1), &[page], SimTime::ZERO, Some(&mut q))
@@ -1879,10 +1747,10 @@ mod tests {
         );
 
         // Retiring the entry releases the page: one more reclaimable page.
-        let retired = q.retire_before(SimTime::from_secs(1));
-        assert_eq!(retired.len(), 1);
-        b.note_retired(&retired);
-        assert_eq!(b.victims.slot[0], Some((2, 0)));
+        b.retire_protected(&mut q, SimTime::from_secs(1));
+        assert!(q.is_empty());
+        assert_eq!(b.protected_per_block[0], 0);
+        assert_eq!(b.victims.slot[0], Some(2));
     }
 
     #[test]

@@ -1,43 +1,6 @@
 //! FTL configuration.
 
 use insider_nand::{Geometry, NandConfig, SchedMode, SimTime};
-use serde::{Deserialize, Serialize};
-
-/// Garbage-collection victim-selection policy.
-///
-/// The paper's prototype uses greedy selection ("page-level mapping with
-/// greedy victim selection", §V-C footnote); the alternatives are provided
-/// for the design-space ablation (`cargo run -p insider-bench --bin
-/// ablation_gc`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum GcPolicy {
-    /// Pick the block with the most immediately reclaimable pages.
-    #[default]
-    Greedy,
-    /// Pick the least-recently-opened block with any reclaimable page.
-    Fifo,
-    /// Classic cost-benefit: maximize
-    /// `reclaimable × age / (migration cost + 1)` — prefers old,
-    /// mostly-dead blocks, tolerating slightly fuller victims when cold.
-    CostBenefit,
-}
-
-impl GcPolicy {
-    /// Display name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            GcPolicy::Greedy => "greedy",
-            GcPolicy::Fifo => "fifo",
-            GcPolicy::CostBenefit => "cost-benefit",
-        }
-    }
-}
-
-impl std::fmt::Display for GcPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Free blocks garbage collection keeps in reserve: a write of `n` pages
 /// collects while the pool is below this plus `⌈n / pages_per_block⌉`.
@@ -61,7 +24,6 @@ pub struct FtlConfig {
     nand: NandConfig,
     over_provisioning: f64,
     protection_window: SimTime,
-    gc_policy: GcPolicy,
     record_gc_victims: bool,
     checkpoint_interval: Option<u64>,
     mount_from_checkpoint: bool,
@@ -86,7 +48,6 @@ impl FtlConfig {
             nand,
             over_provisioning: 0.07,
             protection_window: SimTime::from_secs(10),
-            gc_policy: GcPolicy::Greedy,
             record_gc_victims: false,
             checkpoint_interval: None,
             mount_from_checkpoint: true,
@@ -118,18 +79,6 @@ impl FtlConfig {
     pub fn protection_window(mut self, window: SimTime) -> Self {
         self.protection_window = window;
         self
-    }
-
-    /// Sets the garbage-collection victim-selection policy (default greedy,
-    /// as in the paper's prototype).
-    pub fn gc_policy(mut self, policy: GcPolicy) -> Self {
-        self.gc_policy = policy;
-        self
-    }
-
-    /// The garbage-collection policy.
-    pub fn gc_policy_ref(&self) -> GcPolicy {
-        self.gc_policy
     }
 
     /// Records every GC victim in an in-memory log
@@ -437,14 +386,5 @@ mod tests {
     #[should_panic(expected = "at least one page")]
     fn zero_pacing_burst_panics() {
         FtlConfig::new(Geometry::tiny()).write_pacing_burst(0);
-    }
-
-    #[test]
-    fn default_policy_is_greedy_and_settable() {
-        let cfg = FtlConfig::new(Geometry::tiny());
-        assert_eq!(cfg.gc_policy_ref(), GcPolicy::Greedy);
-        let cfg = cfg.gc_policy(GcPolicy::CostBenefit);
-        assert_eq!(cfg.gc_policy_ref(), GcPolicy::CostBenefit);
-        assert_eq!(GcPolicy::Fifo.to_string(), "fifo");
     }
 }

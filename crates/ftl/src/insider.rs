@@ -58,10 +58,9 @@ pub struct InsiderFtl {
 impl InsiderFtl {
     /// Creates an empty drive with the given configuration.
     pub fn new(config: FtlConfig) -> Self {
-        let ppb = config.geometry().pages_per_block();
         InsiderFtl {
             base: FtlBase::new(config),
-            queue: RecoveryQueue::with_block_size(ppb),
+            queue: RecoveryQueue::new(),
             hold: Hold::default(),
         }
     }
@@ -174,13 +173,7 @@ impl InsiderFtl {
             return;
         }
         let cutoff = now.saturating_sub(self.base.config().window());
-        let retired = self.queue.retire_before(cutoff);
-        self.base.note_retired(&retired);
-        debug_assert_eq!(
-            self.base.protected_pages(),
-            self.queue.protected_count() as u64,
-            "victim-index protected count diverged from the recovery queue"
-        );
+        self.base.retire_protected(&mut self.queue, cutoff);
     }
 
     /// Rolls the mapping table back to its state one protection window before
@@ -314,11 +307,6 @@ impl InsiderFtl {
                 self.base.note_mount_protected(old, lba)?;
             }
         }
-        debug_assert_eq!(
-            self.base.protected_pages(),
-            self.queue.protected_count() as u64,
-            "rebuilt protected mirror diverged from the rebuilt queue"
-        );
         #[cfg(debug_assertions)]
         self.base.reconcile_victim_index(Some(&self.queue));
         Ok(())
@@ -794,6 +782,67 @@ mod tests {
         // Empty extents stay no-ops even when read-only.
         assert_eq!(f.write_extent(Lba::new(0), &[], secs(1)), Ok(()));
         assert!(f.read_extent(Lba::new(0), 1, secs(1)).unwrap()[0].is_some());
+    }
+
+    /// The FTL's per-block protected counts are the only ones there are:
+    /// after every step of a seeded script of extent writes, trims, idle
+    /// retirement, rollbacks and power cuts, with GC migrating protected
+    /// pages underneath, they equal a recount of the pages the queue's
+    /// entries hold.
+    #[test]
+    fn protected_counts_match_the_queue_after_every_step() {
+        let g = Geometry::builder()
+            .channels(2)
+            .chips_per_channel(2)
+            .blocks_per_chip(16)
+            .pages_per_block(8)
+            .page_size(64)
+            .build();
+        let mut f = InsiderFtl::new(FtlConfig::new(g));
+        // A cold body behind the hot span, so victims carry live and
+        // protected pages alike.
+        let cold = vec![Bytes::from_static(b"cold"); 250];
+        f.write_extent(Lba::new(100), &cold, SimTime::ZERO).unwrap();
+        let mut x = 0x5eed_u64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut now = secs(1);
+        let mut retired_pages = 0;
+        for step in 0..2_000u32 {
+            now += SimTime::from_millis(100);
+            let lba = Lba::new(next(90));
+            match next(128) {
+                0..=95 => {
+                    let pages =
+                        vec![Bytes::copy_from_slice(&step.to_le_bytes()); 1 + next(4) as usize];
+                    f.write_extent(lba, &pages, now).unwrap();
+                }
+                96..=117 => f.trim_extent(lba, 1 + next(3) as u32, now).unwrap(),
+                118..=125 => {
+                    let before = f.queue.protected_count();
+                    now += secs(1 + next(8));
+                    f.tick(now);
+                    retired_pages += before - f.queue.protected_count();
+                }
+                126 => {
+                    f.rollback(now).unwrap();
+                }
+                _ => f.power_cut(now).unwrap(),
+            }
+            let mut recount = vec![0u32; g.total_blocks() as usize];
+            for old in f.queue.iter().filter_map(|e| e.old) {
+                recount[old.block(&g).index() as usize] += 1;
+            }
+            assert_eq!(f.base.protected_per_block(), recount, "step {step}");
+        }
+        let stats = f.stats();
+        assert!(stats.gc_protected_copies > 0, "{stats}");
+        assert!(retired_pages > 0);
+        assert!(stats.mounts > 0);
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod recovery_queue;
 mod stats;
 mod traits;
 
-pub use config::{FtlConfig, GcPolicy, GC_RESERVE_BLOCKS};
+pub use config::{FtlConfig, GC_RESERVE_BLOCKS};
 pub use conventional::ConventionalFtl;
 pub use error::FtlError;
 pub use insider::{Hold, InsiderFtl, RollbackReport};

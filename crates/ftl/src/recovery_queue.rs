@@ -72,11 +72,11 @@ pub struct BackupEntry {
 /// assert!(q.is_protected(Ppa::new(21)));
 ///
 /// // 10 s later the entry retires and the old page becomes reclaimable.
-/// // The retired entries come back so the caller can release any
-/// // per-block protected-count bookkeeping it keeps.
-/// let retired = q.retire_before(SimTime::from_secs(13));
-/// assert_eq!(retired.len(), 1);
-/// assert_eq!(retired[0].old, Some(Ppa::new(21)));
+/// // Each retired entry is handed to the caller, which releases the
+/// // protected-page count it keeps for the page's block.
+/// let mut released = Vec::new();
+/// q.retire_before(SimTime::from_secs(13), |e| released.extend(e.old));
+/// assert_eq!(released, [Ppa::new(21)]);
 /// assert!(!q.is_protected(Ppa::new(21)));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -86,61 +86,12 @@ pub struct RecoveryQueue {
     /// Sequence number of the entry currently at the front of the deque.
     front_seq: u64,
     next_seq: u64,
-    /// When non-zero, protected pages are also counted per erase block
-    /// (block = `ppa / pages_per_block`) so garbage collection can pick
-    /// victims in O(blocks) instead of O(pages).
-    pages_per_block: u64,
-    /// Protected pages per block, indexed by block and grown on demand up
-    /// to the highest block that has held one.
-    per_block: Vec<u32>,
 }
 
 impl RecoveryQueue {
     /// An empty queue.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty queue that additionally maintains per-block protected-page
-    /// counts for `pages_per_block`-page erase blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pages_per_block` is zero.
-    pub fn with_block_size(pages_per_block: u32) -> Self {
-        assert!(pages_per_block > 0, "pages per block must be non-zero");
-        RecoveryQueue {
-            pages_per_block: pages_per_block as u64,
-            ..Self::default()
-        }
-    }
-
-    fn count_block(&mut self, ppa: Ppa, delta: i32) {
-        if self.pages_per_block == 0 {
-            return;
-        }
-        let block = (ppa.index() / self.pages_per_block) as usize;
-        if block >= self.per_block.len() {
-            self.per_block.resize(block + 1, 0);
-        }
-        let slot = &mut self.per_block[block];
-        *slot = slot
-            .checked_add_signed(delta)
-            .expect("per-block protected count underflow");
-    }
-
-    /// Number of protected pages inside erase block `block`. Always zero
-    /// unless the queue was built with [`RecoveryQueue::with_block_size`].
-    pub fn protected_in_block(&self, block: u32) -> u32 {
-        self.per_block.get(block as usize).copied().unwrap_or(0)
-    }
-
-    /// Whether this queue maintains per-block protected-page counts (built
-    /// with [`RecoveryQueue::with_block_size`]). Consumers that mirror those
-    /// counts — the FTL's incremental victim index — can only reconcile
-    /// against a block-tracking queue.
-    pub fn tracks_blocks(&self) -> bool {
-        self.pages_per_block > 0
     }
 
     /// Number of entries currently queued.
@@ -169,7 +120,6 @@ impl RecoveryQueue {
                 prev.is_none(),
                 "physical page {ppa} already protected by another backup entry"
             );
-            self.count_block(ppa, 1);
         }
         self.entries.push_back(BackupEntry { lba, old, stamp });
     }
@@ -219,35 +169,25 @@ impl RecoveryQueue {
         entry.old = Some(to);
         let prev = self.by_old_ppa.insert(to, seq);
         assert!(prev.is_none(), "relocation target {to} already protected");
-        self.count_block(from, -1);
-        self.count_block(to, 1);
     }
 
     /// Retires (drops) all entries with `stamp < cutoff`, releasing their
-    /// protected pages.
-    ///
-    /// Returns the retired entries in retirement (= time) order. Returning
-    /// the entries — not just a count — is what lets callers that mirror
-    /// protected-page counts (the FTL's incremental victim index) apply the
-    /// exact per-block deltas instead of re-polling; a count alone would
-    /// silently desync them. The common no-retirement case allocates
-    /// nothing.
-    pub fn retire_before(&mut self, cutoff: SimTime) -> Vec<BackupEntry> {
-        let mut retired = Vec::new();
-        while let Some(entry) = self.entries.front() {
+    /// protected pages, and hands each retired entry to `retired` in
+    /// retirement (= time) order. The caller that counts protected pages
+    /// per block (the FTL's victim index) releases each page as it comes,
+    /// with nothing collected in between.
+    pub fn retire_before(&mut self, cutoff: SimTime, mut retired: impl FnMut(BackupEntry)) {
+        while let Some(&entry) = self.entries.front() {
             if entry.stamp >= cutoff {
                 break;
             }
-            let entry = *entry;
             if let Some(ppa) = entry.old {
                 self.by_old_ppa.remove(&ppa);
-                self.count_block(ppa, -1);
             }
             self.entries.pop_front();
             self.front_seq += 1;
-            retired.push(entry);
+            retired(entry);
         }
-        retired
     }
 
     /// Drains every entry (oldest first), releasing all protections in one
@@ -258,7 +198,6 @@ impl RecoveryQueue {
     pub fn take_all(&mut self) -> Vec<BackupEntry> {
         self.front_seq = self.next_seq;
         self.by_old_ppa.clear();
-        self.per_block.clear();
         self.entries.drain(..).collect()
     }
 
@@ -278,7 +217,6 @@ impl RecoveryQueue {
         self.front_seq = self.next_seq;
         self.entries.clear();
         self.by_old_ppa.clear();
-        self.per_block.clear();
     }
 
     /// Bytes of DRAM an on-device implementation would need per entry
@@ -327,7 +265,8 @@ mod tests {
         q.push(Lba::new(1), Some(Ppa::new(10)), SimTime::from_secs(0));
         q.push(Lba::new(2), Some(Ppa::new(11)), SimTime::from_secs(5));
         q.push(Lba::new(3), Some(Ppa::new(12)), SimTime::from_secs(9));
-        let retired = q.retire_before(SimTime::from_secs(5));
+        let mut retired = Vec::new();
+        q.retire_before(SimTime::from_secs(5), |e| retired.push(e));
         assert_eq!(retired.len(), 1);
         assert_eq!(retired[0].lba, Lba::new(1));
         assert_eq!(retired[0].old, Some(Ppa::new(10)));
@@ -340,26 +279,25 @@ mod tests {
     fn retire_with_equal_stamp_keeps_entry() {
         let mut q = RecoveryQueue::new();
         q.push(Lba::new(1), Some(Ppa::new(10)), SimTime::from_secs(5));
-        assert!(q.retire_before(SimTime::from_secs(5)).is_empty());
+        q.retire_before(SimTime::from_secs(5), |e| panic!("retired {e:?}"));
         assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn retire_reports_released_ppas_in_time_order() {
-        let mut q = RecoveryQueue::with_block_size(4);
+        let mut q = RecoveryQueue::new();
         q.push(Lba::new(1), Some(Ppa::new(0)), SimTime::from_secs(0));
         q.push(Lba::new(2), None, SimTime::from_secs(1));
         q.push(Lba::new(3), Some(Ppa::new(5)), SimTime::from_secs(2));
-        let retired = q.retire_before(SimTime::from_secs(10));
-        let olds: Vec<Option<Ppa>> = retired.iter().map(|e| e.old).collect();
+        let mut olds = Vec::new();
+        q.retire_before(SimTime::from_secs(10), |e| olds.push(e.old));
         assert_eq!(olds, vec![Some(Ppa::new(0)), None, Some(Ppa::new(5))]);
-        assert_eq!(q.protected_in_block(0), 0);
-        assert_eq!(q.protected_in_block(1), 0);
+        assert_eq!(q.protected_count(), 0);
     }
 
     #[test]
     fn take_all_drains_and_releases_everything() {
-        let mut q = RecoveryQueue::with_block_size(4);
+        let mut q = RecoveryQueue::new();
         q.push(Lba::new(1), Some(Ppa::new(10)), SimTime::from_secs(1));
         q.push(Lba::new(2), Some(Ppa::new(3)), SimTime::from_secs(2));
         let entries = q.take_all();
@@ -367,8 +305,6 @@ mod tests {
         assert_eq!(entries[0].lba, Lba::new(1), "oldest first");
         assert!(q.is_empty());
         assert_eq!(q.protected_count(), 0);
-        assert_eq!(q.protected_in_block(0), 0);
-        assert_eq!(q.protected_in_block(2), 0);
         // The queue keeps working after the drain.
         q.push(Lba::new(5), Some(Ppa::new(10)), SimTime::from_secs(3));
         q.relocate(Ppa::new(10), Ppa::new(11));

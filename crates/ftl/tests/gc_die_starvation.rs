@@ -13,7 +13,7 @@
 //! the full-scan oracle.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, GcPolicy, InsiderFtl, GC_RESERVE_BLOCKS};
+use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl, GC_RESERVE_BLOCKS};
 use insider_nand::{Geometry, Lba, SimTime};
 
 const DIES: usize = 8;
@@ -26,7 +26,7 @@ const _: () = assert!(
     "the case needs fewer reserve blocks than dies, so that dies tie at zero free"
 );
 
-fn config(policy: GcPolicy) -> FtlConfig {
+fn config() -> FtlConfig {
     let geometry = Geometry::builder()
         .channels(2)
         .chips_per_channel(4)
@@ -34,9 +34,7 @@ fn config(policy: GcPolicy) -> FtlConfig {
         .pages_per_block(PAGES_PER_BLOCK)
         .page_size(64)
         .build();
-    FtlConfig::new(geometry)
-        .gc_policy(policy)
-        .record_gc_victims(true)
+    FtlConfig::new(geometry).record_gc_victims(true)
 }
 
 /// What the victim log and the counters say about one run.
@@ -114,12 +112,12 @@ fn assert_no_die_starves(o: &Outcome, what: &str) {
     }
 }
 
-fn both_ftls(policy: GcPolicy) -> [(String, Outcome); 2] {
-    let mut conventional = ConventionalFtl::new(config(policy));
-    let mut insider = InsiderFtl::new(config(policy));
+fn both_ftls() -> [(&'static str, Outcome); 2] {
+    let mut conventional = ConventionalFtl::new(config());
+    let mut insider = InsiderFtl::new(config());
     let outcomes = [
-        (format!("{policy:?}/conventional"), churn(&mut conventional)),
-        (format!("{policy:?}/insider"), churn(&mut insider)),
+        ("conventional", churn(&mut conventional)),
+        ("insider", churn(&mut insider)),
     ];
     assert!(insider.stats().gc_protected_copies > 0);
     outcomes
@@ -127,8 +125,8 @@ fn both_ftls(policy: GcPolicy) -> [(String, Outcome); 2] {
 
 #[test]
 fn greedy_collects_real_garbage_from_every_die() {
-    for (what, o) in both_ftls(GcPolicy::Greedy) {
-        assert_no_die_starves(&o, &what);
+    for (what, o) in both_ftls() {
+        assert_no_die_starves(&o, what);
         // Measured when written: 9.0 (conventional) and 8.5 (insider) pages
         // per victim, 1.4 under the chip-first order this file guards
         // against. The margin over half a block is thin: a failure just
@@ -140,23 +138,5 @@ fn greedy_collects_real_garbage_from_every_die() {
             o.mean_reclaimable
         );
         assert!(o.write_amp < 2.0, "{what}: write_amp {:.2}", o.write_amp);
-    }
-}
-
-#[test]
-fn cost_benefit_collects_real_garbage_from_every_die() {
-    for (what, o) in both_ftls(GcPolicy::CostBenefit) {
-        assert_no_die_starves(&o, &what);
-        assert!(o.write_amp < 2.0, "{what}: write_amp {:.2}", o.write_amp);
-    }
-}
-
-/// FIFO ignores how much a victim frees, so on a drive with a cold
-/// three-quarters its write amplification is its own; only the spread over
-/// dies is this file's business.
-#[test]
-fn fifo_takes_victims_from_every_die() {
-    for (what, o) in both_ftls(GcPolicy::Fifo) {
-        assert_no_die_starves(&o, &what);
     }
 }

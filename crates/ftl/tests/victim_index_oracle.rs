@@ -3,8 +3,8 @@
 //! The index is the only victim selector a release build has. The
 //! full-device scan it replaced is compiled under `cfg(debug_assertions)`
 //! and asserted equal to the index inside *every* `select_victim` call,
-//! from independent inputs (the scan reads protected counts from the
-//! recovery queue, the index from the FTL's mirror). Tier 1 runs the
+//! from independent inputs (the scan recounts protected pages from the
+//! recovery queue's entries, the index reads the FTL's own counts). Tier 1 runs the
 //! debug profile, so each workload below checks
 //! every selection it causes — the comparison this suite used to make
 //! between an indexed and a scan-configured instance, made at the call
@@ -13,7 +13,7 @@
 //! operations, before and after rollback.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, FtlError, GcPolicy, InsiderFtl};
+use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, FtlError, InsiderFtl};
 use insider_nand::{Geometry, Lba, SimTime};
 use proptest::prelude::*;
 
@@ -35,10 +35,8 @@ fn geometry() -> Geometry {
         .build()
 }
 
-fn config(policy: GcPolicy) -> FtlConfig {
-    FtlConfig::new(geometry())
-        .gc_policy(policy)
-        .record_gc_victims(true)
+fn config() -> FtlConfig {
+    FtlConfig::new(geometry()).record_gc_victims(true)
 }
 
 fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
@@ -96,52 +94,41 @@ fn contents(ftl: &mut dyn Ftl, now: SimTime) -> Vec<Option<Bytes>> {
     ftl.read_extent(Lba::new(0), SPAN as u32, now).unwrap()
 }
 
-fn policy(index: u8) -> GcPolicy {
-    match index % 3 {
-        0 => GcPolicy::Greedy,
-        1 => GcPolicy::Fifo,
-        _ => GcPolicy::CostBenefit,
-    }
-}
-
 /// Deterministic anchor for the random suite: a hot/cold split long enough
-/// to guarantee reclaim selections happen under every policy, so the
-/// in-process equivalence is known to cover them.
+/// to guarantee reclaim selections happen, so the in-process equivalence is
+/// known to cover them.
 #[test]
 fn deterministic_churn_covers_reclaim() {
-    for p in 0..3u8 {
-        let policy = policy(p);
-        let mut f = ConventionalFtl::new(config(policy));
-        for lba in 0..SPAN / 2 {
-            f.write(Lba::new(lba), Bytes::from_static(b"cold"), SimTime::ZERO)
-                .unwrap();
-        }
-        for i in 0..6_000u64 {
-            f.write(
-                Lba::new(SPAN / 2 + i % 8),
-                Bytes::copy_from_slice(&(i as u32).to_le_bytes()),
-                SimTime::ZERO,
-            )
+    let mut f = ConventionalFtl::new(config());
+    for lba in 0..SPAN / 2 {
+        f.write(Lba::new(lba), Bytes::from_static(b"cold"), SimTime::ZERO)
             .unwrap();
-        }
-        let stats = *f.stats();
-        assert!(stats.gc_invocations > 0, "{policy}: reclaim GC must run");
-        assert_eq!(
-            f.gc_victims().len() as u64,
-            stats.gc_invocations,
-            "{policy}: every selection must have been logged and collected"
-        );
     }
+    for i in 0..6_000u64 {
+        f.write(
+            Lba::new(SPAN / 2 + i % 8),
+            Bytes::copy_from_slice(&(i as u32).to_le_bytes()),
+            SimTime::ZERO,
+        )
+        .unwrap();
+    }
+    let stats = *f.stats();
+    assert!(stats.gc_invocations > 0, "reclaim GC must run");
+    assert_eq!(
+        f.gc_victims().len() as u64,
+        stats.gc_invocations,
+        "every selection must have been logged and collected"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Conventional FTL under random write/trim churn, every policy: each
-    /// selection agrees with the scan, and the data survives.
+    /// Conventional FTL under random write/trim churn: each selection
+    /// agrees with the scan, and the data survives.
     #[test]
-    fn conventional_index_matches_scan(ops in op_strategy(), p in 0u8..3) {
-        let mut ftl = ConventionalFtl::new(config(policy(p)));
+    fn conventional_index_matches_scan(ops in op_strategy()) {
+        let mut ftl = ConventionalFtl::new(config());
         let applied = run(&mut ftl, &ops);
         prop_assert_eq!(applied, ops.len(), "a conventional FTL never runs dry here");
         prop_assert_eq!(contents(&mut ftl, time_of(applied)), model(&ops, applied));
@@ -151,8 +138,8 @@ proptest! {
     /// protected counts flow through the index incrementally and through
     /// the recovery queue for the scan.
     #[test]
-    fn insider_index_matches_scan(ops in op_strategy(), p in 0u8..3) {
-        let mut ftl = InsiderFtl::new(config(policy(p)));
+    fn insider_index_matches_scan(ops in op_strategy()) {
+        let mut ftl = InsiderFtl::new(config());
         let applied = run(&mut ftl, &ops);
         prop_assert_eq!(contents(&mut ftl, time_of(applied)), model(&ops, applied));
     }
@@ -160,8 +147,8 @@ proptest! {
     /// Rollback after random churn restores exactly the state one window
     /// back: GC migration decisions never leak into recovery.
     #[test]
-    fn rollback_state_identical_under_both_selectors(ops in op_strategy(), p in 0u8..3) {
-        let mut ftl = InsiderFtl::new(config(policy(p)));
+    fn rollback_state_identical_under_both_selectors(ops in op_strategy()) {
+        let mut ftl = InsiderFtl::new(config());
         let applied = run(&mut ftl, &ops);
         let end = time_of(ops.len());
         let report = ftl.rollback(end).unwrap();
