@@ -4,7 +4,7 @@
 #                      test -q` plus a zero-warning clippy pass. The root
 #                      manifest's `default-members = [".", "crates/*"]` makes
 #                      those bare commands cover the umbrella package and
-#                      every product crate — the whole suite (664
+#                      every product crate — the whole suite (650
 #                      tests: unit, differential oracles, proptests, the
 #                      strided crash sweep and the bench smokes), about a
 #                      minute warm — and leave out only `vendored/*`, the
@@ -16,12 +16,15 @@
 #                      here, in the first minutes), rustfmt check, clippy
 #                      over all targets, rustdoc with warnings denied (a
 #                      deleted item cannot leave a doc link pointing at it),
-#                      the block-cache oracle, the recovery-queue model test
-#                      and the device-lifecycle fuzz once more, each on a
-#                      seed taken from the clock (`CACHE_ORACLE_SEED`,
-#                      `QUEUE_MODEL_SEED`, `PROPTEST_RNG_SEED`, echoed first
-#                      so a failure can be replayed; tier1 already ran their
-#                      fixed seeds), bounded crash-sweep / steady-state / ROC
+#                      the block-cache oracle, the recovery-queue model test,
+#                      the device-lifecycle fuzz and the FTL's remount and
+#                      GC-torture properties (`crash_remount`, `gc_torture`)
+#                      once more, each on a seed taken from the clock
+#                      (`CACHE_ORACLE_SEED`, `QUEUE_MODEL_SEED`,
+#                      `PROPTEST_RNG_SEED` — the last shared by the three
+#                      proptest suites — echoed first so a failure can be
+#                      replayed; tier1 already ran their fixed seeds),
+#                      bounded crash-sweep / steady-state / ROC
 #                      smoke runs
 #                      (env bounds below; smoke JSON goes to target/ci/, never
 #                      touching the committed artifacts), then bench_check
@@ -66,9 +69,6 @@
 #                      bench_check gates the committed artifact's TPR floors.)
 #
 # Env knobs (all optional):
-#   CKPT_INTERVAL      — host-write pages between mapping-table checkpoints
-#                        (crash_sweep arms a small interval for its
-#                        checkpointed pass; 0 disables).
 #   CRASH_SWEEP_STRIDE / CRASH_SWEEP_PAGES / CRASH_SWEEP_FS_POINTS
 #                      — crash-sweep density: cut-point stride, per-trace
 #                        write budget, filesystem-scenario cut points.
@@ -79,8 +79,8 @@
 
 CARGO ?= cargo
 
-# Bounds for the CI smoke runs: dense enough to cross several checkpoint
-# writes and every code path, small enough to finish in seconds.
+# Bounds for the CI smoke runs: dense enough to reach every code path,
+# small enough to finish in seconds.
 CI_SWEEP_ENV = CRASH_SWEEP_STRIDE=41 CRASH_SWEEP_PAGES=160 CRASH_SWEEP_FS_POINTS=6
 CI_ROC_ENV = ROC_TRACES=1
 
@@ -101,7 +101,8 @@ ci: tier1
 	@seed=$$(date +%s); echo "QUEUE_MODEL_SEED=$$seed"; \
 	QUEUE_MODEL_SEED=$$seed $(CARGO) test -q -p insider-ftl --test recovery_queue_model
 	@seed=$$(date +%s); echo "PROPTEST_RNG_SEED=$$seed"; \
-	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p ssd-insider --test state_machine
+	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p ssd-insider --test state_machine && \
+	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-ftl --test crash_remount --test gc_torture
 	mkdir -p target/ci
 	$(CI_SWEEP_ENV) $(CARGO) run --release -p insider-bench --bin crash_sweep
 	$(CARGO) run --release -p insider-bench --bin bench_steady target/ci/BENCH_steady.json

@@ -24,8 +24,8 @@ use std::time::Instant;
 
 fn run_matrix(label: &str, config: &SweepConfig) {
     println!(
-        "crash sweep ({label}): stride={} write_budget={} window={:?} ckpt_interval={:?}",
-        config.stride, config.write_budget, config.window, config.checkpoint_interval
+        "crash sweep ({label}): stride={} write_budget={} window={:?}",
+        config.stride, config.write_budget, config.window
     );
     println!();
     println!(
@@ -55,20 +55,11 @@ fn run_matrix(label: &str, config: &SweepConfig) {
 fn main() {
     let config = SweepConfig::full().from_env();
     run_matrix("default", &config);
-    // Second pass with periodic checkpointing armed: checkpoint slot
-    // erases/programs join the mutation space, so the stride-1 sweep now
-    // also cuts power *inside* checkpoint writes — torn checkpoints must
-    // fall back to the previous slot or a full scan with nothing lost.
-    if config.checkpoint_interval.is_none() {
-        run_matrix("checkpointed", &config.checkpointed(48));
-    }
-    // Third pass with the incremental GC engine and erase-suspend armed:
+    // Second pass with the incremental GC engine and erase-suspend armed:
     // a 1-page step budget parks a GcJob across nearly every host write,
     // so cuts land inside half-migrated victim blocks and suspended
     // erases — and every remount must rebuild to the same contract.
-    if !config.incremental_gc {
-        run_matrix("incremental", &config.incremental());
-    }
+    run_matrix("incremental", &config.incremental());
 
     // Filesystem scenario: probe the clean run for the crash-space size,
     // then cut at an even spread of mutation boundaries across the attack.

@@ -43,6 +43,56 @@ fn smash_strategy() -> impl Strategy<Value = Smash> {
         })
 }
 
+/// Applies `smashes` to a populated filesystem, then requires fsck to
+/// repair it in one pass and leave it mountable and writable.
+fn smash_then_fsck(smashes: &[Smash]) -> TestCaseResult {
+    let (mut dev, _corpus) = populated();
+    for s in smashes {
+        let mut raw = dev
+            .read_block(s.block)
+            .unwrap()
+            .map(|b| b.to_vec())
+            .unwrap_or_else(|| vec![0u8; 4096]);
+        raw.resize(4096, 0);
+        for (k, b) in s.bytes.iter().enumerate() {
+            let at = (s.offset + k) % raw.len();
+            raw[at] = *b;
+        }
+        dev.write_block(s.block, Bytes::from(raw)).unwrap();
+    }
+
+    let (_report, dev) = fsck(dev).expect("fsck must not error on garbage metadata");
+    let (second, dev) = fsck(dev).unwrap();
+    prop_assert!(second.is_clean(), "fsck must converge: {second}");
+
+    // The repaired filesystem is mountable and fully usable.
+    let mut fs = MiniExt::mount(dev).unwrap();
+    fs.write_file("post-repair", b"still alive").unwrap();
+    prop_assert_eq!(
+        fs.read_file("post-repair").unwrap(),
+        b"still alive".to_vec()
+    );
+    Ok(())
+}
+
+/// A recorded counterexample of
+/// `fsck_converges_after_arbitrary_metadata_smash`: one run of zeros then
+/// random bytes written into block 3 at offset 178.
+#[test]
+fn fsck_converges_after_recorded_block_3_smash() {
+    let bytes = vec![
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 66, 171, 93, 67, 1, 247, 17, 159, 170,
+        25, 235, 233, 194, 32, 77, 196, 19, 26, 136, 47, 29, 235, 201, 112, 71, 58, 165, 144, 92,
+        158, 114, 126, 149, 217, 101, 186, 192, 142, 187, 78,
+    ];
+    let smash = Smash {
+        block: 3,
+        offset: 178,
+        bytes,
+    };
+    smash_then_fsck(&[smash]).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -52,29 +102,7 @@ proptest! {
     fn fsck_converges_after_arbitrary_metadata_smash(
         smashes in prop::collection::vec(smash_strategy(), 1..6),
     ) {
-        let (mut dev, _corpus) = populated();
-        for s in &smashes {
-            let mut raw = dev
-                .read_block(s.block)
-                .unwrap()
-                .map(|b| b.to_vec())
-                .unwrap_or_else(|| vec![0u8; 4096]);
-            raw.resize(4096, 0);
-            for (k, b) in s.bytes.iter().enumerate() {
-                let at = (s.offset + k) % raw.len();
-                raw[at] = *b;
-            }
-            dev.write_block(s.block, Bytes::from(raw)).unwrap();
-        }
-
-        let (_report, dev) = fsck(dev).expect("fsck must not error on garbage metadata");
-        let (second, dev) = fsck(dev).unwrap();
-        prop_assert!(second.is_clean(), "fsck must converge: {second}");
-
-        // The repaired filesystem is mountable and fully usable.
-        let mut fs = MiniExt::mount(dev).unwrap();
-        fs.write_file("post-repair", b"still alive").unwrap();
-        prop_assert_eq!(fs.read_file("post-repair").unwrap(), b"still alive".to_vec());
+        smash_then_fsck(&smashes)?;
     }
 
     /// Corrupting only the *bitmap* or *superblock counters* (not the inode

@@ -25,8 +25,6 @@ pub struct FtlConfig {
     over_provisioning: f64,
     protection_window: SimTime,
     record_gc_victims: bool,
-    checkpoint_interval: Option<u64>,
-    mount_from_checkpoint: bool,
     incremental_gc: bool,
     gc_low_water_extra: u32,
     gc_step_pages: u32,
@@ -49,8 +47,6 @@ impl FtlConfig {
             over_provisioning: 0.07,
             protection_window: SimTime::from_secs(10),
             record_gc_victims: false,
-            checkpoint_interval: None,
-            mount_from_checkpoint: true,
             incremental_gc: false,
             gc_low_water_extra: 2,
             gc_step_pages: 4,
@@ -109,43 +105,6 @@ impl FtlConfig {
     pub fn capture_commands(mut self, enabled: bool) -> Self {
         self.nand = self.nand.capture_commands(enabled);
         self
-    }
-
-    /// Enables periodic mapping-table checkpoints: after every `pages`
-    /// host page writes the FTL persists a sequence-stamped, CRC-guarded
-    /// snapshot of its OOB history to one of the device's two checkpoint
-    /// slots, and a later mount replays only the OOB *tail* written since
-    /// (falling back to a full scan when no valid checkpoint exists).
-    /// Disabled by default — without it mount behavior is byte-identical
-    /// to the pre-checkpoint implementation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pages` is zero.
-    pub fn checkpoint_interval(mut self, pages: u64) -> Self {
-        assert!(pages >= 1, "checkpoint interval must be at least one page");
-        self.checkpoint_interval = Some(pages);
-        self
-    }
-
-    /// The checkpoint trigger interval in host page writes, if enabled.
-    pub fn checkpoint_interval_pages(&self) -> Option<u64> {
-        self.checkpoint_interval
-    }
-
-    /// When checkpointing is enabled, controls whether mount actually
-    /// *loads* the newest valid checkpoint (`true`, the default) or
-    /// ignores it and rebuilds from a full OOB scan (`false`). The `false`
-    /// arm exists as the differential oracle: both settings must produce
-    /// identical mounted state.
-    pub fn mount_from_checkpoint(mut self, enabled: bool) -> Self {
-        self.mount_from_checkpoint = enabled;
-        self
-    }
-
-    /// Whether mount loads checkpoints (vs the full-scan oracle arm).
-    pub fn mount_from_checkpoint_enabled(&self) -> bool {
-        self.mount_from_checkpoint
     }
 
     /// Switches the garbage collector's policy from blocking (collect only
@@ -325,22 +284,6 @@ mod tests {
         assert_eq!(cfg.nand().sched_mode(), SchedMode::OutOfOrder);
         let cfg = cfg.scheduler(SchedMode::InOrder).capture_commands(true);
         assert_eq!(cfg.nand().sched_mode(), SchedMode::InOrder);
-    }
-
-    #[test]
-    fn checkpoint_knobs_default_off_and_are_settable() {
-        let cfg = FtlConfig::new(Geometry::tiny());
-        assert_eq!(cfg.checkpoint_interval_pages(), None);
-        assert!(cfg.mount_from_checkpoint_enabled());
-        let cfg = cfg.checkpoint_interval(64).mount_from_checkpoint(false);
-        assert_eq!(cfg.checkpoint_interval_pages(), Some(64));
-        assert!(!cfg.mount_from_checkpoint_enabled());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one page")]
-    fn zero_checkpoint_interval_panics() {
-        FtlConfig::new(Geometry::tiny()).checkpoint_interval(0);
     }
 
     #[test]

@@ -30,8 +30,8 @@ pub struct RollbackReport {
 pub struct Hold {
     /// Writes and trims fail with [`FtlError::ReadOnly`].
     pub read_only: bool,
-    /// Retirement is paused, and rollback, remount and checkpoints measure
-    /// the window back from this instant (the alarm), not the call time.
+    /// Retirement is paused, and rollback and remount measure the window
+    /// back from this instant (the alarm), not the call time.
     pub frozen_at: Option<SimTime>,
 }
 
@@ -226,12 +226,6 @@ impl InsiderFtl {
         self.base.mount_scan_entries()
     }
 
-    /// Records held by the checkpoint chain index (zero unless periodic
-    /// checkpointing is enabled) — the DRAM cost of fast remounts.
-    pub fn chain_index_entries(&self) -> u64 {
-        self.base.chain_index_entries()
-    }
-
     /// Simulates a power loss followed by a power-on mount (paper §III-E:
     /// the fsck analogy). All DRAM state is rebuilt from the OOB scan —
     /// including the **recovery queue**, so rollback keeps working across a
@@ -338,11 +332,7 @@ impl Ftl for InsiderFtl {
         // queue append page by page, so a mid-batch NAND failure leaves the
         // programmed prefix fully recoverable.
         self.base
-            .program_extent_mapped(lba, data, now, Some(&mut self.queue))?;
-        // Checkpoints anchor their horizon at the same frozen-aware time
-        // the rollback path uses, so a checkpointed mount never forgets a
-        // version rollback could still need.
-        self.base.maybe_checkpoint(self.anchor(now))
+            .program_extent_mapped(lba, data, now, Some(&mut self.queue))
     }
 
     fn power_cut(&mut self, now: SimTime) -> Result<()> {

@@ -57,7 +57,6 @@
 #![warn(missing_docs)]
 
 mod base;
-mod checkpoint;
 mod config;
 mod conventional;
 mod error;

@@ -40,14 +40,6 @@ pub struct FtlStats {
     /// Power-on mounts performed (full OOB-scan rebuilds after a power
     /// cut). Zero for a drive that never lost power.
     pub mounts: u64,
-    /// Mapping-table checkpoints persisted to the NAND checkpoint slots.
-    /// Zero unless `FtlConfig::checkpoint_interval` is set.
-    #[serde(default)]
-    pub checkpoints: u64,
-    /// Total checkpoint pages programmed across all checkpoints — the
-    /// flash-write overhead of checkpointing.
-    #[serde(default)]
-    pub checkpoint_pages: u64,
     /// Steps of the GC job engine: each resumption of a victim's migration
     /// cursor, to the end of the block or of the budget — one per victim
     /// under the blocking policy, several under the incremental one.
@@ -95,7 +87,7 @@ impl std::fmt::Display for FtlStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "reads={} writes={} trims={} gc[runs={} copies={} protected={} erases={} bad={} ns={} max_migr={} steps={} stw={}] mounts={} ckpts={}/{}p WA={:.3}",
+            "reads={} writes={} trims={} gc[runs={} copies={} protected={} erases={} bad={} ns={} max_migr={} steps={} stw={}] mounts={} WA={:.3}",
             self.host_reads,
             self.host_writes,
             self.host_trims,
@@ -109,8 +101,6 @@ impl std::fmt::Display for FtlStats {
             self.gc_steps,
             self.gc_stw_fallbacks,
             self.mounts,
-            self.checkpoints,
-            self.checkpoint_pages,
             self.write_amplification()
         )
     }

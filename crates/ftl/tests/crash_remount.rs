@@ -10,10 +10,13 @@
 //!   migration programs — must lose nothing, and the rebuilt victim index
 //!   must survive further garbage collection (the PR-3 debug
 //!   reconciliation asserts run on every post-remount GC).
+//! * Mount charge: the one mount path reads every programmed page's spare
+//!   area once, and each read costs its die and its channel bus exactly
+//!   one read and one transfer.
 
 use bytes::Bytes;
 use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, FtlError, InsiderFtl};
-use insider_nand::{FaultPlan, Geometry, Lba, NandError, SimTime};
+use insider_nand::{FaultPlan, Geometry, Lba, NandConfig, NandError, Pba, SimTime};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -340,4 +343,55 @@ fn crash_between_gc_migration_and_victim_erase_loses_nothing() {
         mid_gc_points, 3,
         "workload never produced a mid-GC crash point"
     );
+}
+
+/// The mount scan reads every programmed page's spare area exactly once,
+/// and each of those reads is charged like any other: one read latency on
+/// the die it lands on, one transfer on that die's channel bus. Across a
+/// remount the read count grows by the summed block write pointers, and
+/// the summed die and bus busy integrals by that count times the read and
+/// transfer latencies.
+#[test]
+fn mount_scan_reads_every_programmed_page_and_is_charged_per_read() {
+    const READ_NS: u64 = 50_000;
+    const BUS_NS: u64 = 30_000;
+    let nand = NandConfig::new(Geometry::tiny())
+        .read_latency_ns(READ_NS)
+        .bus_transfer_ns(BUS_NS);
+    let mut ftl = InsiderFtl::new(FtlConfig::with_nand(nand).protection_window(WINDOW));
+    let mut now = SimTime::ZERO;
+    for (i, (lba, t)) in gc_workload().into_iter().enumerate() {
+        now = t;
+        ftl.write(Lba::new(lba), unique_payload(lba, i), t)
+            .expect("write failed");
+    }
+    assert!(
+        ftl.stats().gc_erases > 0,
+        "the workload must recycle blocks"
+    );
+    let g = *ftl.device().geometry();
+    let programmed: u64 = (0..g.total_blocks())
+        .map(|raw| {
+            let block = ftl.device().block(Pba::new(raw)).expect("block in range");
+            u64::from(block.write_ptr().unwrap_or(g.pages_per_block()))
+        })
+        .sum();
+    let busy = |ftl: &InsiderFtl| {
+        let s = ftl.nand_stats();
+        (
+            s.reads,
+            s.die_busy_ns.iter().sum::<u64>(),
+            s.bus_busy_ns.iter().sum::<u64>(),
+        )
+    };
+    let (reads, die, bus) = busy(&ftl);
+    ftl.power_cut(now).expect("remount failed");
+    let (reads_after, die_after, bus_after) = busy(&ftl);
+    let scanned = reads_after - reads;
+    assert_eq!(
+        scanned, programmed,
+        "one spare-area read per programmed page"
+    );
+    assert_eq!(die_after - die, scanned * READ_NS, "die time");
+    assert_eq!(bus_after - bus, scanned * BUS_NS, "bus time");
 }

@@ -160,6 +160,32 @@ fn insider_rollback_after_torture_still_restores_window() {
     }
 }
 
+/// The torture run on the insider FTL over one drawn geometry.
+fn churn_on_geometry(blocks: u32, pages: u32, hot: u64, rounds: u64) {
+    let g = Geometry::builder()
+        .blocks_per_chip(blocks)
+        .pages_per_block(pages)
+        .page_size(64)
+        .build();
+    let mut ftl = InsiderFtl::new(FtlConfig::new(g));
+    // Delayed deletion is only feasible when one 10 s window of writes
+    // fits in the drive's reclaimable slack; derive the write cadence
+    // from the drawn geometry so every case is physically possible
+    // (windowed writes ≤ slack/2).
+    let total = g.total_pages();
+    let cold = (ftl.logical_pages() * 9) / 10;
+    let slack = total - cold - g.pages_per_block() as u64;
+    let step_ms = (20_000 / slack.max(1)) + 1;
+    torture(&mut ftl, hot, rounds, step_ms);
+}
+
+/// A recorded counterexample of `churn_is_safe_across_geometries`: the
+/// smallest drawable geometry, once shrunk to by two separate failures.
+#[test]
+fn churn_is_safe_on_recorded_smallest_geometry() {
+    churn_on_geometry(24, 8, 4, 20);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -171,21 +197,7 @@ proptest! {
         hot in 4u64..32,
         rounds in 20u64..60,
     ) {
-        let g = Geometry::builder()
-            .blocks_per_chip(blocks)
-            .pages_per_block(pages)
-            .page_size(64)
-            .build();
-        let mut ftl = InsiderFtl::new(FtlConfig::new(g));
-        // Delayed deletion is only feasible when one 10 s window of writes
-        // fits in the drive's reclaimable slack; derive the write cadence
-        // from the drawn geometry so every case is physically possible
-        // (windowed writes ≤ slack/2).
-        let total = g.total_pages();
-        let cold = (ftl.logical_pages() * 9) / 10;
-        let slack = total - cold - g.pages_per_block() as u64;
-        let step_ms = (20_000 / slack.max(1)) + 1;
-        torture(&mut ftl, hot, rounds, step_ms);
+        churn_on_geometry(blocks, pages, hot, rounds);
     }
 
     /// Utilization reported by the FTL equals live mapped pages / logical.

@@ -152,9 +152,10 @@ const MAX_ERASE_SUSPENDS: u32 = 64;
 
 /// Number of controller checkpoint slots a [`NandDevice`] reserves.
 ///
-/// Two slots are ping-ponged by the FTL: the newest valid checkpoint is
-/// always kept intact while the other slot is erased and rewritten, so a
-/// power cut mid-checkpoint can never destroy the last good one.
+/// The slots model a small reserved NAND area in the controller for
+/// durable metadata records. No FTL writes them yet; two slots let a
+/// writer keep its last good record intact while it erases and rewrites
+/// the other, so a power cut mid-write never destroys both.
 pub const CKPT_SLOTS: usize = 2;
 
 /// A simulated NAND flash device.
@@ -202,10 +203,10 @@ pub struct NandDevice {
     /// than) a max-scan-plus-one rebuild.
     next_seq: u64,
     /// Controller checkpoint region: [`CKPT_SLOTS`] page lists modeling a
-    /// reserved NAND area. Contents persist across [`power_cut`]
-    /// (checkpoints exist precisely to survive it); writes and erases go
-    /// through [`ckpt_append`]/[`ckpt_erase`], which consult the fault
-    /// plan like any other mutation.
+    /// reserved NAND area, with no FTL writer yet. Contents persist across
+    /// [`power_cut`] (durable records exist precisely to survive it);
+    /// writes and erases go through [`ckpt_append`]/[`ckpt_erase`], which
+    /// consult the fault plan like any other mutation.
     ///
     /// [`power_cut`]: Self::power_cut
     /// [`ckpt_append`]: Self::ckpt_append
@@ -757,8 +758,8 @@ impl NandDevice {
 
     /// Appends one page to checkpoint slot `slot`. Counts as one program
     /// mutation: fault-checked and charged like a page program, so a
-    /// power cut can land between any two checkpoint pages and leave a
-    /// torn (CRC-invalid) checkpoint behind.
+    /// power cut can land between any two slot pages and leave a torn
+    /// record behind.
     ///
     /// # Errors
     ///
