@@ -4,7 +4,7 @@
 #                      test -q` plus a zero-warning clippy pass. The root
 #                      manifest's `default-members = [".", "crates/*"]` makes
 #                      those bare commands cover the umbrella package and
-#                      every product crate — the whole suite (650
+#                      every product crate — the whole suite (654
 #                      tests: unit, differential oracles, proptests, the
 #                      strided crash sweep and the bench smokes), about a
 #                      minute warm — and leave out only `vendored/*`, the
@@ -17,11 +17,12 @@
 #                      over all targets, rustdoc with warnings denied (a
 #                      deleted item cannot leave a doc link pointing at it),
 #                      the block-cache oracle, the recovery-queue model test,
-#                      the device-lifecycle fuzz and the FTL's remount and
+#                      the device-lifecycle fuzz, the FTL's remount and
 #                      GC-torture properties (`crash_remount`, `gc_torture`)
+#                      and the NAND scheduler model (`sched_model`)
 #                      once more, each on a seed taken from the clock
 #                      (`CACHE_ORACLE_SEED`, `QUEUE_MODEL_SEED`,
-#                      `PROPTEST_RNG_SEED` — the last shared by the three
+#                      `PROPTEST_RNG_SEED` — the last shared by the four
 #                      proptest suites — echoed first so a failure can be
 #                      replayed; tier1 already ran their fixed seeds),
 #                      bounded crash-sweep / steady-state / ROC
@@ -102,7 +103,8 @@ ci: tier1
 	QUEUE_MODEL_SEED=$$seed $(CARGO) test -q -p insider-ftl --test recovery_queue_model
 	@seed=$$(date +%s); echo "PROPTEST_RNG_SEED=$$seed"; \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p ssd-insider --test state_machine && \
-	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-ftl --test crash_remount --test gc_torture
+	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-ftl --test crash_remount --test gc_torture && \
+	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-nand --test sched_model
 	mkdir -p target/ci
 	$(CI_SWEEP_ENV) $(CARGO) run --release -p insider-bench --bin crash_sweep
 	$(CARGO) run --release -p insider-bench --bin bench_steady target/ci/BENCH_steady.json

@@ -493,25 +493,22 @@ impl FtlBase {
         Ok(out)
     }
 
-    /// Batched read of `len` consecutive logical pages: one mapping-table
-    /// scan gathers the mapped physical pages, a single grouped NAND submit
-    /// fetches them, and the payloads are scattered back into request order
-    /// (`None` for unmapped pages).
+    /// Reads `len` consecutive logical pages in one pass, in request order:
+    /// each mapped page is one NAND read straight into the result, an
+    /// unmapped one is `None`. The FTL stripes consecutive pages across
+    /// dies, so the per-page reads of an extent overlap in the scheduler.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first failing NAND read and returns its error; the
+    /// pages read before it stay counted in the NAND stats.
     pub fn read_extent_mapped(&mut self, lba: Lba, len: u32) -> Result<Vec<Option<Bytes>>> {
-        let mut out = vec![None; len as usize];
-        let mut ppas = Vec::new();
-        let mut slots = Vec::new();
-        for i in 0..len as u64 {
-            if let Some(ppa) = self.mapping.get(lba.offset(i)) {
-                ppas.push(ppa);
-                slots.push(i as usize);
-            }
-        }
-        if !ppas.is_empty() {
-            let payloads = self.device.read_pages(&ppas)?;
-            for (slot, data) in slots.into_iter().zip(payloads) {
-                out[slot] = Some(data);
-            }
+        let mut out = Vec::with_capacity(len as usize);
+        for i in 0..u64::from(len) {
+            out.push(match self.mapping.get(lba.offset(i)) {
+                Some(ppa) => Some(self.device.read(ppa)?),
+                None => None,
+            });
         }
         Ok(out)
     }

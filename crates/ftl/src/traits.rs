@@ -10,8 +10,9 @@ use insider_nand::{LatencySnapshot, Lba, NandStats, SimTime};
 /// [`InsiderFtl`](crate::InsiderFtl) implement this, so experiments can swap
 /// policies behind `&mut dyn Ftl`.
 ///
-/// An implementor supplies the three extent operations — one bounds check,
-/// one mapping-table pass and one grouped NAND submit per request.
+/// An implementor supplies the three extent operations — one bounds check
+/// and one mapping-table pass per request; a write is one grouped NAND
+/// submit, a read one NAND read per mapped page in the same pass.
 /// [`read`](Ftl::read), [`write`](Ftl::write) and [`trim`](Ftl::trim) are
 /// provided one-page wrappers over them, so a page written through either
 /// spelling takes the same path and leaves the same statistics.

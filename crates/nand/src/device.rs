@@ -606,16 +606,17 @@ impl NandDevice {
         Ok(())
     }
 
-    /// Multi-page read submit: fetches every page of one extent in a single
-    /// device call, in order.
+    /// Reads a list of pages in order, one [`read`](Self::read) each, for
+    /// callers that replay physical addresses directly. (The FTL does not
+    /// use it: it reads an extent page by page straight into its result.)
     ///
-    /// Each page is charged exactly as an individual [`read`](Self::read)
-    /// (array time to its die, transfer time to its channel bus), so the
-    /// serial [`NandStats::busy_ns`](crate::NandStats) sum is unchanged —
-    /// but because the FTL stripes consecutive extent pages across dies,
-    /// the per-chip/per-bus vectors behind
-    /// [`parallel_busy_ns`](Self::parallel_busy_ns) overlap, which is where
-    /// a grouped submit beats N independent commands on real hardware.
+    /// Each page is charged exactly as an individual read (array time to
+    /// its die, transfer time to its channel bus), so the serial
+    /// [`NandStats::busy_ns`](crate::NandStats) sum is the sum of the
+    /// reads — but pages on different dies and channels overlap in the
+    /// per-chip/per-bus vectors behind
+    /// [`parallel_busy_ns`](Self::parallel_busy_ns), which is where
+    /// striping beats serial service on real hardware.
     ///
     /// # Errors
     ///

@@ -97,6 +97,21 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(ns);
     }
 
+    /// One histogram holding every sample of `parts` — equal to having
+    /// recorded each part's samples into a single histogram.
+    pub fn merged(parts: &[&LatencyHistogram]) -> Self {
+        let mut out = LatencyHistogram::new();
+        for part in parts {
+            for (total, &c) in out.counts.iter_mut().zip(&part.counts) {
+                *total += c;
+            }
+            out.count += part.count;
+            out.sum_ns = out.sum_ns.saturating_add(part.sum_ns);
+            out.max_ns = out.max_ns.max(part.max_ns);
+        }
+        out
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -321,6 +336,39 @@ mod tests {
         assert!(p95.abs_diff(109_500) < 1_000, "p95 {p95} off true value");
         assert!(p95 > p50 + 3_000, "sub-bucket delta must resolve");
         assert!(p95 <= h.max_ns());
+    }
+
+    #[test]
+    fn merged_equals_recording_every_sample_into_one() {
+        let parts: [&[u64]; 4] = [
+            &[50_000, 50_000, 7, 123_456_789],
+            &[],
+            &[500_000, 0, 15, 16, 3_000_000, u64::MAX / 2],
+            &[u64::MAX / 2, 1],
+        ];
+        let mut one = LatencyHistogram::new();
+        let hists: Vec<LatencyHistogram> = parts
+            .iter()
+            .map(|samples| {
+                let mut h = LatencyHistogram::new();
+                for &ns in *samples {
+                    h.record(ns);
+                    one.record(ns);
+                }
+                h
+            })
+            .collect();
+        let refs: Vec<&LatencyHistogram> = hists.iter().collect();
+        let merged = LatencyHistogram::merged(&refs);
+        assert_eq!(merged, one, "saturated sum included");
+        assert_eq!(
+            KindLatency::from_histogram(&merged),
+            KindLatency::from_histogram(&one)
+        );
+        let empty = LatencyHistogram::new();
+        assert_eq!(LatencyHistogram::merged(&[]), empty);
+        assert_eq!(LatencyHistogram::merged(&[&empty, &empty]), empty);
+        assert_eq!(LatencyHistogram::merged(&[&empty, &hists[0]]), hists[0]);
     }
 
     #[test]

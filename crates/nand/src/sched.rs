@@ -21,13 +21,16 @@
 //!   dependencies that would change observable data;
 //! - completed commands feed per-kind latency histograms
 //!   ([`crate::LatencySnapshot`]), the per-request figure a production
-//!   drive lives by.
+//!   drive lives by. Each command is recorded once per view it belongs to
+//!   (its kind, plus its host kind when host-issued); the `total` rows are
+//!   merged from the kind histograms when a snapshot is taken.
 //!
 //! A closed-loop queue-depth throttle models a host that keeps at most
-//! `queue_depth` commands in flight: when the ring is full, the next
-//! command's arrival is pushed to the completion of the command issued
-//! `queue_depth` ago. Without it, a trace replayed faster than the device
-//! drains would grow queues (and reported latency) without bound.
+//! `queue_depth` commands in flight: a fixed ring holds the completion
+//! estimates of the last `queue_depth` admissions, and the next command's
+//! arrival is pushed to the completion of the command issued `queue_depth`
+//! ago. Without it, a trace replayed faster than the device drains would
+//! grow queues (and reported latency) without bound.
 //!
 //! Three extensions serve tail-latency work:
 //!
@@ -178,9 +181,11 @@ pub struct CmdScheduler {
     /// differential check against its reference accounting.
     die_busy_ns: Vec<u64>,
     bus_busy_ns: Vec<u64>,
-    queue_depth: usize,
-    /// Completion estimates of the last `queue_depth` admissions.
-    recent: VecDeque<u64>,
+    /// Completion estimates of the last `queue_depth` admissions, a ring
+    /// written at `recent_next`. Slots not yet written hold zero, which
+    /// never delays an arrival.
+    recent: Vec<u64>,
+    recent_next: usize,
     reads_promoted: u64,
     /// Erase-suspend model: `(resume_penalty_ns, max_suspends_per_erase)`;
     /// `None` disables suspension entirely (the default).
@@ -201,11 +206,9 @@ pub struct CmdScheduler {
     read_hist: LatencyHistogram,
     program_hist: LatencyHistogram,
     erase_hist: LatencyHistogram,
-    total_hist: LatencyHistogram,
     host_read_hist: LatencyHistogram,
     host_program_hist: LatencyHistogram,
     host_erase_hist: LatencyHistogram,
-    host_total_hist: LatencyHistogram,
     capture: Option<Vec<CmdRecord>>,
 }
 
@@ -236,8 +239,8 @@ impl CmdScheduler {
             bus_free_ns: vec![0; channels],
             die_busy_ns: vec![0; dies],
             bus_busy_ns: vec![0; channels],
-            queue_depth,
-            recent: VecDeque::new(),
+            recent: vec![0; queue_depth],
+            recent_next: 0,
             reads_promoted: 0,
             erase_suspend: None,
             erases_suspended: 0,
@@ -250,11 +253,9 @@ impl CmdScheduler {
             read_hist: LatencyHistogram::new(),
             program_hist: LatencyHistogram::new(),
             erase_hist: LatencyHistogram::new(),
-            total_hist: LatencyHistogram::new(),
             host_read_hist: LatencyHistogram::new(),
             host_program_hist: LatencyHistogram::new(),
             host_erase_hist: LatencyHistogram::new(),
-            host_total_hist: LatencyHistogram::new(),
             capture: capture.then(Vec::new),
         }
     }
@@ -314,14 +315,12 @@ impl CmdScheduler {
             FaultKind::Program => self.program_hist.record(latency),
             FaultKind::Erase => self.erase_hist.record(latency),
         }
-        self.total_hist.record(latency);
         if w.host {
             match w.kind {
                 FaultKind::Read => self.host_read_hist.record(latency),
                 FaultKind::Program => self.host_program_hist.record(latency),
                 FaultKind::Erase => self.host_erase_hist.record(latency),
             }
-            self.host_total_hist.record(latency);
         }
         self.die_horizon_ns[die] = self.die_horizon_ns[die].max(w.end_ns());
         if let Some(log) = self.capture.as_mut() {
@@ -365,13 +364,9 @@ impl CmdScheduler {
         self.submit_seq += 1;
 
         // Closed-loop host: with `queue_depth` commands outstanding, the
-        // next one cannot arrive before the oldest of them completed.
-        let mut arrival_ns = self.now_ns;
-        if self.recent.len() >= self.queue_depth {
-            if let Some(&oldest) = self.recent.front() {
-                arrival_ns = arrival_ns.max(oldest);
-            }
-        }
+        // next one cannot arrive before the oldest of them completed. The
+        // ring slot this admission overwrites holds that oldest estimate.
+        let mut arrival_ns = self.now_ns.max(self.recent[self.recent_next]);
         // Firmware stall: a host command submitted during a blocking GC
         // drain waits for the firmware, not a die — its dispatch slips to
         // the stall horizon while its latency anchor stays at submission.
@@ -527,20 +522,25 @@ impl CmdScheduler {
         };
         w.start_ns = w.arrival_ns.max(prev_end);
         let complete = w.complete_ns();
-        queue.insert(ins, w);
-        // Re-chain everything the insertion displaced.
-        prev_end = queue[ins].end_ns();
-        for q in queue.iter_mut().skip(ins + 1) {
-            q.start_ns = q.arrival_ns.max(prev_end);
-            prev_end = q.end_ns();
+        if ins == queue.len() {
+            queue.push_back(w);
+        } else {
+            queue.insert(ins, w);
+            // Re-chain everything the insertion displaced.
+            prev_end = queue[ins].end_ns();
+            for q in queue.iter_mut().skip(ins + 1) {
+                q.start_ns = q.arrival_ns.max(prev_end);
+                prev_end = q.end_ns();
+            }
         }
 
         if self.ctx_gc {
             self.gc_horizon_ns = self.gc_horizon_ns.max(complete);
         }
-        self.recent.push_back(complete);
-        while self.recent.len() > self.queue_depth {
-            self.recent.pop_front();
+        self.recent[self.recent_next] = complete;
+        self.recent_next += 1;
+        if self.recent_next == self.recent.len() {
+            self.recent_next = 0;
         }
         while self.dies[die].len() > MAX_WINDOWS_PER_DIE {
             let w = self.dies[die]
@@ -568,7 +568,11 @@ impl CmdScheduler {
             read: KindLatency::from_histogram(&self.read_hist),
             program: KindLatency::from_histogram(&self.program_hist),
             erase: KindLatency::from_histogram(&self.erase_hist),
-            total: KindLatency::from_histogram(&self.total_hist),
+            total: KindLatency::from_histogram(&LatencyHistogram::merged(&[
+                &self.read_hist,
+                &self.program_hist,
+                &self.erase_hist,
+            ])),
         }
     }
 
@@ -581,7 +585,11 @@ impl CmdScheduler {
             read: KindLatency::from_histogram(&self.host_read_hist),
             program: KindLatency::from_histogram(&self.host_program_hist),
             erase: KindLatency::from_histogram(&self.host_erase_hist),
-            total: KindLatency::from_histogram(&self.host_total_hist),
+            total: KindLatency::from_histogram(&LatencyHistogram::merged(&[
+                &self.host_read_hist,
+                &self.host_program_hist,
+                &self.host_erase_hist,
+            ])),
         }
     }
 
