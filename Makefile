@@ -4,11 +4,12 @@
 #                      test -q` plus a zero-warning clippy pass. The root
 #                      manifest's `default-members = [".", "crates/*"]` makes
 #                      those bare commands cover the umbrella package and
-#                      every product crate — the whole suite (654
-#                      tests: unit, differential oracles, proptests, the
-#                      strided crash sweep and the bench smokes), about a
-#                      minute warm — and leave out only `vendored/*`, the
-#                      offline dependency stand-ins.
+#                      every product crate — the whole suite (unit
+#                      tests, differential oracles, proptests, the
+#                      strided crash sweep and the bench smokes; `cargo
+#                      test` prints the count), about a minute warm — and
+#                      leave out only `vendored/*`, the offline dependency
+#                      stand-ins.
 #   make ci          — the full offline CI gate (what .github/workflows/ci.yml
 #                      runs): tier1, then the benchmark package built
 #                      against the tree (`benchmark/` is a crate no product
@@ -48,8 +49,9 @@
 #   make bench-json  — regenerate BENCH_detect.json (detector-ingest
 #                      throughput, interval vs legacy table, three traces).
 #   make crash-sweep — exhaustive stride-1 power-loss sweep: every
-#                      program/erase boundary of three traces on both FTLs,
-#                      plus the filesystem attack/crash/rollback scenario.
+#                      program/erase boundary of three traces with and
+#                      without retention, plus the filesystem
+#                      attack/crash/rollback scenario.
 #                      (Tier 1 runs a strided fast version as a plain test.)
 #   make bench-steady — regenerate BENCH_steady.json (steady-state foreground
 #                      p50/p95/p99 under sustained hot churn at ~90 %

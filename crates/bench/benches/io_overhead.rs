@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use insider_detect::DecisionTree;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{Geometry, Lba, SimTime};
 use ssd_insider::{InsiderConfig, SsdInsider};
 use std::hint::black_box;
@@ -37,7 +37,8 @@ fn write_cycler(logical: u64) -> impl FnMut() -> (Lba, SimTime) {
 fn bench_ftl_writes(c: &mut Criterion) {
     let mut group = c.benchmark_group("4k_write");
 
-    let mut conventional = ConventionalFtl::new(FtlConfig::new(bench_geometry()));
+    let mut conventional =
+        InsiderFtl::new(FtlConfig::new(bench_geometry()).protection_window(None));
     let mut next = write_cycler(conventional.logical_pages());
     group.bench_function("conventional_ftl", |b| {
         b.iter(|| {
@@ -72,7 +73,8 @@ fn bench_ftl_writes(c: &mut Criterion) {
 fn bench_ftl_reads(c: &mut Criterion) {
     let mut group = c.benchmark_group("4k_read");
 
-    let mut conventional = ConventionalFtl::new(FtlConfig::new(bench_geometry()));
+    let mut conventional =
+        InsiderFtl::new(FtlConfig::new(bench_geometry()).protection_window(None));
     for i in 0..1024u64 {
         conventional
             .write(Lba::new(i), payload(), SimTime::ZERO)

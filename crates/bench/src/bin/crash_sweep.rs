@@ -1,7 +1,7 @@
 //! Exhaustive power-loss crash sweep (the headline durability check).
 //!
 //! Part 1 — FTL matrix: every program/erase boundary of three standard
-//! traces, on both FTL flavours, via [`insider_bench::sweep_matrix`]. Each
+//! traces, with and without retention, via [`insider_bench::sweep_matrix`]. Each
 //! crash point asserts the full contract inside the harness: no acked write
 //! lost, no unacked write resurrected (module trim volatility), and — on
 //! the insider FTL — a post-remount rollback restoring the pre-window

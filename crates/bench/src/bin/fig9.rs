@@ -11,23 +11,19 @@
 
 use insider_bench::replay_geometry;
 use insider_bench::{prefill_ftl, render_table, replay_ftl, small_space};
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::SimTime;
 use insider_workloads::table1;
 
 fn run_one(trace: &insider_workloads::Trace, utilization: f64, insider: bool) -> (u64, u64) {
     let cfg = FtlConfig::new(replay_geometry());
-    let mut conv;
-    let mut ins;
-    let ftl: &mut dyn Ftl = if insider {
-        ins = InsiderFtl::new(cfg);
-        &mut ins
+    let mut ftl = InsiderFtl::new(if insider {
+        cfg
     } else {
-        conv = ConventionalFtl::new(cfg);
-        &mut conv
-    };
-    prefill_ftl(ftl, utilization);
-    let outcome = replay_ftl(trace, ftl);
+        cfg.protection_window(None)
+    });
+    prefill_ftl(&mut ftl, utilization);
+    let outcome = replay_ftl(trace, &mut ftl);
     assert_eq!(outcome.skipped, 0, "fig9 traces must fit the replay drive");
     (ftl.stats().gc_page_copies, ftl.stats().gc_invocations)
 }

@@ -11,7 +11,7 @@
 
 use bytes::Bytes;
 use insider_bench::render_table;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{Geometry, Lba, SimTime};
 
 fn run(channels: u32, ways: u32, pages: u64) -> (f64, f64) {
@@ -22,14 +22,14 @@ fn run(channels: u32, ways: u32, pages: u64) -> (f64, f64) {
         .pages_per_block(64)
         .page_size(4096)
         .build();
-    let mut ftl = ConventionalFtl::new(FtlConfig::new(geometry));
+    let mut ftl = InsiderFtl::new(FtlConfig::new(geometry).protection_window(None));
     let pages = pages.min(ftl.logical_pages());
     let payload = Bytes::from_static(&[0x5a; 64]);
 
     // Per-phase makespan: delta each chip's and each bus's busy time over
     // the phase, then take the slowest — mixing phases would hide a
     // bottleneck change (writes are die-bound, reads bus-bound).
-    let phase = |ftl: &mut ConventionalFtl, op: &mut dyn FnMut(&mut ConventionalFtl)| -> u64 {
+    let phase = |ftl: &mut InsiderFtl, op: &mut dyn FnMut(&mut InsiderFtl)| -> u64 {
         let (chips_before, buses_before) = ftl.nand_busy_detail();
         op(ftl);
         let (chips_after, buses_after) = ftl.nand_busy_detail();

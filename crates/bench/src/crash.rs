@@ -13,9 +13,9 @@
 //! * trimmed pages are volatile (documented contract): after remount they
 //!   read as unmapped *or* as a previously-acknowledged payload of that
 //!   same page, never as foreign or torn data;
-//! * for [`InsiderFtl`], ransomware rollback from the *reconstructed*
-//!   recovery queue still rewinds every page to its newest pre-window
-//!   version.
+//! * on a drive with a protection window, ransomware rollback from the
+//!   *reconstructed* recovery queue still rewinds every page to its newest
+//!   pre-window version.
 //!
 //! Violations panic with a labelled message, so a sweep binary exits
 //! nonzero the moment the contract breaks.
@@ -23,7 +23,7 @@
 use crate::replay::{random_trace, ransomware_mix_trace, sequential_trace};
 use bytes::Bytes;
 use insider_detect::{IoMode, IoReq};
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, FtlError, InsiderFtl, RollbackReport};
+use insider_ftl::{Ftl, FtlConfig, FtlError, InsiderFtl};
 use insider_nand::{FaultPlan, Geometry, Lba, NandError, SimTime};
 use insider_workloads::Trace;
 use std::collections::{HashMap, HashSet};
@@ -56,7 +56,7 @@ pub struct SweepConfig {
     /// Bounds both drive utilization (delayed deletion pins every
     /// superseded page for a window) and the sweep's quadratic cost.
     pub write_budget: u64,
-    /// Protection window for the [`InsiderFtl`] under test. Shorter than
+    /// Protection window of the retaining drive under test. Shorter than
     /// the paper's 10 s so the compact traces straddle the cutoff and the
     /// post-remount rollback check rewinds to a *non-trivial* state.
     pub window: SimTime,
@@ -190,51 +190,14 @@ pub fn sweep_traces(write_budget: u64) -> Vec<(&'static str, Trace)> {
     ]
 }
 
-/// An FTL the sweep can crash, remount and (when supported) roll back.
-pub trait CrashTarget: Ftl {
-    /// Human label used in violation messages.
-    const LABEL: &'static str;
-
-    /// Installs the power-cut schedule.
-    fn install_fault_plan(&mut self, plan: FaultPlan);
-
-    /// Planned faults the NAND actually fired.
-    fn injected_faults(&self) -> u64;
-
-    /// Runs a rollback after remount; `None` when the FTL has no recovery
-    /// queue (the conventional baseline).
-    fn rollback_after_remount(&mut self, now: SimTime) -> Option<RollbackReport>;
-}
-
-impl CrashTarget for ConventionalFtl {
-    const LABEL: &'static str = "conventional";
-
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.set_fault_plan(plan);
-    }
-
-    fn injected_faults(&self) -> u64 {
-        self.nand_stats().injected_faults
-    }
-
-    fn rollback_after_remount(&mut self, _now: SimTime) -> Option<RollbackReport> {
-        None
-    }
-}
-
-impl CrashTarget for InsiderFtl {
-    const LABEL: &'static str = "insider";
-
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.set_fault_plan(plan);
-    }
-
-    fn injected_faults(&self) -> u64 {
-        self.nand_stats().injected_faults
-    }
-
-    fn rollback_after_remount(&mut self, now: SimTime) -> Option<RollbackReport> {
-        Some(self.rollback(now).expect("post-remount rollback failed"))
+/// Human label of a drive configuration, used in violation messages and
+/// the sweep tables: `insider` with a protection window, `conventional`
+/// without.
+pub fn flavour(config: &FtlConfig) -> &'static str {
+    if config.window().is_some() {
+        "insider"
+    } else {
+        "conventional"
     }
 }
 
@@ -346,20 +309,16 @@ pub struct SweepSummary {
 
 /// Replays `trace` against a fresh FTL with power cut after `cut` NAND
 /// mutations (`None` = clean run); remounts; verifies the durability
-/// contract; rolls back and verifies again when the target supports it.
+/// contract; rolls back and verifies again when the drive retains.
 ///
 /// Returns `(crash fired, pages verified, rollback ran)`.
-fn run_crash_point<T: CrashTarget>(
-    make: &impl Fn() -> T,
-    trace: &Trace,
-    cut: Option<u64>,
-    window: SimTime,
-) -> (bool, u64, bool) {
-    let mut ftl = make();
+fn run_crash_point(config: &FtlConfig, trace: &Trace, cut: Option<u64>) -> (bool, u64, bool) {
+    let label = flavour(config);
+    let mut ftl = InsiderFtl::new(config.clone());
     if let Some(k) = cut {
         let mut plan = FaultPlan::new();
         plan.power_cut_after(k);
-        ftl.install_fault_plan(plan);
+        ftl.set_fault_plan(plan);
     }
     let logical = ftl.logical_pages();
     let mut shadow = Shadow::default();
@@ -381,8 +340,7 @@ fn run_crash_point<T: CrashTarget>(
                         assert_eq!(
                             got.as_ref(),
                             want,
-                            "[{}] pre-crash read diverged at lba {}",
-                            T::LABEL,
+                            "[{label}] pre-crash read diverged at lba {}",
                             req.lba.index() + i as u64
                         );
                     }
@@ -391,7 +349,7 @@ fn run_crash_point<T: CrashTarget>(
                     crashed = true;
                     break 'replay;
                 }
-                Err(e) => panic!("[{}] sweep read failed: {e}", T::LABEL),
+                Err(e) => panic!("[{label}] sweep read failed: {e}"),
             },
             IoMode::Write => {
                 let payloads: Vec<Bytes> = (0..fit as u64)
@@ -409,7 +367,7 @@ fn run_crash_point<T: CrashTarget>(
                         crashed = true;
                         break 'replay;
                     }
-                    Err(e) => panic!("[{}] sweep write failed: {e}", T::LABEL),
+                    Err(e) => panic!("[{label}] sweep write failed: {e}"),
                 }
             }
             IoMode::Trim => match ftl.trim_extent(req.lba, fit, req.time) {
@@ -418,37 +376,33 @@ fn run_crash_point<T: CrashTarget>(
                     crashed = true;
                     break 'replay;
                 }
-                Err(e) => panic!("[{}] sweep trim failed: {e}", T::LABEL),
+                Err(e) => panic!("[{label}] sweep trim failed: {e}"),
             },
         }
         op_seq += 1;
     }
 
     assert_eq!(
-        ftl.injected_faults(),
+        ftl.nand_stats().injected_faults,
         u64::from(crashed),
-        "[{}] exactly the scheduled power cut must fire (cut={cut:?})",
-        T::LABEL
+        "[{label}] exactly the scheduled power cut must fire (cut={cut:?})"
     );
 
     // Power restored: remount from the OOB scan.
     ftl.power_cut(now).expect("remount failed");
 
-    let check = |ftl: &mut T, lba: u64, want: Expect, phase: &str| {
+    let check = |ftl: &mut InsiderFtl, lba: u64, want: Expect, phase: &str| {
         let got = ftl
             .read(Lba::new(lba), now)
             .expect("post-remount read failed");
         match want {
             Expect::Exact(want) => assert_eq!(
-                got,
-                want,
-                "[{} {phase}] lba {lba} diverged (cut={cut:?})",
-                T::LABEL
+                got, want,
+                "[{label} {phase}] lba {lba} diverged (cut={cut:?})"
             ),
             Expect::AnyOf(allowed) => assert!(
                 got.is_none() || allowed.contains(got.as_ref().unwrap()),
-                "[{} {phase}] lba {lba} holds foreign data {got:?} (cut={cut:?})",
-                T::LABEL
+                "[{label} {phase}] lba {lba} holds foreign data {got:?} (cut={cut:?})"
             ),
         }
     };
@@ -459,7 +413,8 @@ fn run_crash_point<T: CrashTarget>(
         pages += 1;
     }
 
-    let rolled_back = if let Some(report) = ftl.rollback_after_remount(now) {
+    let rolled_back = if let Some(window) = config.window() {
+        let report = ftl.rollback(now).expect("post-remount rollback failed");
         let cutoff = now.saturating_sub(window);
         assert_eq!(report.restored_to, cutoff);
         for lba in 0..logical {
@@ -479,24 +434,20 @@ fn run_crash_point<T: CrashTarget>(
     (crashed, pages, rolled_back)
 }
 
-/// Sweeps one trace against one FTL flavour: a clean run sizes the crash
-/// space (and checks the no-crash remount), then every `stride`-th
+/// Sweeps one trace against a drive built from `ftl`: a clean run sizes the
+/// crash space (and checks the no-crash remount), then every `stride`-th
 /// program/erase boundary is cut, remounted and verified.
 ///
 /// # Panics
 ///
 /// Panics on any violation of the crash-consistency contract.
-pub fn sweep<T: CrashTarget>(
-    make: impl Fn() -> T,
-    trace: &Trace,
-    config: &SweepConfig,
-) -> SweepSummary {
+pub fn sweep(ftl: &FtlConfig, trace: &Trace, config: &SweepConfig) -> SweepSummary {
     let mut summary = SweepSummary::default();
 
     // Clean run: no fault plan, remount at trace end, and measure the
     // number of NAND mutations — the crash space for this trace.
     let probe = {
-        let mut ftl = make();
+        let mut ftl = InsiderFtl::new(ftl.clone());
         let outcome = crate::replay::replay_ftl(trace, &mut ftl);
         assert_eq!(outcome.skipped, 0, "sweep trace must fit the sweep drive");
         let s = ftl.nand_stats();
@@ -504,14 +455,14 @@ pub fn sweep<T: CrashTarget>(
     };
     summary.mutation_ops = probe;
 
-    let (_, pages, rb) = run_crash_point(&make, trace, None, config.window);
+    let (_, pages, rb) = run_crash_point(ftl, trace, None);
     summary.points_tested += 1;
     summary.pages_verified += pages;
     summary.rollbacks_verified += u64::from(rb);
 
     let mut k = 1;
     while k <= probe {
-        let (crashed, pages, rb) = run_crash_point(&make, trace, Some(k), config.window);
+        let (crashed, pages, rb) = run_crash_point(ftl, trace, Some(k));
         summary.points_tested += 1;
         summary.crashes_fired += u64::from(crashed);
         summary.pages_verified += pages;
@@ -521,28 +472,17 @@ pub fn sweep<T: CrashTarget>(
     summary
 }
 
-/// Runs the full matrix — three standard traces × both FTL flavours —
-/// returning `(trace, flavour, summary)` rows. Panics on any violation.
+/// Runs the full matrix — three standard traces × both retention values
+/// (none, then the sweep's window) — returning `(trace, flavour, summary)`
+/// rows. Panics on any violation.
 pub fn sweep_matrix(config: &SweepConfig) -> Vec<(&'static str, &'static str, SweepSummary)> {
+    let retaining = config.ftl_config();
+    let drives = [retaining.clone().protection_window(None), retaining];
     let mut rows = Vec::new();
     for (name, trace) in sweep_traces(config.write_budget) {
-        let cfg = config.ftl_config();
-        let conv_cfg = cfg.clone();
-        rows.push((
-            name,
-            ConventionalFtl::LABEL,
-            sweep(
-                move || ConventionalFtl::new(conv_cfg.clone()),
-                &trace,
-                config,
-            ),
-        ));
-        let ins_cfg = cfg;
-        rows.push((
-            name,
-            InsiderFtl::LABEL,
-            sweep(move || InsiderFtl::new(ins_cfg.clone()), &trace, config),
-        ));
+        for ftl in &drives {
+            rows.push((name, flavour(ftl), sweep(ftl, &trace, config)));
+        }
     }
     rows
 }
@@ -795,11 +735,10 @@ mod tests {
         let traces = sweep_traces(config.write_budget);
         let (_, trace) = &traces[1];
         let cfg = sweep_ftl_config(config.window);
-        let make = move || InsiderFtl::new(cfg.clone());
-        let (_, pages, rb) = run_crash_point(&make, trace, None, config.window);
+        let (_, pages, rb) = run_crash_point(&cfg, trace, None);
         assert!(pages > 0);
         assert!(rb);
-        let (crashed, _, _) = run_crash_point(&make, trace, Some(3), config.window);
+        let (crashed, _, _) = run_crash_point(&cfg, trace, Some(3));
         assert!(crashed, "cut after 3 mutations must fire");
     }
 }

@@ -19,7 +19,7 @@ pub mod steady;
 pub mod tablefmt;
 
 pub use crash::{
-    sweep, sweep_ftl_config, sweep_geometry, sweep_matrix, sweep_traces, CrashTarget, SweepConfig,
+    flavour, sweep, sweep_ftl_config, sweep_geometry, sweep_matrix, sweep_traces, SweepConfig,
     SweepSummary, SWEEP_SPAN,
 };
 pub use harness::{

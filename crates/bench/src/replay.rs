@@ -322,7 +322,7 @@ pub fn prefill_ftl(ftl: &mut dyn Ftl, fraction: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insider_ftl::{ConventionalFtl, FtlConfig, InsiderFtl};
+    use insider_ftl::{FtlConfig, InsiderFtl};
     use insider_workloads::{FileSpace, RansomwareKind};
     use rand::SeedableRng;
 
@@ -356,7 +356,7 @@ mod tests {
             RansomwareKind::LockyBbs
                 .model()
                 .generate(&mut rng, &space, SimTime::from_secs(5));
-        let mut ftl = ConventionalFtl::new(FtlConfig::new(replay_geometry()));
+        let mut ftl = InsiderFtl::new(FtlConfig::new(replay_geometry()).protection_window(None));
         let outcome = replay_ftl(&trace, &mut ftl);
         assert_eq!(outcome.applied, trace.total_blocks());
         assert_eq!(outcome.skipped, 0);
@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn ftl_replay_reports_out_of_capacity_blocks() {
         use insider_detect::{IoMode, IoReq};
-        let mut ftl = ConventionalFtl::new(FtlConfig::new(Geometry::tiny()));
+        let mut ftl = InsiderFtl::new(FtlConfig::new(Geometry::tiny()).protection_window(None));
         let logical = ftl.logical_pages();
         let mut trace = Trace::new();
         // One in-range write, one straddling the capacity edge by 2 blocks.
@@ -388,7 +388,7 @@ mod tests {
     fn scalarized_replay_reports_the_same_outcome() {
         use insider_detect::{IoMode, IoReq};
         let mut trace = Trace::new();
-        let mut ftl = ConventionalFtl::new(FtlConfig::new(Geometry::tiny()));
+        let mut ftl = InsiderFtl::new(FtlConfig::new(Geometry::tiny()).protection_window(None));
         let logical = ftl.logical_pages();
         trace.push(IoReq::new(SimTime::ZERO, Lba::new(0), IoMode::Write, 1));
         trace.push(IoReq::new(
@@ -404,7 +404,7 @@ mod tests {
             3,
         ));
         let extent = replay_ftl(&trace, &mut ftl);
-        let mut ftl2 = ConventionalFtl::new(FtlConfig::new(Geometry::tiny()));
+        let mut ftl2 = InsiderFtl::new(FtlConfig::new(Geometry::tiny()).protection_window(None));
         let scalar = replay_ftl(&trace.scalarized(), &mut ftl2);
         assert_eq!(extent, scalar);
         assert_eq!(extent.applied, 3);

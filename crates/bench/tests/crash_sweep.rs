@@ -1,19 +1,19 @@
 //! Bounded power-loss crash sweep (tier-1 fast configuration).
 //!
-//! Runs the full matrix — three standard traces × both FTL flavours — with
+//! Runs the full matrix — three standard traces × both retention values — with
 //! a large stride and a small write budget so the quadratic sweep fits in
 //! the test budget. `make crash-sweep` runs the same matrix at stride 1
 //! via the `crash_sweep` binary; `CRASH_SWEEP_STRIDE` / `CRASH_SWEEP_PAGES`
 //! override both.
 
 use bytes::Bytes;
-use insider_bench::{sweep_ftl_config, SweepConfig};
-use insider_ftl::{ConventionalFtl, Ftl, FtlError, InsiderFtl};
+use insider_bench::{flavour, sweep_ftl_config, SweepConfig};
+use insider_ftl::{Ftl, FtlConfig, FtlError, InsiderFtl};
 use insider_nand::{FaultPlan, Lba, NandError, SimTime};
 
 fn check_matrix(config: &SweepConfig) {
     let rows = insider_bench::sweep_matrix(config);
-    assert_eq!(rows.len(), 6, "three traces x two FTL flavours");
+    assert_eq!(rows.len(), 6, "three traces x two retention values");
     for (trace, flavour, summary) in rows {
         // Every trace in the sweep mutates (the sequential trace carries
         // its own fill phase), so every row must expose crash points and
@@ -68,22 +68,19 @@ fn bounded_crash_sweep_matrix_with_incremental_gc() {
 /// *issue* order, so exactly the issued prefix is acked and the
 /// queued-but-unissued tail is lost atomically; the OOB remount must
 /// surface the acked prefix as new data and the lost tail as the old data.
-fn mid_batch_cut_loses_exactly_the_unissued_tail<F: Ftl>(
-    label: &str,
-    make: impl Fn() -> F,
-    set_plan: impl Fn(&mut F, FaultPlan),
-) {
+fn mid_batch_cut_loses_exactly_the_unissued_tail(config: &FtlConfig) {
     const SPAN: u64 = 8;
+    let label = flavour(config);
     let page = |tag: &str, i: u64| Bytes::from(format!("{tag}{i}").into_bytes());
     for cut in 1..=SPAN {
-        let mut ftl = make();
+        let mut ftl = InsiderFtl::new(config.clone());
         let old: Vec<Bytes> = (0..SPAN).map(|i| page("old", i)).collect();
         ftl.write_extent(Lba::new(0), &old, SimTime::from_secs(1))
             .unwrap();
 
         let mut plan = FaultPlan::new();
         plan.power_cut_after(cut);
-        set_plan(&mut ftl, plan);
+        ftl.set_fault_plan(plan);
 
         let new: Vec<Bytes> = (0..SPAN).map(|i| page("new", i)).collect();
         let before = ftl.stats().host_writes;
@@ -121,15 +118,8 @@ fn mid_batch_cut_loses_exactly_the_unissued_tail<F: Ftl>(
 
 #[test]
 fn in_flight_queue_crash_points_remount_cleanly() {
-    let window = SweepConfig::fast().window;
-    mid_batch_cut_loses_exactly_the_unissued_tail(
-        "conventional",
-        || ConventionalFtl::new(sweep_ftl_config(window)),
-        ConventionalFtl::set_fault_plan,
-    );
-    mid_batch_cut_loses_exactly_the_unissued_tail(
-        "insider",
-        || InsiderFtl::new(sweep_ftl_config(window)),
-        InsiderFtl::set_fault_plan,
-    );
+    let retaining = sweep_ftl_config(SweepConfig::fast().window);
+    for config in [retaining.clone().protection_window(None), retaining] {
+        mid_batch_cut_loses_exactly_the_unissued_tail(&config);
+    }
 }

@@ -15,7 +15,7 @@
 use bytes::Bytes;
 use insider_bench::{random_trace, ransomware_mix_trace, sequential_trace};
 use insider_detect::IoMode;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{Geometry, Lba};
 use insider_workloads::Trace;
 
@@ -28,7 +28,7 @@ fn mini_geometry() -> Geometry {
 }
 
 /// Replays a trace scalar-wise with every LBA folded into `span`.
-fn replay_folded(trace: &Trace, ftl: &mut ConventionalFtl, span: u64) {
+fn replay_folded(trace: &Trace, ftl: &mut InsiderFtl, span: u64) {
     for req in trace {
         for lba in req.blocks() {
             let lba = Lba::new(lba.index() % span);
@@ -50,7 +50,7 @@ fn replay_folded(trace: &Trace, ftl: &mut ConventionalFtl, span: u64) {
 
 fn assert_selectors_agree(name: &str, trace: &Trace, expect_gc: bool) {
     let cfg = FtlConfig::new(mini_geometry()).record_gc_victims(true);
-    let mut ftl = ConventionalFtl::new(cfg);
+    let mut ftl = InsiderFtl::new(cfg.protection_window(None));
     let span = ftl.logical_pages() / 2;
     replay_folded(trace, &mut ftl, span);
     let stats = ftl.stats();

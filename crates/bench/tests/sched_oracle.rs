@@ -20,7 +20,7 @@ use insider_bench::{
     SteadyParams,
 };
 use insider_detect::{IoMode, IoReq};
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{Lba, NandDevice, NandStats, OobRecord, PageState, Ppa, SchedMode, SimTime};
 use insider_workloads::Trace;
 
@@ -105,23 +105,15 @@ struct Exercised {
 
 /// Replays `trace` through one FTL flavour under every scheduling arm and
 /// cross-checks the physical outcomes against the in-order reference.
-/// `make` builds the FTL from a config; `device` exposes its raw NAND.
-fn check_flavour<F: Ftl>(
-    name: &str,
-    config: &FtlConfig,
-    trace: &Trace,
-    make: impl Fn(FtlConfig) -> F,
-    device: impl Fn(&F) -> &NandDevice,
-    seen: &mut Exercised,
-) {
+fn check_flavour(name: &str, config: &FtlConfig, trace: &Trace, seen: &mut Exercised) {
     let run = |mode: SchedMode, erase_suspend: bool| {
-        let mut ftl = make(config.clone().scheduler(mode).erase_suspend(erase_suspend));
+        let mut ftl = InsiderFtl::new(config.clone().scheduler(mode).erase_suspend(erase_suspend));
         let outcome = replay_ftl(trace, &mut ftl);
         assert_eq!(outcome.skipped, 0, "{name}: trace must fit the drive");
         // The scheduler never idles a die that has queued work and charges
         // pure service time, so its makespan must equal the per-die/per-bus
         // busy maximum exactly (and thereby can never exceed it).
-        let dev = device(&ftl);
+        let dev = ftl.device();
         assert_eq!(
             dev.sched_makespan_ns(),
             dev.parallel_busy_ns(),
@@ -130,14 +122,14 @@ fn check_flavour<F: Ftl>(
         ftl
     };
     let in_order = run(SchedMode::InOrder, false);
-    let reference = physical_state(device(&in_order));
+    let reference = physical_state(in_order.device());
     let stats = in_order.nand_stats();
     seen.erases += stats.erases;
     for erase_suspend in [false, true] {
         let arm = format!("{name}/out-of-order/erase_suspend={erase_suspend}");
         let scheduled = run(SchedMode::OutOfOrder, erase_suspend);
         assert_eq!(
-            physical_state(device(&scheduled)),
+            physical_state(scheduled.device()),
             reference,
             "{arm}: physical state diverged from in-order"
         );
@@ -151,7 +143,7 @@ fn check_flavour<F: Ftl>(
             assert_eq!(arm_stats.die_busy_ns, stats.die_busy_ns, "{arm}");
             assert_eq!(arm_stats.erases_suspended, 0, "{arm}");
         }
-        seen.reads_promoted += device(&scheduled).reads_promoted();
+        seen.reads_promoted += scheduled.device().reads_promoted();
         seen.erases_suspended += arm_stats.erases_suspended;
     }
 }
@@ -160,22 +152,10 @@ fn check_flavour<F: Ftl>(
 fn all_sched_modes_leave_identical_physical_state() {
     let mut seen = Exercised::default();
     for (name, config, trace) in inputs() {
-        check_flavour(
-            &format!("{name}/conventional"),
-            &config,
-            &trace,
-            ConventionalFtl::new,
-            ConventionalFtl::device,
-            &mut seen,
-        );
-        check_flavour(
-            &format!("{name}/insider"),
-            &config,
-            &trace,
-            InsiderFtl::new,
-            InsiderFtl::device,
-            &mut seen,
-        );
+        let conventional = config.clone().protection_window(None);
+        for (flavour, config) in [("conventional", conventional), ("insider", config)] {
+            check_flavour(&format!("{name}/{flavour}"), &config, &trace, &mut seen);
+        }
     }
     assert!(seen.erases > 0, "no input ever erased a block");
     assert!(seen.reads_promoted > 0, "no read was ever promoted");

@@ -24,11 +24,12 @@ impl InsiderConfig {
 
     /// Builds from explicit FTL and detector configurations. The FTL's
     /// protection window is raised to cover the detection window if it was
-    /// configured shorter; an explicitly longer retention is kept.
+    /// configured shorter — or not at all, so the device always retains;
+    /// an explicitly longer retention is kept.
     pub fn from_parts(ftl: FtlConfig, detector: DetectorConfig) -> Self {
         let detection_window =
             SimTime::from_micros(detector.slice.as_micros() * detector.window_slices as u64);
-        let window = ftl.window().max(detection_window);
+        let window = ftl.window().unwrap_or(SimTime::ZERO).max(detection_window);
         InsiderConfig {
             ftl: ftl.protection_window(window),
             detector,
@@ -58,7 +59,7 @@ mod tests {
     #[test]
     fn ftl_window_covers_detection_window() {
         let cfg = InsiderConfig::new(Geometry::tiny());
-        assert_eq!(cfg.ftl().window(), SimTime::from_secs(10));
+        assert_eq!(cfg.ftl().window(), Some(SimTime::from_secs(10)));
     }
 
     #[test]
@@ -72,7 +73,7 @@ mod tests {
         // An FTL window shorter than the detection window is raised to it.
         let ftl = FtlConfig::new(Geometry::tiny()).protection_window(SimTime::from_secs(1));
         let cfg = InsiderConfig::from_parts(ftl, det);
-        assert_eq!(cfg.ftl().window(), SimTime::from_secs(3));
+        assert_eq!(cfg.ftl().window(), Some(SimTime::from_secs(3)));
         assert_eq!(cfg.detector().threshold, 2);
     }
 
@@ -80,6 +81,13 @@ mod tests {
     fn longer_configured_retention_is_kept() {
         let ftl = FtlConfig::new(Geometry::tiny()).protection_window(SimTime::from_secs(60));
         let cfg = InsiderConfig::from_parts(ftl, DetectorConfig::default());
-        assert_eq!(cfg.ftl().window(), SimTime::from_secs(60));
+        assert_eq!(cfg.ftl().window(), Some(SimTime::from_secs(60)));
+    }
+
+    #[test]
+    fn a_drive_without_retention_is_given_the_detection_window() {
+        let ftl = FtlConfig::new(Geometry::tiny()).protection_window(None);
+        let cfg = InsiderConfig::from_parts(ftl, DetectorConfig::default());
+        assert_eq!(cfg.ftl().window(), Some(SimTime::from_secs(10)));
     }
 }

@@ -469,6 +469,14 @@ impl Ftl for SsdInsider {
         SsdInsider::latency_snapshot(self)
     }
 
+    fn host_latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
+        SsdInsider::host_latency_snapshot(self)
+    }
+
+    fn gc_debt(&self) -> f64 {
+        SsdInsider::gc_debt(self)
+    }
+
     fn stats(&self) -> &FtlStats {
         self.ftl_stats()
     }
@@ -906,5 +914,32 @@ mod tests {
         }
         ssd.gc_quiesce().unwrap();
         assert!(ssd.gc_pause_latency().count > 0 || ssd.ftl_stats().gc_steps > 0);
+    }
+
+    /// The block interface reports what the device reports: a harness
+    /// holding `&mut dyn Ftl` sees the real GC debt and host latencies.
+    #[test]
+    fn the_block_interface_forwards_gc_debt_and_host_latency() {
+        let ftl = insider_ftl::FtlConfig::new(Geometry::tiny()).incremental_gc(true);
+        let cfg = InsiderConfig::from_parts(ftl, *InsiderConfig::new(Geometry::tiny()).detector());
+        let mut ssd = SsdInsider::new(cfg, DecisionTree::stump(0, 0.5));
+        ssd.set_detection(false);
+        // A 150-page hot set plus a window's worth of protected pre-images
+        // fill the 256-page drive past the incremental watermark.
+        let mut t = SimTime::from_secs(1);
+        let mut peak = 0.0f64;
+        for _ in 0..10 {
+            for i in 0..150u64 {
+                ssd.write(Lba::new(i), Bytes::from_static(b"v"), t).unwrap();
+                t += SimTime::from_millis(200);
+                assert_eq!(<SsdInsider as Ftl>::gc_debt(&ssd), ssd.gc_debt());
+                peak = peak.max(<SsdInsider as Ftl>::gc_debt(&ssd));
+            }
+        }
+        assert!(
+            peak > 0.0,
+            "the churn never put the pool under the watermark"
+        );
+        assert!(<SsdInsider as Ftl>::host_latency_snapshot(&ssd).is_some());
     }
 }

@@ -6,7 +6,10 @@ use insider_nand::{Geometry, NandConfig, SchedMode, SimTime};
 /// collects while the pool is below this plus `⌈n / pages_per_block⌉`.
 pub const GC_RESERVE_BLOCKS: u32 = 2;
 
-/// Configuration shared by both FTL variants.
+/// Configuration of the one FTL, [`InsiderFtl`](crate::InsiderFtl). Its
+/// protection window is the drive's retention policy: `Some(t)` keeps
+/// pre-overwrite versions recoverable for `t` (the SSD-Insider drive),
+/// `None` keeps nothing (the paper's conventional baseline).
 ///
 /// # Example
 ///
@@ -23,7 +26,7 @@ pub const GC_RESERVE_BLOCKS: u32 = 2;
 pub struct FtlConfig {
     nand: NandConfig,
     over_provisioning: f64,
-    protection_window: SimTime,
+    protection_window: Option<SimTime>,
     record_gc_victims: bool,
     incremental_gc: bool,
     gc_low_water_extra: u32,
@@ -45,7 +48,7 @@ impl FtlConfig {
         FtlConfig {
             nand,
             over_provisioning: 0.07,
-            protection_window: SimTime::from_secs(10),
+            protection_window: Some(SimTime::from_secs(10)),
             record_gc_victims: false,
             incremental_gc: false,
             gc_low_water_extra: 2,
@@ -71,9 +74,11 @@ impl FtlConfig {
     }
 
     /// Sets the delayed-deletion protection window (how long pre-overwrite
-    /// versions are kept recoverable). The paper uses 10 seconds.
-    pub fn protection_window(mut self, window: SimTime) -> Self {
-        self.protection_window = window;
+    /// versions are kept recoverable). The paper uses 10 seconds. `None`
+    /// retains nothing: overwritten pages are reclaimable at once and
+    /// rollback is refused — the paper's conventional baseline.
+    pub fn protection_window(mut self, window: impl Into<Option<SimTime>>) -> Self {
+        self.protection_window = window.into();
         self
     }
 
@@ -215,8 +220,8 @@ impl FtlConfig {
         self.over_provisioning
     }
 
-    /// The protection window.
-    pub fn window(&self) -> SimTime {
+    /// The protection window; `None` when the drive retains nothing.
+    pub fn window(&self) -> Option<SimTime> {
         self.protection_window
     }
 
@@ -268,7 +273,8 @@ mod tests {
     #[test]
     fn default_window_is_ten_seconds() {
         let cfg = FtlConfig::new(Geometry::tiny());
-        assert_eq!(cfg.window(), SimTime::from_secs(10));
+        assert_eq!(cfg.window(), Some(SimTime::from_secs(10)));
+        assert_eq!(cfg.protection_window(None).window(), None);
     }
 
     #[test]

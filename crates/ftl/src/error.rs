@@ -24,6 +24,9 @@ pub enum FtlError {
     /// A garbage-collection victim hit its endurance limit and was retired
     /// as a bad block (internal control flow; GC retries another victim).
     BadBlockRetired,
+    /// Rollback was asked of a drive that retains no old versions (built
+    /// with `FtlConfig::protection_window(None)`).
+    NoRetention,
     /// An underlying NAND operation failed.
     Nand(NandError),
 }
@@ -42,6 +45,7 @@ impl fmt::Display for FtlError {
             FtlError::BadBlockRetired => {
                 write!(f, "victim block hit its endurance limit and was retired")
             }
+            FtlError::NoRetention => write!(f, "drive retains no old versions to roll back to"),
             FtlError::Nand(e) => write!(f, "nand: {e}"),
         }
     }

@@ -35,19 +35,41 @@ pub struct Hold {
     pub frozen_at: Option<SimTime>,
 }
 
-/// The SSD-Insider FTL (paper §III-C).
+/// The SSD-Insider FTL (paper §III-C), and with retention turned off the
+/// paper's conventional baseline.
 ///
-/// The write path is identical to [`ConventionalFtl`](crate::ConventionalFtl)
-/// except that superseding a mapping pushes a backup entry into the
+/// A page-level mapping FTL with greedy garbage collection whose retention
+/// is a value: [`FtlConfig::protection_window`]. With a window (10 s by
+/// default), superseding a mapping pushes a backup entry into the
 /// [`RecoveryQueue`], which *protects* the old physical page: garbage
 /// collection migrates protected pages instead of discarding them, and
 /// [`rollback`](InsiderFtl::rollback) can restore the mapping table to its
-/// state one protection window earlier by pointer updates alone.
+/// state one protection window earlier by pointer updates alone. Backup
+/// entries retire automatically once they age past the window, bounding
+/// both the queue's DRAM footprint and the extra GC cost — the paper
+/// measures ~0 % extra copies in the average case and 22 % in the worst
+/// case (Fig. 9).
 ///
-/// Backup entries retire automatically once they age past the window
-/// (10 s by default), bounding both the queue's DRAM footprint and the extra
-/// GC cost — the paper measures ~0 % extra copies in the average case and
-/// 22 % in the worst case (Fig. 9).
+/// With `protection_window(None)` the drive retains nothing ("Conventional
+/// SSD" in Fig. 9): overwritten pages are reclaimable at once, the queue
+/// stays empty and `rollback` fails with [`FtlError::NoRetention`].
+///
+/// # Example
+///
+/// ```rust
+/// use insider_ftl::{Ftl, FtlConfig, FtlError, InsiderFtl};
+/// use insider_nand::{Geometry, Lba, SimTime};
+/// use bytes::Bytes;
+///
+/// # fn main() -> Result<(), FtlError> {
+/// let mut ftl = InsiderFtl::new(FtlConfig::new(Geometry::tiny()).protection_window(None));
+/// ftl.write(Lba::new(0), Bytes::from_static(b"hello"), SimTime::ZERO)?;
+/// assert_eq!(ftl.read(Lba::new(0), SimTime::ZERO)?.unwrap().as_ref(), b"hello");
+/// assert!(ftl.recovery_queue().is_empty());
+/// assert_eq!(ftl.rollback(SimTime::ZERO), Err(FtlError::NoRetention));
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug)]
 pub struct InsiderFtl {
     base: FtlBase,
@@ -70,7 +92,8 @@ impl InsiderFtl {
         self.base.config()
     }
 
-    /// The recovery queue (inspection only).
+    /// The recovery queue (inspection only); always empty on a drive
+    /// without a protection window.
     pub fn recovery_queue(&self) -> &RecoveryQueue {
         &self.queue
     }
@@ -134,7 +157,21 @@ impl InsiderFtl {
     ///
     /// Propagates NAND failures from the drained migrations.
     pub fn gc_quiesce(&mut self) -> Result<()> {
-        self.base.gc_drain_job(Some(&mut self.queue))
+        let (base, queue) = self.parts();
+        base.gc_drain_job(queue)
+    }
+
+    /// The base layer and the queue it protects pages for: the recovery
+    /// queue when the drive retains, `None` when it does not — `Some`
+    /// would make every supersede protect a page nothing ever retires.
+    fn parts(&mut self) -> (&mut FtlBase, Option<&mut RecoveryQueue>) {
+        let queue = self
+            .base
+            .config()
+            .window()
+            .is_some()
+            .then_some(&mut self.queue);
+        (&mut self.base, queue)
     }
 
     /// The range check every extent operation applies, for a layer above to
@@ -167,13 +204,16 @@ impl InsiderFtl {
 
     /// Retires backup entries older than the protection window as of `now`.
     /// Called implicitly by every write; exposed so idle periods can also
-    /// release protected space. A no-op while retirement is frozen.
+    /// release protected space. A no-op while retirement is frozen or
+    /// without a protection window.
     pub fn tick(&mut self, now: SimTime) {
-        if self.hold.frozen_at.is_some() {
+        let Some(window) = self.base.config().window() else {
             return;
+        };
+        if self.hold.frozen_at.is_none() {
+            self.base
+                .retire_protected(&mut self.queue, now.saturating_sub(window));
         }
-        let cutoff = now.saturating_sub(self.base.config().window());
-        self.base.retire_protected(&mut self.queue, cutoff);
     }
 
     /// Rolls the mapping table back to its state one protection window before
@@ -189,12 +229,15 @@ impl InsiderFtl {
     ///
     /// # Errors
     ///
-    /// Propagates NAND bookkeeping failures (out-of-range addresses), which
-    /// indicate an internal inconsistency rather than a user error.
+    /// [`FtlError::NoRetention`], changing nothing, on a drive without a
+    /// protection window. Otherwise propagates NAND bookkeeping failures
+    /// (out-of-range addresses), which indicate an internal inconsistency
+    /// rather than a user error.
     pub fn rollback(&mut self, now: SimTime) -> Result<RollbackReport> {
+        let window = self.base.config().window().ok_or(FtlError::NoRetention)?;
         // A user who takes minutes to confirm still gets the 10 s before the
         // alarm undone, which is exactly what the freeze preserved.
-        let cutoff = self.anchor(now).saturating_sub(self.base.config().window());
+        let cutoff = self.anchor(now).saturating_sub(window);
         let mut report = RollbackReport {
             restored_to: cutoff,
             ..RollbackReport::default()
@@ -228,8 +271,8 @@ impl InsiderFtl {
 
     /// Simulates a power loss followed by a power-on mount (paper §III-E:
     /// the fsck analogy). All DRAM state is rebuilt from the OOB scan —
-    /// including the **recovery queue**, so rollback keeps working across a
-    /// crash:
+    /// including, on a drive with a protection window, the **recovery
+    /// queue**, so rollback keeps working across a crash:
     ///
     /// Each logical page's scan chain, sorted oldest first by
     /// `(stamp, seq)`, is collapsed to one surviving copy per written
@@ -259,8 +302,11 @@ impl InsiderFtl {
     pub fn power_cut(&mut self, now: SimTime) -> Result<()> {
         self.base.set_clock(now);
         let chains = self.base.remount()?;
+        let Some(window) = self.base.config().window() else {
+            return Ok(());
+        };
         self.queue.clear();
-        let cutoff = self.anchor(now).saturating_sub(self.base.config().window());
+        let cutoff = self.anchor(now).saturating_sub(window);
         let mut rebuilt: Vec<(SimTime, u64, Lba, Option<Ppa>)> = Vec::new();
         // The scan is flat and sorted by logical page, oldest version
         // first — walk each page's adjacent run in place.
@@ -326,13 +372,12 @@ impl Ftl for InsiderFtl {
         self.base.set_clock(now);
         self.base.check_extent(lba, data.len() as u32)?;
         self.tick(now);
-        self.base
-            .gc_before_write(data.len() as u64, Some(&mut self.queue))?;
+        let (base, mut queue) = self.parts();
+        base.gc_before_write(data.len() as u64, queue.as_deref_mut())?;
         // The base layer finalizes mapping, invalidation and the vectorized
         // queue append page by page, so a mid-batch NAND failure leaves the
         // programmed prefix fully recoverable.
-        self.base
-            .program_extent_mapped(lba, data, now, Some(&mut self.queue))
+        base.program_extent_mapped(lba, data, now, queue)
     }
 
     fn power_cut(&mut self, now: SimTime) -> Result<()> {
@@ -349,12 +394,15 @@ impl Ftl for InsiderFtl {
         self.base.set_clock(now);
         self.base.check_extent(lba, len)?;
         self.tick(now);
-        let olds = self.base.unmap_extent(lba, len, true)?;
+        let (base, queue) = self.parts();
+        let olds = base.unmap_extent(lba, len, queue.is_some())?;
         // Only pages that were actually mapped leave a backup entry —
         // trimming a hole is not an undoable event.
-        for (i, old) in olds.into_iter().enumerate() {
-            if let Some(old) = old {
-                self.queue.push(lba.offset(i as u64), Some(old), now);
+        if let Some(queue) = queue {
+            for (i, old) in olds.into_iter().enumerate() {
+                if let Some(old) = old {
+                    queue.push(lba.offset(i as u64), Some(old), now);
+                }
             }
         }
         Ok(())
@@ -408,6 +456,14 @@ mod tests {
 
     fn ftl() -> InsiderFtl {
         InsiderFtl::new(FtlConfig::new(Geometry::tiny()))
+    }
+
+    /// Both retention values: the paper's window and none (the
+    /// conventional baseline).
+    const RETENTIONS: [Option<SimTime>; 2] = [Some(SimTime::from_secs(10)), None];
+
+    fn drive(window: Option<SimTime>) -> InsiderFtl {
+        InsiderFtl::new(FtlConfig::new(Geometry::tiny()).protection_window(window))
     }
 
     fn secs(s: u64) -> SimTime {
@@ -593,18 +649,13 @@ mod tests {
 
     #[test]
     fn insider_gc_copies_at_least_as_many_pages_as_baseline() {
-        use crate::ConventionalFtl;
         let run = |insider: bool| -> u64 {
             let cfg = FtlConfig::new(Geometry::tiny());
-            let mut conv;
-            let mut ins;
-            let f: &mut dyn Ftl = if insider {
-                ins = InsiderFtl::new(cfg);
-                &mut ins
+            let mut f = InsiderFtl::new(if insider {
+                cfg
             } else {
-                conv = ConventionalFtl::new(cfg);
-                &mut conv
-            };
+                cfg.protection_window(None)
+            });
             // Mixed-age overwrite stream: 60 ms per write over 4 hot pages
             // plus 12 cold pages, so victims carry a mix of live, retired
             // and protected pages.
@@ -847,6 +898,255 @@ mod tests {
         assert_eq!(
             f.read(Lba::new(0), secs(2)).unwrap().unwrap().as_ref(),
             b"v2"
+        );
+    }
+
+    #[test]
+    fn write_read_round_trip() {
+        for window in RETENTIONS {
+            let mut f = drive(window);
+            f.write(Lba::new(1), Bytes::from_static(b"data"), SimTime::ZERO)
+                .unwrap();
+            assert_eq!(
+                f.read(Lba::new(1), SimTime::ZERO)
+                    .unwrap()
+                    .unwrap()
+                    .as_ref(),
+                b"data"
+            );
+            assert_eq!(f.stats().host_writes, 1);
+            assert_eq!(f.stats().host_reads, 1);
+        }
+    }
+
+    #[test]
+    fn unmapped_read_is_none() {
+        for window in RETENTIONS {
+            assert_eq!(
+                drive(window).read(Lba::new(0), SimTime::ZERO).unwrap(),
+                None
+            );
+        }
+    }
+
+    #[test]
+    fn overwrite_replaces_data() {
+        for window in RETENTIONS {
+            let mut f = drive(window);
+            let lba = Lba::new(2);
+            f.write(lba, Bytes::from_static(b"v1"), SimTime::ZERO)
+                .unwrap();
+            f.write(lba, Bytes::from_static(b"v2"), SimTime::ZERO)
+                .unwrap();
+            assert_eq!(f.read(lba, SimTime::ZERO).unwrap().unwrap().as_ref(), b"v2");
+        }
+    }
+
+    #[test]
+    fn trim_unmaps() {
+        for window in RETENTIONS {
+            let mut f = drive(window);
+            let lba = Lba::new(2);
+            f.write(lba, Bytes::from_static(b"v1"), SimTime::ZERO)
+                .unwrap();
+            f.trim(lba, SimTime::ZERO).unwrap();
+            assert_eq!(f.read(lba, SimTime::ZERO).unwrap(), None);
+            assert_eq!(f.stats().host_trims, 1);
+        }
+    }
+
+    #[test]
+    fn sustained_overwrites_trigger_gc_without_data_loss() {
+        for window in RETENTIONS {
+            let mut f = drive(window);
+            // Working set of 8 pages overwritten many times, one round a
+            // second so a window's worth of pre-images stays protected;
+            // the device has 256 pages.
+            for round in 0..200u32 {
+                for i in 0..8u64 {
+                    let payload = Bytes::copy_from_slice(format!("{round}:{i}").as_bytes());
+                    f.write(Lba::new(i), payload, secs(round.into())).unwrap();
+                }
+            }
+            assert!(f.stats().gc_invocations > 0);
+            if window.is_none() {
+                assert_eq!(f.stats().gc_protected_copies, 0, "baseline never protects");
+            }
+            for i in 0..8u64 {
+                assert_eq!(
+                    f.read(Lba::new(i), secs(200)).unwrap().unwrap().as_ref(),
+                    format!("199:{i}").as_bytes()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_lba_rejected() {
+        for window in RETENTIONS {
+            let mut f = drive(window);
+            let max = f.logical_pages();
+            assert!(f
+                .write(Lba::new(max), Bytes::from_static(b"x"), SimTime::ZERO)
+                .is_err());
+            assert!(f.read(Lba::new(max), SimTime::ZERO).is_err());
+            assert!(f.trim(Lba::new(max), SimTime::ZERO).is_err());
+        }
+    }
+
+    #[test]
+    fn extent_ops_match_scalar_decomposition() {
+        for window in RETENTIONS {
+            let mut scalar = drive(window);
+            let mut extent = drive(window);
+            let payloads: Vec<Bytes> = (0..6)
+                .map(|i| Bytes::copy_from_slice(format!("pg{i}").as_bytes()))
+                .collect();
+            for (i, p) in payloads.iter().enumerate() {
+                scalar
+                    .write(Lba::new(3 + i as u64), p.clone(), SimTime::ZERO)
+                    .unwrap();
+            }
+            extent
+                .write_extent(Lba::new(3), &payloads, SimTime::ZERO)
+                .unwrap();
+            let scalar_read: Vec<Option<Bytes>> = (0..8)
+                .map(|i| scalar.read(Lba::new(2 + i), SimTime::ZERO).unwrap())
+                .collect();
+            let extent_read = extent.read_extent(Lba::new(2), 8, SimTime::ZERO).unwrap();
+            assert_eq!(scalar_read, extent_read);
+            assert_eq!(scalar.stats(), extent.stats());
+            assert_eq!(scalar.nand_stats(), extent.nand_stats());
+
+            for i in 0..4u64 {
+                scalar.trim(Lba::new(3 + i), SimTime::ZERO).unwrap();
+            }
+            extent.trim_extent(Lba::new(3), 4, SimTime::ZERO).unwrap();
+            assert_eq!(scalar.stats(), extent.stats());
+            assert_eq!(scalar.recovery_queue().len(), extent.recovery_queue().len());
+            assert_eq!(
+                extent.read_extent(Lba::new(3), 4, SimTime::ZERO).unwrap(),
+                vec![None; 4]
+            );
+        }
+    }
+
+    #[test]
+    fn extent_bounds_checked_once_up_front() {
+        for window in RETENTIONS {
+            let mut f = drive(window);
+            let max = f.logical_pages();
+            let err = f.write_extent(
+                Lba::new(max - 1),
+                &[Bytes::from_static(b"a"), Bytes::from_static(b"b")],
+                SimTime::ZERO,
+            );
+            assert!(err.is_err());
+            assert_eq!(
+                f.stats().host_writes,
+                0,
+                "nothing applied on a straddling extent"
+            );
+            assert_eq!(
+                f.read(Lba::new(max - 1), SimTime::ZERO).unwrap(),
+                None,
+                "in-range prefix not written either"
+            );
+            assert!(f.read_extent(Lba::new(max - 1), 2, SimTime::ZERO).is_err());
+            assert!(f.trim_extent(Lba::new(max - 1), 2, SimTime::ZERO).is_err());
+        }
+    }
+
+    #[test]
+    fn empty_extents_are_no_ops() {
+        for window in RETENTIONS {
+            let mut f = drive(window);
+            f.write_extent(Lba::new(0), &[], SimTime::ZERO).unwrap();
+            f.trim_extent(Lba::new(0), 0, SimTime::ZERO).unwrap();
+            assert!(f
+                .read_extent(Lba::new(0), 0, SimTime::ZERO)
+                .unwrap()
+                .is_empty());
+            assert_eq!(
+                f.stats().host_writes + f.stats().host_trims + f.stats().host_reads,
+                0
+            );
+            assert!(f.recovery_queue().is_empty());
+        }
+    }
+
+    #[test]
+    fn utilization_tracks_mapped_pages() {
+        for window in RETENTIONS {
+            let mut f = drive(window);
+            assert_eq!(f.utilization(), 0.0);
+            f.write(Lba::new(0), Bytes::from_static(b"x"), SimTime::ZERO)
+                .unwrap();
+            assert!(f.utilization() > 0.0);
+        }
+    }
+
+    #[test]
+    fn rollback_without_retention_is_refused_and_changes_nothing() {
+        let mut f = drive(None);
+        f.write(Lba::new(0), Bytes::from_static(b"plain"), secs(0))
+            .unwrap();
+        f.write(Lba::new(0), Bytes::from_static(b"cipher"), secs(15))
+            .unwrap();
+        f.write(Lba::new(1), Bytes::from_static(b"doc"), secs(15))
+            .unwrap();
+        f.trim(Lba::new(1), secs(15)).unwrap();
+        let stats = *f.stats();
+        assert_eq!(f.rollback(secs(16)), Err(FtlError::NoRetention));
+        assert_eq!(*f.stats(), stats);
+        assert_eq!(
+            f.read_extent(Lba::new(0), 2, secs(16)).unwrap(),
+            vec![Some(Bytes::from_static(b"cipher")), None]
+        );
+    }
+
+    /// Without retention nothing is ever queued or protected: overwrite
+    /// and trim churn that forces GC leaves the queue empty and migrates
+    /// no protected page.
+    #[test]
+    fn churn_without_retention_protects_nothing() {
+        let mut f = drive(None);
+        for round in 0..200u64 {
+            for i in 0..8u64 {
+                let payload = Bytes::copy_from_slice(format!("{round}:{i}").as_bytes());
+                f.write(Lba::new(i), payload, SimTime::ZERO).unwrap();
+            }
+            f.trim_extent(Lba::new(round % 8), 2, SimTime::ZERO)
+                .unwrap();
+        }
+        assert!(f.stats().gc_invocations > 0);
+        assert!(f.recovery_queue().is_empty());
+        assert_eq!(f.recovery_queue().protected_count(), 0);
+        assert_eq!(f.stats().gc_protected_copies, 0);
+    }
+
+    #[test]
+    fn hold_and_tick_are_harmless_without_retention() {
+        let mut f = drive(None);
+        f.write(Lba::new(0), Bytes::from_static(b"a"), secs(0))
+            .unwrap();
+        f.set_hold(frozen_at(secs(1)));
+        f.tick(secs(100));
+        f.write(Lba::new(0), Bytes::from_static(b"b"), secs(101))
+            .unwrap();
+        f.tick(secs(200));
+        f.set_hold(Hold::default());
+        f.tick(secs(300));
+        assert!(f.recovery_queue().is_empty());
+        assert_eq!(
+            f.read(Lba::new(0), secs(300)).unwrap().unwrap().as_ref(),
+            b"b"
+        );
+        f.power_cut(secs(301)).unwrap();
+        assert!(f.recovery_queue().is_empty());
+        assert_eq!(
+            f.read(Lba::new(0), secs(301)).unwrap().unwrap().as_ref(),
+            b"b"
         );
     }
 }

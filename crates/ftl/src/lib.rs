@@ -1,25 +1,28 @@
 //! # insider-ftl
 //!
-//! Flash Translation Layers for the SSD-Insider reproduction (Baek et al.,
-//! ICDCS 2018): a conventional page-mapping FTL baseline and the SSD-Insider
-//! FTL with *delayed deletion* and instant rollback.
+//! The Flash Translation Layer of the SSD-Insider reproduction (Baek et al.,
+//! ICDCS 2018): one page-mapping FTL with *delayed deletion* and instant
+//! rollback, whose retention is a configuration value.
 //!
-//! ## The two FTLs
+//! ## One FTL, two retention values
 //!
-//! * [`ConventionalFtl`] — page-level mapping with greedy garbage collection.
-//!   When a logical page is overwritten, the old physical page becomes
-//!   reclaimable immediately.
-//! * [`InsiderFtl`] — identical write path, but every overwrite pushes a
-//!   backup entry `(lba, old ppa, timestamp)` into a [`RecoveryQueue`].
-//!   Old pages stay *protected* from reclamation until their entry ages past
-//!   the protection window (10 s in the paper). If ransomware is detected,
+//! [`InsiderFtl`] is page-level mapping with greedy garbage collection.
+//! [`FtlConfig::protection_window`] picks what it retains:
+//!
+//! * `Some(window)` (10 s, the paper's value, by default) — every overwrite
+//!   pushes a backup entry `(lba, old ppa, timestamp)` into a
+//!   [`RecoveryQueue`]. Old pages stay *protected* from reclamation until
+//!   their entry ages past the window. If ransomware is detected,
 //!   [`InsiderFtl::rollback`] rewinds the mapping table to its state one
-//!   window ago — by pointer updates only, with no data copying, which is why
-//!   recovery completes in well under a second.
+//!   window ago — by pointer updates only, with no data copying, which is
+//!   why recovery completes in well under a second.
+//! * `None` — the paper's conventional baseline. When a logical page is
+//!   overwritten, the old physical page becomes reclaimable immediately,
+//!   and rollback fails with [`FtlError::NoRetention`].
 //!
 //! ## The host interface
 //!
-//! Both implement [`Ftl`] by supplying the three extent operations —
+//! [`InsiderFtl`] implements [`Ftl`] by supplying the three extent operations —
 //! [`read_extent`](Ftl::read_extent), [`write_extent`](Ftl::write_extent),
 //! [`trim_extent`](Ftl::trim_extent) — and nothing else for host I/O.
 //! [`read`](Ftl::read), [`write`](Ftl::write) and [`trim`](Ftl::trim), used
@@ -58,7 +61,6 @@
 
 mod base;
 mod config;
-mod conventional;
 mod error;
 mod insider;
 mod mapping;
@@ -67,7 +69,6 @@ mod stats;
 mod traits;
 
 pub use config::{FtlConfig, GC_RESERVE_BLOCKS};
-pub use conventional::ConventionalFtl;
 pub use error::FtlError;
 pub use insider::{Hold, InsiderFtl, RollbackReport};
 pub use mapping::MappingTable;

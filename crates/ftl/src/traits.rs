@@ -1,4 +1,5 @@
-//! The `Ftl` trait: the host-facing block interface both FTLs implement.
+//! The `Ftl` trait: the host-facing block interface of the FTL and of the
+//! device built on it.
 
 use crate::{FtlStats, GcVictim, Result};
 use bytes::Bytes;
@@ -6,9 +7,9 @@ use insider_nand::{LatencySnapshot, Lba, NandStats, SimTime};
 
 /// Host-facing interface of a flash translation layer.
 ///
-/// Both [`ConventionalFtl`](crate::ConventionalFtl) and
-/// [`InsiderFtl`](crate::InsiderFtl) implement this, so experiments can swap
-/// policies behind `&mut dyn Ftl`.
+/// [`InsiderFtl`](crate::InsiderFtl) implements this under either retention
+/// value, and so does the monitored device built on it, so experiments can
+/// drive the bare FTL or the whole device behind `&mut dyn Ftl`.
 ///
 /// An implementor supplies the three extent operations — one bounds check
 /// and one mapping-table pass per request; a write is one grouped NAND
@@ -17,8 +18,8 @@ use insider_nand::{LatencySnapshot, Lba, NandStats, SimTime};
 /// provided one-page wrappers over them, so a page written through either
 /// spelling takes the same path and leaves the same statistics.
 ///
-/// Each operation carries the simulated time `now`, which the SSD-Insider
-/// FTL uses to stamp backup entries and retire expired ones.
+/// Each operation carries the simulated time `now`, which a drive with a
+/// protection window uses to stamp backup entries and retire expired ones.
 pub trait Ftl {
     /// Reads `len` consecutive logical pages starting at `lba`, in order;
     /// unmapped pages yield `None`. A zero-length extent is a no-op.
@@ -80,7 +81,7 @@ pub trait Ftl {
     /// Simulates a sudden power loss followed by a power-on mount.
     ///
     /// Every DRAM structure — the mapping table, per-block bookkeeping, the
-    /// GC victim index and (for the SSD-Insider FTL) the recovery queue —
+    /// GC victim index and (with a protection window) the recovery queue —
     /// is dropped and rebuilt from the per-page OOB records on flash. `now`
     /// is the power-up time, which anchors the rebuilt protection window.
     ///
@@ -95,33 +96,23 @@ pub trait Ftl {
     /// Drains the device command scheduler: every queued command is
     /// finalized and folded into the latency histograms. Call before
     /// reading a [`latency_snapshot`](Ftl::latency_snapshot) so in-flight
-    /// tails are not silently dropped. A no-op for FTLs without a scheduled
-    /// device (the default).
-    fn sync(&mut self) {}
+    /// tails are not silently dropped.
+    fn sync(&mut self);
 
     /// Per-command completion-latency percentiles from the device command
-    /// scheduler. Always `Some` for the FTLs of this workspace; `None` is
-    /// the default for implementors without a scheduled device.
-    fn latency_snapshot(&self) -> Option<LatencySnapshot> {
-        None
-    }
+    /// scheduler. Always `Some` for the implementors of this workspace.
+    fn latency_snapshot(&self) -> Option<LatencySnapshot>;
 
     /// Latency percentiles over *host-issued* commands only — GC-internal
-    /// reads, programs and erases excluded. Always `Some` for the FTLs of
-    /// this workspace; `None` is the default for implementors without a
-    /// scheduled device.
-    fn host_latency_snapshot(&self) -> Option<LatencySnapshot> {
-        None
-    }
+    /// reads, programs and erases excluded. Always `Some` for the
+    /// implementors of this workspace.
+    fn host_latency_snapshot(&self) -> Option<LatencySnapshot>;
 
     /// Normalized garbage-collection debt in `[0, 1]`: `0.0` while the
     /// free-block pool sits at or above the incremental-GC low watermark,
     /// rising linearly to `1.0` as it approaches exhaustion. Write pacing
-    /// scales foreground throttling by this. The default (for FTLs without
-    /// background GC) reports no debt.
-    fn gc_debt(&self) -> f64 {
-        0.0
-    }
+    /// scales foreground throttling by this.
+    fn gc_debt(&self) -> f64;
 
     /// FTL-level statistics (host ops, GC cost).
     fn stats(&self) -> &FtlStats;
@@ -143,7 +134,5 @@ pub trait Ftl {
     /// differential GC tests replay identical workloads under two GC
     /// configurations (or against a recorded run) and require these logs to
     /// match exactly.
-    fn gc_victims(&self) -> &[GcVictim] {
-        &[]
-    }
+    fn gc_victims(&self) -> &[GcVictim];
 }

@@ -5,7 +5,7 @@
 //!   logical contents equal a never-crashed differential oracle that
 //!   replayed only the *acknowledged* operations (then power-cycled
 //!   cleanly, so both sides share the documented trim-volatility
-//!   semantics). Run on both `ConventionalFtl` and `InsiderFtl`.
+//!   semantics). Run with and without a protection window.
 //! * Mid-GC crash: a cut landing exactly on a victim erase — after the
 //!   migration programs — must lose nothing, and the rebuilt victim index
 //!   must survive further garbage collection (the PR-3 debug
@@ -15,7 +15,7 @@
 //!   one read and one transfer.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, FtlError, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, FtlError, InsiderFtl};
 use insider_nand::{FaultPlan, Geometry, Lba, NandConfig, NandError, Pba, SimTime};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -24,29 +24,6 @@ const WINDOW: SimTime = SimTime::from_millis(50);
 
 fn config() -> FtlConfig {
     FtlConfig::new(Geometry::tiny()).protection_window(WINDOW)
-}
-
-trait Target: Ftl {
-    fn make() -> Self;
-    fn arm(&mut self, plan: FaultPlan);
-}
-
-impl Target for ConventionalFtl {
-    fn make() -> Self {
-        ConventionalFtl::new(config())
-    }
-    fn arm(&mut self, plan: FaultPlan) {
-        self.set_fault_plan(plan);
-    }
-}
-
-impl Target for InsiderFtl {
-    fn make() -> Self {
-        InsiderFtl::new(config())
-    }
-    fn arm(&mut self, plan: FaultPlan) {
-        self.set_fault_plan(plan);
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -83,10 +60,10 @@ struct Acked {
 /// Replays `ops` until the scheduled cut fires, recording exactly what the
 /// FTL acknowledged (a partially completed extent contributes its completed
 /// prefix).
-fn replay_until_crash<T: Target>(ftl: &mut T, ops: &[Op], cut: u64) -> Acked {
+fn replay_until_crash(ftl: &mut InsiderFtl, ops: &[Op], cut: u64) -> Acked {
     let mut plan = FaultPlan::new();
     plan.power_cut_after(cut);
-    ftl.arm(plan);
+    ftl.set_fault_plan(plan);
     let mut acked = Acked::default();
     for (i, op) in ops.iter().enumerate() {
         let now = SimTime::from_millis(10 + 10 * i as u64);
@@ -145,7 +122,7 @@ fn replay_until_crash<T: Target>(ftl: &mut T, ops: &[Op], cut: u64) -> Acked {
 }
 
 /// Replays only the acknowledged ops on a fresh, never-faulted FTL.
-fn replay_acked<T: Target>(ftl: &mut T, acked: &Acked) {
+fn replay_acked(ftl: &mut InsiderFtl, acked: &Acked) {
     for (now, op, payloads) in &acked.ops {
         match *op {
             Op::Write { lba, .. } => {
@@ -164,15 +141,16 @@ fn replay_acked<T: Target>(ftl: &mut T, acked: &Acked) {
 /// with the documented trim-volatility relaxation; afterwards both drives
 /// must keep absorbing writes (exercising GC over the rebuilt per-block
 /// state and victim index — the PR-3 reconciliation asserts run in debug).
-fn check_crash_matches_oracle<T: Target>(ops: &[Op], cut: u64) {
-    let mut crashed = T::make();
+fn check_crash_matches_oracle(window: Option<SimTime>, ops: &[Op], cut: u64) {
+    let make = || InsiderFtl::new(config().protection_window(window));
+    let mut crashed = make();
     let acked = replay_until_crash(&mut crashed, ops, cut);
     crashed.power_cut(acked.now).expect("remount failed");
     // A cut scheduled beyond the replay's mutation count is still pending;
     // the restored device must not inherit it.
-    crashed.arm(FaultPlan::new());
+    crashed.set_fault_plan(FaultPlan::new());
 
-    let mut oracle = T::make();
+    let mut oracle = make();
     replay_acked(&mut oracle, &acked);
     oracle.power_cut(acked.now).expect("oracle remount failed");
 
@@ -231,7 +209,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..60),
         cut in 1u64..160,
     ) {
-        check_crash_matches_oracle::<ConventionalFtl>(&ops, cut);
+        check_crash_matches_oracle(None, &ops, cut);
     }
 
     #[test]
@@ -239,7 +217,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..60),
         cut in 1u64..160,
     ) {
-        check_crash_matches_oracle::<InsiderFtl>(&ops, cut);
+        check_crash_matches_oracle(Some(WINDOW), &ops, cut);
     }
 }
 

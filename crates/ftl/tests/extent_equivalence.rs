@@ -1,5 +1,5 @@
 //! Property test: an extent operation is observably identical to the same
-//! pages issued one per call, for both FTL policies — same logical
+//! pages issued one per call, for both retention values — same logical
 //! contents, same host/GC statistics, same NAND accounting, same
 //! recovery-queue shape. The geometry and op budget are sized so garbage
 //! collection never fires: GC collects ahead of a write by the number of
@@ -13,7 +13,7 @@
 //! every counter and on the victim sequence.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{Geometry, Lba, SimTime};
 use proptest::prelude::*;
 
@@ -56,15 +56,12 @@ fn payload(op: usize, page: u32) -> Bytes {
     Bytes::copy_from_slice(format!("op{op}p{page}").as_bytes())
 }
 
-/// Applies `ops` twice — natively and decomposed into one-page calls — and
-/// asserts every host-visible observable matches. `queue_len` extracts the
-/// recovery-queue shape to compare (insider only; `None` elsewhere).
-fn assert_equivalent<F: Ftl>(
-    mut native: F,
-    mut scalar: F,
-    ops: &[(Op, u64)],
-    queue_len: impl Fn(&F) -> Option<(usize, usize)>,
-) -> Result<(), TestCaseError> {
+/// Applies `ops` twice, to two drives built from `config` — natively and
+/// decomposed into one-page calls — and asserts every host-visible
+/// observable matches, the recovery-queue shape included.
+fn assert_equivalent(config: FtlConfig, ops: &[(Op, u64)]) -> Result<(), TestCaseError> {
+    let mut native = InsiderFtl::new(config.clone());
+    let mut scalar = InsiderFtl::new(config);
     let mut now = SimTime::ZERO;
     for (idx, &(op, dt)) in ops.iter().enumerate() {
         now = now.saturating_add(SimTime::from_millis(dt));
@@ -95,7 +92,13 @@ fn assert_equivalent<F: Ftl>(
     }
     prop_assert_eq!(native.stats(), scalar.stats());
     prop_assert_eq!(native.nand_stats(), scalar.nand_stats());
-    prop_assert_eq!(queue_len(&native), queue_len(&scalar));
+    let queue = |f: &InsiderFtl| {
+        (
+            f.recovery_queue().len(),
+            f.recovery_queue().protected_count(),
+        )
+    };
+    prop_assert_eq!(queue(&native), queue(&scalar));
     for lba in 0..SPAN {
         let a = native.read(Lba::new(lba), now).unwrap();
         let b = scalar.read(Lba::new(lba), now).unwrap();
@@ -111,24 +114,14 @@ proptest! {
     fn conventional_extents_equal_scalar_decomposition(
         ops in prop::collection::vec((op_strategy(), 0u64..1000), 1..40)
     ) {
-        assert_equivalent(
-            ConventionalFtl::new(FtlConfig::new(geometry())),
-            ConventionalFtl::new(FtlConfig::new(geometry())),
-            &ops,
-            |_| None,
-        )?;
+        assert_equivalent(FtlConfig::new(geometry()).protection_window(None), &ops)?;
     }
 
     #[test]
     fn insider_extents_equal_scalar_decomposition(
         ops in prop::collection::vec((op_strategy(), 0u64..1000), 1..40)
     ) {
-        assert_equivalent(
-            InsiderFtl::new(FtlConfig::new(geometry())),
-            InsiderFtl::new(FtlConfig::new(geometry())),
-            &ops,
-            |f: &InsiderFtl| Some((f.recovery_queue().len(), f.recovery_queue().protected_count())),
-        )?;
+        assert_equivalent(FtlConfig::new(geometry()), &ops)?;
     }
 }
 
@@ -170,15 +163,15 @@ fn gc_heavy_script(ftl: &mut dyn Ftl, sugar: bool) -> Vec<Option<Bytes>> {
 
 #[test]
 fn one_page_calls_and_one_page_extents_are_the_same_path() {
-    fn check<F: Ftl>(make: impl Fn(FtlConfig) -> F) {
-        let cfg = || FtlConfig::new(Geometry::tiny()).record_gc_victims(true);
-        let (mut sugar, mut extent) = (make(cfg()), make(cfg()));
+    let cfg = FtlConfig::new(Geometry::tiny()).record_gc_victims(true);
+    for cfg in [cfg.clone().protection_window(None), cfg] {
+        let (mut sugar, mut extent) = (InsiderFtl::new(cfg.clone()), InsiderFtl::new(cfg));
         assert_eq!(
             gc_heavy_script(&mut sugar, true),
             gc_heavy_script(&mut extent, false)
         );
         assert!(sugar.stats().gc_invocations > 100, "{}", sugar.stats());
-        let scrub = |f: &F| {
+        let scrub = |f: &InsiderFtl| {
             let mut s = *f.stats();
             s.gc_ns = 0; // wall clock
             s
@@ -187,6 +180,4 @@ fn one_page_calls_and_one_page_extents_are_the_same_path() {
         assert_eq!(sugar.nand_stats(), extent.nand_stats());
         assert_eq!(sugar.gc_victims(), extent.gc_victims());
     }
-    check(ConventionalFtl::new);
-    check(InsiderFtl::new);
 }

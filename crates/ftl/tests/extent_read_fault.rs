@@ -1,17 +1,19 @@
-//! A NAND read fault in the middle of a host read extent, on both FTLs: the
-//! extent fails with the injected fault, each mapped page before the fault
-//! was read from NAND exactly once, unmapped holes cost no NAND read, and
-//! the failed host read is not counted in `host_reads`.
+//! A NAND read fault in the middle of a host read extent, with and without
+//! a protection window: the extent fails with the injected fault, each
+//! mapped page before the fault was read from NAND exactly once, unmapped
+//! holes cost no NAND read, and the failed host read is not counted in
+//! `host_reads`.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, FtlError, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, FtlError, InsiderFtl};
 use insider_nand::{FaultKind, FaultPlan, Geometry, Lba, NandError, SimTime};
 
 const EXTENT: u32 = 16;
 /// Never written inside the extent, so they read back as `None`.
 const HOLES: [u64; 4] = [2, 5, 6, 11];
 
-fn run<F: Ftl>(mut ftl: F, install: fn(&mut F, FaultPlan)) {
+fn run(window: Option<SimTime>) {
+    let mut ftl = InsiderFtl::new(FtlConfig::new(Geometry::tiny()).protection_window(window));
     let now = SimTime::from_secs(1);
     for lba in (0..u64::from(EXTENT)).filter(|l| !HOLES.contains(l)) {
         let data = Bytes::copy_from_slice(&lba.to_le_bytes());
@@ -21,7 +23,7 @@ fn run<F: Ftl>(mut ftl: F, install: fn(&mut F, FaultPlan)) {
     for k in 1..=mapped {
         let mut plan = FaultPlan::new();
         plan.fail_nth(FaultKind::Read, k);
-        install(&mut ftl, plan);
+        ftl.set_fault_plan(plan);
         let reads = ftl.nand_stats().reads;
         let host_reads = ftl.stats().host_reads;
         let err = ftl.read_extent(Lba::new(0), EXTENT, now).unwrap_err();
@@ -46,19 +48,12 @@ fn run<F: Ftl>(mut ftl: F, install: fn(&mut F, FaultPlan)) {
     }
 }
 
-fn config() -> FtlConfig {
-    FtlConfig::new(Geometry::tiny())
-}
-
 #[test]
 fn conventional_read_fault_mid_extent() {
-    run(
-        ConventionalFtl::new(config()),
-        ConventionalFtl::set_fault_plan,
-    );
+    run(None);
 }
 
 #[test]
 fn insider_read_fault_mid_extent() {
-    run(InsiderFtl::new(config()), InsiderFtl::set_fault_plan);
+    run(Some(SimTime::from_secs(10)));
 }

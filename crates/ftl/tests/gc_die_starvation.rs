@@ -13,7 +13,7 @@
 //! the full-scan oracle.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl, GC_RESERVE_BLOCKS};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl, GC_RESERVE_BLOCKS};
 use insider_nand::{Geometry, Lba, SimTime};
 
 const DIES: usize = 8;
@@ -113,7 +113,7 @@ fn assert_no_die_starves(o: &Outcome, what: &str) {
 }
 
 fn both_ftls() -> [(&'static str, Outcome); 2] {
-    let mut conventional = ConventionalFtl::new(config());
+    let mut conventional = InsiderFtl::new(config().protection_window(None));
     let mut insider = InsiderFtl::new(config());
     let outcomes = [
         ("conventional", churn(&mut conventional)),

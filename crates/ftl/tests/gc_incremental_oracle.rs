@@ -19,9 +19,7 @@
 //! pinned victim, and the resumed job must migrate them as live data.
 
 use bytes::Bytes;
-use insider_ftl::{
-    ConventionalFtl, Ftl, FtlConfig, FtlError, FtlStats, GcVictim, Hold, InsiderFtl,
-};
+use insider_ftl::{Ftl, FtlConfig, FtlError, FtlStats, GcVictim, Hold, InsiderFtl};
 use insider_nand::{Geometry, Lba, SimTime};
 use proptest::prelude::*;
 
@@ -133,8 +131,8 @@ proptest! {
     /// indistinguishable from the blocking policy.
     #[test]
     fn conventional_degenerate_matches_blocking(ops in op_strategy()) {
-        let mut blocking = ConventionalFtl::new(config());
-        let mut incremental = ConventionalFtl::new(degenerate());
+        let mut blocking = InsiderFtl::new(config().protection_window(None));
+        let mut incremental = InsiderFtl::new(degenerate().protection_window(None));
         let (a, _) = run(&mut blocking, &ops);
         let (b, _) = run(&mut incremental, &ops);
         prop_assert_eq!(a, b);

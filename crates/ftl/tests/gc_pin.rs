@@ -23,7 +23,7 @@
 //! a field of one of the hashed structs.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{Geometry, Lba, SimTime};
 
 /// Logical pages the script touches: a cold body written once and rewritten
@@ -128,7 +128,7 @@ const RECORDED: [[u64; 2]; 2] = [
 fn gc_behaviour_is_pinned() {
     let hex = |hashes: [u64; 2]| hashes.map(|h| format!("{h:#018x}"));
     let got = CONFIGS.map(|incremental| {
-        let mut conventional = ConventionalFtl::new(config(incremental));
+        let mut conventional = InsiderFtl::new(config(incremental).protection_window(None));
         let mut insider = InsiderFtl::new(config(incremental));
         let hashes = [run(&mut conventional), run(&mut insider)];
         assert!(insider.stats().gc_protected_copies > 0);

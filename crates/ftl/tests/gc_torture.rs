@@ -4,7 +4,7 @@
 //! that space accounting stays exact.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{Geometry, Lba, SimTime};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -57,7 +57,7 @@ fn conventional_survives_sustained_churn() {
         .pages_per_block(16)
         .page_size(64)
         .build();
-    let mut ftl = ConventionalFtl::new(FtlConfig::new(g));
+    let mut ftl = InsiderFtl::new(FtlConfig::new(g).protection_window(None));
     torture(&mut ftl, 24, 120, 5);
     assert!(ftl.stats().gc_invocations > 0, "torture must exercise GC");
 }
@@ -250,7 +250,7 @@ mod gc_policies {
     #[test]
     fn all_policies_survive_churn() {
         for incremental in [false, true] {
-            let mut ftl = ConventionalFtl::new(config(incremental));
+            let mut ftl = InsiderFtl::new(config(incremental).protection_window(None));
             torture(&mut ftl, 24, 120, 5);
             assert!(
                 ftl.stats().gc_invocations > 0,
@@ -462,7 +462,7 @@ mod bad_blocks {
             .build();
         // Endurance 2: blocks wear out quickly under churn.
         let cfg = FtlConfig::with_nand(NandConfig::new(g).endurance(2));
-        let mut ftl = ConventionalFtl::new(cfg);
+        let mut ftl = InsiderFtl::new(cfg.protection_window(None));
         ftl.write(Lba::new(100), payload(777), SimTime::ZERO)
             .unwrap();
         let mut i = 0u64;
@@ -533,7 +533,7 @@ fn allocation_stripes_across_channels() {
         .pages_per_block(8)
         .page_size(64)
         .build();
-    let mut ftl = ConventionalFtl::new(FtlConfig::new(g));
+    let mut ftl = InsiderFtl::new(FtlConfig::new(g).protection_window(None));
     for i in 0..256u64 {
         ftl.write(Lba::new(i), payload(i as u32), SimTime::ZERO)
             .unwrap();

@@ -1,11 +1,11 @@
 //! Property: the out-of-order NAND scheduler may promote reads past queued
 //! programs/erases on other pages, but it must never reorder a read of a
 //! page ahead of an earlier program (or erase) touching that same page —
-//! the read would return bits that are not on the die yet. Verified on
-//! both FTL flavours against the captured per-command schedule.
+//! the read would return bits that are not on the die yet. Verified with
+//! and without retention against the captured per-command schedule.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{CmdRecord, FaultKind, Geometry, Lba, SimTime};
 use proptest::prelude::*;
 
@@ -100,7 +100,7 @@ proptest! {
     fn conventional_ooo_never_reorders_same_page_read_after_program(
         ops in proptest::collection::vec(op_strategy(24), 1..120)
     ) {
-        let mut ftl = ConventionalFtl::new(config());
+        let mut ftl = InsiderFtl::new(config().protection_window(None));
         run_ops(&mut ftl, &ops);
         let mut log = ftl.take_captured_commands();
         log.sort_by_key(|c| c.submit);

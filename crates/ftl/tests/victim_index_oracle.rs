@@ -13,7 +13,7 @@
 //! operations, before and after rollback.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, FtlError, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, FtlError, InsiderFtl};
 use insider_nand::{Geometry, Lba, SimTime};
 use proptest::prelude::*;
 
@@ -99,7 +99,7 @@ fn contents(ftl: &mut dyn Ftl, now: SimTime) -> Vec<Option<Bytes>> {
 /// known to cover them.
 #[test]
 fn deterministic_churn_covers_reclaim() {
-    let mut f = ConventionalFtl::new(config());
+    let mut f = InsiderFtl::new(config().protection_window(None));
     for lba in 0..SPAN / 2 {
         f.write(Lba::new(lba), Bytes::from_static(b"cold"), SimTime::ZERO)
             .unwrap();
@@ -128,7 +128,7 @@ proptest! {
     /// agrees with the scan, and the data survives.
     #[test]
     fn conventional_index_matches_scan(ops in op_strategy()) {
-        let mut ftl = ConventionalFtl::new(config());
+        let mut ftl = InsiderFtl::new(config().protection_window(None));
         let applied = run(&mut ftl, &ops);
         prop_assert_eq!(applied, ops.len(), "a conventional FTL never runs dry here");
         prop_assert_eq!(contents(&mut ftl, time_of(applied)), model(&ops, applied));

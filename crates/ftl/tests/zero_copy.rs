@@ -4,7 +4,7 @@
 //! device's provenance counters prove it.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{Geometry, Lba, SimTime};
 
 fn secs(s: u64) -> SimTime {
@@ -38,7 +38,7 @@ fn churn_until_gc_copies(f: &mut dyn Ftl) -> Bytes {
 
 #[test]
 fn gc_relocation_never_copies_buffers() {
-    let mut f = ConventionalFtl::new(FtlConfig::new(Geometry::tiny()));
+    let mut f = InsiderFtl::new(FtlConfig::new(Geometry::tiny()).protection_window(None));
     let precious = churn_until_gc_copies(&mut f);
     let stats = f.nand_stats();
     assert_eq!(

@@ -1,16 +1,17 @@
 //! Delayed deletion's garbage-collection cost, side by side (the Fig. 9
 //! mechanism at example scale).
 //!
-//! Both FTLs replay the same workload on a nearly full drive: cold data
-//! interleaved across every block (as on a long-lived disk) plus randomized
-//! hot overwrites whose pre-images have mixed ages. The SSD-Insider FTL
-//! must migrate the invalid pages that are still inside the 10 s protection
-//! window; the conventional FTL discards them.
+//! The FTL replays the same workload twice, with and without retention, on
+//! a nearly full drive: cold data interleaved across every block (as on a
+//! long-lived disk) plus randomized hot overwrites whose pre-images have
+//! mixed ages. With the 10 s protection window the FTL must migrate the
+//! invalid pages still inside it; without retention (the conventional
+//! baseline) it discards them.
 //!
 //! Run with: `cargo run --release --example gc_pressure`
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{Geometry, Lba, SimTime};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -50,7 +51,7 @@ fn run(ftl: &mut dyn Ftl) {
 }
 
 fn main() {
-    let mut conventional = ConventionalFtl::new(FtlConfig::new(geometry()));
+    let mut conventional = InsiderFtl::new(FtlConfig::new(geometry()).protection_window(None));
     run(&mut conventional);
     let conv = *conventional.stats();
 
@@ -58,7 +59,7 @@ fn main() {
     run(&mut insider);
     let ins = *insider.stats();
 
-    println!("same workload, two FTLs (80% full, randomized in-window overwrites):\n");
+    println!("same workload, two retention values (80% full, randomized in-window overwrites):\n");
     println!("conventional: {conv}");
     println!("ssd-insider : {ins}");
     let extra = if conv.gc_page_copies > 0 {

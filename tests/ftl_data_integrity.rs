@@ -1,9 +1,9 @@
-//! Property tests: both FTLs preserve read-your-writes semantics under
-//! arbitrary workloads, across garbage collection and (for the insider FTL)
-//! window retirement.
+//! Property tests: the FTL preserves read-your-writes semantics under
+//! arbitrary workloads, with and without retention, across garbage
+//! collection and (with a protection window) window retirement.
 
 use bytes::Bytes;
-use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, InsiderFtl};
+use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{Geometry, Lba, SimTime};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -84,7 +84,7 @@ proptest! {
 
     #[test]
     fn conventional_ftl_is_linearizable(ops in prop::collection::vec(op_strategy(24), 1..400)) {
-        let mut ftl = ConventionalFtl::new(FtlConfig::new(geometry()));
+        let mut ftl = InsiderFtl::new(FtlConfig::new(geometry()).protection_window(None));
         check_model(&mut ftl, &ops)?;
         // GC must have been exercised on longer runs without corrupting data.
     }

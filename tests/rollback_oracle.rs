@@ -72,7 +72,7 @@ proptest! {
         }
 
         // Roll back at the end of the history.
-        let cutoff = now.saturating_sub(ftl.config().window());
+        let cutoff = now.saturating_sub(ftl.config().window().unwrap());
         ftl.rollback(now).unwrap();
 
         // Oracle: apply only ops strictly before the cutoff.

@@ -24,7 +24,6 @@ fn device_layer_is_send_sync() {
 #[test]
 fn ftl_layer_is_send_sync() {
     assert_send_sync::<insider_ftl::InsiderFtl>();
-    assert_send_sync::<insider_ftl::ConventionalFtl>();
     assert_send_sync::<insider_ftl::FtlConfig>();
     assert_send_sync::<insider_ftl::MappingTable>();
     assert_send_sync::<insider_ftl::RecoveryQueue>();
