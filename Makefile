@@ -18,12 +18,16 @@
 #                      over all targets, rustdoc with warnings denied (a
 #                      deleted item cannot leave a doc link pointing at it),
 #                      the block-cache oracle, the recovery-queue model test,
-#                      the device-lifecycle fuzz, the FTL's remount and
-#                      GC-torture properties (`crash_remount`, `gc_torture`)
+#                      the device-lifecycle fuzz, the FTL's remount,
+#                      GC-torture, incremental-GC and victim-index
+#                      properties (`crash_remount`, `gc_torture`,
+#                      `gc_incremental_oracle`, `victim_index_oracle`), the
+#                      whole-stack rollback and FTL data-integrity
+#                      properties (`rollback_oracle`, `ftl_data_integrity`)
 #                      and the NAND scheduler model (`sched_model`)
 #                      once more, each on a seed taken from the clock
 #                      (`CACHE_ORACLE_SEED`, `QUEUE_MODEL_SEED`,
-#                      `PROPTEST_RNG_SEED` — the last shared by the four
+#                      `PROPTEST_RNG_SEED` — the last shared by the eight
 #                      proptest suites — echoed first so a failure can be
 #                      replayed; tier1 already ran their fixed seeds),
 #                      bounded crash-sweep / steady-state / ROC
@@ -105,7 +109,9 @@ ci: tier1
 	QUEUE_MODEL_SEED=$$seed $(CARGO) test -q -p insider-ftl --test recovery_queue_model
 	@seed=$$(date +%s); echo "PROPTEST_RNG_SEED=$$seed"; \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p ssd-insider --test state_machine && \
-	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-ftl --test crash_remount --test gc_torture && \
+	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-ftl --test crash_remount --test gc_torture \
+		--test gc_incremental_oracle --test victim_index_oracle && \
+	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p ssd-insider-repro --test rollback_oracle --test ftl_data_integrity && \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-nand --test sched_model
 	mkdir -p target/ci
 	$(CI_SWEEP_ENV) $(CARGO) run --release -p insider-bench --bin crash_sweep

@@ -1,13 +1,22 @@
-//! The SSD-Insider FTL: delayed deletion and instant rollback.
+//! The SSD-Insider FTL: delayed deletion and instant rollback. One struct,
+//! whose code the child modules split along its seams (see the crate doc).
 
-use crate::base::{FtlBase, ScanPage};
+mod alloc;
+mod gc;
+mod mount;
+mod victim;
+
 use crate::config::FtlConfig;
+use crate::mapping::MappingTable;
 use crate::recovery_queue::RecoveryQueue;
 use crate::traits::Ftl;
 use crate::{FtlError, FtlStats, GcVictim, Result};
 use bytes::Bytes;
-use insider_nand::{Lba, NandStats, Ppa, SimTime};
+use gc::GcJob;
+use insider_nand::{LatencyHistogram, Lba, NandDevice, NandStats, PageState, Pba, Ppa, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
+use victim::Blocks;
 
 /// Outcome of a [`InsiderFtl::rollback`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,7 +81,46 @@ pub struct Hold {
 /// ```
 #[derive(Debug)]
 pub struct InsiderFtl {
-    base: FtlBase,
+    device: NandDevice,
+    mapping: MappingTable,
+    /// Reverse map PPA → LBA, standing in for the out-of-band (OOB) metadata
+    /// real firmware writes next to each page. For a *protected invalid*
+    /// page it names the logical page whose old version it holds.
+    rmap: Vec<Option<Lba>>,
+    /// Free-block pools, one per chip (die): allocation stripes pages
+    /// across dies (one active block per die, round-robin), which is what
+    /// lets a multi-channel/multi-way controller overlap NAND operations —
+    /// the source of the paper's card's bandwidth.
+    free: Vec<VecDeque<Pba>>,
+    /// Cached sum of the per-chip free-pool lengths, so the GC thresholds
+    /// on the write hot path cost O(1) instead of O(chips).
+    free_count: usize,
+    /// One active (partially programmed) block per chip.
+    active: Vec<Option<Pba>>,
+    /// Round-robin chip cursor for page allocation.
+    next_chip: usize,
+    /// Per-block flags and counts, and the victim index built from them.
+    blocks: Blocks,
+    /// Victim log, populated when `FtlConfig::record_gc_victims` is on.
+    victim_log: Vec<GcVictim>,
+    /// OOB records decoded by the most recent mount scan (zero before any
+    /// mount) — the size of the structure an on-device implementation
+    /// would stream through during power-on recovery.
+    mount_scan_entries: u64,
+    /// The GC engine's one job, `None` at quiescence; `Some` between writes
+    /// when the incremental budget paused it or a NAND error stopped it.
+    /// Dropped — not persisted — across a power cut; the half-migrated
+    /// victim is simply re-selectable.
+    gc_job: Option<GcJob>,
+    /// Per-GC-entry foreground pause histogram: the growth of the device's
+    /// parallel makespan across each GC entry (unbudgeted drain or
+    /// budgeted pump) — the device-time stall a collocated host command
+    /// would observe.
+    gc_pause_hist: LatencyHistogram,
+    stats: FtlStats,
+    config: FtlConfig,
+    /// Backup entries protecting superseded pages; always empty on a
+    /// drive that [retains](Self::retains) nothing.
     queue: RecoveryQueue,
     hold: Hold,
 }
@@ -80,16 +128,45 @@ pub struct InsiderFtl {
 impl InsiderFtl {
     /// Creates an empty drive with the given configuration.
     pub fn new(config: FtlConfig) -> Self {
+        let g = *config.geometry();
+        let chips = g.total_chips() as usize;
+        let mut free: Vec<VecDeque<Pba>> = vec![VecDeque::new(); chips];
+        for raw in 0..g.total_blocks() {
+            free[(raw / g.blocks_per_chip()) as usize].push_back(Pba::new(raw));
+        }
+        let mut blocks = Blocks::new(&g);
+        blocks.free.fill(true);
         InsiderFtl {
-            base: FtlBase::new(config),
+            device: NandDevice::new(config.nand().clone()),
+            mapping: MappingTable::new(config.logical_pages()),
+            rmap: vec![None; g.total_pages() as usize],
+            free,
+            free_count: g.total_blocks() as usize,
+            active: vec![None; chips],
+            next_chip: 0,
+            blocks,
+            victim_log: Vec::new(),
+            mount_scan_entries: 0,
+            gc_job: None,
+            gc_pause_hist: LatencyHistogram::new(),
+            stats: FtlStats::new(),
+            config,
             queue: RecoveryQueue::new(),
             hold: Hold::default(),
         }
     }
 
+    /// Whether superseded pages are retained: protected, with a backup
+    /// entry, until they age past the protection window. The one place
+    /// the drive decides it — `false` makes the conventional baseline, on
+    /// which an overwritten page is reclaimable at once.
+    fn retains(&self) -> bool {
+        self.config.window().is_some()
+    }
+
     /// The configuration this drive was built with.
     pub fn config(&self) -> &FtlConfig {
-        self.base.config()
+        &self.config
     }
 
     /// The recovery queue (inspection only); always empty on a drive
@@ -100,78 +177,50 @@ impl InsiderFtl {
 
     /// Number of blocks currently in the free pool.
     pub fn free_blocks(&self) -> usize {
-        self.base.free_blocks()
+        debug_assert_eq!(
+            self.free_count,
+            self.free.iter().map(VecDeque::len).sum::<usize>(),
+            "free-count cache diverged from the pools"
+        );
+        self.free_count
     }
 
     /// Installs a deterministic NAND fault plan; scheduled operations fail
     /// with [`NandError::InjectedFault`](insider_nand::NandError::InjectedFault).
     pub fn set_fault_plan(&mut self, plan: insider_nand::FaultPlan) {
-        self.base.set_fault_plan(plan);
+        self.device.set_fault_plan(plan);
     }
 
     /// NAND busy time as `(serial sum, per-channel-parallel makespan)` —
     /// the parallel figure is the device-level time a multi-channel
     /// controller would take.
     pub fn nand_busy_ns(&self) -> (u64, u64) {
-        self.base.nand_busy_ns()
+        (self.device.stats().busy_ns, self.device.parallel_busy_ns())
     }
 
     /// Per-chip and per-channel-bus busy vectors, for phase-delta analyses.
     pub fn nand_busy_detail(&self) -> (Vec<u64>, Vec<u64>) {
-        self.base.nand_busy_detail()
+        (
+            self.device.chip_busy_ns().to_vec(),
+            self.device.bus_busy_ns().to_vec(),
+        )
     }
 
     /// Reads promoted past queued mutations by the out-of-order scheduler.
     pub fn reads_promoted(&self) -> u64 {
-        self.base.device.reads_promoted()
+        self.device.reads_promoted()
     }
 
     /// Drains and returns the captured command log (empty unless configured
     /// with `FtlConfig::capture_commands(true)`).
     pub fn take_captured_commands(&mut self) -> Vec<insider_nand::CmdRecord> {
-        self.base.device.take_captured_commands()
+        self.device.take_captured_commands()
     }
 
     /// Read-only view of the raw NAND device, for physical-state oracles
     /// (page states, OOB records, scheduler makespans).
-    pub fn device(&self) -> &insider_nand::NandDevice {
-        &self.base.device
-    }
-
-    /// Per-GC-entry foreground pause percentiles (device makespan growth
-    /// per GC entry, under either GC policy).
-    pub fn gc_pause_latency(&self) -> insider_nand::KindLatency {
-        self.base.gc_pause_latency()
-    }
-
-    /// Whether a GC job is parked mid-block — paused by the incremental
-    /// budget, or stopped by a NAND error under either policy.
-    pub fn gc_job_pending(&self) -> bool {
-        self.base.gc_job_pending()
-    }
-
-    /// Runs any parked GC job to completion (quiescence helper for
-    /// differential oracles and benchmarks).
-    ///
-    /// # Errors
-    ///
-    /// Propagates NAND failures from the drained migrations.
-    pub fn gc_quiesce(&mut self) -> Result<()> {
-        let (base, queue) = self.parts();
-        base.gc_drain_job(queue)
-    }
-
-    /// The base layer and the queue it protects pages for: the recovery
-    /// queue when the drive retains, `None` when it does not — `Some`
-    /// would make every supersede protect a page nothing ever retires.
-    fn parts(&mut self) -> (&mut FtlBase, Option<&mut RecoveryQueue>) {
-        let queue = self
-            .base
-            .config()
-            .window()
-            .is_some()
-            .then_some(&mut self.queue);
-        (&mut self.base, queue)
+    pub fn device(&self) -> &NandDevice {
+        &self.device
     }
 
     /// The range check every extent operation applies, for a layer above to
@@ -181,7 +230,16 @@ impl InsiderFtl {
     ///
     /// [`FtlError::LbaOutOfRange`] naming the first page past the end.
     pub fn check_extent(&self, lba: Lba, len: u32) -> Result<()> {
-        self.base.check_extent(lba, len)
+        let logical = self.mapping.len();
+        let end = lba.index().checked_add(len as u64);
+        match end {
+            _ if len == 0 => Ok(()),
+            Some(end) if end <= logical => Ok(()),
+            _ => Err(FtlError::LbaOutOfRange {
+                lba: Lba::new(lba.index().max(logical)),
+                logical_pages: logical,
+            }),
+        }
     }
 
     /// What the drive is currently held to.
@@ -206,14 +264,24 @@ impl InsiderFtl {
     /// Called implicitly by every write; exposed so idle periods can also
     /// release protected space. A no-op while retirement is frozen or
     /// without a protection window.
+    ///
+    /// Each retired entry's page is released as the queue hands it over,
+    /// with nothing collected in between: the closure borrows only the
+    /// per-block table, beside the queue. One retirement is typically the
+    /// pre-images of one host write, which the allocator striped across
+    /// dies, so a block rarely loses two protections in one batch and
+    /// re-filing per page costs no more than batching per block.
     pub fn tick(&mut self, now: SimTime) {
-        let Some(window) = self.base.config().window() else {
+        let (Some(window), None) = (self.config.window(), self.hold.frozen_at) else {
             return;
         };
-        if self.hold.frozen_at.is_none() {
-            self.base
-                .retire_protected(&mut self.queue, now.saturating_sub(window));
-        }
+        let g = *self.config.geometry();
+        self.queue
+            .retire_before(now.saturating_sub(window), |entry| {
+                if let Some(old) = entry.old {
+                    self.blocks.unprotect(old.block(&g).index());
+                }
+            });
     }
 
     /// Rolls the mapping table back to its state one protection window before
@@ -234,7 +302,7 @@ impl InsiderFtl {
     /// (out-of-range addresses), which indicate an internal inconsistency
     /// rather than a user error.
     pub fn rollback(&mut self, now: SimTime) -> Result<RollbackReport> {
-        let window = self.base.config().window().ok_or(FtlError::NoRetention)?;
+        let window = self.config.window().ok_or(FtlError::NoRetention)?;
         // A user who takes minutes to confirm still gets the 10 s before the
         // alarm undone, which is exactly what the freeze preserved.
         let cutoff = self.anchor(now).saturating_sub(window);
@@ -249,13 +317,13 @@ impl InsiderFtl {
         // invalid counts), and the victim index insists protected ≤ invalid
         // at every step.
         let entries = self.queue.take_all();
-        self.base.clear_protected();
+        self.blocks.clear_protected();
         for entry in entries.iter().rev() {
             if entry.stamp < cutoff {
                 report.ignored += 1;
                 continue;
             }
-            self.base.restore_mapping(entry.lba, entry.old)?;
+            self.restore_mapping(entry.lba, entry.old)?;
             touched.insert(entry.lba);
             report.restored += 1;
         }
@@ -263,102 +331,37 @@ impl InsiderFtl {
         Ok(report)
     }
 
-    /// OOB records decoded by the most recent mount scan (zero before any
-    /// power cycle).
-    pub fn mount_scan_entries(&self) -> u64 {
-        self.base.mount_scan_entries()
-    }
-
-    /// Simulates a power loss followed by a power-on mount (paper §III-E:
-    /// the fsck analogy). All DRAM state is rebuilt from the OOB scan —
-    /// including, on a drive with a protection window, the **recovery
-    /// queue**, so rollback keeps working across a crash:
-    ///
-    /// Each logical page's scan chain, sorted oldest first by
-    /// `(stamp, seq)`, is collapsed to one surviving copy per written
-    /// version (a GC source and its relocated copy share a stamp; the
-    /// fresher copy represents the version). Version `i` then corresponds
-    /// to the host write that created it, and the queue entry for that
-    /// write is `(lba, predecessor of version i, stamp of version i)` —
-    /// `None` when version `i` is the page's first write. Entries older
-    /// than the protection window (anchored at the preserved freeze time,
-    /// or `now`) were already retired before the cut and are not rebuilt;
-    /// for every rebuilt entry the protected predecessor is guaranteed to
-    /// still be on flash, because the pre-crash queue protected it from GC.
-    ///
-    /// Two approximations are inherent to OOB-only reconstruction and are
-    /// part of the crash-consistency contract: same-stamp overwrites of one
-    /// page collapse to the newest version, and trims (which leave no flash
-    /// record) are volatile — a trimmed page whose last content is still on
-    /// flash comes back mapped.
-    ///
-    /// The [`Hold`] survives: it is derived from the one lifecycle value the
-    /// layer above keeps in (modeled) NVRAM, so a crash between an alarm and
-    /// the user's confirmation still rolls back from the alarm anchor.
-    ///
-    /// # Errors
-    ///
-    /// Fails only on internal inconsistencies surfaced by the OOB scan.
-    pub fn power_cut(&mut self, now: SimTime) -> Result<()> {
-        self.base.set_clock(now);
-        let chains = self.base.remount()?;
-        let Some(window) = self.base.config().window() else {
+    /// Restores a mapping entry to `old` (rollback step), invalidating the
+    /// current version and reviving the old one.
+    fn restore_mapping(&mut self, lba: Lba, old: Option<Ppa>) -> Result<()> {
+        let current = self.mapping.set(lba, old);
+        if let Some(cur) = current {
+            self.supersede(cur, false)?;
+        }
+        let Some(ppa) = old else {
             return Ok(());
         };
-        self.queue.clear();
-        let cutoff = self.anchor(now).saturating_sub(window);
-        let mut rebuilt: Vec<(SimTime, u64, Lba, Option<Ppa>)> = Vec::new();
-        // The scan is flat and sorted by logical page, oldest version
-        // first — walk each page's adjacent run in place.
-        let mut at = 0;
-        while at < chains.len() {
-            let lba = chains[at].0;
-            let mut end = at + 1;
-            while end < chains.len() && chains[end].0 == lba {
-                end += 1;
-            }
-            let run = &chains[at..end];
-            at = end;
-            if lba.index() >= self.base.logical_pages() {
-                continue;
-            }
-            // One representative (the freshest copy) per written version.
-            let mut versions: Vec<ScanPage> = Vec::new();
-            for &(_, page) in run {
-                match versions.last_mut() {
-                    Some(last) if last.stamp == page.stamp => *last = page,
-                    _ => versions.push(page),
-                }
-            }
-            for (i, v) in versions.iter().enumerate() {
-                if v.stamp >= cutoff {
-                    let old = (i > 0).then(|| versions[i - 1].ppa);
-                    rebuilt.push((v.stamp, v.seq, lba, old));
-                }
-            }
+        if self.device.page_state(ppa)? == PageState::Invalid {
+            self.device.revalidate(ppa)?;
+            let raw = ppa.block(self.config.geometry()).index();
+            self.blocks.invalid[raw as usize] -= 1;
+            self.blocks.refresh(raw);
         }
-        // Retirement pops the queue front in stamp order, so the rebuilt
-        // entries must be pushed globally time-sorted; the device sequence
-        // number breaks stamp ties deterministically.
-        rebuilt.sort_unstable();
-        for (stamp, _seq, lba, old) in rebuilt {
-            self.queue.push(lba, old, stamp);
-            if let Some(old) = old {
-                self.base.note_mount_protected(old, lba)?;
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.base.reconcile_victim_index(Some(&self.queue));
+        debug_assert_eq!(
+            self.rmap[ppa.index() as usize],
+            Some(lba),
+            "restored page must reverse-map to its logical page"
+        );
         Ok(())
     }
 }
 
 impl Ftl for InsiderFtl {
     fn read_extent(&mut self, lba: Lba, len: u32, now: SimTime) -> Result<Vec<Option<Bytes>>> {
-        self.base.set_clock(now);
-        self.base.check_extent(lba, len)?;
-        let out = self.base.read_extent_mapped(lba, len)?;
-        self.base.stats.host_reads += len as u64;
+        self.device.set_now(now);
+        self.check_extent(lba, len)?;
+        let out = self.read_extent_mapped(lba, len)?;
+        self.stats.host_reads += len as u64;
         Ok(out)
     }
 
@@ -369,15 +372,14 @@ impl Ftl for InsiderFtl {
         if self.hold.read_only {
             return Err(FtlError::ReadOnly);
         }
-        self.base.set_clock(now);
-        self.base.check_extent(lba, data.len() as u32)?;
+        self.device.set_now(now);
+        self.check_extent(lba, data.len() as u32)?;
         self.tick(now);
-        let (base, mut queue) = self.parts();
-        base.gc_before_write(data.len() as u64, queue.as_deref_mut())?;
-        // The base layer finalizes mapping, invalidation and the vectorized
-        // queue append page by page, so a mid-batch NAND failure leaves the
+        self.gc_before_write(data.len() as u64)?;
+        // Mapping, invalidation and the vectorized queue append are
+        // finalized page by page, so a mid-batch NAND failure leaves the
         // programmed prefix fully recoverable.
-        base.program_extent_mapped(lba, data, now, queue)
+        self.program_extent_mapped(lba, data, now)
     }
 
     fn power_cut(&mut self, now: SimTime) -> Result<()> {
@@ -391,61 +393,50 @@ impl Ftl for InsiderFtl {
         if self.hold.read_only {
             return Err(FtlError::ReadOnly);
         }
-        self.base.set_clock(now);
-        self.base.check_extent(lba, len)?;
+        self.device.set_now(now);
+        self.check_extent(lba, len)?;
         self.tick(now);
-        let (base, queue) = self.parts();
-        let olds = base.unmap_extent(lba, len, queue.is_some())?;
-        // Only pages that were actually mapped leave a backup entry —
-        // trimming a hole is not an undoable event.
-        if let Some(queue) = queue {
-            for (i, old) in olds.into_iter().enumerate() {
-                if let Some(old) = old {
-                    queue.push(lba.offset(i as u64), Some(old), now);
-                }
-            }
-        }
-        Ok(())
+        self.unmap_extent(lba, len, now)
     }
 
     fn sync(&mut self) {
-        self.base.sync_device();
+        self.device.sync();
     }
 
     fn latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        Some(self.base.device.latency_snapshot())
+        Some(self.device.latency_snapshot())
     }
 
     fn host_latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        Some(self.base.device.host_latency_snapshot())
+        Some(self.device.host_latency_snapshot())
     }
 
     fn gc_debt(&self) -> f64 {
-        self.base.gc_debt()
+        InsiderFtl::gc_debt(self)
     }
 
     fn stats(&self) -> &FtlStats {
-        &self.base.stats
+        &self.stats
     }
 
     fn nand_stats(&self) -> &NandStats {
-        self.base.device.stats()
+        self.device.stats()
     }
 
     fn logical_pages(&self) -> u64 {
-        self.base.logical_pages()
+        self.mapping.len()
     }
 
     fn utilization(&self) -> f64 {
-        self.base.mapping.utilization()
+        self.mapping.utilization()
     }
 
     fn wear_summary(&self) -> (u32, u32, f64) {
-        self.base.device.wear_summary()
+        self.device.wear_summary()
     }
 
     fn gc_victims(&self) -> &[GcVictim] {
-        self.base.gc_victims()
+        &self.victim_log
     }
 }
 
@@ -454,20 +445,64 @@ mod tests {
     use super::*;
     use insider_nand::Geometry;
 
-    fn ftl() -> InsiderFtl {
+    /// A drive with the default (10 s) protection window; 16 blocks of
+    /// 16 pages, ~1 MiB, 2-block reserve.
+    pub(super) fn ftl() -> InsiderFtl {
         InsiderFtl::new(FtlConfig::new(Geometry::tiny()))
     }
 
     /// Both retention values: the paper's window and none (the
     /// conventional baseline).
-    const RETENTIONS: [Option<SimTime>; 2] = [Some(SimTime::from_secs(10)), None];
+    pub(super) const RETENTIONS: [Option<SimTime>; 2] = [Some(SimTime::from_secs(10)), None];
 
-    fn drive(window: Option<SimTime>) -> InsiderFtl {
+    pub(super) fn drive(window: Option<SimTime>) -> InsiderFtl {
         InsiderFtl::new(FtlConfig::new(Geometry::tiny()).protection_window(window))
     }
 
-    fn secs(s: u64) -> SimTime {
+    pub(super) fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// A one-page write stamped at time zero, without the retirement tick
+    /// and the GC check: the callers place those themselves.
+    pub(super) fn put(f: &mut InsiderFtl, lba: Lba, data: Bytes) {
+        f.program_extent_mapped(lba, &[data], SimTime::ZERO)
+            .unwrap();
+    }
+
+    pub(super) fn get(f: &mut InsiderFtl, lba: Lba) -> Option<Bytes> {
+        f.read_extent_mapped(lba, 1).unwrap().pop().flatten()
+    }
+
+    /// Mixed hot/cold churn that forces GC with live pages on every victim.
+    pub(super) fn churn(f: &mut InsiderFtl, rounds: u64) {
+        for i in 0..rounds {
+            f.gc_before_write(1).unwrap();
+            let (lba, data) = if i % 16 == 0 {
+                (Lba::new(100 + i / 16), Bytes::from_static(b"cold"))
+            } else {
+                (Lba::new(0), Bytes::from_static(b"hot"))
+            };
+            put(f, lba, data);
+        }
+    }
+
+    /// Hot/cold churn under the configured GC policy, with enough cold
+    /// (never rewritten) pages per block that victims cost real migrations.
+    /// Returns whether a pump ever left a job paused mid-block.
+    pub(super) fn churn_mixed(f: &mut InsiderFtl, rounds: u64) -> bool {
+        let mut saw_pending = false;
+        for i in 0..rounds {
+            f.gc_before_write(1).unwrap();
+            saw_pending |= f.gc_job_pending();
+            let (lba, data) = if i.is_multiple_of(2) {
+                (Lba::new(100 + i / 2 % 100), Bytes::from_static(b"cold"))
+            } else {
+                (Lba::new(0), Bytes::from_static(b"hot"))
+            };
+            put(f, lba, data);
+        }
+        saw_pending
     }
 
     const READ_ONLY: Hold = Hold {
@@ -878,7 +913,7 @@ mod tests {
             for old in f.queue.iter().filter_map(|e| e.old) {
                 recount[old.block(&g).index() as usize] += 1;
             }
-            assert_eq!(f.base.protected_per_block(), recount, "step {step}");
+            assert_eq!(f.blocks.protected, recount, "step {step}");
         }
         let stats = f.stats();
         assert!(stats.gc_protected_copies > 0, "{stats}");

@@ -30,6 +30,20 @@
 //! write of `n` pages, garbage collection runs until the free pool holds
 //! [`GC_RESERVE_BLOCKS`] plus `⌈n / pages_per_block⌉` blocks, whatever `n` is.
 //!
+//! ## Module map
+//!
+//! [`InsiderFtl`] is one struct. Its code is split along the FTL's seams
+//! into child modules of `insider`, which share its private fields:
+//!
+//! * `insider` — the struct, retention, `tick`, `rollback` and the [`Ftl`] impl;
+//! * `insider/alloc.rs` — page allocation, extent program, read and unmap;
+//! * `insider/victim.rs` — per-block counts, the victim index and selection;
+//! * `insider/gc.rs` — the GC job, its pump, migration, erase and debt;
+//! * `insider/mount.rs` — the power-on OOB scan and the queue rebuild.
+//!
+//! Beside it: [`RecoveryQueue`], [`MappingTable`], [`FtlConfig`],
+//! [`FtlStats`] and the [`Ftl`] trait, one module each.
+//!
 //! ## Example
 //!
 //! ```rust
@@ -59,7 +73,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod base;
 mod config;
 mod error;
 mod insider;
