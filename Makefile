@@ -23,13 +23,15 @@
 #                      properties (`crash_remount`, `gc_torture`,
 #                      `gc_incremental_oracle`, `victim_index_oracle`), the
 #                      whole-stack rollback and FTL data-integrity
-#                      properties (`rollback_oracle`, `ftl_data_integrity`)
-#                      and the NAND scheduler model (`sched_model`)
-#                      once more, each on a seed taken from the clock
-#                      (`CACHE_ORACLE_SEED`, `QUEUE_MODEL_SEED`,
-#                      `PROPTEST_RNG_SEED` — the last shared by the eight
-#                      proptest suites — echoed first so a failure can be
-#                      replayed; tier1 already ran their fixed seeds),
+#                      properties (`rollback_oracle`, `ftl_data_integrity`),
+#                      the NAND scheduler model (`sched_model`) and the
+#                      counting-table differential oracle
+#                      (`differential_table`) once more, each on a seed
+#                      taken from the clock (`CACHE_ORACLE_SEED`,
+#                      `QUEUE_MODEL_SEED`, `PROPTEST_RNG_SEED` — the last
+#                      shared by the nine proptest suites — echoed first
+#                      so a failure can be replayed; tier1 already ran
+#                      their fixed seeds),
 #                      bounded crash-sweep / steady-state / ROC
 #                      smoke runs
 #                      (env bounds below; smoke JSON goes to target/ci/, never
@@ -48,10 +50,7 @@
 #                      `write_amp` < 2 (1.155 with score-first victim
 #                      selection, 11.2 with the chip-first order it replaced).
 #   make test        — alias of tier-1's `cargo test -q` (same suite).
-#   make bench       — criterion micro-benchmarks (detector group includes
-#                      the interval-vs-naive counting-table comparison).
-#   make bench-json  — regenerate BENCH_detect.json (detector-ingest
-#                      throughput, interval vs legacy table, three traces).
+#   make bench       — criterion micro-benchmarks.
 #   make crash-sweep — exhaustive stride-1 power-loss sweep: every
 #                      program/erase boundary of three traces with and
 #                      without retention, plus the filesystem
@@ -91,7 +90,7 @@ CARGO ?= cargo
 CI_SWEEP_ENV = CRASH_SWEEP_STRIDE=41 CRASH_SWEEP_PAGES=160 CRASH_SWEEP_FS_POINTS=6
 CI_ROC_ENV = ROC_TRACES=1
 
-.PHONY: tier1 ci gc-guard test bench bench-json crash-sweep bench-roc bench-steady
+.PHONY: tier1 ci gc-guard test bench crash-sweep bench-roc bench-steady
 
 tier1:
 	$(CARGO) build --release
@@ -112,7 +111,8 @@ ci: tier1
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-ftl --test crash_remount --test gc_torture \
 		--test gc_incremental_oracle --test victim_index_oracle && \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p ssd-insider-repro --test rollback_oracle --test ftl_data_integrity && \
-	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-nand --test sched_model
+	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-nand --test sched_model && \
+	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-bench --test differential_table
 	mkdir -p target/ci
 	$(CI_SWEEP_ENV) $(CARGO) run --release -p insider-bench --bin crash_sweep
 	$(CARGO) run --release -p insider-bench --bin bench_steady target/ci/BENCH_steady.json
@@ -137,9 +137,6 @@ test:
 
 bench:
 	$(CARGO) bench -p insider-bench
-
-bench-json:
-	$(CARGO) run --release -p insider-bench --bin bench_json
 
 crash-sweep:
 	$(CARGO) run --release -p insider-bench --bin crash_sweep

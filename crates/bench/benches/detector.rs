@@ -4,8 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use insider_detect::{
-    CountingBackend, CountingTable, DecisionTree, Detector, DetectorConfig, FeatureVector, IoMode,
-    IoReq, NaiveCountingTable,
+    CountingTable, DecisionTree, Detector, DetectorConfig, FeatureVector, IoMode, IoReq,
 };
 use insider_nand::{Lba, SimTime};
 use std::hint::black_box;
@@ -44,27 +43,24 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// Interval-indexed table vs the legacy per-LBA layout on the same
-/// 256-block extent stream — the comparison behind `BENCH_detect.json`.
-fn bench_table_layouts(c: &mut Criterion) {
-    fn drive<T: CountingBackend>(table: &mut T, i: &mut u64) {
-        *i += 1;
-        let lba = Lba::new((*i % 64) * 256);
-        let slice = *i / 1_000;
-        table.record_read_range(black_box(lba), black_box(256), slice);
-        black_box(table.record_write_range(black_box(lba), black_box(256), slice));
-        if (*i).is_multiple_of(1_000) {
-            black_box(table.evict_older_than(slice.saturating_sub(10)));
-        }
-    }
-
+/// The counting table on a 256-block read-then-overwrite extent stream,
+/// with a window slide every thousand requests.
+fn bench_counting_table(c: &mut Criterion) {
     let mut group = c.benchmark_group("counting_table_256blk_rw");
     let mut table = CountingTable::new();
     let mut i = 0u64;
-    group.bench_function("interval", |b| b.iter(|| drive(&mut table, &mut i)));
-    let mut table = NaiveCountingTable::new();
-    let mut i = 0u64;
-    group.bench_function("naive", |b| b.iter(|| drive(&mut table, &mut i)));
+    group.bench_function("interval", |b| {
+        b.iter(|| {
+            i += 1;
+            let lba = Lba::new((i % 64) * 256);
+            let slice = i / 1_000;
+            table.record_read_range(black_box(lba), black_box(256), slice);
+            black_box(table.record_write_range(black_box(lba), black_box(256), slice));
+            if i.is_multiple_of(1_000) {
+                black_box(table.evict_older_than(slice.saturating_sub(10)));
+            }
+        })
+    });
     group.finish();
 }
 
@@ -98,7 +94,7 @@ fn bench_tree_predict(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ingest,
-    bench_table_layouts,
+    bench_counting_table,
     bench_tree_predict
 );
 criterion_main!(benches);

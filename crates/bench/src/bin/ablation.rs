@@ -139,7 +139,6 @@ fn main() {
             slice: SimTime::from_secs(1),
             window_slices,
             threshold,
-            ..Default::default()
         };
         eprintln!("window {window_slices} (threshold {threshold})...");
         let samples = training_samples(&config);
@@ -172,7 +171,6 @@ fn main() {
             slice: SimTime::from_millis(slice_ms),
             window_slices: 10,
             threshold: 3,
-            ..Default::default()
         };
         eprintln!("slice {slice_ms} ms...");
         let samples = training_samples(&config);

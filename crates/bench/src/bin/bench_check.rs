@@ -1,14 +1,12 @@
 //! CI gate over the committed benchmark artifacts: validates the schema of
-//! the three `BENCH_*.json` files in the repo root (detect, roc, steady)
-//! and fails when a headline ratio regresses below its floor.
+//! the two `BENCH_*.json` files in the repo root (roc, steady) and fails
+//! when a headline ratio regresses below its floor.
 //!
 //! The floors are deliberately far below the currently measured values —
 //! they catch "the optimization silently fell off" (incremental GC
 //! degenerating to the blocking drain), not run-to-run noise on a shared
 //! CI host:
 //!
-//! * detect: interval table at least as fast as the naive layout on every
-//!   trace, and >= [`DETECT_HEADLINE_MIN`]x on the best one.
 //! * steady: incremental GC + erase-suspend cuts the foreground write p99
 //!   by >= [`STEADY_P99_RATIO_MIN`]x vs blocking GC, with throughput no
 //!   worse than [`STEADY_THROUGHPUT_MIN`]x and byte-identical contents.
@@ -28,7 +26,6 @@
 use serde_json::Value;
 use std::path::Path;
 
-const DETECT_HEADLINE_MIN: f64 = 10.0;
 const STEADY_P99_RATIO_MIN: f64 = 2.0;
 const STEADY_THROUGHPUT_MIN: f64 = 0.9;
 /// The paper reports FRR 0 % on known classes; anything below 1.0 means a
@@ -145,40 +142,6 @@ fn need_array<'a>(
             None
         }
     }
-}
-
-fn check_detect(doc: &Value, errors: &mut Vec<Violation>) {
-    let name = "BENCH_detect.json";
-    let Some(traces) = need_array(doc, "traces", name, errors) else {
-        return;
-    };
-    let mut best = 0.0f64;
-    for (i, t) in traces.iter().enumerate() {
-        for field in [
-            "interval.requests_per_sec",
-            "naive.requests_per_sec",
-            "speedup",
-        ] {
-            need_f64(t, field, name, errors);
-        }
-        let Some(speedup) = get(t, "speedup").and_then(as_f64) else {
-            continue;
-        };
-        if speedup < 1.0 {
-            errors.push(Violation(
-                name.into(),
-                format!("traces.{i}: interval table slower than naive (speedup {speedup:.2})"),
-            ));
-        }
-        best = best.max(speedup);
-    }
-    if best < DETECT_HEADLINE_MIN {
-        errors.push(Violation(
-            name.into(),
-            format!("best detector speedup {best:.1}x below the {DETECT_HEADLINE_MIN}x floor"),
-        ));
-    }
-    need_f64(doc, "device_replay.speedup", name, errors);
 }
 
 fn check_steady(doc: &Value, errors: &mut Vec<Violation>) {
@@ -338,8 +301,7 @@ fn main() {
     let dir = Path::new(&dir);
     let mut errors = Vec::new();
 
-    let checks: [(&str, Check); 3] = [
-        ("BENCH_detect.json", check_detect),
+    let checks: [(&str, Check); 2] = [
         ("BENCH_roc.json", check_roc),
         ("BENCH_steady.json", check_steady),
     ];

@@ -7,8 +7,6 @@
 //!
 //! Usage: `cargo run --release -p insider-bench --bin fig7 [reps] [duration_secs]`
 //! (defaults: 20 repetitions × 90 s, like the paper's 20 runs per scenario).
-//! Set `OWST_WINDOW=1` to evaluate the window-level OWST variant instead of
-//! the per-slice default (see `DetectorConfig::owst_over_window`).
 
 use insider_bench::outcome::{RateAccumulator, RunOutcome};
 use insider_bench::{render_table, replay_detector, train_tree};
@@ -27,10 +25,7 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(90);
     let duration = SimTime::from_secs(duration_secs);
-    let config = DetectorConfig {
-        owst_over_window: std::env::var_os("OWST_WINDOW").is_some(),
-        ..Default::default()
-    };
+    let config = DetectorConfig::default();
 
     eprintln!("training ID3 tree on the Table I training split...");
     let tree = train_tree(&config);

@@ -79,15 +79,10 @@ fn cache_path(config: &DetectorConfig, variant: DetectorVariant) -> PathBuf {
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target"));
     dir.join(format!(
-        "insider-tree-v{}-{}us-{}w{}{}.json",
+        "insider-tree-v{}-{}us-{}w{}.json",
         TRAINING_RECIPE_VERSION,
         config.slice.as_micros(),
         config.window_slices,
-        if config.owst_over_window {
-            "-owstw"
-        } else {
-            ""
-        },
         // The baseline keeps the historical (suffix-free) cache file name.
         match variant {
             DetectorVariant::Baseline => "",

@@ -1,11 +1,17 @@
 //! Scheduler/makespan differential oracle: the NAND command scheduler is a
-//! timing-only queueing model, so replaying a trace under in-order
-//! scheduling (the reference), out-of-order scheduling and out-of-order
-//! scheduling with erase-suspend must leave the *entire physical device
-//! state* byte-identical — every page's state, payload and OOB record —
-//! and the scheduler's makespan must equal `NandStats`' per-die/per-bus
-//! busy maximum exactly (data is applied synchronously; only completion
+//! timing-only queueing model, so replaying a trace at queue depth 1 (the
+//! reference), at the default depth and at the default depth with
+//! erase-suspend must leave the *entire physical device state*
+//! byte-identical — every page's state, payload and OOB record — and the
+//! scheduler's makespan must equal `NandStats`' per-die/per-bus busy
+//! maximum exactly (data is applied synchronously; only completion
 //! timestamps are simulated).
+//!
+//! At queue depth 1 every command arrives after all earlier commands have
+//! completed, so the reference can promote no read, suspend no erase (it
+//! runs with erase-suspend allowed) and stall no host command behind
+//! firmware; the test asserts those three zeros, so the reference cannot
+//! silently start reordering.
 //!
 //! The three replay traces never fill the 1 GiB replay drive, so they never
 //! erase and no arm can differ on them by more than read promotion. The
@@ -21,7 +27,7 @@ use insider_bench::{
 };
 use insider_detect::{IoMode, IoReq};
 use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
-use insider_nand::{Lba, NandDevice, NandStats, OobRecord, PageState, Ppa, SchedMode, SimTime};
+use insider_nand::{Lba, NandDevice, NandStats, OobRecord, PageState, Ppa, SimTime};
 use insider_workloads::Trace;
 
 /// `bench::steady`'s scenario as a trace, one page per request.
@@ -95,6 +101,28 @@ fn without_timing(stats: &NandStats) -> NandStats {
     s
 }
 
+/// `config` with its NAND scheduler at queue depth 1 and erase-suspend
+/// allowed, every FTL setting carried over. Suspension is on so that the
+/// reference's zero suspensions are a property of the depth, not of a
+/// disabled feature.
+fn at_queue_depth_one(config: &FtlConfig) -> FtlConfig {
+    let rebuilt = FtlConfig::with_nand(config.nand().clone().queue_depth(1).erase_suspend(true))
+        .over_provisioning(config.over_provisioning_ratio())
+        .protection_window(config.window())
+        .record_gc_victims(config.gc_victim_recording())
+        .incremental_gc(config.incremental_gc_enabled())
+        .gc_low_water_extra(config.gc_low_water_extra_blocks())
+        .gc_step_pages(config.gc_step_budget_pages())
+        .write_pacing(config.write_pacing_rate())
+        .write_pacing_burst(config.write_pacing_burst_pages());
+    // A setting this rebuild did not carry over would show in the `Debug`
+    // text; only the depth (every input runs the default 32) may differ.
+    let expected = format!("{:?}", config.clone().erase_suspend(true))
+        .replace("queue_depth: 32,", "queue_depth: 1,");
+    assert_eq!(format!("{rebuilt:?}"), expected, "queue-depth-1 rebuild");
+    rebuilt
+}
+
 /// How often the replays did what the arms exist to vary.
 #[derive(Default)]
 struct Exercised {
@@ -104,10 +132,10 @@ struct Exercised {
 }
 
 /// Replays `trace` through one FTL flavour under every scheduling arm and
-/// cross-checks the physical outcomes against the in-order reference.
+/// cross-checks the physical outcomes against the queue-depth-1 reference.
 fn check_flavour(name: &str, config: &FtlConfig, trace: &Trace, seen: &mut Exercised) {
-    let run = |mode: SchedMode, erase_suspend: bool| {
-        let mut ftl = InsiderFtl::new(config.clone().scheduler(mode).erase_suspend(erase_suspend));
+    let run = |arm: &str, config: FtlConfig| {
+        let mut ftl = InsiderFtl::new(config);
         let outcome = replay_ftl(trace, &mut ftl);
         assert_eq!(outcome.skipped, 0, "{name}: trace must fit the drive");
         // The scheduler never idles a die that has queued work and charges
@@ -117,21 +145,35 @@ fn check_flavour(name: &str, config: &FtlConfig, trace: &Trace, seen: &mut Exerc
         assert_eq!(
             dev.sched_makespan_ns(),
             dev.parallel_busy_ns(),
-            "{name}/{mode:?}: scheduler makespan diverged from the busy integrals"
+            "{name}/{arm}: scheduler makespan diverged from the busy integrals"
         );
         ftl
     };
-    let in_order = run(SchedMode::InOrder, false);
-    let reference = physical_state(in_order.device());
-    let stats = in_order.nand_stats();
+    let queue_depth_one = run("queue-depth-1", at_queue_depth_one(config));
+    let reference = physical_state(queue_depth_one.device());
+    let stats = queue_depth_one.nand_stats();
+    assert_eq!(
+        queue_depth_one.device().reads_promoted(),
+        0,
+        "{name}: the reference promoted a read"
+    );
+    assert_eq!(
+        stats.erases_suspended, 0,
+        "{name}: the reference suspended an erase"
+    );
+    assert_eq!(
+        stats.gc_stalled_cmds, 0,
+        "{name}: the reference stalled the host"
+    );
     seen.erases += stats.erases;
     for erase_suspend in [false, true] {
-        let arm = format!("{name}/out-of-order/erase_suspend={erase_suspend}");
-        let scheduled = run(SchedMode::OutOfOrder, erase_suspend);
+        let arm = format!("erase_suspend={erase_suspend}");
+        let scheduled = run(&arm, config.clone().erase_suspend(erase_suspend));
+        let arm = format!("{name}/{arm}");
         assert_eq!(
             physical_state(scheduled.device()),
             reference,
-            "{arm}: physical state diverged from in-order"
+            "{arm}: physical state diverged from queue depth 1"
         );
         let arm_stats = scheduled.nand_stats();
         assert_eq!(

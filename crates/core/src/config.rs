@@ -68,7 +68,6 @@ mod tests {
             slice: SimTime::from_millis(500),
             window_slices: 6,
             threshold: 2,
-            ..Default::default()
         };
         // An FTL window shorter than the detection window is raised to it.
         let ftl = FtlConfig::new(Geometry::tiny()).protection_window(SimTime::from_secs(1));

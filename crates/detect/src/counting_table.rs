@@ -22,8 +22,10 @@
 //! and memory is O(runs) instead of O(covered blocks). Eviction is
 //! slice-bucketed: each entry lives in the bucket of its last-touch slice,
 //! so a window slide pops whole stale buckets instead of scanning the
-//! table. The legacy per-LBA layout survives as
-//! [`crate::NaiveCountingTable`], the differential-testing oracle.
+//! table. The per-LBA layout it replaced lives on only as the private
+//! reference of the `differential_table` test in `insider-bench`, which
+//! replays identical request streams through both and compares them
+//! operation by operation.
 
 use insider_nand::Lba;
 use serde::{Deserialize, Serialize};
@@ -55,50 +57,6 @@ impl Entry {
     }
 }
 
-/// The operations the feature engine needs from a counting-table layout.
-///
-/// Implemented by the interval-indexed [`CountingTable`] (the production
-/// path) and the legacy per-LBA [`crate::NaiveCountingTable`] (the
-/// differential-testing oracle). The contract is the paper's Fig. 3(b)
-/// semantics; two implementations fed the same request stream must produce
-/// identical feature series.
-pub trait CountingBackend {
-    /// Records a read of `len` consecutive blocks starting at `lba`.
-    fn record_read_range(&mut self, lba: Lba, len: u32, slice: u64);
-
-    /// Records a write of `len` consecutive blocks starting at `lba`.
-    /// Returns how many of those blocks were **overwrites** (covered by a
-    /// tracked read run), invoking `on_overwrite(start, n)` once per
-    /// contiguous overwritten sub-range.
-    fn record_write_extent(
-        &mut self,
-        lba: Lba,
-        len: u32,
-        slice: u64,
-        on_overwrite: &mut dyn FnMut(Lba, u32),
-    ) -> u32;
-
-    /// Like [`record_write_extent`](Self::record_write_extent) without the
-    /// sub-range callback.
-    fn record_write_range(&mut self, lba: Lba, len: u32, slice: u64) -> u32 {
-        self.record_write_extent(lba, len, slice, &mut |_, _| {})
-    }
-
-    /// Drops entries last touched before `cutoff_slice` (window slide).
-    /// Returns how many entries were evicted.
-    fn evict_older_than(&mut self, cutoff_slice: u64) -> usize;
-
-    /// Mean `WL` over all entries (`AVGWIO`); 0.0 when empty.
-    fn avg_wl(&self) -> f64;
-
-    /// Number of entries (runs) currently tracked.
-    fn entries(&self) -> usize;
-
-    /// Approximate DRAM an on-device implementation of this layout would
-    /// need, in the paper's Table III unit sizes.
-    fn dram_bytes(&self) -> usize;
-}
-
 type EntryId = u64;
 
 /// Run-length counting table with an interval index keyed by run start.
@@ -106,7 +64,7 @@ type EntryId = u64;
 /// # Example
 ///
 /// ```rust
-/// use insider_detect::{CountingBackend, CountingTable};
+/// use insider_detect::CountingTable;
 /// use insider_nand::Lba;
 ///
 /// let mut table = CountingTable::new();
@@ -368,41 +326,9 @@ impl CountingTable {
     /// 12 bytes per table entry plus 42 bytes per index node, the paper's
     /// Table III unit sizes. The interval index holds one node per *run*
     /// (not per covered LBA as the paper's per-LBA hash does), so this is
-    /// O(runs) where the naive layout is O(covered blocks).
+    /// O(runs) where a per-LBA layout is O(covered blocks).
     pub fn dram_bytes(&self) -> usize {
         self.entries.len() * 12 + self.index.len() * 42
-    }
-}
-
-impl CountingBackend for CountingTable {
-    fn record_read_range(&mut self, lba: Lba, len: u32, slice: u64) {
-        CountingTable::record_read_range(self, lba, len, slice);
-    }
-
-    fn record_write_extent(
-        &mut self,
-        lba: Lba,
-        len: u32,
-        slice: u64,
-        on_overwrite: &mut dyn FnMut(Lba, u32),
-    ) -> u32 {
-        CountingTable::record_write_extent(self, lba, len, slice, on_overwrite)
-    }
-
-    fn evict_older_than(&mut self, cutoff_slice: u64) -> usize {
-        CountingTable::evict_older_than(self, cutoff_slice)
-    }
-
-    fn avg_wl(&self) -> f64 {
-        CountingTable::avg_wl(self)
-    }
-
-    fn entries(&self) -> usize {
-        self.len()
-    }
-
-    fn dram_bytes(&self) -> usize {
-        CountingTable::dram_bytes(self)
     }
 }
 

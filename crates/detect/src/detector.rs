@@ -1,6 +1,6 @@
 //! The real-time detector: feature extraction + decision tree + score window.
 
-use crate::counting_table::{CountingBackend, CountingTable};
+use crate::counting_table::CountingTable;
 use crate::entropy::HIGH_ENTROPY_MILLI;
 use crate::features::FeatureVector;
 use crate::id3::DecisionTree;
@@ -20,14 +20,6 @@ pub struct DetectorConfig {
     pub window_slices: usize,
     /// Alarm when the score (positive votes in the window) reaches this.
     pub threshold: u32,
-    /// Compute `OWST` over the whole window instead of the current slice.
-    ///
-    /// The paper defines OWST per window in §III-A but per slice in its
-    /// data-structure walkthrough (Fig. 3); the per-slice form is the
-    /// default here (and what the shipped experiments use). The window form
-    /// counts each overwritten block once across the whole window, which
-    /// pushes a 7-pass wiper's OWST toward 1/7.
-    pub owst_over_window: bool,
 }
 
 impl Default for DetectorConfig {
@@ -36,7 +28,6 @@ impl Default for DetectorConfig {
             slice: SimTime::from_secs(1),
             window_slices: 10,
             threshold: 3,
-            owst_over_window: false,
         }
     }
 }
@@ -61,26 +52,18 @@ struct SliceAccum {
 /// Streaming feature extraction: the counting table plus the sliding-window
 /// state needed to emit one [`FeatureVector`] per time slice.
 ///
-/// Generic over the counting-table layout so differential tests and benches
-/// can swap in the legacy [`crate::NaiveCountingTable`]; production code
-/// uses the default interval-indexed [`CountingTable`]. Requests are
-/// consumed as whole extents — one table operation per request, never a
-/// per-block loop.
+/// Requests are consumed as whole extents — one [`CountingTable`] operation
+/// per request, never a per-block loop. `OWST` is computed per slice (the
+/// paper's Fig. 3 walkthrough; §III-A words it per window).
 ///
 /// [`Detector`] composes this with a [`DecisionTree`]; training and the
 /// feature-series experiments (paper Figs. 1–2) use it directly.
 #[derive(Debug, Clone)]
-pub struct FeatureEngine<T: CountingBackend = CountingTable> {
+pub struct FeatureEngine {
     slice_len: SimTime,
     window_slices: usize,
-    owst_over_window: bool,
-    table: T,
+    table: CountingTable,
     owio_history: SliceWindow,
-    /// Write-block counts of the previous `N-1` slices (window-level OWST
-    /// covers the window *ending at the current slice*, so current + N−1).
-    wio_history: std::collections::VecDeque<u64>,
-    /// Distinct-overwritten sets of the previous `N-1` slices.
-    ow_sets: std::collections::VecDeque<LbaRangeSet>,
     /// `(Σ entropy·blocks, Σ blocks)` of the previous `N-1` slices, for the
     /// window-mean `WENT`.
     ent_history: std::collections::VecDeque<(u64, u64)>,
@@ -104,43 +87,13 @@ impl FeatureEngine {
     ///
     /// Panics if `slice` is zero or `window_slices` is zero.
     pub fn new(slice: SimTime, window_slices: usize) -> Self {
-        Self::with_options(slice, window_slices, false)
-    }
-
-    /// A fresh engine, optionally computing `OWST` over the whole window
-    /// (see [`DetectorConfig::owst_over_window`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice` is zero or `window_slices` is zero.
-    pub fn with_options(slice: SimTime, window_slices: usize, owst_over_window: bool) -> Self {
-        Self::with_backend(slice, window_slices, owst_over_window, CountingTable::new())
-    }
-}
-
-impl<T: CountingBackend> FeatureEngine<T> {
-    /// A fresh engine over an explicit counting-table backend (used by the
-    /// differential tests and benches to drive the legacy layout).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice` is zero or `window_slices` is zero.
-    pub fn with_backend(
-        slice: SimTime,
-        window_slices: usize,
-        owst_over_window: bool,
-        table: T,
-    ) -> Self {
         assert!(slice > SimTime::ZERO, "slice length must be non-zero");
         assert!(window_slices >= 1, "window must span at least one slice");
         FeatureEngine {
             slice_len: slice,
             window_slices,
-            owst_over_window,
-            table,
+            table: CountingTable::new(),
             owio_history: SliceWindow::new(window_slices),
-            wio_history: std::collections::VecDeque::with_capacity(window_slices),
-            ow_sets: std::collections::VecDeque::with_capacity(window_slices),
             ent_history: std::collections::VecDeque::with_capacity(window_slices),
             rhew_history: std::collections::VecDeque::with_capacity(window_slices),
             accessed: LbaRangeSet::new(),
@@ -155,7 +108,7 @@ impl<T: CountingBackend> FeatureEngine<T> {
     }
 
     /// Read access to the counting table (for memory accounting).
-    pub fn counting_table(&self) -> &T {
+    pub fn counting_table(&self) -> &CountingTable {
         &self.table
     }
 
@@ -178,8 +131,6 @@ impl<T: CountingBackend> FeatureEngine<T> {
             }
             self.table.evict_older_than(u64::MAX);
             self.owio_history.clear();
-            self.wio_history.clear();
-            self.ow_sets.clear();
             self.ent_history.clear();
             self.rhew_history.clear();
             // `accessed` deliberately survives the gap: a read–sleep–
@@ -247,20 +198,7 @@ impl<T: CountingBackend> FeatureEngine<T> {
 
         let a = &self.accum;
         let owio = a.owio as f64;
-        let owst = if self.owst_over_window {
-            // Distinct overwritten blocks across the window (current slice
-            // included) over the window's write blocks.
-            let mut distinct = a.distinct_ow.clone();
-            for set in &self.ow_sets {
-                distinct.merge(set);
-            }
-            let wio_window: u64 = self.wio_history.iter().sum::<u64>() + a.wio;
-            if wio_window > 0 {
-                distinct.block_count() as f64 / wio_window as f64
-            } else {
-                0.0
-            }
-        } else if a.wio > 0 {
+        let owst = if a.wio > 0 {
             a.distinct_ow.block_count() as f64 / a.wio as f64
         } else {
             0.0
@@ -324,18 +262,14 @@ impl<T: CountingBackend> FeatureEngine<T> {
         };
         let slice = self.cur_slice;
         self.owio_history.push(a.owio);
-        // Keep exactly the previous N-1 slices of OWST state, so the
+        // Keep exactly the previous N-1 slices of WENT/RHEW state, so the
         // window at the *next* close spans current + N−1 = N slices.
         if self.window_slices > 1 {
-            if self.wio_history.len() == self.window_slices - 1 {
-                self.wio_history.pop_front();
-                self.ow_sets.pop_front();
+            if self.ent_history.len() == self.window_slices - 1 {
                 self.ent_history.pop_front();
                 self.rhew_history.pop_front();
             }
             let finished = std::mem::take(&mut self.accum);
-            self.wio_history.push_back(finished.wio);
-            self.ow_sets.push_back(finished.distinct_ow);
             self.ent_history
                 .push_back((finished.ent_milli_blocks, finished.ent_blocks));
             self.rhew_history.push_back(finished.rhew);
@@ -379,11 +313,7 @@ impl Detector {
     /// A detector with the given configuration and trained tree.
     pub fn new(config: DetectorConfig, tree: DecisionTree) -> Self {
         Detector {
-            engine: FeatureEngine::with_options(
-                config.slice,
-                config.window_slices,
-                config.owst_over_window,
-            ),
+            engine: FeatureEngine::new(config.slice, config.window_slices),
             votes: VoteWindow::new(config.window_slices),
             config,
             tree,
@@ -708,7 +638,7 @@ mod tests {
     #[test]
     fn went_decays_with_the_window() {
         let mut e = engine();
-        e.ingest(IoReq::write(t(0, 0), l(0)).with_entropy(8.0));
+        e.ingest(IoReq::write(t(0, 0), l(0)).with_entropy_milli(8000));
         for _ in 0..10 {
             e.close_slice();
         }
@@ -721,13 +651,13 @@ mod tests {
         let mut e = engine();
         e.ingest(IoReq::new(t(0, 0), l(0), IoMode::Read, 8));
         // Low-entropy overwrite of read blocks: not RHEW.
-        e.ingest(IoReq::new(t(0, 1), l(0), IoMode::Write, 4).with_entropy(4.0));
+        e.ingest(IoReq::new(t(0, 1), l(0), IoMode::Write, 4).with_entropy_milli(4000));
         // High-entropy write to *fresh* LBAs: not RHEW.
-        e.ingest(IoReq::new(t(0, 2), l(1000), IoMode::Write, 4).with_entropy(8.0));
+        e.ingest(IoReq::new(t(0, 2), l(1000), IoMode::Write, 4).with_entropy_milli(8000));
         let (_, f) = e.close_slice();
         assert_eq!(f.rhew, 0.0);
         // High-entropy overwrite of previously read blocks: RHEW.
-        e.ingest(IoReq::new(t(1, 0), l(4), IoMode::Write, 4).with_entropy(7.9));
+        e.ingest(IoReq::new(t(1, 0), l(4), IoMode::Write, 4).with_entropy_milli(7900));
         let (_, f) = e.close_slice();
         assert_eq!(f.rhew, 4.0);
     }
@@ -739,7 +669,8 @@ mod tests {
         // OWIO is blind; RHEW is not.
         let mut e = engine();
         e.ingest(IoReq::new(t(0, 0), l(0), IoMode::Read, 8));
-        let closed = e.ingest(IoReq::new(t(30, 0), l(0), IoMode::Write, 8).with_entropy(7.9));
+        let closed =
+            e.ingest(IoReq::new(t(30, 0), l(0), IoMode::Write, 8).with_entropy_milli(7900));
         assert!(closed.len() <= 21);
         let (_, f) = e.close_slice();
         assert_eq!(f.owio, 0.0, "counting table evicted the read");
@@ -750,11 +681,11 @@ mod tests {
     fn rhew_ignores_the_writes_own_run() {
         let mut e = engine();
         // First high-entropy write to fresh LBAs must not count itself…
-        e.ingest(IoReq::new(t(0, 0), l(50), IoMode::Write, 4).with_entropy(7.9));
+        e.ingest(IoReq::new(t(0, 0), l(50), IoMode::Write, 4).with_entropy_milli(7900));
         let (_, f) = e.close_slice();
         assert_eq!(f.rhew, 0.0);
         // …but a repeat write over the same LBAs is a replacement.
-        e.ingest(IoReq::new(t(1, 0), l(50), IoMode::Write, 4).with_entropy(7.9));
+        e.ingest(IoReq::new(t(1, 0), l(50), IoMode::Write, 4).with_entropy_milli(7900));
         let (_, f) = e.close_slice();
         assert_eq!(f.rhew, 4.0);
     }
@@ -809,116 +740,6 @@ mod tests {
         let v = d.finish();
         assert_eq!(v.slice, 0);
         assert!(!v.vote);
-    }
-}
-
-#[cfg(test)]
-mod owst_window_tests {
-    use super::*;
-    use insider_nand::Lba;
-
-    fn l(i: u64) -> Lba {
-        Lba::new(i)
-    }
-
-    fn t(secs: u64, us: u64) -> SimTime {
-        SimTime::from_secs(secs).plus_micros(us)
-    }
-
-    /// A DoD-style 7-pass wipe spread over several slices: the per-slice
-    /// OWST stays near 1.0 (each slice rewrites each block ~once), while the
-    /// window-level OWST converges to 1/7.
-    #[test]
-    fn window_owst_separates_multi_pass_wiping() {
-        let run = |over_window: bool| -> f64 {
-            let mut e = FeatureEngine::with_options(SimTime::from_secs(1), 10, over_window);
-            // Read 8 blocks, then one overwrite pass per slice for 7 slices.
-            for i in 0..8u64 {
-                e.ingest(IoReq::read(t(0, i), l(i)));
-            }
-            let mut last = 0.0;
-            for pass in 0..7u64 {
-                for i in 0..8u64 {
-                    e.ingest(IoReq::write(t(pass, 1000 + i), l(i)));
-                }
-                let (_, f) = e.close_slice();
-                last = f.owst;
-            }
-            last
-        };
-        let per_slice = run(false);
-        let per_window = run(true);
-        assert!((per_slice - 1.0).abs() < 1e-9, "per-slice OWST {per_slice}");
-        assert!(
-            (per_window - 1.0 / 7.0).abs() < 1e-9,
-            "window OWST {per_window} should be 1/7"
-        );
-    }
-
-    /// Single-pass ransomware keeps OWST at 1.0 under both variants.
-    #[test]
-    fn single_pass_overwrites_score_one_either_way() {
-        for over_window in [false, true] {
-            let mut e = FeatureEngine::with_options(SimTime::from_secs(1), 10, over_window);
-            for i in 0..8u64 {
-                e.ingest(IoReq::read(t(0, i), l(i)));
-                e.ingest(IoReq::write(t(0, 1000 + i), l(i)));
-            }
-            let (_, f) = e.close_slice();
-            assert!(
-                (f.owst - 1.0).abs() < 1e-9,
-                "owst {} (window={over_window})",
-                f.owst
-            );
-        }
-    }
-
-    /// The window covers exactly N slices ending at the current one: an
-    /// overwrite in slice 0 must be outside a 3-slice window at slice 3.
-    #[test]
-    fn window_owst_spans_exactly_n_slices() {
-        let mut e = FeatureEngine::with_options(SimTime::from_secs(1), 3, true);
-        e.ingest(IoReq::read(t(0, 0), l(0)));
-        e.ingest(IoReq::write(t(0, 1), l(0)));
-        e.close_slice(); // slice 0 (has the overwrite)
-        e.close_slice(); // slice 1
-        e.close_slice(); // slice 2
-        e.ingest(IoReq::write(t(3, 0), l(99)));
-        let (_, f) = e.close_slice(); // slice 3: window = slices {1,2,3}
-        assert_eq!(f.owst, 0.0, "slice 0 must have slid out of the window");
-    }
-
-    /// Window OWST forgets slices that slide out.
-    #[test]
-    fn window_owst_slides() {
-        let mut e = FeatureEngine::with_options(SimTime::from_secs(1), 3, true);
-        e.ingest(IoReq::read(t(0, 0), l(0)));
-        e.ingest(IoReq::write(t(0, 1), l(0)));
-        e.close_slice(); // slice 0: 1 distinct / 1 write
-        for _ in 0..3 {
-            let (_, f) = e.close_slice(); // empty slices slide the window
-            let _ = f;
-        }
-        // The overwrite fell out of the 3-slice window: OWST must be 0.
-        e.ingest(IoReq::write(t(4, 0), l(99)));
-        let (_, f) = e.close_slice();
-        assert_eq!(f.owst, 0.0);
-    }
-
-    /// The detector config plumbs the option through.
-    #[test]
-    fn detector_config_controls_owst_mode() {
-        let config = DetectorConfig {
-            owst_over_window: true,
-            ..Default::default()
-        };
-        let mut d = Detector::new(config, DecisionTree::constant(false));
-        d.ingest(IoReq::read(t(0, 0), l(1)));
-        for pass in 0..7u64 {
-            d.ingest(IoReq::write(t(0, 10 + pass), l(1)));
-        }
-        let v = d.finish();
-        assert!((v.features.owst - 1.0 / 7.0).abs() < 1e-9);
     }
 }
 
@@ -1006,10 +827,14 @@ mod gap_tests {
         let run = |gap_secs: u64| -> (u64, FeatureVector) {
             let mut e = FeatureEngine::new(SimTime::from_secs(1), 10);
             e.ingest(IoReq::new(SimTime::ZERO, l(0), IoMode::Read, 8));
-            e.ingest(IoReq::new(SimTime::from_millis(1), l(0), IoMode::Write, 8).with_entropy(7.9));
+            e.ingest(
+                IoReq::new(SimTime::from_millis(1), l(0), IoMode::Write, 8)
+                    .with_entropy_milli(7900),
+            );
             e.flush_until(SimTime::from_secs(gap_secs));
             e.ingest(
-                IoReq::new(SimTime::from_secs(gap_secs), l(0), IoMode::Write, 8).with_entropy(7.9),
+                IoReq::new(SimTime::from_secs(gap_secs), l(0), IoMode::Write, 8)
+                    .with_entropy_milli(7900),
             );
             e.close_slice()
         };

@@ -82,23 +82,10 @@ impl IoReq {
         }
     }
 
-    /// Returns the request with its payload-entropy stamp set to `bits`
-    /// bits per byte (clamped to 0.0..=8.0).
-    pub fn with_entropy(mut self, bits: f64) -> Self {
-        let milli = (bits * 1000.0).round().clamp(0.0, ENTROPY_MAX_MILLI as f64) as u16;
-        self.entropy = Some(milli);
-        self
-    }
-
     /// Returns the request with its raw milli-bit entropy stamp set.
     pub fn with_entropy_milli(mut self, milli: u16) -> Self {
         self.entropy = Some(milli.min(ENTROPY_MAX_MILLI));
         self
-    }
-
-    /// The entropy stamp in bits per byte, if the payload was inspected.
-    pub fn entropy_bits(&self) -> Option<f64> {
-        self.entropy.map(|m| m as f64 / 1000.0)
     }
 
     /// Convenience constructor for a single-block read.
@@ -166,15 +153,8 @@ mod tests {
 
     #[test]
     fn entropy_stamp_round_trips_and_clamps() {
-        let req = IoReq::write(SimTime::ZERO, Lba::new(0)).with_entropy(7.95);
+        let req = IoReq::write(SimTime::ZERO, Lba::new(0)).with_entropy_milli(7950);
         assert_eq!(req.entropy, Some(7950));
-        assert_eq!(req.entropy_bits(), Some(7.95));
-        assert_eq!(
-            IoReq::write(SimTime::ZERO, Lba::new(0))
-                .with_entropy(99.0)
-                .entropy,
-            Some(ENTROPY_MAX_MILLI)
-        );
         assert_eq!(
             IoReq::write(SimTime::ZERO, Lba::new(0))
                 .with_entropy_milli(u16::MAX)

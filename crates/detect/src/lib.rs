@@ -69,13 +69,12 @@ mod entropy;
 mod features;
 mod id3;
 mod ioreq;
-mod naive;
 mod rangeset;
 mod training;
 mod variant;
 mod window;
 
-pub use counting_table::{CountingBackend, CountingTable, Entry};
+pub use counting_table::{CountingTable, Entry};
 pub use detector::{Detector, DetectorConfig, DetectorStatus, FeatureEngine, Verdict};
 pub use entropy::{
     payload_entropy_milli, ENTROPY_MAX_MILLI, ENTROPY_SAMPLE_BYTES, HIGH_ENTROPY_MILLI,
@@ -83,7 +82,6 @@ pub use entropy::{
 pub use features::{FeatureVector, FEATURE_COUNT, FEATURE_NAMES, PAPER_FEATURE_COUNT};
 pub use id3::{DecisionTree, Id3Params, Sample};
 pub use ioreq::{IoMode, IoReq};
-pub use naive::NaiveCountingTable;
 pub use rangeset::LbaRangeSet;
 pub use training::{Confusion, TrainingSet};
 pub use variant::DetectorVariant;

@@ -1,7 +1,7 @@
 //! A coalescing set of LBA ranges, used for distinct-overwrite accounting.
 //!
-//! `OWST` needs the number of *distinct* overwritten blocks per slice (or
-//! per window). With range-vectored ingest, tracking that with a
+//! `OWST` needs the number of *distinct* overwritten blocks per slice.
+//! With range-vectored ingest, tracking that with a
 //! `HashSet<Lba>` would reintroduce the per-block cost the interval index
 //! removed, so the feature engine keeps an [`LbaRangeSet`] instead: disjoint
 //! half-open runs in a `BTreeMap`, coalesced on insert, with the covered
@@ -120,13 +120,6 @@ impl LbaRangeSet {
         covered
     }
 
-    /// Inserts every run of `other` into `self` (set union).
-    pub fn merge(&mut self, other: &LbaRangeSet) {
-        for (&s, &e) in &other.runs {
-            self.insert_run(Lba::new(s), u32::try_from(e - s).unwrap_or(u32::MAX));
-        }
-    }
-
     /// Iterates over the disjoint runs as `(start, exclusive end)` indices.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.runs.iter().map(|(&s, &e)| (s, e))
@@ -172,18 +165,6 @@ mod tests {
         s.insert_run(l(1), 20); // spans all three
         assert_eq!(s.run_count(), 1);
         assert_eq!(s.block_count(), 22);
-    }
-
-    #[test]
-    fn merge_is_set_union() {
-        let mut a = LbaRangeSet::new();
-        a.insert_run(l(0), 4);
-        let mut b = LbaRangeSet::new();
-        b.insert_run(l(2), 4);
-        b.insert_run(l(100), 1);
-        a.merge(&b);
-        assert_eq!(a.block_count(), 7);
-        assert_eq!(a.run_count(), 2);
     }
 
     #[test]

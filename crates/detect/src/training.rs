@@ -39,7 +39,6 @@ use serde::{Deserialize, Serialize};
 pub struct TrainingSet {
     slice: SimTime,
     window_slices: usize,
-    owst_over_window: bool,
     samples: Vec<Sample>,
 }
 
@@ -50,29 +49,22 @@ impl TrainingSet {
         TrainingSet {
             slice,
             window_slices,
-            owst_over_window: false,
             samples: Vec::new(),
         }
     }
 
     /// An empty set mirroring a full detector configuration — training and
-    /// deployment must compute features identically (including the OWST
-    /// variant), or the learned thresholds are meaningless at inference.
+    /// deployment must compute features identically, or the learned
+    /// thresholds are meaningless at inference.
     pub fn for_config(config: &crate::DetectorConfig) -> Self {
-        TrainingSet {
-            slice: config.slice,
-            window_slices: config.window_slices,
-            owst_over_window: config.owst_over_window,
-            samples: Vec::new(),
-        }
+        Self::new(config.slice, config.window_slices)
     }
 
     /// Replays `reqs` (time-ordered) through a fresh feature engine, labels
     /// each closed slice with `label(slice_index)`, and appends the samples.
     /// `end` closes trailing slices so the tail of the trace is captured.
     pub fn add_trace(&mut self, reqs: &[IoReq], end: SimTime, label: impl Fn(u64) -> bool) {
-        let mut engine =
-            FeatureEngine::with_options(self.slice, self.window_slices, self.owst_over_window);
+        let mut engine = FeatureEngine::new(self.slice, self.window_slices);
         let mut closed = Vec::new();
         for req in reqs {
             closed.extend(engine.ingest(*req));

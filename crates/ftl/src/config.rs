@@ -1,6 +1,6 @@
 //! FTL configuration.
 
-use insider_nand::{Geometry, NandConfig, SchedMode, SimTime};
+use insider_nand::{Geometry, NandConfig, SimTime};
 
 /// Free blocks garbage collection keeps in reserve: a write of `n` pages
 /// collects while the pool is below this plus `⌈n / pages_per_block⌉`.
@@ -95,15 +95,6 @@ impl FtlConfig {
         self.record_gc_victims
     }
 
-    /// Selects the NAND scheduler's read-ordering policy (see
-    /// [`SchedMode`]): `InOrder` queues commands per die in submission
-    /// order, `OutOfOrder` (the default) additionally lets reads overtake
-    /// queued mutations on the same die when no dependency forbids it.
-    pub fn scheduler(mut self, mode: SchedMode) -> Self {
-        self.nand = self.nand.scheduler(mode);
-        self
-    }
-
     /// Records every scheduled NAND command with its issue/complete
     /// timestamps (see `take_captured_commands` on the FTLs). Off by
     /// default; the scheduler-oracle tests turn it on.
@@ -164,8 +155,8 @@ impl FtlConfig {
         self.gc_step_pages
     }
 
-    /// Enables erase-suspend/resume in the NAND scheduler: an out-of-order
-    /// read arriving while an erase is mid-pulse on its die preempts it
+    /// Enables erase-suspend/resume in the NAND scheduler: a read
+    /// arriving while an erase is mid-pulse on its die preempts it
     /// (never an erase of the read's own block) at a fixed resume penalty.
     /// Timing only; off by default.
     pub fn erase_suspend(mut self, enabled: bool) -> Self {
@@ -286,10 +277,16 @@ mod tests {
 
     #[test]
     fn scheduler_and_copy_knobs_pass_through() {
-        let cfg = FtlConfig::new(Geometry::tiny());
-        assert_eq!(cfg.nand().sched_mode(), SchedMode::OutOfOrder);
-        let cfg = cfg.scheduler(SchedMode::InOrder).capture_commands(true);
-        assert_eq!(cfg.nand().sched_mode(), SchedMode::InOrder);
+        use crate::{Ftl, InsiderFtl};
+        use bytes::Bytes;
+        use insider_nand::Lba;
+        for capture in [false, true] {
+            let mut ftl =
+                InsiderFtl::new(FtlConfig::new(Geometry::tiny()).capture_commands(capture));
+            ftl.write(Lba::new(0), Bytes::from_static(b"x"), SimTime::ZERO)
+                .unwrap();
+            assert_eq!(!ftl.take_captured_commands().is_empty(), capture);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::fault::{FaultCheck, FaultKind, FaultPlan};
 use crate::latency::LatencySnapshot;
 use crate::oob::{OobRecord, OobTag};
 use crate::page::PageState;
-use crate::sched::{CmdRecord, CmdScheduler, SchedMode};
+use crate::sched::{CmdRecord, CmdScheduler};
 use crate::stats::NandStats;
 use crate::{Geometry, NandError, Pba, Ppa, Result, SimTime};
 use bytes::Bytes;
@@ -25,7 +25,6 @@ pub struct NandConfig {
     /// the chips of one channel).
     bus_transfer_ns: u64,
     endurance: u32,
-    sched_mode: SchedMode,
     queue_depth: usize,
     capture_commands: bool,
     erase_suspend: bool,
@@ -44,7 +43,6 @@ impl NandConfig {
             // 1.2 GB/s read throughput across 8 channels.
             bus_transfer_ns: 30_000,
             endurance: 3_000,
-            sched_mode: SchedMode::default(),
             // NVMe-class default: one submission queue 32 deep.
             queue_depth: 32,
             capture_commands: false,
@@ -87,19 +85,6 @@ impl NandConfig {
         self.endurance
     }
 
-    /// Selects the scheduler's read-ordering policy: a strict in-order
-    /// command queue or out-of-order reads (the default). Both apply data
-    /// identically; see [`SchedMode`].
-    pub fn scheduler(mut self, mode: SchedMode) -> Self {
-        self.sched_mode = mode;
-        self
-    }
-
-    /// The configured read-ordering policy.
-    pub fn sched_mode(&self) -> SchedMode {
-        self.sched_mode
-    }
-
     /// Sets the closed-loop host queue depth the scheduler models (how
     /// many commands the host keeps in flight before its next arrival
     /// waits for a completion). Default 32.
@@ -121,11 +106,10 @@ impl NandConfig {
         self
     }
 
-    /// Enables erase-suspend/resume: in [`SchedMode::OutOfOrder`], a read
-    /// arriving while an erase is mid-pulse on its die preempts it (never
-    /// an erase of the read's own block) at a 50 µs resume penalty, at most
-    /// 64 times per erase. Timing only — data application is unaffected.
-    /// Off by default.
+    /// Enables erase-suspend/resume: a read arriving while an erase is
+    /// mid-pulse on its die preempts it (never an erase of the read's own
+    /// block) at a 50 µs resume penalty, at most 64 times per erase. Timing
+    /// only — data application is unaffected. Off by default.
     pub fn erase_suspend(mut self, enabled: bool) -> Self {
         self.erase_suspend = enabled;
         self
@@ -222,13 +206,8 @@ impl NandDevice {
             .collect();
         let chips = config.geometry.total_chips() as usize;
         let channels = config.geometry.channels() as usize;
-        let mut sched = CmdScheduler::new(
-            chips,
-            channels,
-            config.sched_mode,
-            config.queue_depth,
-            config.capture_commands,
-        );
+        let mut sched =
+            CmdScheduler::new(chips, channels, config.queue_depth, config.capture_commands);
         if config.erase_suspend {
             sched = sched.with_erase_suspend(ERASE_RESUME_NS, MAX_ERASE_SUSPENDS);
         }

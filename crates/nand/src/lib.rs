@@ -68,7 +68,7 @@ pub use geometry::{Geometry, GeometryBuilder};
 pub use latency::{KindLatency, LatencyHistogram, LatencySnapshot};
 pub use oob::{OobRecord, OobTag};
 pub use page::{Page, PageState};
-pub use sched::{CmdRecord, CmdScheduler, SchedMode};
+pub use sched::{CmdRecord, CmdScheduler};
 pub use stats::NandStats;
 pub use types::{Lba, SimTime};
 

@@ -14,11 +14,11 @@
 //!   serialized against each other, matching the decoupled busy-integral
 //!   accounting — the scheduler's busy makespan therefore equals
 //!   `NandStats::parallel_busy_ns` exactly, which debug builds assert);
-//! - in [`SchedMode::OutOfOrder`] a read may be promoted ahead of *queued*
-//!   (not yet started) programs and erases on its die. Reads never pass
-//!   reads, mutations never pass anything, and a read never passes a
-//!   program to the same page or an erase to the same block — the
-//!   dependencies that would change observable data;
+//! - a read may be promoted ahead of *queued* (not yet started) programs
+//!   and erases on its die. Reads never pass reads, mutations never pass
+//!   anything, and a read never passes a program to the same page or an
+//!   erase to the same block — the dependencies that would change
+//!   observable data;
 //! - completed commands feed per-kind latency histograms
 //!   ([`crate::LatencySnapshot`]), the per-request figure a production
 //!   drive lives by. Each command is recorded once per view it belongs to
@@ -34,8 +34,8 @@
 //!
 //! Three extensions serve tail-latency work:
 //!
-//! - **Erase-suspend/resume** ([`CmdScheduler::with_erase_suspend`]): an
-//!   out-of-order read — or a *host* program — arriving while an erase is
+//! - **Erase-suspend/resume** ([`CmdScheduler::with_erase_suspend`]): a
+//!   read — or a *host* program — arriving while an erase is
 //!   mid-pulse on its die may suspend it (never an erase of the command's
 //!   own block). The erase keeps the progress it made, pays a modeled
 //!   `resume_ns` penalty on top of its remaining work, and resumes behind
@@ -64,46 +64,19 @@
 //! The scheduler is *timing only*: page contents, OOB records and error
 //! results are applied synchronously at submit, in submission order, so
 //! data-path behavior (and the crash sweep's acked-prefix durability
-//! contract) is byte-identical under both read-ordering policies
-//! ([`SchedMode::InOrder`] is the one tests use as their reference).
+//! contract) does not depend on how commands are ordered. At queue depth 1
+//! every command arrives after all earlier ones completed, so nothing is
+//! promoted, suspended or stalled: that run is the reorder-free reference
+//! the scheduler oracle compares the default depth against.
 
 use crate::fault::FaultKind;
 use crate::latency::{KindLatency, LatencyHistogram, LatencySnapshot};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Safety valve: windows force-finalized beyond this per-die queue length.
 /// Bounds scheduler memory under open-loop overload; finalizing early only
 /// freezes a latency sample that could otherwise still grow.
 const MAX_WINDOWS_PER_DIE: usize = 256;
-
-/// How the command queue orders reads against queued mutations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum SchedMode {
-    /// Strict FIFO per die. The reference the differential tests compare
-    /// against.
-    InOrder,
-    /// Reads may overtake queued programs/erases on their die (never
-    /// same-page/same-block dependencies, never other reads). The default.
-    #[default]
-    OutOfOrder,
-}
-
-impl SchedMode {
-    /// Display name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedMode::InOrder => "in-order",
-            SchedMode::OutOfOrder => "out-of-order",
-        }
-    }
-}
-
-impl std::fmt::Display for SchedMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// One finalized command, emitted when capture is enabled
 /// (`NandConfig::capture_commands`). The ordering proptests use these to
@@ -167,7 +140,6 @@ impl Window {
 /// of `sched.rs` describe the model.
 #[derive(Debug, Clone)]
 pub struct CmdScheduler {
-    mode: SchedMode,
     /// Device clock: latest host arrival time, ns (monotone).
     now_ns: u64,
     submit_seq: u64,
@@ -218,20 +190,13 @@ impl CmdScheduler {
     /// # Panics
     ///
     /// Panics if any dimension or the queue depth is zero.
-    pub fn new(
-        dies: usize,
-        channels: usize,
-        mode: SchedMode,
-        queue_depth: usize,
-        capture: bool,
-    ) -> Self {
+    pub fn new(dies: usize, channels: usize, queue_depth: usize, capture: bool) -> Self {
         assert!(
             dies >= 1 && channels >= 1,
             "scheduler needs at least one die and channel"
         );
         assert!(queue_depth >= 1, "queue depth is at least one");
         CmdScheduler {
-            mode,
             now_ns: 0,
             submit_seq: 0,
             dies: vec![VecDeque::new(); dies],
@@ -260,12 +225,11 @@ impl CmdScheduler {
         }
     }
 
-    /// Enables erase-suspend: an out-of-order read or *host* program may
-    /// interrupt an in-flight erase on its die (never one of its own
-    /// block) at a `resume_ns` penalty; host programs may also slot in
-    /// front of the queued remainder. Each erase absorbs at most
-    /// `max_suspends` preemptions before it becomes blocking again.
-    /// Only effective in [`SchedMode::OutOfOrder`].
+    /// Enables erase-suspend: a read or *host* program may interrupt an
+    /// in-flight erase on its die (never one of its own block) at a
+    /// `resume_ns` penalty; host programs may also slot in front of the
+    /// queued remainder. Each erase absorbs at most `max_suspends`
+    /// preemptions before it becomes blocking again.
     pub fn with_erase_suspend(mut self, resume_ns: u64, max_suspends: u32) -> Self {
         self.erase_suspend = Some((resume_ns, max_suspends));
         self
@@ -402,12 +366,11 @@ impl CmdScheduler {
         };
 
         let suspend_cfg = self.erase_suspend;
-        let program_suspend_cfg =
-            if self.mode == SchedMode::OutOfOrder && kind == FaultKind::Program && !self.ctx_gc {
-                suspend_cfg
-            } else {
-                None
-            };
+        let program_suspend_cfg = if kind == FaultKind::Program && !self.ctx_gc {
+            suspend_cfg
+        } else {
+            None
+        };
         let queue = &mut self.dies[die];
         let ins = if let Some((resume_ns, max_suspends)) = program_suspend_cfg {
             // Erase-suspend for host programs: a foreground program stays
@@ -440,7 +403,7 @@ impl CmdScheduler {
                 }
             }
             ins
-        } else if self.mode == SchedMode::OutOfOrder && kind == FaultKind::Read {
+        } else if kind == FaultKind::Read {
             // A read may jump queued windows, but never one that already
             // started by its arrival, never another read, and never a
             // program to the same page or an erase to its block. With
@@ -688,26 +651,13 @@ mod tests {
     const ERASE_NS: u64 = 3_000_000;
     const BUS_NS: u64 = 30_000;
 
-    fn sched(mode: SchedMode) -> CmdScheduler {
-        CmdScheduler::new(4, 2, mode, 1024, true)
-    }
-
-    #[test]
-    fn in_order_read_waits_behind_program() {
-        let mut s = sched(SchedMode::InOrder);
-        s.admit(FaultKind::Program, 0, 0, 1, 0, PROG_NS, BUS_NS);
-        let done = s.admit(FaultKind::Read, 0, 0, 2, 0, READ_NS, BUS_NS);
-        assert_eq!(done, PROG_NS + READ_NS, "read starts when the program ends");
-        s.flush();
-        let snap = s.snapshot();
-        assert_eq!(snap.read.count, 1);
-        assert_eq!(snap.read.max_ns, PROG_NS + READ_NS);
-        assert_eq!(s.reads_promoted(), 0);
+    fn sched() -> CmdScheduler {
+        CmdScheduler::new(4, 2, 1024, true)
     }
 
     #[test]
     fn out_of_order_read_overtakes_unrelated_program() {
-        let mut s = sched(SchedMode::OutOfOrder);
+        let mut s = sched();
         s.admit(FaultKind::Program, 0, 0, 1, 0, PROG_NS, BUS_NS);
         let done = s.admit(FaultKind::Read, 0, 0, 2, 0, READ_NS, BUS_NS);
         // Die service finishes at READ_NS; the bus (seized in admission
@@ -723,7 +673,7 @@ mod tests {
 
     #[test]
     fn read_never_overtakes_program_to_same_page() {
-        let mut s = sched(SchedMode::OutOfOrder);
+        let mut s = sched();
         s.admit(FaultKind::Program, 0, 0, 7, 0, PROG_NS, BUS_NS);
         let done = s.admit(FaultKind::Read, 0, 0, 7, 0, READ_NS, BUS_NS);
         assert_eq!(done, PROG_NS + READ_NS, "same-page read must wait");
@@ -732,11 +682,11 @@ mod tests {
 
     #[test]
     fn read_never_overtakes_erase_of_its_block() {
-        let mut s = sched(SchedMode::OutOfOrder);
+        let mut s = sched();
         s.admit(FaultKind::Erase, 0, 0, u64::MAX, 3, ERASE_NS, 0);
         let same = s.admit(FaultKind::Read, 0, 0, 48, 3, READ_NS, BUS_NS);
         assert_eq!(same, ERASE_NS + READ_NS, "read of the erased block waits");
-        let mut s = sched(SchedMode::OutOfOrder);
+        let mut s = sched();
         s.admit(FaultKind::Erase, 0, 0, u64::MAX, 3, ERASE_NS, 0);
         let other = s.admit(FaultKind::Read, 0, 0, 64, 4, READ_NS, BUS_NS);
         assert!(
@@ -747,7 +697,7 @@ mod tests {
 
     #[test]
     fn reads_never_pass_reads() {
-        let mut s = sched(SchedMode::OutOfOrder);
+        let mut s = sched();
         s.admit(FaultKind::Program, 0, 0, 1, 0, PROG_NS, BUS_NS);
         s.admit(FaultKind::Read, 0, 0, 2, 0, READ_NS, BUS_NS);
         s.admit(FaultKind::Read, 0, 0, 3, 0, READ_NS, BUS_NS);
@@ -763,7 +713,7 @@ mod tests {
 
     #[test]
     fn busy_integrals_accumulate_service_time_only() {
-        let mut s = sched(SchedMode::OutOfOrder);
+        let mut s = sched();
         s.admit(FaultKind::Program, 0, 0, 1, 0, PROG_NS, BUS_NS);
         s.admit(FaultKind::Read, 1, 1, 100, 6, READ_NS, BUS_NS);
         s.admit(FaultKind::Erase, 0, 0, u64::MAX, 0, ERASE_NS, 0);
@@ -775,7 +725,7 @@ mod tests {
 
     #[test]
     fn set_now_finalizes_completed_windows_only() {
-        let mut s = sched(SchedMode::OutOfOrder);
+        let mut s = sched();
         s.admit(FaultKind::Read, 0, 0, 1, 0, READ_NS, BUS_NS);
         assert_eq!(s.queued(), 1);
         // Started at 0 but still mid-pulse: it stays queued (an in-flight
@@ -791,7 +741,7 @@ mod tests {
 
     #[test]
     fn clock_is_monotone() {
-        let mut s = sched(SchedMode::OutOfOrder);
+        let mut s = sched();
         s.set_now(1_000_000);
         s.set_now(400); // clamped
         let done = s.admit(FaultKind::Read, 0, 0, 1, 0, READ_NS, 0);
@@ -802,7 +752,7 @@ mod tests {
     fn queue_depth_throttle_bounds_latency() {
         // Open loop: 64 programs arrive at t=0 on one die; the last one
         // waits for all predecessors.
-        let mut open = CmdScheduler::new(1, 1, SchedMode::InOrder, 1024, false);
+        let mut open = CmdScheduler::new(1, 1, 1024, false);
         for i in 0..64 {
             open.admit(FaultKind::Program, 0, 0, i, 0, PROG_NS, BUS_NS);
         }
@@ -810,7 +760,7 @@ mod tests {
         let open_p99 = open.snapshot().program.p99_ns;
         // Closed loop at QD 2: arrival is pushed to completion of the
         // command two back, so queueing delay stays ~bounded.
-        let mut closed = CmdScheduler::new(1, 1, SchedMode::InOrder, 2, false);
+        let mut closed = CmdScheduler::new(1, 1, 2, false);
         for i in 0..64 {
             closed.admit(FaultKind::Program, 0, 0, i, 0, PROG_NS, BUS_NS);
         }
@@ -825,7 +775,7 @@ mod tests {
 
     #[test]
     fn per_die_queue_is_bounded() {
-        let mut s = CmdScheduler::new(1, 1, SchedMode::InOrder, 100_000, false);
+        let mut s = CmdScheduler::new(1, 1, 100_000, false);
         for i in 0..10 * MAX_WINDOWS_PER_DIE as u64 {
             s.admit(FaultKind::Program, 0, 0, i, 0, PROG_NS, 0);
         }
@@ -836,7 +786,7 @@ mod tests {
 
     #[test]
     fn capture_preserves_submit_order_metadata() {
-        let mut s = sched(SchedMode::OutOfOrder);
+        let mut s = sched();
         s.admit(FaultKind::Program, 0, 0, 1, 0, PROG_NS, BUS_NS);
         s.admit(FaultKind::Read, 0, 0, 2, 0, READ_NS, BUS_NS);
         s.flush();
@@ -855,8 +805,7 @@ mod tests {
     /// QD-2 scheduler with erase-suspend on: the narrow queue depth lets a
     /// read's throttled arrival land *inside* an already-started erase.
     fn suspend_sched(max_suspends: u32) -> CmdScheduler {
-        CmdScheduler::new(4, 2, SchedMode::OutOfOrder, 2, false)
-            .with_erase_suspend(RESUME_NS, max_suspends)
+        CmdScheduler::new(4, 2, 2, false).with_erase_suspend(RESUME_NS, max_suspends)
     }
 
     /// Lands an erase on die 0 spanning [0, ERASE_NS) and returns the
@@ -910,7 +859,7 @@ mod tests {
 
     #[test]
     fn erase_suspend_is_off_by_default() {
-        let mut s = CmdScheduler::new(4, 2, SchedMode::OutOfOrder, 2, false);
+        let mut s = CmdScheduler::new(4, 2, 2, false);
         let done = erase_then_midpulse_read(&mut s, 4);
         assert_eq!(done, ERASE_NS + READ_NS);
         assert_eq!(s.erases_suspended(), 0);
@@ -979,7 +928,7 @@ mod tests {
 
     #[test]
     fn gc_context_splits_host_histograms() {
-        let mut s = sched(SchedMode::OutOfOrder);
+        let mut s = sched();
         s.admit(FaultKind::Program, 0, 0, 1, 0, PROG_NS, BUS_NS);
         s.set_gc_context(true);
         s.admit(FaultKind::Program, 1, 1, 17, 1, PROG_NS, BUS_NS);
@@ -995,12 +944,5 @@ mod tests {
         assert_eq!(host.erase.count, 0, "GC erase excluded");
         assert_eq!(host.read.count, 1);
         assert_eq!(host.total.count, 2);
-    }
-
-    #[test]
-    fn default_mode_and_display_names() {
-        assert_eq!(SchedMode::default(), SchedMode::OutOfOrder);
-        assert_eq!(SchedMode::OutOfOrder.to_string(), "out-of-order");
-        assert_eq!(SchedMode::InOrder.name(), "in-order");
     }
 }

@@ -1,7 +1,7 @@
 //! Model test for the command scheduler's bookkeeping: random streams of
 //! admissions, clock jumps (forward and clamped backward), firmware stalls,
-//! GC-context toggles and flushes run through a [`CmdScheduler`] in both
-//! [`SchedMode`]s, with erase-suspend on and off, at queue depths 1–40.
+//! GC-context toggles and flushes run through a [`CmdScheduler`] with
+//! erase-suspend on and off, at queue depths 1–40.
 //! After every step the test recomputes, from `admit`'s return values and
 //! the capture log alone:
 //!
@@ -16,9 +16,7 @@
 //! The vendored proptest runs a fixed seed; `PROPTEST_RNG_SEED=<u64>`
 //! explores others and a failure names it.
 
-use insider_nand::{
-    CmdScheduler, FaultKind, KindLatency, LatencyHistogram, LatencySnapshot, SchedMode,
-};
+use insider_nand::{CmdScheduler, FaultKind, KindLatency, LatencyHistogram, LatencySnapshot};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -161,13 +159,11 @@ proptest! {
 
     #[test]
     fn throttle_and_snapshots_match_the_model(
-        in_order in any::<bool>(),
         suspend in (0u8..3, 0u64..200_000, 1u32..4),
         qd in 1usize..41,
         ops in prop::collection::vec(op(), 1..300),
     ) {
-        let mode = if in_order { SchedMode::InOrder } else { SchedMode::OutOfOrder };
-        let mut s = CmdScheduler::new(DIES, CHANNELS, mode, qd, true);
+        let mut s = CmdScheduler::new(DIES, CHANNELS, qd, true);
         let (on, resume_ns, max_suspends) = suspend;
         if on > 0 {
             s = s.with_erase_suspend(resume_ns, max_suspends);

@@ -191,7 +191,8 @@ mod tests {
     fn scalarized_splits_extents_preserving_order_and_blocks() {
         use insider_detect::IoMode;
         let t = Trace::from_reqs(vec![
-            IoReq::new(SimTime::from_secs(1), Lba::new(8), IoMode::Write, 3).with_entropy(7.9),
+            IoReq::new(SimTime::from_secs(1), Lba::new(8), IoMode::Write, 3)
+                .with_entropy_milli(7900),
             IoReq::new(SimTime::from_secs(2), Lba::new(0), IoMode::Read, 1),
             IoReq::new(SimTime::from_secs(3), Lba::new(4), IoMode::Trim, 2),
         ]);

@@ -35,9 +35,7 @@ fn ftl_layer_is_send_sync() {
 fn detector_layer_is_send_sync() {
     assert_send_sync::<insider_detect::Detector>();
     assert_send_sync::<insider_detect::FeatureEngine>();
-    assert_send_sync::<insider_detect::FeatureEngine<insider_detect::NaiveCountingTable>>();
     assert_send_sync::<insider_detect::CountingTable>();
-    assert_send_sync::<insider_detect::NaiveCountingTable>();
     assert_send_sync::<insider_detect::DecisionTree>();
     assert_send_sync::<insider_detect::LbaRangeSet>();
     assert_send_sync::<insider_detect::Verdict>();
