@@ -59,12 +59,12 @@
 #   make bench-steady — regenerate BENCH_steady.json (steady-state foreground
 #                      p50/p95/p99 under sustained hot churn at ~90 %
 #                      utilization: blocking GC vs incremental GC with
-#                      erase-suspend vs incremental + write pacing, identical
-#                      streams, final contents differentially verified;
+#                      erase-suspend, identical streams, final contents
+#                      differentially verified;
 #                      STEADY_WRITES / STEADY_HOT_SPAN / STEADY_INTERARRIVAL_US
 #                      / STEADY_WINDOW_MS override the trace. Tier 1 runs the
 #                      bounded steady_smoke test instead; bench_check gates
-#                      the committed artifact's p99 ratio).
+#                      the committed artifact's p99 ratio and its two arms).
 #   make bench-roc   — regenerate BENCH_roc.json (run-level TPR/FPR/latency
 #                      threshold sweeps for the baseline and evolved detector
 #                      variants over the three paper ransomware classes, the

@@ -9,7 +9,9 @@
 //!
 //! * steady: incremental GC + erase-suspend cuts the foreground write p99
 //!   by >= [`STEADY_P99_RATIO_MIN`]x vs blocking GC, with throughput no
-//!   worse than [`STEADY_THROUGHPUT_MIN`]x and byte-identical contents.
+//!   worse than [`STEADY_THROUGHPUT_MIN`]x and byte-identical contents;
+//!   the report carries exactly the arms in [`STEADY_ARMS`], so an artifact
+//!   written by an older harness with other arms fails.
 //! * roc: the baseline detector still scores TPR >= [`ROC_PAPER_TPR_MIN`]
 //!   on every paper ransomware class within the benign FPR cap, the
 //!   evolved variant strictly beats the baseline's TPR on every
@@ -28,6 +30,8 @@ use std::path::Path;
 
 const STEADY_P99_RATIO_MIN: f64 = 2.0;
 const STEADY_THROUGHPUT_MIN: f64 = 0.9;
+/// The arms `bench_steady` runs, in report order.
+const STEADY_ARMS: [&str; 2] = ["blocking", "incremental"];
 /// The paper reports FRR 0 % on known classes; anything below 1.0 means a
 /// paper-class attack escaped at every cap-compliant threshold.
 const ROC_PAPER_TPR_MIN: f64 = 1.0;
@@ -168,7 +172,23 @@ fn check_steady(doc: &Value, errors: &mut Vec<Violation>) {
             ));
         }
     }
-    for arm in ["blocking", "incremental", "paced"] {
+    // An arm is a report entry carrying an `arm` label.
+    let mut arms: Vec<&str> = match get(doc, "report") {
+        Some(Value::Map(entries)) => entries
+            .iter()
+            .filter(|(_, v)| v.get("arm").is_some())
+            .map(|(k, _)| k.as_str())
+            .collect(),
+        _ => Vec::new(),
+    };
+    arms.sort_unstable();
+    if arms != STEADY_ARMS {
+        errors.push(Violation(
+            name.into(),
+            format!("report arms are {arms:?}, expected exactly {STEADY_ARMS:?}"),
+        ));
+    }
+    for arm in STEADY_ARMS {
         need_f64(
             doc,
             &format!("report.{arm}.host.total.p99_ns"),

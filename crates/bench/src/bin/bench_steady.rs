@@ -1,14 +1,14 @@
 //! Steady-state foreground-latency benchmark: blocking GC vs the
-//! incremental engine (+ erase-suspend, + write pacing) on an aged drive.
+//! incremental engine (+ erase-suspend) on an aged drive.
 //!
 //! Ages a small-paged device to ~90 % utilization, then drives a sustained
-//! hot overwrite churn (with interleaved foreground reads) three times over
-//! identical operation streams — classic blocking collector, incremental
-//! GC with erase-suspend, and incremental GC with write pacing on top. The
-//! headline is the host-visible p99: the blocking arm pays whole-victim
-//! drains (migrations plus a 3 ms erase) inline with the triggering write,
-//! while the incremental arms spread bounded migration steps across many
-//! writes and preempt straddling erases. Because all three arms write
+//! hot overwrite churn (with interleaved foreground reads) twice over
+//! identical operation streams — classic blocking collector, and
+//! incremental GC with erase-suspend. The headline is the host-visible
+//! p99: the blocking arm pays whole-victim drains (migrations plus a 3 ms
+//! erase) inline with the triggering write, while the incremental arm
+//! spreads bounded migration steps across many writes and preempts
+//! straddling erases. Because both arms write
 //! byte-identical payloads, the final contents must compare equal after a
 //! GC quiesce — the perf run doubles as a correctness differential.
 //!
@@ -39,7 +39,6 @@ fn arm_row(o: &SteadyArmOutcome) -> Vec<String> {
         format!("{:.0}", o.churn_pages_per_sec),
         o.ftl.gc_stw_fallbacks.to_string(),
         o.nand.erases_suspended.to_string(),
-        o.pacing_stalls.to_string(),
     ]
 }
 
@@ -66,23 +65,15 @@ fn main() {
                 "pages/s",
                 "stw",
                 "suspends",
-                "stalls",
             ],
-            &[
-                arm_row(&report.blocking),
-                arm_row(&report.incremental),
-                arm_row(&report.paced),
-            ],
+            &[arm_row(&report.blocking), arm_row(&report.incremental)],
         )
     );
     println!();
+    println!("p99 ratio (blocking/incremental): {:.2}x", report.p99_ratio);
     println!(
-        "p99 ratio (blocking/incremental): {:.2}x   paced: {:.2}x",
-        report.p99_ratio, report.paced_p99_ratio
-    );
-    println!(
-        "gc-pause p99 ratio: {:.2}x   throughput ratio (incremental/blocking): {:.3}   paced: {:.3}",
-        report.pause_p99_ratio, report.throughput_ratio, report.paced_throughput_ratio
+        "gc-pause p99 ratio: {:.2}x   throughput ratio (incremental/blocking): {:.3}",
+        report.pause_p99_ratio, report.throughput_ratio
     );
     println!(
         "contents identical across arms: {}",
@@ -93,7 +84,7 @@ fn main() {
     let doc = serde_json::json!({
         "benchmark": "steady_state_latency",
         "description": "Foreground latency under sustained churn at ~90% utilization: \
-            blocking GC vs incremental GC (+erase-suspend, +write pacing), identical \
+            blocking GC vs incremental GC (+erase-suspend), identical \
             operation streams, contents differentially verified after a GC quiesce.",
         "units": serde_json::json!({
             "latency": "ns (simulated)",
@@ -110,8 +101,6 @@ fn main() {
             "window_ms": params.window.as_millis(),
             "gc_low_water_extra": params.gc_low_water_extra,
             "gc_step_pages": params.gc_step_pages,
-            "pacing_rate": params.pacing_rate,
-            "pacing_burst": params.pacing_burst,
         }),
         "report": report,
     });

@@ -11,7 +11,7 @@
 
 use insider_bench::replay_geometry;
 use insider_bench::{prefill_ftl, render_table, replay_ftl, small_space};
-use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
+use insider_ftl::{FtlConfig, InsiderFtl};
 use insider_nand::SimTime;
 use insider_workloads::table1;
 

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use insider_detect::{DecisionTree, Detector, DetectorConfig, IoMode, IoReq, Verdict};
-use insider_ftl::Ftl;
+use insider_ftl::{Ftl, InsiderFtl};
 use insider_nand::{Geometry, LatencySnapshot};
 use insider_nand::{Lba, SimTime};
 use insider_workloads::{merge, AppKind, FileSpace, FileSpaceConfig, RansomwareKind, Trace};
@@ -155,10 +155,10 @@ pub struct ReplayOutcome {
     pub applied: u64,
     /// Blocks dropped for exceeding the device's logical capacity.
     pub skipped: u64,
-    /// Per-command completion latencies observed by the NAND scheduler:
-    /// always `Some` after a replay (`None` only in the `Default` value).
-    /// Captured after a final sync so every queued command is finalized.
-    pub latency: Option<LatencySnapshot>,
+    /// Per-command completion latencies observed by the NAND scheduler
+    /// (empty in the `Default` value). Captured after a final sync so every
+    /// queued command is finalized.
+    pub latency: LatencySnapshot,
 }
 
 /// Equality deliberately ignores `latency`: outcomes are compared by what
@@ -208,7 +208,7 @@ fn clamp_extent(req: &IoReq, logical: u64, outcome: &mut ReplayOutcome) -> Optio
     Some((req.lba, fit))
 }
 
-/// Replays a trace against any FTL, one extent request per trace entry.
+/// Replays a trace against an FTL, one extent request per trace entry.
 /// Requests are clipped to the FTL's exported capacity; the returned
 /// [`ReplayOutcome`] reports applied vs skipped blocks and a warning is
 /// logged when anything was skipped. For the one-block-per-request view of
@@ -218,7 +218,7 @@ fn clamp_extent(req: &IoReq, logical: u64, outcome: &mut ReplayOutcome) -> Optio
 ///
 /// Panics if the FTL reports an error other than capacity exhaustion —
 /// replay workloads are sized to fit.
-pub fn replay_ftl(trace: &Trace, ftl: &mut dyn Ftl) -> ReplayOutcome {
+pub fn replay_ftl(trace: &Trace, ftl: &mut InsiderFtl) -> ReplayOutcome {
     let logical = ftl.logical_pages();
     let mut outcome = ReplayOutcome::default();
     for req in trace {
@@ -261,7 +261,7 @@ pub fn replay_ftl(trace: &Trace, ftl: &mut dyn Ftl) -> ReplayOutcome {
 /// Panics on device errors other than capacity exhaustion.
 pub fn replay_device(trace: &Trace, device: &mut SsdInsider) -> ReplayOutcome {
     use ssd_insider::DeviceState;
-    let logical = Ftl::logical_pages(device);
+    let logical = device.logical_pages();
     let mut outcome = ReplayOutcome::default();
     for req in trace {
         let Some((lba, fit)) = clamp_extent(req, logical, &mut outcome) else {
@@ -308,7 +308,7 @@ pub fn replay_device(trace: &Trace, device: &mut SsdInsider) -> ReplayOutcome {
 /// # Panics
 ///
 /// Panics if `fraction` is not within `[0, 1]` or a fill write fails.
-pub fn prefill_ftl(ftl: &mut dyn Ftl, fraction: f64) {
+pub fn prefill_ftl(ftl: &mut InsiderFtl, fraction: f64) {
     assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
     let pages = (ftl.logical_pages() as f64 * fraction) as u64;
     let mut order: Vec<u64> = (0..pages).collect();
@@ -322,7 +322,7 @@ pub fn prefill_ftl(ftl: &mut dyn Ftl, fraction: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insider_ftl::{FtlConfig, InsiderFtl};
+    use insider_ftl::FtlConfig;
     use insider_workloads::{FileSpace, RansomwareKind};
     use rand::SeedableRng;
 

@@ -2,7 +2,7 @@
 //! `steady_smoke` tier-1 test).
 //!
 //! The scenario: an aged drive at ~90 % utilization under a sustained hot
-//! overwrite churn, run three times with identical operation streams —
+//! overwrite churn, run twice with identical operation streams —
 //!
 //! * **blocking** — the classic collector: a host write that trips the
 //!   reserve drains whole victim blocks (migrations + a 3 ms erase) before
@@ -10,12 +10,9 @@
 //! * **incremental** — the resumable [`GcJob`] engine plus erase-suspend:
 //!   collection starts early at the low watermark and each write pumps a
 //!   bounded migration budget, while host commands preempt straddling
-//!   erases on their die;
-//! * **paced** — incremental plus the write-pacing token bucket, which
-//!   converts reserve pressure (`gc_debt`) into small admission stalls so
-//!   bursts cannot outrun the collector into a stop-the-world fallback.
+//!   erases on their die.
 //!
-//! All three arms write byte-identical payload streams, so after a final
+//! Both arms write byte-identical payload streams, so after a final
 //! [`SsdInsider::gc_quiesce`] the full logical span must compare equal —
 //! the perf experiment doubles as a correctness differential. Foreground
 //! percentiles come from the out-of-order scheduler's host-only histograms
@@ -31,15 +28,13 @@ use insider_nand::{Geometry, KindLatency, LatencySnapshot, Lba, NandStats, SimTi
 use serde::Serialize;
 use ssd_insider::{InsiderConfig, SsdInsider};
 
-/// Which GC/pacing feature bundle an arm runs with.
+/// Which GC feature bundle an arm runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SteadyArm {
-    /// Blocking collector, no erase-suspend, no pacing.
+    /// Blocking collector, no erase-suspend.
     Blocking,
     /// Incremental engine + erase-suspend.
     Incremental,
-    /// Incremental engine + erase-suspend + write pacing.
-    Paced,
 }
 
 impl SteadyArm {
@@ -48,7 +43,6 @@ impl SteadyArm {
         match self {
             SteadyArm::Blocking => "blocking",
             SteadyArm::Incremental => "incremental",
-            SteadyArm::Paced => "paced",
         }
     }
 }
@@ -75,14 +69,10 @@ pub struct SteadyParams {
     /// slices of a tenth each, so `InsiderConfig::from_parts` does not
     /// widen it back to the 10 s default).
     pub window: SimTime,
-    /// `FtlConfig::gc_low_water_extra` for the incremental arms.
+    /// `FtlConfig::gc_low_water_extra` for the incremental arm.
     pub gc_low_water_extra: u32,
-    /// `FtlConfig::gc_step_pages` for the incremental arms.
+    /// `FtlConfig::gc_step_pages` for the incremental arm.
     pub gc_step_pages: u32,
-    /// Token-bucket rate (pages/sec of simulated time) for the paced arm.
-    pub pacing_rate: u64,
-    /// Token-bucket burst capacity (pages) for the paced arm.
-    pub pacing_burst: u64,
 }
 
 impl SteadyParams {
@@ -105,8 +95,6 @@ impl SteadyParams {
             window: SimTime::from_millis(100),
             gc_low_water_extra: 8,
             gc_step_pages: 2,
-            pacing_rate: 3_000,
-            pacing_burst: 64,
         }
     }
 
@@ -128,8 +116,6 @@ impl SteadyParams {
             window: SimTime::from_millis(40),
             gc_low_water_extra: 2,
             gc_step_pages: 4,
-            pacing_rate: 3_000,
-            pacing_burst: 32,
         }
     }
 
@@ -152,24 +138,19 @@ impl SteadyParams {
         self
     }
 
-    /// Device configuration for one arm. All arms share the out-of-order
-    /// scheduler and over-provisioning; only the GC engine, erase-suspend
-    /// and pacing knobs differ.
+    /// Device configuration for one arm. Both arms share the out-of-order
+    /// scheduler and over-provisioning; only the GC engine and
+    /// erase-suspend differ.
     pub fn arm_config(&self, arm: SteadyArm) -> InsiderConfig {
         let mut ftl = FtlConfig::new(self.geometry)
             .over_provisioning(0.25)
             .protection_window(self.window);
-        if arm != SteadyArm::Blocking {
+        if arm == SteadyArm::Incremental {
             ftl = ftl
                 .incremental_gc(true)
                 .gc_low_water_extra(self.gc_low_water_extra)
                 .gc_step_pages(self.gc_step_pages)
                 .erase_suspend(true);
-        }
-        if arm == SteadyArm::Paced {
-            ftl = ftl
-                .write_pacing(self.pacing_rate)
-                .write_pacing_burst(self.pacing_burst);
         }
         // Ten slices of a tenth of the protection window each, so the
         // derived detection window equals `self.window` exactly and
@@ -187,7 +168,7 @@ impl SteadyParams {
 /// Everything measured from one arm's run.
 #[derive(Debug, Clone, Serialize)]
 pub struct SteadyArmOutcome {
-    /// Arm label (`blocking` / `incremental` / `paced`).
+    /// Arm label (`blocking` / `incremental`).
     pub arm: &'static str,
     /// Host-only completion-latency percentiles (GC traffic excluded).
     pub host: LatencySnapshot,
@@ -201,15 +182,9 @@ pub struct SteadyArmOutcome {
     pub ftl: FtlStats,
     /// NAND counters (includes `erases_suspended` / `suspend_overhead_ns`).
     pub nand: NandStats,
-    /// Write-pacing admission stalls (zero unless pacing is armed).
-    pub pacing_stalls: u64,
-    /// Total simulated time spent in pacing stalls.
-    pub pacing_stall_ns: u64,
-    /// Reserve-pressure debt when churn ended.
-    pub final_gc_debt: f64,
 }
 
-/// The three arms plus the blocking-vs-incremental comparison block.
+/// The two arms plus their comparison block.
 #[derive(Debug, Clone, Serialize)]
 pub struct SteadyReport {
     /// Logical pages exposed by the device.
@@ -224,20 +199,14 @@ pub struct SteadyReport {
     pub blocking: SteadyArmOutcome,
     /// Incremental engine + erase-suspend.
     pub incremental: SteadyArmOutcome,
-    /// Incremental + erase-suspend + write pacing.
-    pub paced: SteadyArmOutcome,
     /// Blocking host-total p99 over incremental host-total p99 (the
     /// headline: how much foreground tail the incremental engine removed).
     pub p99_ratio: f64,
-    /// Blocking host-total p99 over paced host-total p99.
-    pub paced_p99_ratio: f64,
     /// Blocking GC-pause p99 over incremental GC-pause p99.
     pub pause_p99_ratio: f64,
     /// Incremental churn throughput over blocking churn throughput.
     pub throughput_ratio: f64,
-    /// Paced churn throughput over blocking churn throughput.
-    pub paced_throughput_ratio: f64,
-    /// Whether all three arms converged to byte-identical logical contents
+    /// Whether both arms converged to byte-identical logical contents
     /// after a final GC quiesce.
     pub contents_identical: bool,
 }
@@ -282,7 +251,7 @@ fn run_arm(params: &SteadyParams, arm: SteadyArm) -> (SteadyArmOutcome, Vec<Opti
     }
 
     dev.sync();
-    let host = dev.host_latency_snapshot().unwrap_or_default();
+    let host = dev.ftl().host_latency_snapshot();
     let gc_pause = dev.gc_pause_latency();
     let churn_makespan_ns = dev.nand_busy_ns().1.saturating_sub(fill_makespan);
     let churn_pages_per_sec = if churn_makespan_ns == 0 {
@@ -290,8 +259,6 @@ fn run_arm(params: &SteadyParams, arm: SteadyArm) -> (SteadyArmOutcome, Vec<Opti
     } else {
         params.churn_writes as f64 * 1e9 / churn_makespan_ns as f64
     };
-    let (pacing_stalls, pacing_stall_ns) = dev.pacing_stats();
-    let final_gc_debt = dev.gc_debt();
     let ftl = *dev.ftl_stats();
 
     dev.gc_quiesce().expect("final GC quiesce failed");
@@ -309,9 +276,6 @@ fn run_arm(params: &SteadyParams, arm: SteadyArm) -> (SteadyArmOutcome, Vec<Opti
             churn_pages_per_sec,
             ftl,
             nand,
-            pacing_stalls,
-            pacing_stall_ns,
-            final_gc_debt,
         },
         contents,
     )
@@ -333,14 +297,13 @@ fn ratio_f(numer: f64, denom: f64) -> f64 {
     }
 }
 
-/// Runs all three arms over the identical operation stream and assembles
+/// Runs both arms over the identical operation stream and assembles
 /// the comparison report.
 pub fn run_steady(params: &SteadyParams) -> SteadyReport {
     let (blocking, base_contents) = run_arm(params, SteadyArm::Blocking);
     let (incremental, inc_contents) = run_arm(params, SteadyArm::Incremental);
-    let (paced, paced_contents) = run_arm(params, SteadyArm::Paced);
 
-    let contents_identical = base_contents == inc_contents && base_contents == paced_contents;
+    let contents_identical = base_contents == inc_contents;
     let logical = base_contents.len() as u64;
     let fill = ((logical as f64 * params.fill_fraction) as u64).clamp(1, logical);
 
@@ -350,16 +313,13 @@ pub fn run_steady(params: &SteadyParams) -> SteadyReport {
         churn_writes: params.churn_writes,
         hot_span: params.hot_span.clamp(1, fill),
         p99_ratio: ratio_ns(blocking.host.total.p99_ns, incremental.host.total.p99_ns),
-        paced_p99_ratio: ratio_ns(blocking.host.total.p99_ns, paced.host.total.p99_ns),
         pause_p99_ratio: ratio_ns(blocking.gc_pause.p99_ns, incremental.gc_pause.p99_ns),
         throughput_ratio: ratio_f(
             incremental.churn_pages_per_sec,
             blocking.churn_pages_per_sec,
         ),
-        paced_throughput_ratio: ratio_f(paced.churn_pages_per_sec, blocking.churn_pages_per_sec),
         blocking,
         incremental,
-        paced,
         contents_identical,
     }
 }

@@ -34,13 +34,17 @@ fn touched_span(trace: &Trace) -> u64 {
         .unwrap_or(0)
 }
 
-/// Reads the full logical contents of `[0, span)` in 256-page extents.
-fn contents(ftl: &mut dyn Ftl, span: u64, now: SimTime) -> Vec<Option<Bytes>> {
+/// Reads the full logical contents of `[0, span)` in 256-page extents,
+/// each through `read_extent(lba, len)` of an FTL or a device.
+fn contents(
+    span: u64,
+    mut read_extent: impl FnMut(Lba, u32) -> Vec<Option<Bytes>>,
+) -> Vec<Option<Bytes>> {
     let mut out = Vec::with_capacity(span as usize);
     let mut lba = 0;
     while lba < span {
         let chunk = 256.min(span - lba) as u32;
-        out.extend(ftl.read_extent(Lba::new(lba), chunk, now).unwrap());
+        out.extend(read_extent(Lba::new(lba), chunk));
         lba += chunk as u64;
     }
     out
@@ -58,8 +62,8 @@ fn extent_and_scalarized_replays_leave_identical_device_contents() {
         let span = touched_span(&trace);
         let t = trace.duration();
         assert_eq!(
-            contents(&mut extent, span, t),
-            contents(&mut scalar, span, t),
+            contents(span, |lba, len| extent.read_extent(lba, len, t).unwrap()),
+            contents(span, |lba, len| scalar.read_extent(lba, len, t).unwrap()),
             "{name}: logical contents diverge"
         );
         assert_eq!(
@@ -137,8 +141,12 @@ fn mid_trace_alarm_recovers_identically_for_extents_and_their_decomposition() {
 
     let span = touched_span(&trace);
     assert_eq!(
-        contents(&mut extent, span, confirm_at),
-        contents(&mut scalar, span, confirm_at),
+        contents(span, |lba, len| extent
+            .read_extent(lba, len, confirm_at)
+            .unwrap()),
+        contents(span, |lba, len| scalar
+            .read_extent(lba, len, confirm_at)
+            .unwrap()),
         "post-rollback contents diverge"
     );
 }

@@ -26,7 +26,7 @@ use insider_bench::{
     SteadyParams,
 };
 use insider_detect::{IoMode, IoReq};
-use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
+use insider_ftl::{FtlConfig, InsiderFtl};
 use insider_nand::{Lba, NandDevice, NandStats, OobRecord, PageState, Ppa, SimTime};
 use insider_workloads::Trace;
 
@@ -112,9 +112,7 @@ fn at_queue_depth_one(config: &FtlConfig) -> FtlConfig {
         .record_gc_victims(config.gc_victim_recording())
         .incremental_gc(config.incremental_gc_enabled())
         .gc_low_water_extra(config.gc_low_water_extra_blocks())
-        .gc_step_pages(config.gc_step_budget_pages())
-        .write_pacing(config.write_pacing_rate())
-        .write_pacing_burst(config.write_pacing_burst_pages());
+        .gc_step_pages(config.gc_step_budget_pages());
     // A setting this rebuild did not carry over would show in the `Debug`
     // text; only the depth (every input runs the default 32) may differ.
     let expected = format!("{:?}", config.clone().erase_suspend(true))

@@ -117,12 +117,10 @@ impl Console {
         let ftl = self.device.ftl_stats();
         let nand = self.device.nand_stats();
         let pause = self.device.gc_pause_latency();
-        let (pacing_stalls, pacing_stall_ns) = self.device.pacing_stats();
         format!(
             "state: {}  score: {}/{}  t: {}  writes: {}  WA: {:.3}\n\
              gc: {} collections, {} steps, {} stw fallbacks, pause p99 {:.3} ms\n\
-             tail: {} erases suspended, {} gc-stalled cmds, {} pacing stalls \
-             ({:.3} ms waited)",
+             tail: {} erases suspended, {} gc-stalled cmds",
             self.device.state(),
             self.device.score(),
             self.device.detector().config().window_slices,
@@ -135,8 +133,6 @@ impl Console {
             pause.p99_ns as f64 / 1e6,
             nand.erases_suspended,
             nand.gc_stalled_cmds,
-            pacing_stalls,
-            pacing_stall_ns as f64 / 1e6,
         )
     }
 
@@ -407,8 +403,7 @@ mod tests {
             s.contains("gc: 0 collections, 0 steps, 0 stw fallbacks"),
             "{s}"
         );
-        assert!(s.contains("0 erases suspended"), "{s}");
-        assert!(s.contains("0 pacing stalls"), "{s}");
+        assert!(s.contains("0 erases suspended, 0 gc-stalled cmds"), "{s}");
 
         // A tiny drive with a short protection window: churn overwrites
         // (ticking the clock past the window so backups expire) until the

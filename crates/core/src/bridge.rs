@@ -196,7 +196,6 @@ mod tests {
         fs.write_file("doc", b"buffer me").unwrap();
         // Re-reads of a resident file are cache hits — the device sees no
         // new read traffic.
-        use insider_ftl::Ftl as _;
         let reads_before = fs.dev_mut().inner().device().ftl().stats().host_reads;
         for _ in 0..5 {
             assert_eq!(fs.read_file("doc").unwrap(), b"buffer me");

@@ -2,16 +2,15 @@
 
 use crate::config::InsiderConfig;
 use crate::events::{DeviceEvent, EventLog};
-use crate::pacing::PacingBucket;
 use crate::state::{Command, DeviceState, Lifecycle};
 use crate::timing::IoTiming;
-use crate::{DeviceError, Result};
+use crate::Result;
 use bytes::Bytes;
 use insider_detect::{
     payload_entropy_milli, DecisionTree, Detector, IoMode, IoReq, Verdict, ENTROPY_SAMPLE_BYTES,
 };
-use insider_ftl::{Ftl, FtlError, FtlStats, GcVictim, InsiderFtl, RollbackReport};
-use insider_nand::{Lba, NandStats, SimTime};
+use insider_ftl::{Ftl, FtlError, FtlStats, InsiderFtl, RollbackReport};
+use insider_nand::{LatencySnapshot, Lba, NandStats, SimTime};
 
 /// An SSD with SSD-Insider firmware: a delayed-deletion FTL plus the inline
 /// ransomware detector.
@@ -30,16 +29,11 @@ pub struct SsdInsider {
     timing: IoTiming,
     detect_enabled: bool,
     events: EventLog,
-    pacing: PacingBucket,
 }
 
 impl SsdInsider {
     /// Builds the device with a trained decision tree.
     pub fn new(config: InsiderConfig, tree: DecisionTree) -> Self {
-        let pacing = PacingBucket::new(
-            config.ftl().write_pacing_rate(),
-            config.ftl().write_pacing_burst_pages(),
-        );
         SsdInsider {
             ftl: InsiderFtl::new(config.ftl().clone()),
             detector: Detector::new(*config.detector(), tree),
@@ -47,7 +41,6 @@ impl SsdInsider {
             timing: IoTiming::new(),
             detect_enabled: true,
             events: EventLog::new(),
-            pacing,
         }
     }
 
@@ -89,27 +82,22 @@ impl SsdInsider {
     }
 
     /// Drains the NAND command scheduler so every queued command's latency
-    /// is folded into the histograms (see [`Ftl::sync`]).
+    /// is folded into the histograms (see [`InsiderFtl::sync`]).
     pub fn sync(&mut self) {
         self.ftl.sync();
     }
 
     /// Per-command completion-latency percentiles from the NAND command
-    /// scheduler. Always `Some`.
-    pub fn latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
+    /// scheduler.
+    pub fn latency_snapshot(&self) -> LatencySnapshot {
         self.ftl.latency_snapshot()
     }
 
     /// Latency percentiles over host-issued NAND commands only (GC-internal
-    /// traffic excluded). Always `Some`.
-    pub fn host_latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        self.ftl.host_latency_snapshot()
-    }
-
-    /// Normalized GC debt in `[0, 1]` (see [`Ftl::gc_debt`]); drives the
-    /// write-pacing refill rate.
-    pub fn gc_debt(&self) -> f64 {
-        self.ftl.gc_debt()
+    /// traffic excluded). Always `Some`; the `Option` stays until the
+    /// benchmark harness, which unwraps it, stops doing so.
+    pub fn host_latency_snapshot(&self) -> Option<LatencySnapshot> {
+        Some(self.ftl.host_latency_snapshot())
     }
 
     /// Percentiles of foreground GC pause time — the simulated NAND busy
@@ -131,9 +119,10 @@ impl SsdInsider {
     }
 
     /// Write-pacing counters: `(stalled writes, total injected delay ns)`.
-    /// Both zero when pacing is disabled (the default).
+    /// Always `(0, 0)`: the drive paces no writes, it only refuses them
+    /// while read-only.
     pub fn pacing_stats(&self) -> (u64, u64) {
-        (self.pacing.stalls(), self.pacing.stall_ns())
+        (0, 0)
     }
 
     /// Software-path timing accumulators (paper Fig. 8).
@@ -282,13 +271,6 @@ impl SsdInsider {
     /// Writes `data.len()` consecutive logical pages as one extent: one
     /// detector header, one batched FTL/NAND dispatch, one timing sample.
     ///
-    /// When write pacing is configured (`FtlConfig::write_pacing`), the
-    /// extent first passes the token bucket: the detector still sees the
-    /// request at its arrival time `now` (pacing delays service, not
-    /// arrival), but the FTL dispatch is stamped with the bucket's
-    /// admission time, so backup-entry timestamps and protection windows
-    /// reflect the throttled schedule.
-    ///
     /// # Errors
     ///
     /// Fails if the device is recovered/read-only, the extent exceeds the
@@ -302,12 +284,6 @@ impl SsdInsider {
             IoReq::new(now, lba, IoMode::Write, data.len() as u32)
                 .with_entropy_milli(Self::extent_entropy_milli(data))
         });
-        let now = if self.pacing.enabled() {
-            self.pacing
-                .admit(data.len() as u64, now, self.ftl.gc_debt())
-        } else {
-            now
-        };
         let (out, ftl_ns) = IoTiming::time(|| self.ftl.write_extent(lba, data, now));
         self.timing.write_ops += data.len() as u64;
         self.timing.ftl_write_ns += ftl_ns;
@@ -350,12 +326,13 @@ impl SsdInsider {
     ///
     /// # Errors
     ///
-    /// Fails with [`DeviceError::WrongState`] unless an alarm is pending,
-    /// and propagates FTL bookkeeping failures. On such a failure the
-    /// device enters [`DeviceState::RecoveryFailed`]: read-only, because
-    /// writes to a partially rolled-back drive would destroy recoverable
-    /// data, and with no retry, because the rollback consumed the recovery
-    /// queue before it failed. Only a reboot leaves that state.
+    /// Fails with [`DeviceError::WrongState`](crate::DeviceError::WrongState)
+    /// unless an alarm is pending, and propagates FTL bookkeeping failures.
+    /// On such a failure the device enters [`DeviceState::RecoveryFailed`]:
+    /// read-only, because writes to a partially rolled-back drive would
+    /// destroy recoverable data, and with no retry, because the rollback
+    /// consumed the recovery queue before it failed. Only a reboot leaves
+    /// that state.
     pub fn confirm_and_recover(&mut self, now: SimTime) -> Result<RollbackReport> {
         // Either outcome needs a pending alarm: ask before the FTL acts.
         self.lifecycle
@@ -373,7 +350,8 @@ impl SsdInsider {
     ///
     /// # Errors
     ///
-    /// Fails with [`DeviceError::WrongState`] unless an alarm is pending.
+    /// Fails with [`DeviceError::WrongState`](crate::DeviceError::WrongState)
+    /// unless an alarm is pending.
     pub fn dismiss_alarm(&mut self) -> Result<()> {
         self.transition(Command::Dismiss)?;
         // The user judged the evidence benign: spend it.
@@ -387,8 +365,8 @@ impl SsdInsider {
     ///
     /// # Errors
     ///
-    /// Fails with [`DeviceError::WrongState`] unless the device is
-    /// recovered or its recovery failed.
+    /// Fails with [`DeviceError::WrongState`](crate::DeviceError::WrongState)
+    /// unless the device is recovered or its recovery failed.
     pub fn reboot(&mut self) -> Result<()> {
         self.transition(Command::Reboot)?;
         self.detector.reset_votes();
@@ -426,85 +404,10 @@ impl SsdInsider {
     }
 }
 
-/// A device error as the block interface reports it. Only the lifecycle
-/// commands return [`DeviceError::WrongState`]; a block operation drops an
-/// alarm the lifecycle refuses.
-fn ftl_error(e: DeviceError) -> FtlError {
-    match e {
-        DeviceError::Ftl(f) => f,
-        DeviceError::WrongState { .. } => unreachable!("block I/O returns no WrongState"),
-    }
-}
-
-/// `SsdInsider` exposes the same host-facing block interface as the raw
-/// FTLs, so experiment harnesses can swap a monitored device in anywhere a
-/// plain FTL is accepted. Every operation flows through the inline detector.
-impl Ftl for SsdInsider {
-    fn read_extent(
-        &mut self,
-        lba: Lba,
-        len: u32,
-        now: SimTime,
-    ) -> insider_ftl::Result<Vec<Option<Bytes>>> {
-        SsdInsider::read_extent(self, lba, len, now).map_err(ftl_error)
-    }
-
-    fn write_extent(&mut self, lba: Lba, data: &[Bytes], now: SimTime) -> insider_ftl::Result<()> {
-        SsdInsider::write_extent(self, lba, data, now).map_err(ftl_error)
-    }
-
-    fn trim_extent(&mut self, lba: Lba, len: u32, now: SimTime) -> insider_ftl::Result<()> {
-        SsdInsider::trim_extent(self, lba, len, now).map_err(ftl_error)
-    }
-
-    fn power_cut(&mut self, now: SimTime) -> insider_ftl::Result<()> {
-        SsdInsider::power_cut(self, now).map_err(ftl_error)
-    }
-
-    fn sync(&mut self) {
-        SsdInsider::sync(self);
-    }
-
-    fn latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        SsdInsider::latency_snapshot(self)
-    }
-
-    fn host_latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        SsdInsider::host_latency_snapshot(self)
-    }
-
-    fn gc_debt(&self) -> f64 {
-        SsdInsider::gc_debt(self)
-    }
-
-    fn stats(&self) -> &FtlStats {
-        self.ftl_stats()
-    }
-
-    fn nand_stats(&self) -> &NandStats {
-        SsdInsider::nand_stats(self)
-    }
-
-    fn logical_pages(&self) -> u64 {
-        SsdInsider::logical_pages(self)
-    }
-
-    fn utilization(&self) -> f64 {
-        self.ftl.utilization()
-    }
-
-    fn wear_summary(&self) -> (u32, u32, f64) {
-        self.ftl.wear_summary()
-    }
-
-    fn gc_victims(&self) -> &[GcVictim] {
-        self.ftl.gc_victims()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DeviceError;
     use insider_nand::Geometry;
 
     fn device() -> SsdInsider {
@@ -873,73 +776,23 @@ mod tests {
     }
 
     #[test]
-    fn pacing_throttles_a_write_burst() {
-        let ftl = insider_ftl::FtlConfig::new(Geometry::tiny())
-            .write_pacing(1_000)
-            .write_pacing_burst(4);
-        let cfg = InsiderConfig::from_parts(ftl, *InsiderConfig::new(Geometry::tiny()).detector());
-        let mut ssd = SsdInsider::new(cfg, DecisionTree::stump(0, 0.5));
-        // 32 back-to-back single-page writes at t=0 against a 4-page burst
-        // at 1000 pages/s: the bucket must inject delay.
-        for i in 0..32u64 {
-            ssd.write(Lba::new(i), Bytes::from_static(b"d"), SimTime::ZERO)
-                .unwrap();
-        }
-        let (stalls, stall_ns) = ssd.pacing_stats();
-        assert!(stalls >= 28, "expected most writes stalled, got {stalls}");
-        // 28 deficit pages at 1000 pages/s is 28 ms of injected delay.
-        assert_eq!(stall_ns, 28_000_000);
-    }
-
-    #[test]
-    fn gc_debt_surfaces_through_the_device() {
+    fn incremental_churn_keeps_the_device_writable() {
         let ftl = insider_ftl::FtlConfig::new(Geometry::tiny()).incremental_gc(true);
         let cfg = InsiderConfig::from_parts(ftl, *InsiderConfig::new(Geometry::tiny()).detector());
         let mut ssd = SsdInsider::new(cfg, DecisionTree::stump(0, 0.5));
         // Pure GC churn test: keep the detector from freezing retirement.
         ssd.set_detection(false);
-        assert_eq!(ssd.gc_debt(), 0.0);
         // Churn a 64-page hot set slowly enough (200 ms/write against the
         // 10 s protection window) that old versions keep expiring; the free
-        // pool shrinks under churn, debt stays in range, and the device
-        // stays writable throughout.
+        // pool shrinks under churn and the device stays writable throughout.
         let mut t = SimTime::from_secs(1);
-        for round in 0..10u64 {
+        for _ in 0..10u64 {
             for i in 0..64u64 {
                 ssd.write(Lba::new(i), Bytes::from_static(b"v"), t).unwrap();
                 t += SimTime::from_millis(200);
             }
-            let debt = ssd.gc_debt();
-            assert!((0.0..=1.0).contains(&debt), "round {round}: debt {debt}");
         }
         ssd.gc_quiesce().unwrap();
         assert!(ssd.gc_pause_latency().count > 0 || ssd.ftl_stats().gc_steps > 0);
-    }
-
-    /// The block interface reports what the device reports: a harness
-    /// holding `&mut dyn Ftl` sees the real GC debt and host latencies.
-    #[test]
-    fn the_block_interface_forwards_gc_debt_and_host_latency() {
-        let ftl = insider_ftl::FtlConfig::new(Geometry::tiny()).incremental_gc(true);
-        let cfg = InsiderConfig::from_parts(ftl, *InsiderConfig::new(Geometry::tiny()).detector());
-        let mut ssd = SsdInsider::new(cfg, DecisionTree::stump(0, 0.5));
-        ssd.set_detection(false);
-        // A 150-page hot set plus a window's worth of protected pre-images
-        // fill the 256-page drive past the incremental watermark.
-        let mut t = SimTime::from_secs(1);
-        let mut peak = 0.0f64;
-        for _ in 0..10 {
-            for i in 0..150u64 {
-                ssd.write(Lba::new(i), Bytes::from_static(b"v"), t).unwrap();
-                t += SimTime::from_millis(200);
-                assert_eq!(<SsdInsider as Ftl>::gc_debt(&ssd), ssd.gc_debt());
-                peak = peak.max(<SsdInsider as Ftl>::gc_debt(&ssd));
-            }
-        }
-        assert!(
-            peak > 0.0,
-            "the churn never put the pool under the watermark"
-        );
-        assert!(<SsdInsider as Ftl>::host_latency_snapshot(&ssd).is_some());
     }
 }

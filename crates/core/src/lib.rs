@@ -63,7 +63,6 @@ mod device;
 pub mod dram;
 mod error;
 mod events;
-mod pacing;
 mod state;
 mod timing;
 
@@ -73,7 +72,6 @@ pub use device::SsdInsider;
 pub use dram::DramUsage;
 pub use error::DeviceError;
 pub use events::{DeviceEvent, EventLog, EVENT_CAPACITY};
-pub use pacing::PacingBucket;
 pub use state::DeviceState;
 pub use timing::{IoTiming, TimingSummary};
 

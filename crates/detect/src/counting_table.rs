@@ -321,15 +321,6 @@ impl CountingTable {
     pub fn entry_covering(&self, lba: Lba) -> Option<&Entry> {
         self.run_covering(lba).map(|id| &self.entries[&id])
     }
-
-    /// Approximate DRAM an on-device implementation would need, in bytes:
-    /// 12 bytes per table entry plus 42 bytes per index node, the paper's
-    /// Table III unit sizes. The interval index holds one node per *run*
-    /// (not per covered LBA as the paper's per-LBA hash does), so this is
-    /// O(runs) where a per-LBA layout is O(covered blocks).
-    pub fn dram_bytes(&self) -> usize {
-        self.entries.len() * 12 + self.index.len() * 42
-    }
 }
 
 #[cfg(test)]
@@ -476,9 +467,10 @@ mod tests {
         for i in 0..10 {
             t.record_read(l(i), 0);
         }
-        // One run of 10 blocks: 1 entry * 12 + 1 index node * 42 — the
-        // per-LBA layout needed 10 slots * 42 for the same coverage.
-        assert_eq!(t.dram_bytes(), 12 + 42);
+        // One run of 10 blocks: one entry and one index node, which the
+        // Table III bill (`ssd_insider::dram`) charges — the per-LBA layout
+        // needed 10 index slots for the same coverage.
+        assert_eq!(t.len(), 1);
         assert_eq!(t.indexed_blocks(), 10);
         assert_eq!(t.index_nodes(), 1);
     }

@@ -31,8 +31,6 @@ pub struct FtlConfig {
     incremental_gc: bool,
     gc_low_water_extra: u32,
     gc_step_pages: u32,
-    write_pacing_pages_per_sec: u64,
-    write_pacing_burst: u64,
 }
 
 impl FtlConfig {
@@ -53,8 +51,6 @@ impl FtlConfig {
             incremental_gc: false,
             gc_low_water_extra: 2,
             gc_step_pages: 4,
-            write_pacing_pages_per_sec: 0,
-            write_pacing_burst: 32,
         }
     }
 
@@ -162,38 +158,6 @@ impl FtlConfig {
     pub fn erase_suspend(mut self, enabled: bool) -> Self {
         self.nand = self.nand.erase_suspend(enabled);
         self
-    }
-
-    /// Enables write pacing: the device-level write path drains a token
-    /// bucket refilled at `pages_per_sec` (scaled down as GC debt rises)
-    /// and stalls foreground programs once the bucket runs dry, smoothing
-    /// the latency tail instead of slamming into the reserve wall.
-    /// `0` (the default) disables pacing.
-    pub fn write_pacing(mut self, pages_per_sec: u64) -> Self {
-        self.write_pacing_pages_per_sec = pages_per_sec;
-        self
-    }
-
-    /// The pacing refill rate in pages per second (`0` = disabled).
-    pub fn write_pacing_rate(&self) -> u64 {
-        self.write_pacing_pages_per_sec
-    }
-
-    /// Sets the pacing token-bucket capacity in pages (default 32): bursts
-    /// up to this size pass unthrottled even at full debt.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pages` is zero.
-    pub fn write_pacing_burst(mut self, pages: u64) -> Self {
-        assert!(pages >= 1, "pacing burst must be at least one page");
-        self.write_pacing_burst = pages;
-        self
-    }
-
-    /// The pacing token-bucket capacity, in pages.
-    pub fn write_pacing_burst_pages(&self) -> u64 {
-        self.write_pacing_burst
     }
 
     /// The NAND configuration.
@@ -316,21 +280,5 @@ mod tests {
         assert!(!cfg.nand().erase_suspend_enabled());
         let cfg = cfg.erase_suspend(true);
         assert!(cfg.nand().erase_suspend_enabled());
-    }
-
-    #[test]
-    fn write_pacing_knobs() {
-        let cfg = FtlConfig::new(Geometry::tiny());
-        assert_eq!(cfg.write_pacing_rate(), 0);
-        assert_eq!(cfg.write_pacing_burst_pages(), 32);
-        let cfg = cfg.write_pacing(10_000).write_pacing_burst(8);
-        assert_eq!(cfg.write_pacing_rate(), 10_000);
-        assert_eq!(cfg.write_pacing_burst_pages(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one page")]
-    fn zero_pacing_burst_panics() {
-        FtlConfig::new(Geometry::tiny()).write_pacing_burst(0);
     }
 }

@@ -13,7 +13,9 @@ use crate::traits::Ftl;
 use crate::{FtlError, FtlStats, GcVictim, Result};
 use bytes::Bytes;
 use gc::GcJob;
-use insider_nand::{LatencyHistogram, Lba, NandDevice, NandStats, PageState, Pba, Ppa, SimTime};
+use insider_nand::{
+    LatencyHistogram, LatencySnapshot, Lba, NandDevice, NandStats, PageState, Pba, Ppa, SimTime,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use victim::Blocks;
@@ -354,6 +356,60 @@ impl InsiderFtl {
         );
         Ok(())
     }
+
+    /// Drains the device command scheduler: every queued command is
+    /// finalized and folded into the latency histograms. Call before
+    /// reading a [`latency_snapshot`](Self::latency_snapshot) so in-flight
+    /// tails are not silently dropped.
+    pub fn sync(&mut self) {
+        self.device.sync();
+    }
+
+    /// Per-command completion-latency percentiles from the device command
+    /// scheduler.
+    pub fn latency_snapshot(&self) -> LatencySnapshot {
+        self.device.latency_snapshot()
+    }
+
+    /// Latency percentiles over *host-issued* commands only — GC-internal
+    /// reads, programs and erases excluded.
+    pub fn host_latency_snapshot(&self) -> LatencySnapshot {
+        self.device.host_latency_snapshot()
+    }
+
+    /// FTL-level statistics (host ops, GC cost).
+    pub fn stats(&self) -> &FtlStats {
+        &self.stats
+    }
+
+    /// NAND-level statistics (device ops, simulated busy time).
+    pub fn nand_stats(&self) -> &NandStats {
+        self.device.stats()
+    }
+
+    /// Number of logical pages exported to the host.
+    pub fn logical_pages(&self) -> u64 {
+        self.mapping.len()
+    }
+
+    /// Fraction of logical pages currently mapped.
+    pub fn utilization(&self) -> f64 {
+        self.mapping.utilization()
+    }
+
+    /// Per-block wear summary: `(min, max, mean)` erase counts.
+    pub fn wear_summary(&self) -> (u32, u32, f64) {
+        self.device.wear_summary()
+    }
+
+    /// The recorded GC victim log, in selection order. Empty unless the FTL
+    /// was configured with [`FtlConfig::record_gc_victims`]; the
+    /// differential GC tests replay identical workloads under two GC
+    /// configurations (or against a recorded run) and require these logs to
+    /// match exactly.
+    pub fn gc_victims(&self) -> &[GcVictim] {
+        &self.victim_log
+    }
 }
 
 impl Ftl for InsiderFtl {
@@ -382,10 +438,6 @@ impl Ftl for InsiderFtl {
         self.program_extent_mapped(lba, data, now)
     }
 
-    fn power_cut(&mut self, now: SimTime) -> Result<()> {
-        InsiderFtl::power_cut(self, now)
-    }
-
     fn trim_extent(&mut self, lba: Lba, len: u32, now: SimTime) -> Result<()> {
         if len == 0 {
             return Ok(());
@@ -397,46 +449,6 @@ impl Ftl for InsiderFtl {
         self.check_extent(lba, len)?;
         self.tick(now);
         self.unmap_extent(lba, len, now)
-    }
-
-    fn sync(&mut self) {
-        self.device.sync();
-    }
-
-    fn latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        Some(self.device.latency_snapshot())
-    }
-
-    fn host_latency_snapshot(&self) -> Option<insider_nand::LatencySnapshot> {
-        Some(self.device.host_latency_snapshot())
-    }
-
-    fn gc_debt(&self) -> f64 {
-        InsiderFtl::gc_debt(self)
-    }
-
-    fn stats(&self) -> &FtlStats {
-        &self.stats
-    }
-
-    fn nand_stats(&self) -> &NandStats {
-        self.device.stats()
-    }
-
-    fn logical_pages(&self) -> u64 {
-        self.mapping.len()
-    }
-
-    fn utilization(&self) -> f64 {
-        self.mapping.utilization()
-    }
-
-    fn wear_summary(&self) -> (u32, u32, f64) {
-        self.device.wear_summary()
-    }
-
-    fn gc_victims(&self) -> &[GcVictim] {
-        &self.victim_log
     }
 }
 

@@ -199,20 +199,6 @@ impl InsiderFtl {
         self.gc_job.is_some()
     }
 
-    /// Normalized GC debt in `[0, 1]` (see [`Ftl::gc_debt`]): zero at or
-    /// above the incremental low watermark, rising linearly to `1.0` as
-    /// the free pool approaches exhaustion. Write pacing multiplies its
-    /// refill rate by `1 − debt`.
-    ///
-    /// [`Ftl::gc_debt`]: crate::Ftl::gc_debt
-    pub(super) fn gc_debt(&self) -> f64 {
-        let low = GC_RESERVE_BLOCKS as usize + self.config.gc_low_water_extra_blocks() as usize;
-        if self.free_count >= low || low <= 1 {
-            return 0.0;
-        }
-        (((low - self.free_count) as f64) / ((low - 1) as f64)).min(1.0)
-    }
-
     /// Per-GC-entry foreground pause percentiles (device makespan growth
     /// per GC entry, under either GC policy).
     pub fn gc_pause_latency(&self) -> KindLatency {
@@ -489,30 +475,6 @@ mod tests {
             let want: &[u8] = if i % 2 == 0 { b"v2" } else { b"v1" };
             assert_eq!(get(&mut f, Lba::new(i)).unwrap().as_ref(), want);
         }
-    }
-
-    #[test]
-    fn gc_debt_tracks_the_free_pool() {
-        let mut f = conventional(
-            FtlConfig::new(Geometry::tiny())
-                .incremental_gc(true)
-                .gc_low_water_extra(2),
-        );
-        assert_eq!(f.gc_debt(), 0.0);
-        let mut last = 0.0f64;
-        for i in 0..200u64 {
-            put(&mut f, Lba::new(i), Bytes::from_static(b"x"));
-            let debt = f.gc_debt();
-            assert!(
-                debt >= last,
-                "debt must not fall while the pool only drains"
-            );
-            assert!((0.0..=1.0).contains(&debt));
-            last = debt;
-        }
-        // 200 live pages leave at most 3 whole free blocks: below the
-        // low watermark of 4, so debt is strictly positive.
-        assert!(last > 0.0, "drained pool must report debt");
     }
 
     #[test]

@@ -22,11 +22,14 @@
 //!
 //! ## The host interface
 //!
-//! [`InsiderFtl`] implements [`Ftl`] by supplying the three extent operations —
+//! [`Ftl`] is the block interface and nothing more: [`InsiderFtl`], its one
+//! implementor, supplies the three extent operations —
 //! [`read_extent`](Ftl::read_extent), [`write_extent`](Ftl::write_extent),
-//! [`trim_extent`](Ftl::trim_extent) — and nothing else for host I/O.
-//! [`read`](Ftl::read), [`write`](Ftl::write) and [`trim`](Ftl::trim), used
-//! below, are the trait's provided one-page wrappers over them. Before a
+//! [`trim_extent`](Ftl::trim_extent) — and [`read`](Ftl::read),
+//! [`write`](Ftl::write) and [`trim`](Ftl::trim), used below, are the
+//! trait's provided one-page wrappers over them. Everything else the FTL
+//! reports — statistics, latency snapshots, wear, the GC victim log — and
+//! the power cut are inherent methods of [`InsiderFtl`]. Before a
 //! write of `n` pages, garbage collection runs until the free pool holds
 //! [`GC_RESERVE_BLOCKS`] plus `⌈n / pages_per_block⌉` blocks, whatever `n` is.
 //!
@@ -35,10 +38,11 @@
 //! [`InsiderFtl`] is one struct. Its code is split along the FTL's seams
 //! into child modules of `insider`, which share its private fields:
 //!
-//! * `insider` — the struct, retention, `tick`, `rollback` and the [`Ftl`] impl;
+//! * `insider` — the struct, retention, `tick`, `rollback`, the reporting
+//!   getters and the [`Ftl`] impl;
 //! * `insider/alloc.rs` — page allocation, extent program, read and unmap;
 //! * `insider/victim.rs` — per-block counts, the victim index and selection;
-//! * `insider/gc.rs` — the GC job, its pump, migration, erase and debt;
+//! * `insider/gc.rs` — the GC job, its pump, migration and erase;
 //! * `insider/mount.rs` — the power-on OOB scan and the queue rebuild.
 //!
 //! Beside it: [`RecoveryQueue`], [`MappingTable`], [`FtlConfig`],

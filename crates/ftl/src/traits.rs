@@ -1,15 +1,17 @@
-//! The `Ftl` trait: the host-facing block interface of the FTL and of the
-//! device built on it.
+//! The `Ftl` trait: the host-facing block interface of the FTL.
 
-use crate::{FtlStats, GcVictim, Result};
+use crate::Result;
 use bytes::Bytes;
-use insider_nand::{LatencySnapshot, Lba, NandStats, SimTime};
+use insider_nand::{Lba, SimTime};
 
-/// Host-facing interface of a flash translation layer.
+/// Host-facing block interface of a flash translation layer: three extent
+/// operations and their one-page wrappers, nothing else.
 ///
-/// [`InsiderFtl`](crate::InsiderFtl) implements this under either retention
-/// value, and so does the monitored device built on it, so experiments can
-/// drive the bare FTL or the whole device behind `&mut dyn Ftl`.
+/// [`InsiderFtl`](crate::InsiderFtl), under either retention value, is the
+/// one implementor; everything it reports beyond data (statistics, latency
+/// snapshots, wear, the GC victim log, power cuts) is an inherent method of
+/// it. The monitored device built on it has its own inherent extent
+/// methods, which feed the detector before the FTL.
 ///
 /// An implementor supplies the three extent operations — one bounds check
 /// and one mapping-table pass per request; a write is one grouped NAND
@@ -77,62 +79,4 @@ pub trait Ftl {
     fn trim(&mut self, lba: Lba, now: SimTime) -> Result<()> {
         self.trim_extent(lba, 1, now)
     }
-
-    /// Simulates a sudden power loss followed by a power-on mount.
-    ///
-    /// Every DRAM structure — the mapping table, per-block bookkeeping, the
-    /// GC victim index and (with a protection window) the recovery queue —
-    /// is dropped and rebuilt from the per-page OOB records on flash. `now`
-    /// is the power-up time, which anchors the rebuilt protection window.
-    ///
-    /// Acknowledged writes (those whose program completed before the cut)
-    /// survive; an operation interrupted by the cut is cleanly absent.
-    ///
-    /// # Errors
-    ///
-    /// Fails only on internal inconsistencies surfaced by the OOB scan.
-    fn power_cut(&mut self, now: SimTime) -> Result<()>;
-
-    /// Drains the device command scheduler: every queued command is
-    /// finalized and folded into the latency histograms. Call before
-    /// reading a [`latency_snapshot`](Ftl::latency_snapshot) so in-flight
-    /// tails are not silently dropped.
-    fn sync(&mut self);
-
-    /// Per-command completion-latency percentiles from the device command
-    /// scheduler. Always `Some` for the implementors of this workspace.
-    fn latency_snapshot(&self) -> Option<LatencySnapshot>;
-
-    /// Latency percentiles over *host-issued* commands only — GC-internal
-    /// reads, programs and erases excluded. Always `Some` for the
-    /// implementors of this workspace.
-    fn host_latency_snapshot(&self) -> Option<LatencySnapshot>;
-
-    /// Normalized garbage-collection debt in `[0, 1]`: `0.0` while the
-    /// free-block pool sits at or above the incremental-GC low watermark,
-    /// rising linearly to `1.0` as it approaches exhaustion. Write pacing
-    /// scales foreground throttling by this.
-    fn gc_debt(&self) -> f64;
-
-    /// FTL-level statistics (host ops, GC cost).
-    fn stats(&self) -> &FtlStats;
-
-    /// NAND-level statistics (device ops, simulated busy time).
-    fn nand_stats(&self) -> &NandStats;
-
-    /// Number of logical pages exported to the host.
-    fn logical_pages(&self) -> u64;
-
-    /// Fraction of logical pages currently mapped.
-    fn utilization(&self) -> f64;
-
-    /// Per-block wear summary: `(min, max, mean)` erase counts.
-    fn wear_summary(&self) -> (u32, u32, f64);
-
-    /// The recorded GC victim log, in selection order. Empty unless the FTL
-    /// was configured with `FtlConfig::record_gc_victims(true)`; the
-    /// differential GC tests replay identical workloads under two GC
-    /// configurations (or against a recorded run) and require these logs to
-    /// match exactly.
-    fn gc_victims(&self) -> &[GcVictim];
 }

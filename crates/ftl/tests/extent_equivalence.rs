@@ -130,7 +130,7 @@ proptest! {
 /// alive on the insider FTL — with reads and trims mixed in. `sugar` issues
 /// every page through `Ftl::{write, read, trim}`, the twin through the
 /// one-page extent call.
-fn gc_heavy_script(ftl: &mut dyn Ftl, sugar: bool) -> Vec<Option<Bytes>> {
+fn gc_heavy_script(ftl: &mut InsiderFtl, sugar: bool) -> Vec<Option<Bytes>> {
     let logical = ftl.logical_pages();
     let mut now = SimTime::ZERO;
     let mut reads = Vec::new();

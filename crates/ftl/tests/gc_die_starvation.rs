@@ -52,7 +52,7 @@ struct Outcome {
 /// every page against a shadow copy at the end. 50 ms per write keeps about
 /// 200 pre-images inside the insider FTL's 10 s window: protected pages are
 /// on the path, well inside the drive's slack.
-fn churn(ftl: &mut dyn Ftl) -> Outcome {
+fn churn(ftl: &mut InsiderFtl) -> Outcome {
     let filled = ftl.logical_pages() * 7 / 10;
     let hot = filled / 4;
     let mut shadow = vec![0u32; filled as usize];

@@ -87,7 +87,7 @@ struct Outcome {
 /// stays feasible) and snapshots the observable end state. The step and
 /// fallback counters and wall-clock GC time are scrubbed: the oracle
 /// compares *what* was collected, not how the work was sliced.
-fn run(ftl: &mut dyn Ftl, ops: &[Op]) -> (Outcome, SimTime) {
+fn run(ftl: &mut InsiderFtl, ops: &[Op]) -> (Outcome, SimTime) {
     let mut now = SimTime::from_secs(1);
     let mut first_error = None;
     for (i, op) in ops.iter().enumerate() {

@@ -66,7 +66,7 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// operation keeps a 10 s protection window of pre-images (~100 pages,
 /// mostly of hot overwrites) inside the drive's slack while leaving
 /// protected pages for the collector to copy.
-fn run(ftl: &mut dyn Ftl) -> u64 {
+fn run(ftl: &mut InsiderFtl) -> u64 {
     let mut now = SimTime::from_secs(1);
     for lba in 0..SPAN - HOT {
         ftl.write(Lba::new(lba), Bytes::from_static(b"cold"), now)
@@ -101,9 +101,7 @@ fn run(ftl: &mut dyn Ftl) -> u64 {
     let mut s = *ftl.stats();
     (s.gc_ns, s.gc_steps) = (0, 0);
     let n = ftl.nand_stats().clone();
-    let host = ftl
-        .host_latency_snapshot()
-        .expect("the default scheduler keeps host histograms");
+    let host = ftl.host_latency_snapshot();
     let contents = ftl.read_extent(Lba::new(0), SPAN as u32, now).unwrap();
     let observed = format!("{:?}{s:?}{n:?}{host:?}{contents:?}", ftl.gc_victims());
 
@@ -132,7 +130,7 @@ fn gc_behaviour_is_pinned() {
         let mut insider = InsiderFtl::new(config(incremental));
         let hashes = [run(&mut conventional), run(&mut insider)];
         assert!(insider.stats().gc_protected_copies > 0);
-        let fallbacks = |f: &dyn Ftl| f.stats().gc_stw_fallbacks > 0;
+        let fallbacks = |f: &InsiderFtl| f.stats().gc_stw_fallbacks > 0;
         assert_eq!(fallbacks(&conventional) && fallbacks(&insider), incremental);
         hex(hashes)
     });

@@ -13,7 +13,7 @@ fn payload(tag: u32) -> Bytes {
     Bytes::copy_from_slice(&tag.to_le_bytes())
 }
 
-fn read_tag(ftl: &mut dyn Ftl, lba: u64, now: SimTime) -> Option<u32> {
+fn read_tag(ftl: &mut InsiderFtl, lba: u64, now: SimTime) -> Option<u32> {
     ftl.read(Lba::new(lba), now)
         .unwrap()
         .map(|d| u32::from_le_bytes([d[0], d[1], d[2], d[3]]))
@@ -21,7 +21,7 @@ fn read_tag(ftl: &mut dyn Ftl, lba: u64, now: SimTime) -> Option<u32> {
 
 /// Fill to ~90 % utilization, then overwrite a rotating hot set for many
 /// rounds with time advancing, so GC cycles the whole drive repeatedly.
-fn torture(ftl: &mut dyn Ftl, hot_set: u64, rounds: u64, step_ms: u64) {
+fn torture(ftl: &mut InsiderFtl, hot_set: u64, rounds: u64, step_ms: u64) {
     let logical = ftl.logical_pages();
     let cold = (logical * 9) / 10;
     let mut model: HashMap<u64, u32> = HashMap::new();

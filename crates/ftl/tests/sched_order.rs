@@ -26,7 +26,7 @@ fn op_strategy(span: u64) -> impl Strategy<Value = Op> {
 }
 
 /// Replays the generated host ops, 40 µs apart.
-fn run_ops(ftl: &mut dyn Ftl, ops: &[Op]) {
+fn run_ops(ftl: &mut InsiderFtl, ops: &[Op]) {
     for (i, op) in ops.iter().enumerate() {
         let now = SimTime::from_micros(i as u64 * 40);
         match *op {

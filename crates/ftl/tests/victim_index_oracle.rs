@@ -59,7 +59,7 @@ fn time_of(op_index: usize) -> SimTime {
 /// may legitimately raise (and which changes nothing). 200 ms per op keeps
 /// one 10 s window of pre-images (~50 pages) inside the drive's slack, so
 /// the insider FTL stays feasible for almost any op mix the strategy draws.
-fn run(ftl: &mut dyn Ftl, ops: &[Op]) -> usize {
+fn run(ftl: &mut InsiderFtl, ops: &[Op]) -> usize {
     for (i, op) in ops.iter().enumerate() {
         let now = time_of(i);
         let result = match *op {
@@ -90,7 +90,7 @@ fn model(ops: &[Op], applied: usize) -> Vec<Option<Bytes>> {
     pages
 }
 
-fn contents(ftl: &mut dyn Ftl, now: SimTime) -> Vec<Option<Bytes>> {
+fn contents(ftl: &mut InsiderFtl, now: SimTime) -> Vec<Option<Bytes>> {
     ftl.read_extent(Lba::new(0), SPAN as u32, now).unwrap()
 }
 

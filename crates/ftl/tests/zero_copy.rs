@@ -18,7 +18,7 @@ fn secs(s: u64) -> SimTime {
 /// retires old backup entries so the SSD-Insider FTL's collection never
 /// starves on protection. Returns a pinned payload written up front whose
 /// relocation chain can be checked for aliasing.
-fn churn_until_gc_copies(f: &mut dyn Ftl) -> Bytes {
+fn churn_until_gc_copies(f: &mut InsiderFtl) -> Bytes {
     let precious = Bytes::from_static(b"pinned across relocation");
     f.write(Lba::new(40), precious.clone(), secs(0)).unwrap();
     let mut i = 0u64;

@@ -34,7 +34,7 @@ fn payload(tag: u64) -> Bytes {
 /// randomized hot overwrites (50 writes/s over an 800-page hot set, so a
 /// pre-image's age when garbage collection reaches it is a broad mix of
 /// "retired" and "still protected").
-fn run(ftl: &mut dyn Ftl) {
+fn run(ftl: &mut InsiderFtl) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
     let logical = ftl.logical_pages();
     let cold = (logical as f64 * 0.80) as u64;

@@ -38,7 +38,7 @@ fn payload(tag: u16) -> Bytes {
     Bytes::copy_from_slice(&tag.to_le_bytes())
 }
 
-fn check_model(ftl: &mut dyn Ftl, ops: &[Op]) -> Result<(), TestCaseError> {
+fn check_model(ftl: &mut InsiderFtl, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut model: HashMap<u8, u16> = HashMap::new();
     let mut now = SimTime::ZERO;
     for op in ops {
