@@ -11,7 +11,7 @@
 #                      leave out only `vendored/*`, the offline dependency
 #                      stand-ins.
 #   make ci          — the full offline CI gate (what .github/workflows/ci.yml
-#                      runs): tier1, then the benchmark package built
+#                      runs): clock-guard, tier1, then the benchmark package built
 #                      against the tree (`benchmark/` is a crate no product
 #                      PR edits, so an API deletion that breaks it fails
 #                      here, in the first minutes), rustfmt check, clippy
@@ -49,6 +49,12 @@
 #                      its result line says correct, no failed operation and
 #                      `write_amp` < 2 (1.155 with score-first victim
 #                      selection, 11.2 with the chip-first order it replaced).
+#   make clock-guard — fails if `std::time` appears under the src/ of a
+#                      crate that must read no wall clock (CLOCK_FREE
+#                      below): product statistics are sim and count values,
+#                      and wall time is measured by the harness (fig8,
+#                      benchmark/). `ftl` joins the list once
+#                      `FtlStats::gc_ns` is gone.
 #   make test        — alias of tier-1's `cargo test -q` (same suite).
 #   make bench       — criterion micro-benchmarks.
 #   make crash-sweep — exhaustive stride-1 power-loss sweep: every
@@ -90,14 +96,14 @@ CARGO ?= cargo
 CI_SWEEP_ENV = CRASH_SWEEP_STRIDE=41 CRASH_SWEEP_PAGES=160 CRASH_SWEEP_FS_POINTS=6
 CI_ROC_ENV = ROC_TRACES=1
 
-.PHONY: tier1 ci gc-guard test bench crash-sweep bench-roc bench-steady
+.PHONY: tier1 ci clock-guard gc-guard test bench crash-sweep bench-roc bench-steady
 
 tier1:
 	$(CARGO) build --release
 	$(CARGO) test -q
 	$(CARGO) clippy --release --workspace -- -D warnings
 
-ci: tier1
+ci: clock-guard tier1
 	cd benchmark && $(CARGO) build --release --offline
 	$(CARGO) fmt --all -- --check
 	$(CARGO) clippy --release --workspace --all-targets -- -D warnings
@@ -121,6 +127,16 @@ ci: tier1
 	cd benchmark && $(CARGO) test --release --offline
 	bash benchmark/run.sh --quick
 	$(MAKE) gc-guard
+
+CLOCK_FREE = nand detect core fs workloads
+
+clock-guard:
+	@hits="$$(grep -rn 'std::time' $(CLOCK_FREE:%=crates/%/src))"; \
+	if [ -n "$$hits" ]; then \
+		echo "$$hits"; \
+		echo "clock-guard: crates $(CLOCK_FREE) must read no wall clock (std::time under src/); time it from the harness" >&2; \
+		exit 1; \
+	fi
 
 gc-guard:
 	@line="$$(bash benchmark/run.sh --workload dev-churn-gc --seed 1 --seconds 1 --trace 0 | tail -n 1)"; \

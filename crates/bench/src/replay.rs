@@ -2,13 +2,14 @@
 
 use bytes::Bytes;
 use insider_detect::{DecisionTree, Detector, DetectorConfig, IoMode, IoReq, Verdict};
-use insider_ftl::{Ftl, InsiderFtl};
+use insider_ftl::{Ftl, FtlStats, InsiderFtl};
 use insider_nand::{Geometry, LatencySnapshot};
 use insider_nand::{Lba, SimTime};
 use insider_workloads::{merge, AppKind, FileSpace, FileSpaceConfig, RansomwareKind, Trace};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use ssd_insider::SsdInsider;
+use ssd_insider::{InsiderConfig, SsdInsider};
+use std::time::Instant;
 
 /// Geometry of the simulated drive used by the FTL-replay experiments
 /// (Figs. 8–9): 1 GiB raw. Delayed deletion must be able to hold one full
@@ -143,6 +144,23 @@ fn payload() -> Bytes {
     Bytes::from_static(b"replayed")
 }
 
+/// Host pages of one request direction a replay applied, and the wall time
+/// the device calls that applied them took.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ModeCost {
+    /// Pages applied.
+    pub pages: u64,
+    /// Wall ns spent inside the device's extent calls.
+    pub wall_ns: u64,
+}
+
+impl ModeCost {
+    /// Mean wall ns per 4 KiB page; `None` when no page was applied.
+    pub fn ns_per_page(&self) -> Option<f64> {
+        (self.pages > 0).then(|| self.wall_ns as f64 / self.pages as f64)
+    }
+}
+
 /// What a replay actually did: blocks applied to the device vs blocks
 /// dropped because their LBAs exceeded its exported capacity. A skipped
 /// block means the trace was mis-sized for the drive — the workload it
@@ -159,13 +177,17 @@ pub struct ReplayOutcome {
     /// (empty in the `Default` value). Captured after a final sync so every
     /// queued command is finalized.
     pub latency: LatencySnapshot,
+    /// Reads, writes and trims applied by [`replay_device`], each with the
+    /// wall time of its device calls (Fig. 8), indexed by `IoMode as
+    /// usize`; see [`mode`](Self::mode). [`replay_ftl`] leaves them zero.
+    pub modes: [ModeCost; 3],
 }
 
-/// Equality deliberately ignores `latency`: outcomes are compared by what
-/// the replay *did* (applied/skipped blocks); a trace and its
-/// [`scalarized`](Trace::scalarized) form batch commands differently, so
-/// their queueing latencies legitimately differ even when their effects
-/// are identical.
+/// Equality deliberately ignores `latency` and the per-mode costs:
+/// outcomes are compared by what the replay *did* (applied/skipped
+/// blocks); a trace and its [`scalarized`](Trace::scalarized) form batch
+/// commands differently, so their queueing latencies and wall times
+/// legitimately differ even when their effects are identical.
 impl PartialEq for ReplayOutcome {
     fn eq(&self, other: &Self) -> bool {
         self.applied == other.applied && self.skipped == other.skipped
@@ -178,6 +200,11 @@ impl ReplayOutcome {
     /// Total blocks the trace asked for.
     pub fn total(&self) -> u64 {
         self.applied + self.skipped
+    }
+
+    /// The cost of one request direction.
+    pub fn mode(&self, mode: IoMode) -> ModeCost {
+        self.modes[mode as usize]
     }
 
     /// Warns on stderr when any blocks were skipped. Returns `self` so
@@ -256,6 +283,10 @@ pub fn replay_ftl(trace: &Trace, ftl: &mut InsiderFtl) -> ReplayOutcome {
 /// per-request state check is why the loop is not a plain [`replay_ftl`]
 /// delegation.
 ///
+/// Each extent call is timed with the wall clock and charged to its mode
+/// in the outcome; payload building and alarm handling stay outside the
+/// timed region.
+///
 /// # Panics
 ///
 /// Panics on device errors other than capacity exhaustion.
@@ -267,6 +298,11 @@ pub fn replay_device(trace: &Trace, device: &mut SsdInsider) -> ReplayOutcome {
         let Some((lba, fit)) = clamp_extent(req, logical, &mut outcome) else {
             continue;
         };
+        let payloads = match req.mode {
+            IoMode::Write => vec![payload(); fit as usize],
+            IoMode::Read | IoMode::Trim => Vec::new(),
+        };
+        let started = Instant::now();
         match req.mode {
             IoMode::Read => {
                 device
@@ -274,7 +310,6 @@ pub fn replay_device(trace: &Trace, device: &mut SsdInsider) -> ReplayOutcome {
                     .expect("replay read failed");
             }
             IoMode::Write => {
-                let payloads = vec![payload(); fit as usize];
                 device
                     .write_extent(lba, &payloads, req.time)
                     .expect("replay write failed");
@@ -285,6 +320,9 @@ pub fn replay_device(trace: &Trace, device: &mut SsdInsider) -> ReplayOutcome {
                     .expect("replay trim failed");
             }
         }
+        let cost = &mut outcome.modes[req.mode as usize];
+        cost.wall_ns += started.elapsed().as_nanos() as u64;
+        cost.pages += fit as u64;
         outcome.applied += fit as u64;
         if device.state() == DeviceState::Suspicious {
             device.dismiss_alarm().expect("alarm pending");
@@ -293,6 +331,33 @@ pub fn replay_device(trace: &Trace, device: &mut SsdInsider) -> ReplayOutcome {
     device.sync();
     outcome.latency = device.latency_snapshot();
     outcome.warn_if_skipped("replay_device")
+}
+
+/// One repetition of the Fig. 8 measurement: `trace` replayed on two fresh
+/// devices built from `config` and `tree`, one detecting and one with
+/// [`set_detection(false)`](SsdInsider::set_detection), in the order
+/// `on_first` picks. Returns `[on, off]`, each with its device's FTL
+/// counters. The off arm's wall time is the FTL's cost; the on arm's
+/// excess over it is SSD-Insider's.
+pub fn replay_detection_arms(
+    trace: &Trace,
+    config: &InsiderConfig,
+    tree: &DecisionTree,
+    on_first: bool,
+) -> [(ReplayOutcome, FtlStats); 2] {
+    let arm = |detect: bool| {
+        let mut device = SsdInsider::new(config.clone(), tree.clone());
+        device.set_detection(detect);
+        let outcome = replay_device(trace, &mut device);
+        (outcome, *device.ftl_stats())
+    };
+    if on_first {
+        let on = arm(true);
+        [on, arm(false)]
+    } else {
+        let off = arm(false);
+        [arm(true), off]
+    }
 }
 
 /// Fills the first `fraction` of an FTL's logical space with one write per

@@ -42,6 +42,18 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     }
 }
 
+/// Median (mean of the middle two for an even count); 0.0 when empty.
+pub fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    match n {
+        0 => 0.0,
+        _ if n % 2 == 1 => sorted[n / 2],
+        _ => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
+    }
+}
+
 /// Maximum of a slice; 0.0 when empty.
 pub fn max(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(0.0, f64::max)
@@ -56,6 +68,9 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
         assert_eq!(max(&[1.0, 9.0, 3.0]), 9.0);
+        assert_eq!(median(&[]), 0.0);
+        assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
     }
 
     #[test]

@@ -229,6 +229,14 @@ mod tests {
         let mut b = bridge(DecisionTree::constant(false));
         b.write_block(0, Bytes::from_static(b"x")).unwrap();
         let t0 = b.now();
+        let footprint = |d: &SsdInsider| {
+            (
+                *d.ftl_stats(),
+                d.nand_stats().clone(),
+                d.detector().status(),
+            )
+        };
+        let before = footprint(b.device());
         // Truncated to 32 bits this would be a successful one-block read.
         let count = u64::from(u32::MAX) + 2;
         assert!(matches!(
@@ -236,7 +244,11 @@ mod tests {
             Err(FsError::BlockOutOfRange(end)) if end == count
         ));
         assert_eq!(b.now(), t0, "a refused request takes no device time");
-        assert_eq!(b.device().timing().read_ops, 0);
+        assert_eq!(
+            footprint(b.device()),
+            before,
+            "a refused request reaches no layer"
+        );
     }
 
     #[test]
@@ -252,8 +264,8 @@ mod tests {
         );
         let got = b.read_blocks(2, 4).unwrap();
         assert!(got.iter().all(|g| g.is_some()));
-        // One timing sample per extent, but per-block op counts.
-        assert_eq!(b.device().timing().write_ops, 4);
-        assert_eq!(b.device().timing().read_ops, 4);
+        // One request per extent, per-block host counts.
+        let s = b.device().ftl_stats();
+        assert_eq!((s.host_reads, s.host_writes), (4, 4));
     }
 }

@@ -3,7 +3,6 @@
 use crate::config::InsiderConfig;
 use crate::events::{DeviceEvent, EventLog};
 use crate::state::{Command, DeviceState, Lifecycle};
-use crate::timing::IoTiming;
 use crate::Result;
 use bytes::Bytes;
 use insider_detect::{
@@ -26,7 +25,6 @@ pub struct SsdInsider {
     ftl: InsiderFtl,
     detector: Detector,
     lifecycle: Lifecycle,
-    timing: IoTiming,
     detect_enabled: bool,
     events: EventLog,
 }
@@ -38,7 +36,6 @@ impl SsdInsider {
             ftl: InsiderFtl::new(config.ftl().clone()),
             detector: Detector::new(*config.detector(), tree),
             lifecycle: Lifecycle::Normal,
-            timing: IoTiming::new(),
             detect_enabled: true,
             events: EventLog::new(),
         }
@@ -125,11 +122,6 @@ impl SsdInsider {
         (0, 0)
     }
 
-    /// Software-path timing accumulators (paper Fig. 8).
-    pub fn timing(&self) -> &IoTiming {
-        &self.timing
-    }
-
     /// The inner FTL (read-only view, for experiment instrumentation).
     pub fn ftl(&self) -> &InsiderFtl {
         &self.ftl
@@ -170,17 +162,14 @@ impl SsdInsider {
         payload_entropy_milli(&sample[..n])
     }
 
-    /// Shows the detector one request header and returns the wall time it
-    /// cost. `req` builds the header inside the timed region — for a write
-    /// that includes the entropy stamp, the detector's largest per-write
-    /// cost — and is not called at all with detection off.
-    fn feed_detector(&mut self, req: impl FnOnce() -> IoReq) -> u64 {
-        if !self.detect_enabled {
-            return 0;
+    /// Shows the detector one request header. `req` builds the header —
+    /// for a write that includes the entropy stamp, the detector's largest
+    /// per-write cost — and is not called at all with detection off.
+    fn feed_detector(&mut self, req: impl FnOnce() -> IoReq) {
+        if self.detect_enabled {
+            let verdicts = self.detector.ingest(req());
+            self.absorb_verdicts(verdicts);
         }
-        let (verdicts, ns) = IoTiming::time(|| self.detector.ingest(req()));
-        self.absorb_verdicts(verdicts);
-        ns
     }
 
     /// The FTL's admission checks for a write or trim, in the FTL's own
@@ -248,8 +237,6 @@ impl SsdInsider {
     /// Reads `len` consecutive logical pages. The detector sees ONE
     /// multi-length request header — exactly what a real block-I/O request
     /// carries — and the FTL services the whole extent as a single batch.
-    /// Timing is sampled once per extent; `read_ops` still advances by
-    /// `len` so per-4-KB averages (Fig. 8) stay comparable.
     ///
     /// # Errors
     ///
@@ -260,16 +247,12 @@ impl SsdInsider {
         }
         // Out-of-range reads are refused before the detector sees them.
         self.ftl.check_extent(lba, len)?;
-        let insider_ns = self.feed_detector(|| IoReq::new(now, lba, IoMode::Read, len));
-        let (out, ftl_ns) = IoTiming::time(|| self.ftl.read_extent(lba, len, now));
-        self.timing.read_ops += len as u64;
-        self.timing.ftl_read_ns += ftl_ns;
-        self.timing.insider_read_ns += insider_ns;
-        Ok(out?)
+        self.feed_detector(|| IoReq::new(now, lba, IoMode::Read, len));
+        Ok(self.ftl.read_extent(lba, len, now)?)
     }
 
     /// Writes `data.len()` consecutive logical pages as one extent: one
-    /// detector header, one batched FTL/NAND dispatch, one timing sample.
+    /// detector header, one batched FTL/NAND dispatch.
     ///
     /// # Errors
     ///
@@ -280,15 +263,11 @@ impl SsdInsider {
             return Ok(());
         }
         self.admit_mutation(lba, data.len() as u32)?;
-        let insider_ns = self.feed_detector(|| {
+        self.feed_detector(|| {
             IoReq::new(now, lba, IoMode::Write, data.len() as u32)
                 .with_entropy_milli(Self::extent_entropy_milli(data))
         });
-        let (out, ftl_ns) = IoTiming::time(|| self.ftl.write_extent(lba, data, now));
-        self.timing.write_ops += data.len() as u64;
-        self.timing.ftl_write_ns += ftl_ns;
-        self.timing.insider_write_ns += insider_ns;
-        Ok(out?)
+        Ok(self.ftl.write_extent(lba, data, now)?)
     }
 
     /// Unmaps `len` consecutive logical pages as one extent.
@@ -302,12 +281,8 @@ impl SsdInsider {
             return Ok(());
         }
         self.admit_mutation(lba, len)?;
-        let insider_ns = self.feed_detector(|| IoReq::new(now, lba, IoMode::Trim, len));
-        let (out, ftl_ns) = IoTiming::time(|| self.ftl.trim_extent(lba, len, now));
-        self.timing.trim_ops += len as u64;
-        self.timing.ftl_trim_ns += ftl_ns;
-        self.timing.insider_trim_ns += insider_ns;
-        Ok(out?)
+        self.feed_detector(|| IoReq::new(now, lba, IoMode::Trim, len));
+        Ok(self.ftl.trim_extent(lba, len, now)?)
     }
 
     /// Advances detection through idle time (closes elapsed slices) and
@@ -535,18 +510,16 @@ mod tests {
     }
 
     #[test]
-    fn request_header_is_built_inside_the_detector_timer_and_only_with_detection_on() {
+    fn request_header_is_built_only_with_detection_on() {
         let mut ssd = device();
-        let pause = std::time::Duration::from_millis(2);
-        let header = || {
-            std::thread::sleep(pause);
+        let built = std::cell::Cell::new(false);
+        ssd.feed_detector(|| {
+            built.set(true);
             IoReq::new(SimTime::ZERO, Lba::new(0), IoMode::Write, 1)
-        };
-        let ns = u128::from(ssd.feed_detector(header));
-        assert!(ns >= pause.as_nanos(), "the stamp must be charged");
+        });
+        assert!(built.get(), "a detecting drive stamps the header");
         ssd.set_detection(false);
-        let ns = ssd.feed_detector(|| unreachable!("no detector, no stamp"));
-        assert_eq!(ns, 0);
+        ssd.feed_detector(|| unreachable!("no detector, no stamp"));
     }
 
     #[test]
@@ -596,20 +569,20 @@ mod tests {
             t += SimTime::from_millis(100);
         }
         assert_eq!(ssd.state(), DeviceState::Normal);
-        assert_eq!(ssd.timing().summary().insider_write_ns, 0.0);
-        assert!(ssd.timing().summary().ftl_write_ns > 0.0);
+        let status = ssd.detector().status();
+        assert_eq!((status.table_entries, status.current_slice), (0, 0));
+        let s = ssd.ftl_stats();
+        assert_eq!((s.host_reads, s.host_writes), (100, 100));
     }
 
     #[test]
-    fn timing_accumulates_for_both_paths() {
+    fn host_counters_advance_for_both_paths() {
         let mut ssd = device();
         ssd.write(Lba::new(0), Bytes::from_static(b"x"), SimTime::ZERO)
             .unwrap();
         ssd.read(Lba::new(0), SimTime::ZERO).unwrap();
-        let t = ssd.timing();
-        assert_eq!(t.read_ops, 1);
-        assert_eq!(t.write_ops, 1);
-        assert!(t.ftl_write_ns > 0);
+        let s = ssd.ftl_stats();
+        assert_eq!((s.host_reads, s.host_writes, s.host_trims), (1, 1, 0));
     }
 
     #[test]
@@ -618,11 +591,9 @@ mod tests {
         ssd.write(Lba::new(0), Bytes::from_static(b"x"), SimTime::ZERO)
             .unwrap();
         ssd.trim(Lba::new(0), SimTime::ZERO).unwrap();
-        let t = ssd.timing();
-        assert_eq!(t.write_ops, 1, "trims must not count as writes");
-        assert_eq!(t.trim_ops, 1);
-        assert!(t.ftl_trim_ns > 0);
-        assert_eq!(t.summary().ftl_write_ns, t.ftl_write_ns as f64);
+        let s = ssd.ftl_stats();
+        assert_eq!(s.host_writes, 1, "trims must not count as writes");
+        assert_eq!(s.host_trims, 1);
     }
 
     #[test]
@@ -646,9 +617,8 @@ mod tests {
                 .unwrap(),
             vec![None; 8]
         );
-        let t = ssd.timing();
-        assert_eq!((t.read_ops, t.write_ops, t.trim_ops), (16, 8, 8));
-        assert_eq!(ssd.ftl_stats().host_writes, 8);
+        let s = ssd.ftl_stats();
+        assert_eq!((s.host_reads, s.host_writes, s.host_trims), (16, 8, 8));
     }
 
     #[test]
@@ -672,14 +642,21 @@ mod tests {
     #[test]
     fn empty_extents_touch_nothing() {
         let mut ssd = device();
+        let footprint = |d: &SsdInsider| {
+            (
+                *d.ftl_stats(),
+                d.nand_stats().clone(),
+                d.detector().status(),
+            )
+        };
+        let before = footprint(&ssd);
         ssd.write_extent(Lba::new(0), &[], SimTime::ZERO).unwrap();
         ssd.trim_extent(Lba::new(0), 0, SimTime::ZERO).unwrap();
         assert!(ssd
             .read_extent(Lba::new(0), 0, SimTime::ZERO)
             .unwrap()
             .is_empty());
-        let t = ssd.timing();
-        assert_eq!((t.read_ops, t.write_ops, t.trim_ops), (0, 0, 0));
+        assert_eq!(footprint(&ssd), before);
         assert_eq!(ssd.score(), 0);
     }
 

@@ -64,7 +64,6 @@ pub mod dram;
 mod error;
 mod events;
 mod state;
-mod timing;
 
 pub use bridge::{CachedFsBridge, FsBridge};
 pub use config::InsiderConfig;
@@ -73,7 +72,6 @@ pub use dram::DramUsage;
 pub use error::DeviceError;
 pub use events::{DeviceEvent, EventLog, EVENT_CAPACITY};
 pub use state::DeviceState;
-pub use timing::{IoTiming, TimingSummary};
 
 /// Convenience result alias for device operations.
 pub type Result<T> = std::result::Result<T, DeviceError>;

@@ -39,13 +39,11 @@ fn main() {
 
     let bridge = fs.into_dev();
     let ssd = bridge.device();
-    let t = ssd.timing();
+    let s = ssd.ftl_stats();
     println!("MiniExt 48 KiB file write + read-back through the extent path:");
     println!(
-        "  device ops: {} reads, {} writes ({} timing samples would have been taken per-block)",
-        t.read_ops,
-        t.write_ops,
-        t.read_ops + t.write_ops,
+        "  device pages: {} read, {} written",
+        s.host_reads, s.host_writes
     );
     let (serial, parallel) = ssd.nand_busy_ns();
     println!(
@@ -68,12 +66,11 @@ fn main() {
             .is_some_and(|b| b.as_ref() == vec![i as u8; 4096].as_slice())
     }));
 
-    let t = ssd.timing();
+    let s = ssd.ftl_stats();
     println!("\nDirect 12-block write_extent + read_extent:");
     println!(
-        "  one request header each; per-4KB software cost: write {:.0} ns, read {:.0} ns",
-        t.summary().ftl_write_ns,
-        t.summary().ftl_read_ns,
+        "  one request header each; device pages: {} read, {} written",
+        s.host_reads, s.host_writes
     );
     let (serial, parallel) = ssd.nand_busy_ns();
     println!(
