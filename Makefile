@@ -22,6 +22,8 @@
 #                      GC-torture, incremental-GC and victim-index
 #                      properties (`crash_remount`, `gc_torture`,
 #                      `gc_incremental_oracle`, `victim_index_oracle`), the
+#                      one-pass mount's differential oracle (the
+#                      `insider::mount::oracle` unit tests of insider-ftl), the
 #                      whole-stack rollback and FTL data-integrity
 #                      properties (`rollback_oracle`, `ftl_data_integrity`),
 #                      the NAND scheduler model (`sched_model`) and the
@@ -29,7 +31,7 @@
 #                      (`differential_table`) once more, each on a seed
 #                      taken from the clock (`CACHE_ORACLE_SEED`,
 #                      `QUEUE_MODEL_SEED`, `PROPTEST_RNG_SEED` — the last
-#                      shared by the nine proptest suites — echoed first
+#                      shared by the ten proptest suites — echoed first
 #                      so a failure can be replayed; tier1 already ran
 #                      their fixed seeds),
 #                      bounded crash-sweep / steady-state / ROC
@@ -116,6 +118,7 @@ ci: clock-guard tier1
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p ssd-insider --test state_machine && \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-ftl --test crash_remount --test gc_torture \
 		--test gc_incremental_oracle --test victim_index_oracle && \
+	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-ftl --lib mount::oracle && \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p ssd-insider-repro --test rollback_oracle --test ftl_data_integrity && \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-nand --test sched_model && \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-bench --test differential_table

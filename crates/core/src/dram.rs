@@ -15,14 +15,6 @@ pub const COUNTING_ENTRY_BYTES: usize = 12;
 /// Bytes per recovery-queue entry, from Table III.
 pub const QUEUE_ENTRY_BYTES: usize = RecoveryQueue::ENTRY_BYTES;
 
-/// Bytes per decoded OOB record held during the power-on mount scan: LBA
-/// (4), physical page (4), program sequence (8) and write stamp (8), with
-/// the live/backup bit folded into the sequence word. This buffer is
-/// transient — it exists only while the mount scan rebuilds the mapping
-/// table and recovery queue, then is released — so the paper's steady-state
-/// Table III budget provisions zero such entries.
-pub const OOB_SCAN_ENTRY_BYTES: usize = 24;
-
 /// DRAM footprint of the three SSD-Insider structures, in the units the
 /// paper's Table III uses (entry count × fixed entry size — what a firmware
 /// implementation would statically provision).
@@ -35,11 +27,6 @@ pub struct DramUsage {
     pub counting_entries: usize,
     /// Recovery-queue entries in use.
     pub queue_entries: usize,
-    /// OOB records decoded by the most recent power-on mount scan. This
-    /// peak-transient figure is reported separately and excluded from
-    /// [`total_bytes`](Self::total_bytes): the scan buffer is freed before
-    /// the device services its first host command.
-    pub mount_scan_entries: usize,
     /// Programs whose payload moved as a refcounted handle (the zero-copy
     /// data path). Provenance counters, not a byte bill — excluded from
     /// [`total_bytes`](Self::total_bytes).
@@ -58,7 +45,6 @@ impl DramUsage {
             hash_entries: table.index_nodes(),
             counting_entries: table.len(),
             queue_entries: device.ftl().recovery_queue().len(),
-            mount_scan_entries: device.ftl().mount_scan_entries() as usize,
             buffers_shared: nand.buffers_shared,
             buffers_copied: nand.buffers_copied,
         }
@@ -71,7 +57,6 @@ impl DramUsage {
             hash_entries: 250_000,
             counting_entries: 1_000,
             queue_entries: 2_621_440,
-            mount_scan_entries: 0,
             buffers_shared: 0,
             buffers_copied: 0,
         }
@@ -92,15 +77,7 @@ impl DramUsage {
         self.queue_entries * QUEUE_ENTRY_BYTES
     }
 
-    /// Peak transient bytes of the mount-scan buffer (not part of
-    /// [`total_bytes`](Self::total_bytes); see
-    /// [`mount_scan_entries`](Self::mount_scan_entries)).
-    pub fn mount_scan_bytes(&self) -> usize {
-        self.mount_scan_entries * OOB_SCAN_ENTRY_BYTES
-    }
-
     /// Total steady-state bytes: the three paper-provisioned structures.
-    /// The transient mount-scan buffer is excluded.
     pub fn total_bytes(&self) -> usize {
         self.hash_bytes() + self.counting_bytes() + self.queue_bytes()
     }
@@ -137,19 +114,7 @@ impl std::fmt::Display for DramUsage {
             self.queue_entries,
             self.queue_bytes()
         )?;
-        writeln!(
-            f,
-            "{:<16} {:>10} {:>10} {:>12}",
-            "mount scan*",
-            OOB_SCAN_ENTRY_BYTES,
-            self.mount_scan_entries,
-            self.mount_scan_bytes()
-        )?;
         writeln!(f, "total: {} bytes", self.total_bytes())?;
-        writeln!(
-            f,
-            "(* transient: freed before first host command, not in total)"
-        )?;
         write!(
             f,
             "payload buffers: {} shared / {} copied",
@@ -193,20 +158,21 @@ mod tests {
         assert_eq!(usage.hash_entries, 1);
         assert!(usage.counting_entries >= 1);
         assert_eq!(usage.queue_entries, 8);
-        assert_eq!(usage.mount_scan_entries, 0, "no mount has run yet");
         assert!(usage.total_bytes() > 0);
+        assert_eq!(
+            usage.total_bytes(),
+            usage.hash_bytes() + usage.counting_bytes() + usage.queue_bytes()
+        );
 
+        // The mount rebuilds the queue (all eight writes are in the window)
+        // and holds nothing else the bill counts.
         ssd.power_cut(t).unwrap();
         let remounted = DramUsage::measure(&ssd);
+        assert_eq!(remounted.queue_entries, 8);
         assert_eq!(
-            remounted.mount_scan_entries, 8,
+            ssd.ftl().mount_scan_entries(),
+            8,
             "mount scan decoded one OOB record per programmed page"
-        );
-        assert!(remounted.mount_scan_bytes() > 0);
-        assert_eq!(
-            remounted.total_bytes(),
-            remounted.hash_bytes() + remounted.counting_bytes() + remounted.queue_bytes(),
-            "scan buffer is transient and excluded from the steady-state total"
         );
     }
 

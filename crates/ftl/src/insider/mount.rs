@@ -1,6 +1,7 @@
 //! The power-on mount: one OOB scan of every programmed page rebuilds the
 //! mapping table, the per-block state and, on a drive that retains, the
-//! recovery queue.
+//! recovery queue. Each record is folded into that state as it is read;
+//! nothing holds the whole record set.
 
 use super::victim::Blocks;
 use super::InsiderFtl;
@@ -9,28 +10,82 @@ use crate::Result;
 use insider_nand::{Lba, Pba, Ppa, SimTime};
 use std::collections::VecDeque;
 
-/// One OOB record surfaced by the mount-time scan, in the physical page it
-/// was read from. [`InsiderFtl::remount`] returns these flat, sorted by
-/// logical page and by `(stamp, seq)` — oldest version first — within each
-/// page's adjacent run, so [`InsiderFtl::power_cut`] can rebuild the
-/// recovery queue without a second scan.
-#[derive(Debug, Clone, Copy)]
-struct ScanPage {
-    /// Physical page the record was read from.
-    ppa: Ppa,
-    /// Device-stamped monotone program sequence number.
-    seq: u64,
-    /// Host write time carried in the OOB tag (preserved across GC copies).
-    stamp: SimTime,
-    /// `true` when the page held the current version at program time;
-    /// `false` for GC backup copies of superseded versions.
-    live: bool,
+#[cfg(test)]
+mod oracle;
+
+/// What the mount scan remembers of one logical page. The default,
+/// all-zero, means "no record seen": device sequence numbers start at 1.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageFold {
+    /// Sequence number of the live record currently mapped; 0 for none.
+    winner: u64,
+    /// Freshest pre-cutoff record, by `(stamp, seq)`: the predecessor of
+    /// the page's first in-window version. Tracked on a retaining drive
+    /// only; `pred_seq` is 0 when there is none.
+    pred_stamp: SimTime,
+    pred_seq: u64,
+    pred_ppa: Ppa,
 }
 
-/// A completed mount scan: the flat record set in canonical
-/// `(logical page, stamp, seq)` order, plus the per-block programmed-page
-/// watermarks and minimum OOB sequence numbers.
-type MountScan = (Vec<(Lba, ScanPage)>, Vec<u32>, Vec<Option<u64>>);
+/// Logical pages per [`PageFolds`] chunk: 16 KiB of folds.
+const FOLD_CHUNK: usize = 512;
+
+/// One [`PageFold`] per exported logical page, allocated a chunk at a time
+/// when a record first names a page in it: a drive pays for the logical
+/// ranges it has written, not for its capacity.
+struct PageFolds {
+    chunks: Vec<Option<Box<[PageFold]>>>,
+    len: usize,
+}
+
+impl PageFolds {
+    fn new(len: usize) -> Self {
+        PageFolds {
+            chunks: vec![None; len.div_ceil(FOLD_CHUNK)],
+            len,
+        }
+    }
+
+    /// The fold of logical page `i`, its chunk allocated on first use;
+    /// `None` beyond the exported range.
+    fn get_mut(&mut self, i: usize) -> Option<&mut PageFold> {
+        if i >= self.len {
+            return None;
+        }
+        let chunk = self.chunks[i / FOLD_CHUNK]
+            .get_or_insert_with(|| vec![PageFold::default(); FOLD_CHUNK].into_boxed_slice());
+        Some(&mut chunk[i % FOLD_CHUNK])
+    }
+
+    /// The fold of logical page `i`; the default if no record named it.
+    fn get(&self, i: usize) -> PageFold {
+        self.chunks[i / FOLD_CHUNK]
+            .as_ref()
+            .map_or_else(PageFold::default, |chunk| chunk[i % FOLD_CHUNK])
+    }
+}
+
+/// An in-window OOB record (`stamp ≥ cutoff`) kept for the queue rebuild.
+#[derive(Debug, Clone, Copy)]
+struct Recent {
+    lba: Lba,
+    stamp: SimTime,
+    seq: u64,
+    ppa: Ppa,
+}
+
+/// What the one pass leaves beside the mapping it rebuilt in place.
+struct MountScan {
+    /// Programmed pages (the write pointer) per block.
+    programmed: Vec<u32>,
+    /// Lowest OOB sequence number per block; `None` with no tagged page.
+    min_seq: Vec<Option<u64>>,
+    /// One fold per exported logical page.
+    pages: PageFolds,
+    /// In-window records in physical order; empty on a drive that retains
+    /// nothing.
+    recent: Vec<Recent>,
+}
 
 impl InsiderFtl {
     /// OOB records decoded by the most recent mount scan (zero before any
@@ -44,17 +99,23 @@ impl InsiderFtl {
     /// including, on a drive with a protection window, the **recovery
     /// queue**, so rollback keeps working across a crash:
     ///
-    /// Each logical page's scan chain, sorted oldest first by
-    /// `(stamp, seq)`, is collapsed to one surviving copy per written
-    /// version (a GC source and its relocated copy share a stamp; the
-    /// fresher copy represents the version). Version `i` then corresponds
-    /// to the host write that created it, and the queue entry for that
-    /// write is `(lba, predecessor of version i, stamp of version i)` —
-    /// `None` when version `i` is the page's first write. Entries older
-    /// than the protection window (anchored at the preserved freeze time,
-    /// or `now`) were already retired before the cut and are not rebuilt;
-    /// for every rebuilt entry the protected predecessor is guaranteed to
-    /// still be on flash, because the pre-crash queue protected it from GC.
+    /// Each logical page's records, ordered oldest first by
+    /// `(stamp, seq)`, collapse to one surviving copy per written version
+    /// (a GC source and its relocated copy share a stamp; the fresher copy
+    /// represents the version). Version `i` then corresponds to the host
+    /// write that created it, and the queue entry for that write is
+    /// `(lba, predecessor of version i, stamp of version i)` — `None` when
+    /// version `i` is the page's first write. Entries older than the
+    /// protection window (anchored at the preserved freeze time, or `now`)
+    /// were already retired before the cut and are not rebuilt; for every
+    /// rebuilt entry the protected predecessor is guaranteed to still be on
+    /// flash, because the pre-crash queue protected it from GC.
+    ///
+    /// The scan keeps only what that needs: the in-window records
+    /// (`stamp ≥ cutoff`), and per logical page the freshest pre-cutoff
+    /// record, which is the predecessor of the page's first in-window
+    /// version. Whether a record is in the window is a predicate on the
+    /// record alone.
     ///
     /// Two approximations are inherent to OOB-only reconstruction and are
     /// part of the crash-consistency contract: same-stamp overwrites of one
@@ -72,125 +133,145 @@ impl InsiderFtl {
     /// Fails only on internal inconsistencies surfaced by the OOB scan.
     pub fn power_cut(&mut self, now: SimTime) -> Result<()> {
         self.device.set_now(now);
-        let chains = self.remount()?;
-        let Some(window) = self.config.window() else {
-            return Ok(());
-        };
-        self.queue.clear();
-        let cutoff = self.anchor(now).saturating_sub(window);
-        let mut rebuilt: Vec<(SimTime, u64, Lba, Option<Ppa>)> = Vec::new();
-        // The scan is flat and sorted by logical page, oldest version
-        // first — walk each page's adjacent run in place.
-        for run in chains.chunk_by(|a, b| a.0 == b.0) {
-            let lba = run[0].0;
-            if lba.index() >= self.mapping.len() {
-                continue;
-            }
-            // One representative (the freshest copy) per written version.
-            let mut versions: Vec<ScanPage> = Vec::new();
-            for &(_, page) in run {
-                match versions.last_mut() {
-                    Some(last) if last.stamp == page.stamp => *last = page,
-                    _ => versions.push(page),
-                }
-            }
-            for (i, v) in versions.iter().enumerate() {
-                if v.stamp >= cutoff {
-                    let old = (i > 0).then(|| versions[i - 1].ppa);
-                    rebuilt.push((v.stamp, v.seq, lba, old));
-                }
-            }
-        }
-        // Retirement pops the queue front in stamp order, so the rebuilt
-        // entries must be pushed globally time-sorted; the device sequence
-        // number breaks stamp ties deterministically.
-        rebuilt.sort_unstable();
-        for (stamp, _seq, lba, old) in rebuilt {
-            self.queue.push(lba, old, stamp);
-            if let Some(old) = old {
-                // Re-register the protection: the reverse mapping of the
-                // old version was lost with DRAM, and the page is already
-                // invalid — the mount revalidated only the newest copy of
-                // each logical page — so superseding it only protects it.
-                self.rmap[old.index() as usize] = Some(lba);
-                self.supersede(old, true)?;
-            }
-        }
+        self.remount(now)?;
         #[cfg(debug_assertions)]
         self.reconcile_victim_index();
         Ok(())
     }
 
-    /// Rebuilds the mount-scan inputs — per-LBA record chains, per-block
-    /// programmed watermarks and per-block minimum sequence numbers — with
-    /// one loop over the blocks in index order: one charged `read_oob` per
-    /// programmed page, collected flat and sorted once into the canonical
-    /// mount order (logical page, then `(stamp, seq)`, oldest version
-    /// first; `seq` is unique, so the order is total).
-    fn mount_scan(&mut self) -> Result<MountScan> {
+    /// The one pass: reads every programmed page's OOB record, one charged
+    /// `read_oob` per page, blocks in index order, and folds each record in
+    /// as it comes. The live record with the highest sequence number of
+    /// its logical page wins the mapping on the spot — revalidated and
+    /// reverse-mapped, the copy it displaces invalidated again — so the
+    /// winners come out in physical order with nothing to sort. With a
+    /// `cutoff` (a drive that retains), in-window records are kept and
+    /// older ones only update their page's predecessor.
+    fn mount_scan(&mut self, cutoff: Option<SimTime>) -> Result<MountScan> {
         let g = *self.config.geometry();
         let total_blocks = g.total_blocks() as usize;
         let ppb = g.pages_per_block();
-        let mut scanned = Vec::new();
-        let mut programmed = vec![0u32; total_blocks];
-        let mut min_seq: Vec<Option<u64>> = vec![None; total_blocks];
+        let mut scan = MountScan {
+            programmed: vec![0; total_blocks],
+            min_seq: vec![None; total_blocks],
+            pages: PageFolds::new(self.mapping.len() as usize),
+            recent: Vec::new(),
+        };
+        let mut decoded = 0;
         for raw in 0..total_blocks as u32 {
             let i = raw as usize;
             let pba = Pba::new(raw);
             let count = self.device.block(pba)?.write_ptr().unwrap_or(ppb);
-            programmed[i] = count;
+            scan.programmed[i] = count;
             for off in 0..count {
                 let ppa = pba.page(&g, off);
                 let Some(rec) = self.device.read_oob(ppa)? else {
                     continue; // untagged page: invisible to recovery
                 };
-                let slot = &mut min_seq[i];
+                decoded += 1;
+                let slot = &mut scan.min_seq[i];
                 *slot = Some(slot.map_or(rec.seq, |m| m.min(rec.seq)));
-                scanned.push((
-                    rec.lba,
-                    ScanPage {
-                        ppa,
-                        seq: rec.seq,
+                let Some(page) = scan.pages.get_mut(rec.lba.index() as usize) else {
+                    continue; // stale record beyond the exported logical range
+                };
+                if rec.live && rec.seq > page.winner {
+                    page.winner = rec.seq;
+                    if let Some(prev) = self.mapping.set(rec.lba, Some(ppa)) {
+                        self.rmap[prev.index() as usize] = None;
+                        self.device.invalidate(prev)?;
+                    }
+                    self.rmap[ppa.index() as usize] = Some(rec.lba);
+                    self.device.revalidate(ppa)?;
+                }
+                match cutoff {
+                    Some(cutoff) if rec.stamp >= cutoff => scan.recent.push(Recent {
+                        lba: rec.lba,
                         stamp: rec.stamp,
-                        live: rec.live,
-                    },
-                ));
+                        seq: rec.seq,
+                        ppa,
+                    }),
+                    Some(_) if (rec.stamp, rec.seq) > (page.pred_stamp, page.pred_seq) => {
+                        page.pred_stamp = rec.stamp;
+                        page.pred_seq = rec.seq;
+                        page.pred_ppa = ppa;
+                    }
+                    _ => {}
+                }
             }
         }
-        scanned.sort_unstable_by_key(|e| (e.0.index(), e.1.stamp, e.1.seq));
-        Ok((scanned, programmed, min_seq))
+        self.mount_scan_entries = decoded;
+        Ok(scan)
     }
 
-    /// Power-cycles the device and rebuilds every DRAM structure except the
-    /// recovery queue from the per-page OOB records.
+    /// Rebuilds the recovery queue from the scan's in-window records (see
+    /// [`power_cut`](Self::power_cut)) and files each entry's protection:
+    /// the page is reverse-mapped to its logical page, invalidated if the
+    /// scan revalidated it, and counted in its block. The victim index is
+    /// refreshed once afterwards, by the reclassify loop.
+    fn rebuild_queue(&mut self, scan: &mut MountScan) -> Result<()> {
+        let g = *self.config.geometry();
+        // Each page's in-window chain, oldest first; the copies of one
+        // version share its stamp and lie adjacent, the freshest last.
+        scan.recent
+            .sort_unstable_by_key(|r| (r.lba, r.stamp, r.seq));
+        let mut rebuilt = Vec::with_capacity(scan.recent.len());
+        for chain in scan.recent.chunk_by(|a, b| a.lba == b.lba) {
+            let page = scan.pages.get(chain[0].lba.index() as usize);
+            let mut old = (page.pred_seq != 0).then_some(page.pred_ppa);
+            for copies in chain.chunk_by(|a, b| a.stamp == b.stamp) {
+                let version = copies[copies.len() - 1];
+                rebuilt.push((version.stamp, version.seq, version.lba, old));
+                old = Some(version.ppa);
+            }
+        }
+        // Retirement pops the queue front in stamp order, so the rebuilt
+        // entries must be pushed globally time-sorted; the device sequence
+        // number breaks stamp ties deterministically.
+        rebuilt.sort_unstable_by_key(|e| (e.0, e.1));
+        for (stamp, _seq, lba, old) in rebuilt {
+            self.queue.push(lba, old, stamp);
+            if let Some(old) = old {
+                // The reverse mapping of the old version was lost with
+                // DRAM; the page is invalid unless it won its logical page.
+                self.rmap[old.index() as usize] = Some(lba);
+                self.device.invalidate(old)?;
+                self.blocks.protected[old.block(&g).index() as usize] += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Power-cycles the device and rebuilds every DRAM structure from the
+    /// per-page OOB records.
     ///
     /// The NAND keeps page *contents*, OOB records and erase counters across
     /// a power cut; everything else — the mapping table, the reverse map,
-    /// per-block valid/invalid/protected counts, the free pools and the
-    /// victim index — is DRAM and is reconstructed here:
+    /// per-block valid/invalid/protected counts, the free pools, the victim
+    /// index and the recovery queue — is DRAM and is reconstructed here:
     ///
     /// 1. Every programmed page's spare area is read, one `read_oob` per
-    ///    page, charged through the command scheduler.
+    ///    page, charged through the command scheduler, and folded in at
+    ///    once ([`mount_scan`](Self::mount_scan)).
     /// 2. Per logical page, the **newest live copy wins**: the live-tagged
     ///    record with the highest device sequence number is revalidated and
     ///    mapped; every superseded or backup copy stays invalid. A crash
     ///    between a GC copy and its source invalidation leaves two live
     ///    copies of one version — the copy's fresher sequence number breaks
     ///    the tie deterministically.
-    /// 3. Blocks are reclassified: unprogrammed → free pool (index order),
+    /// 3. On a drive that retains, the recovery queue is rebuilt from the
+    ///    in-window records and its protections are counted per block
+    ///    ([`rebuild_queue`](Self::rebuild_queue)).
+    /// 4. Blocks are reclassified: unprogrammed → free pool (index order),
     ///    at-or-over the endurance limit → retired bad (conservative: a
     ///    worn block may still have had one program cycle left, but mount
     ///    cannot tell and a lost block is cheaper than a lost erase), the
     ///    most recently opened partial block per chip → active, everything
-    ///    else → closed in-service, and the victim index is rebuilt.
+    ///    else → closed in-service, and each in-service block is filed in
+    ///    the victim index once.
     ///
-    /// Returns the scan as a flat vector sorted by logical page, each
-    /// page's run ordered oldest version first by `(stamp, seq)`, so
-    /// [`power_cut`](Self::power_cut) can rebuild the recovery queue
-    /// without re-reading flash. Cumulative statistics survive (they model
-    /// NVRAM-backed counters, as firmware keeps wear data); the protected
-    /// counts restart at zero and are re-filled with the queue.
-    fn remount(&mut self) -> Result<Vec<(Lba, ScanPage)>> {
+    /// Cumulative statistics survive (they model NVRAM-backed counters, as
+    /// firmware keeps wear data).
+    fn remount(&mut self, now: SimTime) -> Result<()> {
         self.device.power_cut();
         let g = *self.config.geometry();
         let total_blocks = g.total_blocks();
@@ -200,45 +281,30 @@ impl InsiderFtl {
 
         // Drop every DRAM structure.
         self.mapping = MappingTable::new(self.config.logical_pages());
-        self.rmap = vec![None; g.total_pages() as usize];
+        self.rmap.fill(None);
         self.free = vec![VecDeque::new(); chips];
         self.free_count = 0;
         self.blocks = Blocks::new(&g);
         self.active = vec![None; chips];
         self.next_chip = 0;
+        self.queue.clear();
         // A half-done incremental job does not survive power loss: its
         // victim is re-scored from physical state like every other block.
         self.gc_job = None;
 
-        // Rebuild the scan inputs from every programmed page's OOB record.
-        let (chains, programmed, min_seq) = self.mount_scan()?;
-        self.mount_scan_entries = chains.len() as u64;
-
-        // Conflict resolution: the newest live copy of each logical page is
-        // the mount-time mapping; everything else stays invalid. The scan
-        // is sorted by logical page, so each page is one adjacent run.
-        let mut winners: Vec<Ppa> = Vec::new();
-        for run in chains.chunk_by(|a, b| a.0 == b.0) {
-            let lba = run[0].0;
-            if lba.index() >= self.mapping.len() {
-                continue; // stale record beyond the exported logical range
-            }
-            if let Some(winner) = run
-                .iter()
-                .map(|(_, p)| p)
-                .filter(|p| p.live)
-                .max_by_key(|p| p.seq)
-            {
-                winners.push(winner.ppa);
-                self.rmap[winner.ppa.index() as usize] = Some(lba);
-                self.mapping.set(lba, Some(winner.ppa));
-            }
+        let cutoff = self
+            .config
+            .window()
+            .map(|window| self.anchor(now).saturating_sub(window));
+        let mut scan = self.mount_scan(cutoff)?;
+        if cutoff.is_some() {
+            self.rebuild_queue(&mut scan)?;
         }
-        // Revalidate in physical order — the winners arrive in logical
-        // order, and hundreds of thousands of scattered page-state writes
-        // are cache-miss-bound.
-        winners.sort_unstable_by_key(|p| p.index());
-        self.device.revalidate_many(&winners)?;
+        let MountScan {
+            programmed,
+            min_seq,
+            ..
+        } = scan;
 
         // Reclassify every block from its physical state.
         let mut in_service: Vec<(u64, u32)> = Vec::new();
@@ -284,7 +350,7 @@ impl InsiderFtl {
             self.blocks.refresh(raw);
         }
         self.stats.mounts += 1;
-        Ok(chains)
+        Ok(())
     }
 }
 

@@ -75,19 +75,25 @@ impl Block {
         self.erase_count
     }
 
+    /// The pages below the write pointer. Programs go in order and only an
+    /// erase frees a page, so every page at or above it is `Free`: sweeps
+    /// over page states visit this prefix alone.
+    pub(crate) fn programmed_mut(&mut self) -> &mut [Page] {
+        &mut self.pages[..self.write_ptr as usize]
+    }
+
     /// Number of pages in each state `(free, valid, invalid)`.
     pub fn page_counts(&self) -> (u32, u32, u32) {
-        let mut free = 0;
         let mut valid = 0;
         let mut invalid = 0;
-        for p in &self.pages {
+        for p in &self.pages[..self.write_ptr as usize] {
             match p.state() {
-                PageState::Free => free += 1,
                 PageState::Valid => valid += 1,
                 PageState::Invalid => invalid += 1,
+                PageState::Free => {}
             }
         }
-        (free, valid, invalid)
+        (self.len() - valid - invalid, valid, invalid)
     }
 
     /// Number of invalid (reclaimable) pages.

@@ -445,9 +445,9 @@ impl NandDevice {
     /// the mount scan can read again.
     pub fn power_cut(&mut self) {
         for block in &mut self.blocks {
-            for offset in 0..block.len() {
-                if block.page(offset).state() == PageState::Valid {
-                    block.page_mut(offset).invalidate();
+            for page in block.programmed_mut() {
+                if page.state() == PageState::Valid {
+                    page.invalidate();
                 }
             }
         }
@@ -834,37 +834,6 @@ impl NandDevice {
         let offset = ppa.page_offset(&g);
         if block.page(offset).state() == PageState::Invalid {
             block.page_mut(offset).revalidate();
-        }
-        Ok(())
-    }
-
-    /// Bulk [`revalidate`](Self::revalidate): the mount's conflict
-    /// resolution flips hundreds of thousands of page states in one go, so
-    /// the per-call address check and block lookup are amortized over runs
-    /// of same-block addresses. Pass physically sorted addresses for cache
-    /// locality and maximal run length; correctness does not depend on the
-    /// order. All-or-nothing on the address check: no state changes unless
-    /// every address is in range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::PpaOutOfRange`] for addresses beyond the geometry.
-    pub fn revalidate_many(&mut self, ppas: &[Ppa]) -> Result<()> {
-        for &ppa in ppas {
-            self.check_ppa(ppa)?;
-        }
-        let g = self.config.geometry;
-        let mut i = 0;
-        while i < ppas.len() {
-            let pba = ppas[i].block(&g);
-            let block = &mut self.blocks[pba.index() as usize];
-            while i < ppas.len() && ppas[i].block(&g) == pba {
-                let offset = ppas[i].page_offset(&g);
-                if block.page(offset).state() == PageState::Invalid {
-                    block.page_mut(offset).revalidate();
-                }
-                i += 1;
-            }
         }
         Ok(())
     }

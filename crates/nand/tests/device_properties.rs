@@ -108,39 +108,6 @@ proptest! {
         }
     }
 
-    /// Bulk revalidation is exactly per-page revalidation: same final page
-    /// states, and an out-of-range address in the batch changes nothing.
-    #[test]
-    fn revalidate_many_matches_singles(tags in prop::collection::vec(any::<u8>(), 1..8)) {
-        let mut bulk = NandDevice::new(NandConfig::new(geometry()));
-        let mut single = NandDevice::new(NandConfig::new(geometry()));
-        let ppas: Vec<Ppa> = (0..tags.len() as u64).map(Ppa::new).collect();
-        for (dev, _) in [(&mut bulk, 0), (&mut single, 0)] {
-            for (i, tag) in tags.iter().enumerate() {
-                dev.program(Ppa::new(i as u64), Bytes::copy_from_slice(&[*tag])).unwrap();
-            }
-            // Invalidate every other page; revalidation must restore only
-            // those without touching still-valid neighbours.
-            for ppa in ppas.iter().step_by(2) {
-                dev.invalidate(*ppa).unwrap();
-            }
-        }
-        let before: Vec<_> = ppas.iter().map(|p| single.read(*p).unwrap()).collect();
-        bulk.revalidate_many(&ppas).unwrap();
-        for ppa in &ppas {
-            single.revalidate(*ppa).unwrap();
-        }
-        for (i, ppa) in ppas.iter().enumerate() {
-            prop_assert_eq!(bulk.read(*ppa).unwrap(), single.read(*ppa).unwrap());
-            prop_assert_eq!(bulk.read(*ppa).unwrap(), before[i].clone());
-        }
-        // All-or-nothing address check: a batch containing an out-of-range
-        // address is rejected before any state changes.
-        let g = geometry();
-        let out_of_range = Ppa::new(g.total_pages());
-        prop_assert!(bulk.revalidate_many(&[ppas[0], out_of_range]).is_err());
-    }
-
     /// Injected faults fail exactly the scheduled op and leave the device
     /// usable; the failed program does not advance the write pointer.
     #[test]
