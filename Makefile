@@ -42,8 +42,8 @@
 #                      headline ratio, then the end-to-end benchmark's own
 #                      self-tests and a `benchmark/run.sh --quick` smoke run
 #                      (all four workloads, both passes, every byte verified;
-#                      builds into benchmark/target/), then gc-guard. No
-#                      network needed: deps are vendored.
+#                      builds into benchmark/target/), then gc-guard and
+#                      rss-guard. No network needed: deps are vendored.
 #   make gc-guard    — the one full-size benchmark run in CI: `--quick`
 #                      divides operation counts by ten and never collects on
 #                      `dev-churn-gc`, so this runs that workload whole
@@ -51,6 +51,11 @@
 #                      its result line says correct, no failed operation and
 #                      `write_amp` < 2 (1.155 with score-first victim
 #                      selection, 11.2 with the chip-first order it replaced).
+#   make rss-guard   — the same full-size `dev-churn-gc` run, failing unless
+#                      its result line says correct, no failed operation and
+#                      `peak_rss_mib` < 40 (≈ 35 with 4-byte mapping and
+#                      reverse-map entries, ≈ 44 with the 16-byte entries
+#                      they replaced), so a widened page table fails CI.
 #   make clock-guard — fails if `std::time` appears under the src/ of a
 #                      crate that must read no wall clock (CLOCK_FREE
 #                      below): product statistics are sim and count values,
@@ -98,7 +103,7 @@ CARGO ?= cargo
 CI_SWEEP_ENV = CRASH_SWEEP_STRIDE=41 CRASH_SWEEP_PAGES=160 CRASH_SWEEP_FS_POINTS=6
 CI_ROC_ENV = ROC_TRACES=1
 
-.PHONY: tier1 ci clock-guard gc-guard test bench crash-sweep bench-roc bench-steady
+.PHONY: tier1 ci clock-guard gc-guard rss-guard test bench crash-sweep bench-roc bench-steady
 
 tier1:
 	$(CARGO) build --release
@@ -130,6 +135,7 @@ ci: clock-guard tier1
 	cd benchmark && $(CARGO) test --release --offline
 	bash benchmark/run.sh --quick
 	$(MAKE) gc-guard
+	$(MAKE) rss-guard
 
 CLOCK_FREE = nand detect core fs workloads
 
@@ -150,6 +156,16 @@ gc-guard:
 		&& echo "$$line" | grep -Eq '"failed": *0[,}]' \
 		&& awk -v wa="$$wa" 'BEGIN { exit !(wa + 0 < 2) }' \
 		|| { echo "gc-guard: want correct, failed 0 and write_amp < 2 on dev-churn-gc (got write_amp $$wa)" >&2; exit 1; }
+
+rss-guard:
+	@line="$$(bash benchmark/run.sh --workload dev-churn-gc --seed 1 --seconds 1 --trace 0 | tail -n 1)"; \
+	echo "$$line"; \
+	rss="$$(echo "$$line" | sed -n 's/.*"peak_rss_mib": *{"value": *\([0-9.e+-]*\).*/\1/p')"; \
+	if [ -z "$$rss" ]; then echo "rss-guard: no peak_rss_mib in the result line: the report format moved, not memory" >&2; exit 1; fi; \
+	echo "$$line" | grep -Eq '"correct": *true' \
+		&& echo "$$line" | grep -Eq '"failed": *0[,}]' \
+		&& awk -v rss="$$rss" 'BEGIN { exit !(rss + 0 < 40) }' \
+		|| { echo "rss-guard: want correct, failed 0 and peak_rss_mib < 40 on dev-churn-gc (got peak_rss_mib $$rss)" >&2; exit 1; }
 
 test:
 	$(CARGO) test -q

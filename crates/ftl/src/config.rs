@@ -1,5 +1,6 @@
 //! FTL configuration.
 
+use crate::mapping::MAX_PAGES;
 use insider_nand::{Geometry, NandConfig, SimTime};
 
 /// Free blocks garbage collection keeps in reserve: a write of `n` pages
@@ -36,13 +37,29 @@ pub struct FtlConfig {
 impl FtlConfig {
     /// Configuration with default NAND timings, 7 % over-provisioning,
     /// a 2-block GC reserve and the paper's 10 s protection window.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`with_nand`](Self::with_nand) on a geometry of 2³²
+    /// pages or more.
     pub fn new(geometry: Geometry) -> Self {
         Self::with_nand(NandConfig::new(geometry))
     }
 
     /// Configuration over an explicit NAND configuration (custom latencies,
     /// endurance, fault plans are installed on the device afterwards).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has 2³² pages or more: the mapping table and
+    /// the reverse map hold a page index in 4 bytes. The logical page count
+    /// never exceeds the physical one, so this bounds both tables.
     pub fn with_nand(nand: NandConfig) -> Self {
+        let pages = nand.geometry().total_pages();
+        assert!(
+            pages <= MAX_PAGES,
+            "{pages} physical pages do not fit the FTL's 4-byte page tables (at most {MAX_PAGES})"
+        );
         FtlConfig {
             nand,
             over_provisioning: 0.07,
@@ -223,6 +240,30 @@ mod tests {
     #[should_panic(expected = "over-provisioning")]
     fn invalid_op_ratio_panics() {
         FtlConfig::new(Geometry::tiny()).over_provisioning(1.0);
+    }
+
+    /// A 2³²-page geometry is refused, one page fewer accepted. Only the
+    /// config is built: the drive and the NAND model allocate per page.
+    #[test]
+    #[should_panic(expected = "4-byte page tables")]
+    fn geometry_beyond_four_byte_slots_panics() {
+        let g = Geometry::builder()
+            .blocks_per_chip(1 << 16)
+            .pages_per_block(1 << 16)
+            .build();
+        assert_eq!(g.total_pages(), 1 << 32);
+        FtlConfig::new(g);
+    }
+
+    #[test]
+    fn largest_four_byte_geometry_is_accepted() {
+        // 65 537 × 65 535 = 2³² − 1 pages.
+        let g = Geometry::builder()
+            .blocks_per_chip(65_537)
+            .pages_per_block(65_535)
+            .build();
+        assert_eq!(g.total_pages(), u64::from(u32::MAX));
+        FtlConfig::new(g);
     }
 
     #[test]

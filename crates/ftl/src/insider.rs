@@ -7,7 +7,7 @@ mod mount;
 mod victim;
 
 use crate::config::FtlConfig;
-use crate::mapping::MappingTable;
+use crate::mapping::{MappingTable, ReverseMap};
 use crate::recovery_queue::RecoveryQueue;
 use crate::traits::Ftl;
 use crate::{FtlError, FtlStats, GcVictim, Result};
@@ -84,11 +84,13 @@ pub struct Hold {
 #[derive(Debug)]
 pub struct InsiderFtl {
     device: NandDevice,
+    /// LBA → PPA, 4 bytes per logical page.
     mapping: MappingTable,
-    /// Reverse map PPA → LBA, standing in for the out-of-band (OOB) metadata
-    /// real firmware writes next to each page. For a *protected invalid*
-    /// page it names the logical page whose old version it holds.
-    rmap: Vec<Option<Lba>>,
+    /// Reverse map PPA → LBA, 4 bytes per physical page, standing in for
+    /// the out-of-band (OOB) metadata real firmware writes next to each
+    /// page. For a *protected invalid* page it names the logical page whose
+    /// old version it holds.
+    rmap: ReverseMap,
     /// Free-block pools, one per chip (die): allocation stripes pages
     /// across dies (one active block per die, round-robin), which is what
     /// lets a multi-channel/multi-way controller overlap NAND operations —
@@ -141,7 +143,7 @@ impl InsiderFtl {
         InsiderFtl {
             device: NandDevice::new(config.nand().clone()),
             mapping: MappingTable::new(config.logical_pages()),
-            rmap: vec![None; g.total_pages() as usize],
+            rmap: ReverseMap::new(g.total_pages()),
             free,
             free_count: g.total_blocks() as usize,
             active: vec![None; chips],
@@ -350,7 +352,7 @@ impl InsiderFtl {
             self.blocks.refresh(raw);
         }
         debug_assert_eq!(
-            self.rmap[ppa.index() as usize],
+            self.rmap.get(ppa),
             Some(lba),
             "restored page must reverse-map to its logical page"
         );

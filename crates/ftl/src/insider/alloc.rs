@@ -197,7 +197,7 @@ impl InsiderFtl {
         let mut olds = Vec::with_capacity(done);
         for (i, &new) in ppas[..done].iter().enumerate() {
             let l = lba.offset(i as u64);
-            self.rmap[new.index() as usize] = Some(l);
+            self.rmap.set(new, Some(l));
             let old = self.mapping.set(l, Some(new));
             if let Some(old) = old {
                 self.supersede(old, protect)?;
@@ -272,7 +272,7 @@ mod tests {
             "first write: no pre-image"
         );
         let ppa = f.mapping.get(lba).unwrap();
-        assert_eq!(f.rmap[ppa.index() as usize], Some(lba));
+        assert_eq!(f.rmap.get(ppa), Some(lba));
         put(&mut f, lba, Bytes::from_static(b"v2"));
         assert!(
             f.queue.is_protected(ppa),

@@ -103,8 +103,8 @@ impl InsiderFtl {
         let urgency = 1 + low.saturating_sub(self.free_count) as u64;
         let mut budget = step.saturating_mul(urgency);
         while budget > 0 {
-            if self.gc_job.is_some() {
-                budget = budget.saturating_sub(self.gc_step(budget)?);
+            if let Some(job) = self.gc_job {
+                budget = budget.saturating_sub(self.gc_step(job, budget)?);
                 continue;
             }
             if self.free_count < target {
@@ -140,14 +140,14 @@ impl InsiderFtl {
         true
     }
 
-    /// Pumps the pending [`GcJob`] by up to `budget` page migrations and
-    /// returns how many it performed. Offsets needing no copy (free pages,
-    /// unprotected invalid pages) are skipped for free. Reaching the end of
-    /// the block finishes the job: the victim is erased and returned to the
-    /// free pool, or retired as *bad* if the erase hits its endurance limit
-    /// — the job is simply dropped and the pump selects another victim.
-    fn gc_step(&mut self, budget: u64) -> Result<u64> {
-        let mut job = self.gc_job.expect("gc_step requires a pending job");
+    /// Pumps `job`, the pending [`GcJob`], by up to `budget` page
+    /// migrations and returns how many it performed. Offsets needing no
+    /// copy (free pages, unprotected invalid pages) are skipped for free.
+    /// Reaching the end of the block finishes the job: the victim is erased
+    /// and returned to the free pool, or retired as *bad* if the erase hits
+    /// its endurance limit — the job is simply dropped and the pump selects
+    /// another victim.
+    fn gc_step(&mut self, mut job: GcJob, budget: u64) -> Result<u64> {
         let ppb = self.config.geometry().pages_per_block();
         let mut migrated = 0u64;
         self.stats.gc_steps += 1;
@@ -187,8 +187,8 @@ impl InsiderFtl {
     ///
     /// Propagates NAND failures from the drained migrations.
     pub fn gc_quiesce(&mut self) -> Result<()> {
-        while self.gc_job.is_some() {
-            self.gc_step(u64::MAX)?;
+        while let Some(job) = self.gc_job {
+            self.gc_step(job, u64::MAX)?;
         }
         Ok(())
     }
@@ -216,7 +216,10 @@ impl InsiderFtl {
         let ppa = victim.page(&g, off);
         match self.device.page_state(ppa)? {
             PageState::Valid => {
-                let lba = self.rmap[ppa.index() as usize]
+                // Cannot fire: every path that validates a page reverse-maps it.
+                let lba = self
+                    .rmap
+                    .get(ppa)
                     .expect("valid page must have a reverse mapping");
                 // Relocation moves a buffer handle, not bytes: the
                 // read clones the stored `Bytes` (refcount bump) and
@@ -232,10 +235,10 @@ impl InsiderFtl {
                 let new = self.allocate()?;
                 self.device
                     .program_tagged(new, data, OobTag::live(lba, stamp))?;
-                self.rmap[new.index() as usize] = Some(lba);
+                self.rmap.set(new, Some(lba));
                 self.mapping.set(lba, Some(new));
                 self.supersede(ppa, false)?;
-                self.rmap[ppa.index() as usize] = None;
+                self.rmap.set(ppa, None);
                 self.stats.gc_page_copies += 1;
             }
             PageState::Invalid => {
@@ -243,7 +246,10 @@ impl InsiderFtl {
                     // Delayed deletion: the old version must survive
                     // the erase, so copy it and redirect its backup
                     // entry.
-                    let lba = self.rmap[ppa.index() as usize]
+                    // Cannot fire: protecting a page keeps or sets its reverse map.
+                    let lba = self
+                        .rmap
+                        .get(ppa)
                         .expect("protected page must have a reverse mapping");
                     // Same zero-copy relocation as the valid path:
                     // the protected old version's backing buffer is
@@ -261,13 +267,13 @@ impl InsiderFtl {
                     // The copy holds an *old* version, not live data: it
                     // is invalid and protected from birth.
                     self.supersede(new, true)?;
-                    self.rmap[new.index() as usize] = Some(lba);
+                    self.rmap.set(new, Some(lba));
                     self.queue.relocate(ppa, new);
                     self.blocks.unprotect(victim.index());
                     self.stats.gc_page_copies += 1;
                     self.stats.gc_protected_copies += 1;
                 }
-                self.rmap[ppa.index() as usize] = None;
+                self.rmap.set(ppa, None);
             }
             PageState::Free => {}
         }

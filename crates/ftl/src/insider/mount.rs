@@ -5,7 +5,6 @@
 
 use super::victim::Blocks;
 use super::InsiderFtl;
-use crate::mapping::MappingTable;
 use crate::Result;
 use insider_nand::{Lba, Pba, Ppa, SimTime};
 use std::collections::VecDeque;
@@ -177,10 +176,10 @@ impl InsiderFtl {
                 if rec.live && rec.seq > page.winner {
                     page.winner = rec.seq;
                     if let Some(prev) = self.mapping.set(rec.lba, Some(ppa)) {
-                        self.rmap[prev.index() as usize] = None;
+                        self.rmap.set(prev, None);
                         self.device.invalidate(prev)?;
                     }
-                    self.rmap[ppa.index() as usize] = Some(rec.lba);
+                    self.rmap.set(ppa, Some(rec.lba));
                     self.device.revalidate(ppa)?;
                 }
                 match cutoff {
@@ -233,7 +232,7 @@ impl InsiderFtl {
             if let Some(old) = old {
                 // The reverse mapping of the old version was lost with
                 // DRAM; the page is invalid unless it won its logical page.
-                self.rmap[old.index() as usize] = Some(lba);
+                self.rmap.set(old, Some(lba));
                 self.device.invalidate(old)?;
                 self.blocks.protected[old.block(&g).index() as usize] += 1;
             }
@@ -280,8 +279,8 @@ impl InsiderFtl {
         let endurance = self.config.nand().endurance_limit();
 
         // Drop every DRAM structure.
-        self.mapping = MappingTable::new(self.config.logical_pages());
-        self.rmap.fill(None);
+        self.mapping.clear();
+        self.rmap.clear();
         self.free = vec![VecDeque::new(); chips];
         self.free_count = 0;
         self.blocks = Blocks::new(&g);

@@ -22,7 +22,7 @@
 //! failure names it.
 
 use super::super::{Hold, InsiderFtl};
-use crate::mapping::MappingTable;
+use crate::mapping::{MappingTable, ReverseMap};
 use crate::{Ftl, FtlConfig, FtlError, Result};
 use bytes::Bytes;
 use insider_nand::{FaultPlan, Geometry, Lba, NandError, Pba, Ppa, SimTime};
@@ -72,7 +72,7 @@ impl InsiderFtl {
             for (stamp, _seq, lba, old) in rebuilt {
                 self.queue.push(lba, old, stamp);
                 if let Some(old) = old {
-                    self.rmap[old.index() as usize] = Some(lba);
+                    self.rmap.set(old, Some(lba));
                     self.supersede(old, true)?;
                 }
             }
@@ -93,7 +93,7 @@ impl InsiderFtl {
         let chips = g.total_chips() as usize;
         let endurance = self.config.nand().endurance_limit();
         self.mapping = MappingTable::new(self.config.logical_pages());
-        self.rmap = vec![None; g.total_pages() as usize];
+        self.rmap = ReverseMap::new(g.total_pages());
         self.free = vec![VecDeque::new(); chips];
         self.free_count = 0;
         self.blocks = super::Blocks::new(&g);
@@ -143,7 +143,7 @@ impl InsiderFtl {
                 .max_by_key(|p| p.seq)
             {
                 winners.push(winner.ppa);
-                self.rmap[winner.ppa.index() as usize] = Some(lba);
+                self.rmap.set(winner.ppa, Some(lba));
                 self.mapping.set(lba, Some(winner.ppa));
             }
         }

@@ -157,11 +157,13 @@ impl RecoveryQueue {
     ///
     /// Panics if `from` is not protected, or if `to` is already protected.
     pub fn relocate(&mut self, from: Ppa, to: Ppa) {
+        // Cannot fire from the FTL: GC relocates only pages `is_protected` names.
         let seq = self
             .by_old_ppa
             .remove(&from)
             .unwrap_or_else(|| panic!("relocating unprotected page {from}"));
         let idx = (seq - self.front_seq) as usize;
+        // Cannot fire: retirement and `take_all` drop a seq from `by_old_ppa`.
         let entry = self
             .entries
             .get_mut(idx)
