@@ -216,6 +216,15 @@ impl InsiderFtl {
         let mut rebuilt = Vec::with_capacity(scan.recent.len());
         for chain in scan.recent.chunk_by(|a, b| a.lba == b.lba) {
             let page = scan.pages.get(chain[0].lba.index() as usize);
+            // With monotone host stamps a page's live version is its newest
+            // stamped one unless a rollback restored an older one, so any
+            // record stamped after the winner was rolled back and is dead.
+            // A winner outside this chain is pre-cutoff: the whole chain is
+            // dead.
+            let Some(bound) = chain.iter().find(|r| r.seq == page.winner) else {
+                continue;
+            };
+            let chain = &chain[..chain.partition_point(|r| r.stamp <= bound.stamp)];
             let mut old = (page.pred_seq != 0).then_some(page.pred_ppa);
             for copies in chain.chunk_by(|a, b| a.stamp == b.stamp) {
                 let version = copies[copies.len() - 1];

@@ -25,7 +25,7 @@ use super::super::{Hold, InsiderFtl};
 use crate::mapping::{MappingTable, ReverseMap};
 use crate::{Ftl, FtlConfig, FtlError, Result};
 use bytes::Bytes;
-use insider_nand::{FaultPlan, Geometry, Lba, NandError, Pba, Ppa, SimTime};
+use insider_nand::{FaultPlan, Geometry, Lba, NandError, PageState, Pba, Ppa, SimTime};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -53,9 +53,19 @@ impl InsiderFtl {
                 if lba.index() >= self.mapping.len() {
                     continue;
                 }
+                // A record stamped after the page's winner was rolled back
+                // and is dead; so is every record of a page without one.
+                let Some(winner) = run
+                    .iter()
+                    .map(|(_, p)| p)
+                    .filter(|p| p.live)
+                    .max_by_key(|p| p.seq)
+                else {
+                    continue;
+                };
                 // One representative (the freshest copy) per version.
                 let mut versions: Vec<ScanPage> = Vec::new();
-                for &(_, page) in run {
+                for &(_, page) in run.iter().filter(|(_, p)| p.stamp <= winner.stamp) {
                     match versions.last_mut() {
                         Some(last) if last.stamp == page.stamp => *last = page,
                         _ => versions.push(page),
@@ -200,6 +210,17 @@ fn assert_same_mount(a: &mut InsiderFtl, b: &mut InsiderFtl) {
         assert_eq!(a.mapping.get(lba), b.mapping.get(lba), "mapping of {lba}");
     }
     assert_eq!(a.mapping.mapped_count(), b.mapping.mapped_count());
+    for (lba, ppa) in a.mapping.iter() {
+        assert_eq!(
+            a.device.page_state(ppa).unwrap(),
+            PageState::Valid,
+            "{lba} is mapped to {ppa}"
+        );
+        assert!(
+            !a.queue.is_protected(ppa),
+            "{lba} is mapped to protected {ppa}"
+        );
+    }
     assert_eq!(a.rmap, b.rmap, "reverse map");
     for i in 0..g.total_pages() {
         let ppa = Ppa::new(i);
