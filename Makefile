@@ -19,27 +19,23 @@
 #                      deleted item cannot leave a doc link pointing at it),
 #                      the block-cache oracle, the recovery-queue model test,
 #                      the device-lifecycle fuzz, the FTL's remount,
-#                      GC-torture, incremental-GC and victim-index
-#                      properties (`crash_remount`, `gc_torture`,
-#                      `gc_incremental_oracle`, `victim_index_oracle`), the
-#                      one-pass mount's differential oracle (the
-#                      `insider::mount::oracle` unit tests of insider-ftl), the
-#                      whole-stack rollback and FTL data-integrity
+#                      GC-torture and victim-index properties
+#                      (`crash_remount`, `gc_torture`, `victim_index_oracle`),
+#                      the whole-stack rollback and FTL data-integrity
 #                      properties (`rollback_oracle`, `ftl_data_integrity`),
 #                      the NAND scheduler model (`sched_model`) and the
 #                      counting-table differential oracle
 #                      (`differential_table`) once more, each on a seed
 #                      taken from the clock (`CACHE_ORACLE_SEED`,
 #                      `QUEUE_MODEL_SEED`, `PROPTEST_RNG_SEED` — the last
-#                      shared by the ten proptest suites — echoed first
+#                      shared by the eight proptest suites — echoed first
 #                      so a failure can be replayed; tier1 already ran
-#                      their fixed seeds),
-#                      bounded crash-sweep / steady-state / ROC
-#                      smoke runs
+#                      their fixed seeds), then seed-sweep,
+#                      bounded crash-sweep / ROC smoke runs
 #                      (env bounds below; smoke JSON goes to target/ci/, never
 #                      touching the committed artifacts), then bench_check
-#                      validating every committed BENCH_*.json schema and
-#                      headline ratio, then the end-to-end benchmark's own
+#                      validating the committed BENCH_roc.json schema and
+#                      headline rates, then the end-to-end benchmark's own
 #                      self-tests and a `benchmark/run.sh --quick` smoke run
 #                      (all four workloads, both passes, every byte verified;
 #                      builds into benchmark/target/), then gc-guard and
@@ -56,6 +52,16 @@
 #                      `peak_rss_mib` < 40 (≈ 35 with 4-byte mapping and
 #                      reverse-map entries, ≈ 44 with the 16-byte entries
 #                      they replaced), so a widened page table fails CI.
+#   make seed-sweep  — the clock-seeded properties that were green on 200
+#                      seeds when they joined, each run on SEED_SWEEP (32)
+#                      consecutive seeds from one clock base in the release
+#                      test profile; prints every failing seed as
+#                      `PROPTEST_RNG_SEED=<seed>` and exits non-zero if any
+#                      failed. Today that is the one-pass mount's
+#                      differential oracle (the `insider::mount::oracle` unit
+#                      tests of insider-ftl, ~0.2 s a seed); replay a seed
+#                      with `PROPTEST_RNG_SEED=<seed> cargo test -p
+#                      insider-ftl --lib mount::oracle`.
 #   make clock-guard — fails if `std::time` appears under the src/ of a
 #                      crate that must read no wall clock (CLOCK_FREE
 #                      below): product statistics are sim and count values,
@@ -69,15 +75,6 @@
 #                      without retention, plus the filesystem
 #                      attack/crash/rollback scenario.
 #                      (Tier 1 runs a strided fast version as a plain test.)
-#   make bench-steady — regenerate BENCH_steady.json (steady-state foreground
-#                      p50/p95/p99 under sustained hot churn at ~90 %
-#                      utilization: blocking GC vs incremental GC with
-#                      erase-suspend, identical streams, final contents
-#                      differentially verified;
-#                      STEADY_WRITES / STEADY_HOT_SPAN / STEADY_INTERARRIVAL_US
-#                      / STEADY_WINDOW_MS override the trace. Tier 1 runs the
-#                      bounded steady_smoke test instead; bench_check gates
-#                      the committed artifact's p99 ratio and its two arms).
 #   make bench-roc   — regenerate BENCH_roc.json (run-level TPR/FPR/latency
 #                      threshold sweeps for the baseline and evolved detector
 #                      variants over the three paper ransomware classes, the
@@ -103,7 +100,7 @@ CARGO ?= cargo
 CI_SWEEP_ENV = CRASH_SWEEP_STRIDE=41 CRASH_SWEEP_PAGES=160 CRASH_SWEEP_FS_POINTS=6
 CI_ROC_ENV = ROC_TRACES=1
 
-.PHONY: tier1 ci clock-guard gc-guard rss-guard test bench crash-sweep bench-roc bench-steady
+.PHONY: tier1 ci clock-guard seed-sweep gc-guard rss-guard test bench crash-sweep bench-roc
 
 tier1:
 	$(CARGO) build --release
@@ -122,20 +119,31 @@ ci: clock-guard tier1
 	@seed=$$(date +%s); echo "PROPTEST_RNG_SEED=$$seed"; \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p ssd-insider --test state_machine && \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-ftl --test crash_remount --test gc_torture \
-		--test gc_incremental_oracle --test victim_index_oracle && \
-	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-ftl --lib mount::oracle && \
+		--test victim_index_oracle && \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p ssd-insider-repro --test rollback_oracle --test ftl_data_integrity && \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-nand --test sched_model && \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-bench --test differential_table
+	$(MAKE) seed-sweep
 	mkdir -p target/ci
 	$(CI_SWEEP_ENV) $(CARGO) run --release -p insider-bench --bin crash_sweep
-	$(CARGO) run --release -p insider-bench --bin bench_steady target/ci/BENCH_steady.json
 	$(CI_ROC_ENV) $(CARGO) run --release -p insider-bench --bin bench_roc target/ci/BENCH_roc.json
 	$(CARGO) run --release -p insider-bench --bin bench_check
 	cd benchmark && $(CARGO) test --release --offline
 	bash benchmark/run.sh --quick
 	$(MAKE) gc-guard
 	$(MAKE) rss-guard
+
+SEED_SWEEP = 32
+
+seed-sweep:
+	@$(CARGO) test --release -q -p insider-ftl --lib --no-run
+	@base=$$(date +%s); last=$$((base + $(SEED_SWEEP) - 1)); failed=0; \
+	echo "seed-sweep: mount::oracle on PROPTEST_RNG_SEED=$$base..$$last"; \
+	for seed in $$(seq $$base $$last); do \
+		PROPTEST_RNG_SEED=$$seed $(CARGO) test --release -q -p insider-ftl --lib mount::oracle \
+			>/dev/null 2>&1 || { echo "seed-sweep: mount::oracle fails on PROPTEST_RNG_SEED=$$seed" >&2; failed=$$((failed + 1)); }; \
+	done; \
+	if [ $$failed -gt 0 ]; then echo "seed-sweep: $$failed of $(SEED_SWEEP) seeds failed" >&2; exit 1; fi
 
 CLOCK_FREE = nand detect core fs workloads
 
@@ -178,6 +186,3 @@ crash-sweep:
 
 bench-roc:
 	$(CARGO) run --release -p insider-bench --bin bench_roc
-
-bench-steady:
-	$(CARGO) run --release -p insider-bench --bin bench_steady

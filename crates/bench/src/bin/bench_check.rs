@@ -1,23 +1,15 @@
-//! CI gate over the committed benchmark artifacts: validates the schema of
-//! the two `BENCH_*.json` files in the repo root (roc, steady) and fails
-//! when a headline ratio regresses below its floor.
+//! CI gate over the committed benchmark artifact: validates the schema of
+//! `BENCH_roc.json` in the repo root and fails when a headline rate
+//! regresses below its floor.
 //!
-//! The floors are deliberately far below the currently measured values —
-//! they catch "the optimization silently fell off" (incremental GC
-//! degenerating to the blocking drain), not run-to-run noise on a shared
-//! CI host:
-//!
-//! * steady: incremental GC + erase-suspend cuts the foreground write p99
-//!   by >= [`STEADY_P99_RATIO_MIN`]x vs blocking GC, with throughput no
-//!   worse than [`STEADY_THROUGHPUT_MIN`]x and byte-identical contents;
-//!   the report carries exactly the arms in [`STEADY_ARMS`], so an artifact
-//!   written by an older harness with other arms fails.
-//! * roc: the baseline detector still scores TPR >= [`ROC_PAPER_TPR_MIN`]
-//!   on every paper ransomware class within the benign FPR cap, the
-//!   evolved variant strictly beats the baseline's TPR on every
-//!   adversarial family at the same cap (reaching at least
-//!   [`ROC_ADV_EVOLVED_TPR_MIN`]), and never scores below the baseline
-//!   anywhere (it is a monotone strengthening by construction).
+//! The floors are deliberately below the currently measured values — they
+//! catch "the detector silently fell off", not run-to-run noise on a
+//! shared CI host. The baseline detector still scores TPR >=
+//! [`ROC_PAPER_TPR_MIN`] on every paper ransomware class within the benign
+//! FPR cap; the evolved variant strictly beats the baseline's TPR on every
+//! adversarial family at the same cap (reaching at least
+//! [`ROC_ADV_EVOLVED_TPR_MIN`]), and never scores below the baseline
+//! anywhere (it is a monotone strengthening by construction).
 //!
 //! Usage:
 //!   cargo run --release -p insider-bench --bin bench_check [-- repo_dir]
@@ -28,10 +20,6 @@
 use serde_json::Value;
 use std::path::Path;
 
-const STEADY_P99_RATIO_MIN: f64 = 2.0;
-const STEADY_THROUGHPUT_MIN: f64 = 0.9;
-/// The arms `bench_steady` runs, in report order.
-const STEADY_ARMS: [&str; 2] = ["blocking", "incremental"];
 /// The paper reports FRR 0 % on known classes; anything below 1.0 means a
 /// paper-class attack escaped at every cap-compliant threshold.
 const ROC_PAPER_TPR_MIN: f64 = 1.0;
@@ -96,13 +84,6 @@ fn as_f64(v: &Value) -> Option<f64> {
     }
 }
 
-fn as_bool(v: &Value) -> Option<bool> {
-    match *v {
-        Value::Bool(b) => Some(b),
-        _ => None,
-    }
-}
-
 fn as_str(v: &Value) -> Option<&str> {
     match v {
         Value::Str(s) => Some(s),
@@ -145,69 +126,6 @@ fn need_array<'a>(
             ));
             None
         }
-    }
-}
-
-fn check_steady(doc: &Value, errors: &mut Vec<Violation>) {
-    let name = "BENCH_steady.json";
-    if let Some(ratio) = need_f64(doc, "report.p99_ratio", name, errors) {
-        if ratio < STEADY_P99_RATIO_MIN {
-            errors.push(Violation(
-                name.into(),
-                format!(
-                    "incremental GC only cuts foreground p99 by {ratio:.2}x — floor is \
-                     {STEADY_P99_RATIO_MIN}x"
-                ),
-            ));
-        }
-    }
-    if let Some(tp) = need_f64(doc, "report.throughput_ratio", name, errors) {
-        if tp < STEADY_THROUGHPUT_MIN {
-            errors.push(Violation(
-                name.into(),
-                format!(
-                    "incremental GC costs too much throughput ({tp:.3} of blocking) — floor \
-                     is {STEADY_THROUGHPUT_MIN}"
-                ),
-            ));
-        }
-    }
-    // An arm is a report entry carrying an `arm` label.
-    let mut arms: Vec<&str> = match get(doc, "report") {
-        Some(Value::Map(entries)) => entries
-            .iter()
-            .filter(|(_, v)| v.get("arm").is_some())
-            .map(|(k, _)| k.as_str())
-            .collect(),
-        _ => Vec::new(),
-    };
-    arms.sort_unstable();
-    if arms != STEADY_ARMS {
-        errors.push(Violation(
-            name.into(),
-            format!("report arms are {arms:?}, expected exactly {STEADY_ARMS:?}"),
-        ));
-    }
-    for arm in STEADY_ARMS {
-        need_f64(
-            doc,
-            &format!("report.{arm}.host.total.p99_ns"),
-            name,
-            errors,
-        );
-        need_f64(doc, &format!("report.{arm}.gc_pause.p99_ns"), name, errors);
-        need_f64(
-            doc,
-            &format!("report.{arm}.churn_pages_per_sec"),
-            name,
-            errors,
-        );
-    }
-    if get(doc, "report.contents_identical").and_then(as_bool) != Some(true) {
-        errors.push(Violation(
-            name.into(),
-            "final drive contents diverged between GC arms".into(),
-        ));
     }
 }
 
@@ -321,10 +239,7 @@ fn main() {
     let dir = Path::new(&dir);
     let mut errors = Vec::new();
 
-    let checks: [(&str, Check); 2] = [
-        ("BENCH_roc.json", check_roc),
-        ("BENCH_steady.json", check_steady),
-    ];
+    let checks: [(&str, Check); 1] = [("BENCH_roc.json", check_roc)];
     for (name, check) in checks {
         let before = errors.len();
         if let Some(doc) = load(dir, name, &mut errors) {

@@ -22,9 +22,9 @@ use insider_bench::crash::fs_attack_crash;
 use insider_bench::{sweep_matrix, SweepConfig};
 use std::time::Instant;
 
-fn run_matrix(label: &str, config: &SweepConfig) {
+fn run_matrix(config: &SweepConfig) {
     println!(
-        "crash sweep ({label}): stride={} write_budget={} window={:?}",
+        "crash sweep: stride={} write_budget={} window={:?}",
         config.stride, config.write_budget, config.window
     );
     println!();
@@ -46,7 +46,7 @@ fn run_matrix(label: &str, config: &SweepConfig) {
         );
     }
     println!(
-        "ftl matrix ({label}) clean in {:.2?}: zero acked losses, zero phantoms",
+        "ftl matrix clean in {:.2?}: zero acked losses, zero phantoms",
         started.elapsed()
     );
     println!();
@@ -54,12 +54,7 @@ fn run_matrix(label: &str, config: &SweepConfig) {
 
 fn main() {
     let config = SweepConfig::full().from_env();
-    run_matrix("default", &config);
-    // Second pass with the incremental GC engine and erase-suspend armed:
-    // a 1-page step budget parks a GcJob across nearly every host write,
-    // so cuts land inside half-migrated victim blocks and suspended
-    // erases — and every remount must rebuild to the same contract.
-    run_matrix("incremental", &config.incremental());
+    run_matrix(&config);
 
     // Filesystem scenario: probe the clean run for the crash-space size,
     // then cut at an even spread of mutation boundaries across the attack.

@@ -60,13 +60,6 @@ pub struct SweepConfig {
     /// the paper's 10 s so the compact traces straddle the cutoff and the
     /// post-remount rollback check rewinds to a *non-trivial* state.
     pub window: SimTime,
-    /// Sweeps the incremental background GC engine instead of the blocking
-    /// collector: a tiny step budget and watermark margin keep paused
-    /// `GcJob`s live across most host writes, and the out-of-order NAND
-    /// scheduler runs with erase-suspend armed — so strided cuts land
-    /// inside half-migrated victim blocks and suspended erases, and every
-    /// remount must rebuild to the same contract.
-    pub incremental_gc: bool,
 }
 
 impl SweepConfig {
@@ -76,7 +69,6 @@ impl SweepConfig {
             stride: 1,
             write_budget: 600,
             window: SimTime::from_millis(100),
-            incremental_gc: false,
         }
     }
 
@@ -86,16 +78,6 @@ impl SweepConfig {
             stride: 23,
             write_budget: 160,
             window: SimTime::from_millis(100),
-            incremental_gc: false,
-        }
-    }
-
-    /// The same sweep with incremental GC and erase-suspend armed (see
-    /// [`SweepConfig::incremental_gc`]).
-    pub fn incremental(self) -> Self {
-        SweepConfig {
-            incremental_gc: true,
-            ..self
         }
     }
 
@@ -109,23 +91,6 @@ impl SweepConfig {
             write_budget: env("CRASH_SWEEP_PAGES").unwrap_or(self.write_budget),
             ..self
         }
-    }
-
-    /// The FTL configuration this sweep tests: the standard sweep config
-    /// plus this sweep's GC engine selection.
-    pub fn ftl_config(&self) -> FtlConfig {
-        let mut cfg = sweep_ftl_config(self.window);
-        if self.incremental_gc {
-            // A 1-page step against 16-page blocks parks a GcJob across
-            // nearly every host write, maximizing the states a cut can
-            // land in; erase-suspend adds suspended erases to the mix.
-            cfg = cfg
-                .incremental_gc(true)
-                .gc_low_water_extra(1)
-                .gc_step_pages(1)
-                .erase_suspend(true);
-        }
-        cfg
     }
 }
 
@@ -476,7 +441,7 @@ pub fn sweep(ftl: &FtlConfig, trace: &Trace, config: &SweepConfig) -> SweepSumma
 /// (none, then the sweep's window) — returning `(trace, flavour, summary)`
 /// rows. Panics on any violation.
 pub fn sweep_matrix(config: &SweepConfig) -> Vec<(&'static str, &'static str, SweepSummary)> {
-    let retaining = config.ftl_config();
+    let retaining = sweep_ftl_config(config.window);
     let drives = [retaining.clone().protection_window(None), retaining];
     let mut rows = Vec::new();
     for (name, trace) in sweep_traces(config.write_budget) {

@@ -15,7 +15,6 @@ pub mod outcome;
 pub mod replay;
 pub mod roc;
 pub mod stats;
-pub mod steady;
 pub mod tablefmt;
 
 pub use crash::{
@@ -34,5 +33,4 @@ pub use replay::{
     replay_geometry, sequential_trace, small_space, ModeCost, ReplayOutcome,
 };
 pub use roc::{run_roc, FamilyCurve, RocParams, RocPoint, RocReport, PAPER_CLASSES};
-pub use steady::{run_steady, SteadyArm, SteadyArmOutcome, SteadyParams, SteadyReport};
 pub use tablefmt::render_table;

@@ -53,16 +53,6 @@ fn bounded_crash_sweep_matrix_upholds_durability_contract() {
     check_matrix(&SweepConfig::fast().from_env());
 }
 
-/// The same bounded matrix with the incremental GC engine and
-/// erase-suspend armed: a 1-page step budget keeps a `GcJob` paused across
-/// most host writes, so strided cuts land inside half-migrated victim
-/// blocks (and suspended erases), and every remount must drop the job and
-/// rebuild to the identical durability contract.
-#[test]
-fn bounded_crash_sweep_matrix_with_incremental_gc() {
-    check_matrix(&SweepConfig::fast().from_env().incremental());
-}
-
 /// In-flight-queue crash point: power drops while an 8-page extent write is
 /// mid-batch inside the NAND command scheduler. `FaultPlan` counts in
 /// *issue* order, so exactly the issued prefix is acked and the

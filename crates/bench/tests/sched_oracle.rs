@@ -1,69 +1,78 @@
 //! Scheduler/makespan differential oracle: the NAND command scheduler is a
 //! timing-only queueing model, so replaying a trace at queue depth 1 (the
-//! reference), at the default depth and at the default depth with
-//! erase-suspend must leave the *entire physical device state*
-//! byte-identical — every page's state, payload and OOB record — and the
-//! scheduler's makespan must equal `NandStats`' per-die/per-bus busy
-//! maximum exactly (data is applied synchronously; only completion
-//! timestamps are simulated).
+//! reference) and at the default depth must leave the *entire physical
+//! device state* byte-identical — every page's state, payload and OOB
+//! record — and the scheduler's makespan must equal `NandStats`'
+//! per-die/per-bus busy maximum exactly (data is applied synchronously;
+//! only completion timestamps are simulated).
 //!
 //! At queue depth 1 every command arrives after all earlier commands have
-//! completed, so the reference can promote no read, suspend no erase (it
-//! runs with erase-suspend allowed) and stall no host command behind
-//! firmware; the test asserts those three zeros, so the reference cannot
-//! silently start reordering.
+//! completed, so the reference can promote no read, suspend no erase and
+//! stall no host command behind firmware; the test asserts those three
+//! zeros, so the reference cannot silently start reordering.
 //!
 //! The three replay traces never fill the 1 GiB replay drive, so they never
-//! erase and no arm can differ on them by more than read promotion. The
-//! `bench_steady` scenario (cold fill to 90 %, then hot churn with
-//! interleaved reads on a 12 288-page drive) is the input that collects: once
-//! under the blocking policy, whose drain stalls the host past its own
-//! erases, and once under the incremental policy, the only one that has an
-//! erase in flight when a host command arrives — where suspension happens.
+//! erase and the two depths can differ on them by no more than read
+//! promotion. The churn trace (cold fill to 90 %, then hot churn with
+//! interleaved reads on a 12 288-page drive) is the input that collects,
+//! and its blocking drains stall the host past their own erases.
 
 use insider_bench::{
-    random_trace, ransomware_mix_trace, replay_ftl, replay_geometry, sequential_trace, SteadyArm,
-    SteadyParams,
+    random_trace, ransomware_mix_trace, replay_ftl, replay_geometry, sequential_trace,
 };
 use insider_detect::{IoMode, IoReq};
 use insider_ftl::{FtlConfig, InsiderFtl};
-use insider_nand::{Lba, NandDevice, NandStats, OobRecord, PageState, Ppa, SimTime};
+use insider_nand::{Geometry, Lba, NandDevice, NandStats, OobRecord, PageState, Ppa, SimTime};
 use insider_workloads::Trace;
 
-/// `bench::steady`'s scenario as a trace, one page per request.
-fn churn_trace(p: &SteadyParams, logical: u64) -> Trace {
-    let fill = (logical as f64 * p.fill_fraction) as u64;
-    let hot = p.hot_span.min(fill);
+/// 4 dies of 96 blocks of 32 pages of 512 B: 12 288 physical pages, a
+/// quarter of them over-provisioned, with a 100 ms protection window.
+fn churn_config() -> FtlConfig {
+    let geometry = Geometry::builder()
+        .channels(2)
+        .chips_per_channel(2)
+        .blocks_per_chip(96)
+        .pages_per_block(32)
+        .page_size(512)
+        .build();
+    FtlConfig::new(geometry)
+        .over_provisioning(0.25)
+        .protection_window(SimTime::from_millis(100))
+}
+
+/// Cold-fills 90 % of `logical` pages 400 µs apart, then overwrites a
+/// 2 048-page hot span round-robin 24 000 times, 600 µs apart, with one
+/// read of the span after every second write; one page per request.
+fn churn_trace(logical: u64) -> Trace {
+    let fill = (logical as f64 * 0.9) as u64;
+    let hot = 2048.min(fill);
     let mut trace = Trace::new();
     let mut now = SimTime::from_secs(1);
     for lba in 0..fill {
         trace.push(IoReq::new(now, Lba::new(lba), IoMode::Write, 1));
-        now = now.saturating_add(p.fill_interarrival);
+        now = now.saturating_add(SimTime::from_micros(400));
     }
-    for i in 0..p.churn_writes {
+    for i in 0..24_000u64 {
         trace.push(IoReq::new(now, Lba::new(i % hot), IoMode::Write, 1));
-        if (i + 1) % p.read_every == 0 {
+        if (i + 1) % 2 == 0 {
             let lba = Lba::new(i.wrapping_mul(7919) % hot);
             trace.push(IoReq::new(now, lba, IoMode::Read, 1));
         }
-        now = now.saturating_add(p.interarrival);
+        now = now.saturating_add(SimTime::from_micros(600));
     }
     trace
 }
 
-/// `(name, configuration before the scheduling arm is applied, trace)`.
+/// `(name, configuration, trace)`.
 fn inputs() -> Vec<(&'static str, FtlConfig, Trace)> {
     let replay = FtlConfig::new(replay_geometry());
-    let steady = SteadyParams::full();
-    let blocking = steady.arm_config(SteadyArm::Blocking).ftl().clone();
-    let incremental = steady.arm_config(SteadyArm::Incremental).ftl().clone();
-    let churn = churn_trace(&steady, blocking.logical_pages());
+    let churn = churn_config();
+    let trace = churn_trace(churn.logical_pages());
     vec![
         ("sequential-read", replay.clone(), sequential_trace()),
         ("random-mixed", replay.clone(), random_trace()),
         ("ransomware-mix", replay, ransomware_mix_trace()),
-        ("churn/blocking-gc", blocking, churn.clone()),
-        ("churn/incremental-gc", incremental, churn),
+        ("churn", churn, trace),
     ]
 }
 
@@ -84,55 +93,41 @@ fn physical_state(device: &NandDevice) -> PhysState {
         .collect()
 }
 
-/// `stats` without what a scheduling arm is allowed to move. All of it is
-/// timing: the suspend counters, the resume penalties suspension adds to
-/// the busy sums (exactly `suspend_overhead_ns`, on the serial sum and
-/// summed over the dies), and the firmware-stall totals, which are waits
-/// measured against completion times.
+/// `stats` without what the queue depth is allowed to move: the
+/// firmware-stall totals, which are waits measured against completion
+/// times.
 fn without_timing(stats: &NandStats) -> NandStats {
-    let overhead = stats.suspend_overhead_ns;
     let mut s = stats.clone();
-    s.busy_ns -= overhead;
-    s.die_busy_ns = vec![stats.die_busy_ns.iter().sum::<u64>() - overhead];
-    s.erases_suspended = 0;
-    s.suspend_overhead_ns = 0;
     s.gc_stalled_cmds = 0;
     s.gc_stall_ns = 0;
     s
 }
 
-/// `config` with its NAND scheduler at queue depth 1 and erase-suspend
-/// allowed, every FTL setting carried over. Suspension is on so that the
-/// reference's zero suspensions are a property of the depth, not of a
-/// disabled feature.
+/// `config` with its NAND scheduler at queue depth 1, every FTL setting
+/// carried over.
 fn at_queue_depth_one(config: &FtlConfig) -> FtlConfig {
-    let rebuilt = FtlConfig::with_nand(config.nand().clone().queue_depth(1).erase_suspend(true))
+    let rebuilt = FtlConfig::with_nand(config.nand().clone().queue_depth(1))
         .over_provisioning(config.over_provisioning_ratio())
         .protection_window(config.window())
-        .record_gc_victims(config.gc_victim_recording())
-        .incremental_gc(config.incremental_gc_enabled())
-        .gc_low_water_extra(config.gc_low_water_extra_blocks())
-        .gc_step_pages(config.gc_step_budget_pages());
+        .record_gc_victims(config.gc_victim_recording());
     // A setting this rebuild did not carry over would show in the `Debug`
     // text; only the depth (every input runs the default 32) may differ.
-    let expected = format!("{:?}", config.clone().erase_suspend(true))
-        .replace("queue_depth: 32,", "queue_depth: 1,");
+    let expected = format!("{config:?}").replace("queue_depth: 32,", "queue_depth: 1,");
     assert_eq!(format!("{rebuilt:?}"), expected, "queue-depth-1 rebuild");
     rebuilt
 }
 
-/// How often the replays did what the arms exist to vary.
+/// How often the replays did what the depths exist to vary.
 #[derive(Default)]
 struct Exercised {
     erases: u64,
     reads_promoted: u64,
-    erases_suspended: u64,
 }
 
-/// Replays `trace` through one FTL flavour under every scheduling arm and
+/// Replays `trace` through one FTL flavour at both depths and
 /// cross-checks the physical outcomes against the queue-depth-1 reference.
 fn check_flavour(name: &str, config: &FtlConfig, trace: &Trace, seen: &mut Exercised) {
-    let run = |arm: &str, config: FtlConfig| {
+    let run = |depth: &str, config: FtlConfig| {
         let mut ftl = InsiderFtl::new(config);
         let outcome = replay_ftl(trace, &mut ftl);
         assert_eq!(outcome.skipped, 0, "{name}: trace must fit the drive");
@@ -143,7 +138,7 @@ fn check_flavour(name: &str, config: &FtlConfig, trace: &Trace, seen: &mut Exerc
         assert_eq!(
             dev.sched_makespan_ns(),
             dev.parallel_busy_ns(),
-            "{name}/{arm}: scheduler makespan diverged from the busy integrals"
+            "{name}/{depth}: scheduler makespan diverged from the busy integrals"
         );
         ftl
     };
@@ -164,28 +159,18 @@ fn check_flavour(name: &str, config: &FtlConfig, trace: &Trace, seen: &mut Exerc
         "{name}: the reference stalled the host"
     );
     seen.erases += stats.erases;
-    for erase_suspend in [false, true] {
-        let arm = format!("erase_suspend={erase_suspend}");
-        let scheduled = run(&arm, config.clone().erase_suspend(erase_suspend));
-        let arm = format!("{name}/{arm}");
-        assert_eq!(
-            physical_state(scheduled.device()),
-            reference,
-            "{arm}: physical state diverged from queue depth 1"
-        );
-        let arm_stats = scheduled.nand_stats();
-        assert_eq!(
-            without_timing(arm_stats),
-            without_timing(stats),
-            "{arm}: NAND statistics diverged beyond the timing fields"
-        );
-        if !erase_suspend {
-            assert_eq!(arm_stats.die_busy_ns, stats.die_busy_ns, "{arm}");
-            assert_eq!(arm_stats.erases_suspended, 0, "{arm}");
-        }
-        seen.reads_promoted += scheduled.device().reads_promoted();
-        seen.erases_suspended += arm_stats.erases_suspended;
-    }
+    let scheduled = run("default-depth", config.clone());
+    assert_eq!(
+        physical_state(scheduled.device()),
+        reference,
+        "{name}: physical state diverged from queue depth 1"
+    );
+    assert_eq!(
+        without_timing(scheduled.nand_stats()),
+        without_timing(stats),
+        "{name}: NAND statistics diverged beyond the timing fields"
+    );
+    seen.reads_promoted += scheduled.device().reads_promoted();
 }
 
 #[test]
@@ -199,5 +184,4 @@ fn all_sched_modes_leave_identical_physical_state() {
     }
     assert!(seen.erases > 0, "no input ever erased a block");
     assert!(seen.reads_promoted > 0, "no read was ever promoted");
-    assert!(seen.erases_suspended > 0, "no erase was ever suspended");
 }

@@ -119,8 +119,8 @@ impl Console {
         let pause = self.device.gc_pause_latency();
         format!(
             "state: {}  score: {}/{}  t: {}  writes: {}  WA: {:.3}\n\
-             gc: {} collections, {} steps, {} stw fallbacks, pause p99 {:.3} ms\n\
-             tail: {} erases suspended, {} gc-stalled cmds",
+             gc: {} collections, pause p99 {:.3} ms\n\
+             tail: {} gc-stalled cmds",
             self.device.state(),
             self.device.score(),
             self.device.detector().config().window_slices,
@@ -128,10 +128,7 @@ impl Console {
             ftl.host_writes,
             ftl.write_amplification(),
             ftl.gc_invocations,
-            ftl.gc_steps,
-            ftl.gc_stw_fallbacks,
             pause.p99_ns as f64 / 1e6,
-            nand.erases_suspended,
             nand.gc_stalled_cmds,
         )
     }
@@ -399,11 +396,8 @@ mod tests {
     fn status_reports_gc_and_tail_counters() {
         let mut c = Console::new();
         let s = run(&mut c, "status");
-        assert!(
-            s.contains("gc: 0 collections, 0 steps, 0 stw fallbacks"),
-            "{s}"
-        );
-        assert!(s.contains("0 erases suspended, 0 gc-stalled cmds"), "{s}");
+        assert!(s.contains("gc: 0 collections, pause p99"), "{s}");
+        assert!(s.contains("tail: 0 gc-stalled cmds"), "{s}");
 
         // A tiny drive with a short protection window: churn overwrites
         // (ticking the clock past the window so backups expire) until the

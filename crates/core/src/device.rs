@@ -98,21 +98,9 @@ impl SsdInsider {
     }
 
     /// Percentiles of foreground GC pause time — the simulated NAND busy
-    /// time each collection episode (under either GC policy) inserted ahead
-    /// of a host write.
+    /// time each collection episode inserted ahead of a host write.
     pub fn gc_pause_latency(&self) -> insider_nand::KindLatency {
         self.ftl.gc_pause_latency()
-    }
-
-    /// Runs any parked GC job to completion so the physical state is
-    /// comparable across devices (the differential benches call
-    /// this before diffing contents).
-    ///
-    /// # Errors
-    ///
-    /// Propagates FTL space-exhaustion or NAND failures.
-    pub fn gc_quiesce(&mut self) -> Result<()> {
-        Ok(self.ftl.gc_quiesce()?)
     }
 
     /// Write-pacing counters: `(stalled writes, total injected delay ns)`.
@@ -753,10 +741,8 @@ mod tests {
     }
 
     #[test]
-    fn incremental_churn_keeps_the_device_writable() {
-        let ftl = insider_ftl::FtlConfig::new(Geometry::tiny()).incremental_gc(true);
-        let cfg = InsiderConfig::from_parts(ftl, *InsiderConfig::new(Geometry::tiny()).detector());
-        let mut ssd = SsdInsider::new(cfg, DecisionTree::stump(0, 0.5));
+    fn churn_keeps_the_device_writable() {
+        let mut ssd = device();
         // Pure GC churn test: keep the detector from freezing retirement.
         ssd.set_detection(false);
         // Churn a 64-page hot set slowly enough (200 ms/write against the
@@ -769,7 +755,9 @@ mod tests {
                 t += SimTime::from_millis(200);
             }
         }
-        ssd.gc_quiesce().unwrap();
-        assert!(ssd.gc_pause_latency().count > 0 || ssd.ftl_stats().gc_steps > 0);
+        assert!(
+            ssd.gc_pause_latency().count > 0,
+            "the churn never collected"
+        );
     }
 }

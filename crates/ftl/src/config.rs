@@ -29,9 +29,6 @@ pub struct FtlConfig {
     over_provisioning: f64,
     protection_window: Option<SimTime>,
     record_gc_victims: bool,
-    incremental_gc: bool,
-    gc_low_water_extra: u32,
-    gc_step_pages: u32,
 }
 
 impl FtlConfig {
@@ -65,9 +62,6 @@ impl FtlConfig {
             over_provisioning: 0.07,
             protection_window: Some(SimTime::from_secs(10)),
             record_gc_victims: false,
-            incremental_gc: false,
-            gc_low_water_extra: 2,
-            gc_step_pages: 4,
         }
     }
 
@@ -113,67 +107,6 @@ impl FtlConfig {
     /// default; the scheduler-oracle tests turn it on.
     pub fn capture_commands(mut self, enabled: bool) -> Self {
         self.nand = self.nand.capture_commands(enabled);
-        self
-    }
-
-    /// Switches the garbage collector's policy from blocking (collect only
-    /// once the pool sinks below the reserve, then drain stop-the-world) to
-    /// incremental: foreground writes pump the same resumable `GcJob` in
-    /// small budgeted steps once the free pool sinks below the low
-    /// watermark (reserve + [`gc_low_water_extra`]), with an urgency ramp
-    /// and an unbudgeted stop-the-world fallback at reserve exhaustion. The
-    /// flag moves only the trigger and the budget; off by default.
-    ///
-    /// [`gc_low_water_extra`]: Self::gc_low_water_extra
-    pub fn incremental_gc(mut self, enabled: bool) -> Self {
-        self.incremental_gc = enabled;
-        self
-    }
-
-    /// Whether the incremental GC policy is selected.
-    pub fn incremental_gc_enabled(&self) -> bool {
-        self.incremental_gc
-    }
-
-    /// Sets how many blocks *above* the GC reserve the incremental policy
-    /// starts working in the background (the low watermark is
-    /// `gc_reserve + extra`). `0` makes incremental GC trigger exactly
-    /// where the blocking policy does — the degenerate configuration the
-    /// differential oracle pins. Default 2.
-    pub fn gc_low_water_extra(mut self, extra: u32) -> Self {
-        self.gc_low_water_extra = extra;
-        self
-    }
-
-    /// Blocks above the GC reserve at which incremental GC engages.
-    pub fn gc_low_water_extra_blocks(&self) -> u32 {
-        self.gc_low_water_extra
-    }
-
-    /// Sets the base page budget of one incremental GC step (default 4).
-    /// The effective budget per foreground write grows with urgency as the
-    /// free pool sinks below the low watermark.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pages` is zero.
-    pub fn gc_step_pages(mut self, pages: u32) -> Self {
-        assert!(pages >= 1, "gc step budget must be at least one page");
-        self.gc_step_pages = pages;
-        self
-    }
-
-    /// The base incremental GC step budget, in pages.
-    pub fn gc_step_budget_pages(&self) -> u32 {
-        self.gc_step_pages
-    }
-
-    /// Enables erase-suspend/resume in the NAND scheduler: a read
-    /// arriving while an erase is mid-pulse on its die preempts it
-    /// (never an erase of the read's own block) at a fixed resume penalty.
-    /// Timing only; off by default.
-    pub fn erase_suspend(mut self, enabled: bool) -> Self {
-        self.nand = self.nand.erase_suspend(enabled);
         self
     }
 
@@ -292,34 +225,5 @@ mod tests {
                 .unwrap();
             assert_eq!(!ftl.take_captured_commands().is_empty(), capture);
         }
-    }
-
-    #[test]
-    fn incremental_gc_knobs_default_off_and_are_settable() {
-        let cfg = FtlConfig::new(Geometry::tiny());
-        assert!(!cfg.incremental_gc_enabled());
-        assert_eq!(cfg.gc_low_water_extra_blocks(), 2);
-        assert_eq!(cfg.gc_step_budget_pages(), 4);
-        let cfg = cfg
-            .incremental_gc(true)
-            .gc_low_water_extra(0)
-            .gc_step_pages(16);
-        assert!(cfg.incremental_gc_enabled());
-        assert_eq!(cfg.gc_low_water_extra_blocks(), 0);
-        assert_eq!(cfg.gc_step_budget_pages(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one page")]
-    fn zero_gc_step_budget_panics() {
-        FtlConfig::new(Geometry::tiny()).gc_step_pages(0);
-    }
-
-    #[test]
-    fn erase_suspend_passes_through_to_nand() {
-        let cfg = FtlConfig::new(Geometry::tiny());
-        assert!(!cfg.nand().erase_suspend_enabled());
-        let cfg = cfg.erase_suspend(true);
-        assert!(cfg.nand().erase_suspend_enabled());
     }
 }

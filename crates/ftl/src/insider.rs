@@ -111,15 +111,14 @@ pub struct InsiderFtl {
     /// mount) — the size of the structure an on-device implementation
     /// would stream through during power-on recovery.
     mount_scan_entries: u64,
-    /// The GC engine's one job, `None` at quiescence; `Some` between writes
-    /// when the incremental budget paused it or a NAND error stopped it.
+    /// The collector's one job, `None` at quiescence; `Some` between
+    /// writes only when a NAND error stopped it mid-block.
     /// Dropped — not persisted — across a power cut; the half-migrated
     /// victim is simply re-selectable.
     gc_job: Option<GcJob>,
     /// Per-GC-entry foreground pause histogram: the growth of the device's
-    /// parallel makespan across each GC entry (unbudgeted drain or
-    /// budgeted pump) — the device-time stall a collocated host command
-    /// would observe.
+    /// parallel makespan across each GC drain — the device-time stall a
+    /// collocated host command would observe.
     gc_pause_hist: LatencyHistogram,
     stats: FtlStats,
     config: FtlConfig,
@@ -501,14 +500,11 @@ mod tests {
         }
     }
 
-    /// Hot/cold churn under the configured GC policy, with enough cold
-    /// (never rewritten) pages per block that victims cost real migrations.
-    /// Returns whether a pump ever left a job paused mid-block.
-    pub(super) fn churn_mixed(f: &mut InsiderFtl, rounds: u64) -> bool {
-        let mut saw_pending = false;
+    /// Hot/cold churn with enough cold (never rewritten) pages per block
+    /// that victims cost real migrations.
+    pub(super) fn churn_mixed(f: &mut InsiderFtl, rounds: u64) {
         for i in 0..rounds {
             f.gc_before_write(1).unwrap();
-            saw_pending |= f.gc_job_pending();
             let (lba, data) = if i.is_multiple_of(2) {
                 (Lba::new(100 + i / 2 % 100), Bytes::from_static(b"cold"))
             } else {
@@ -516,7 +512,6 @@ mod tests {
             };
             put(f, lba, data);
         }
-        saw_pending
     }
 
     const READ_ONLY: Hold = Hold {

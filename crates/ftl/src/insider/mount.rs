@@ -296,7 +296,7 @@ impl InsiderFtl {
         self.active = vec![None; chips];
         self.next_chip = 0;
         self.queue.clear();
-        // A half-done incremental job does not survive power loss: its
+        // A job parked by a NAND error does not survive power loss: its
         // victim is re-scored from physical state like every other block.
         self.gc_job = None;
 
@@ -366,27 +366,21 @@ impl InsiderFtl {
 mod tests {
     use super::super::tests::{get, RETENTIONS};
     use super::InsiderFtl;
-    use crate::{Ftl, FtlConfig};
+    use crate::{Ftl, FtlConfig, GC_RESERVE_BLOCKS};
     use bytes::Bytes;
-    use insider_nand::{Geometry, Lba, SimTime};
+    use insider_nand::{FaultKind, FaultPlan, Geometry, Lba, SimTime};
     use std::collections::BTreeMap;
 
-    /// A power cut drops a GC job parked mid-block. On the retaining
-    /// drive the parked victim still holds protected pre-images when the
-    /// power goes, and rollback after the mount must restore the
-    /// pre-window contents byte-exact.
+    /// A power cut drops a GC job parked mid-block by a program fault
+    /// inside a drain. On the retaining drive the parked victim still
+    /// holds protected pre-images when the power goes, and rollback after
+    /// the mount must restore the pre-window contents byte-exact.
     #[test]
     fn remount_drops_a_paused_gc_job() {
         for window in RETENTIONS {
-            let mut f = InsiderFtl::new(
-                FtlConfig::new(Geometry::tiny())
-                    .protection_window(window)
-                    .incremental_gc(true)
-                    .gc_low_water_extra(1)
-                    .gc_step_pages(1),
-            );
+            let mut f = InsiderFtl::new(FtlConfig::new(Geometry::tiny()).protection_window(window));
             // Write `i` of a hot/cold churn, 100 ms apart, each payload
-            // unique; returns what it wrote.
+            // unique; returns what it wrote, or the error that stopped it.
             let write = |f: &mut InsiderFtl, i: u64| {
                 let lba = if i.is_multiple_of(2) {
                     Lba::new(100 + i / 2 % 100)
@@ -395,8 +389,7 @@ mod tests {
                 };
                 let now = SimTime::from_millis(i * 100);
                 let data = Bytes::from(format!("{i}"));
-                f.write(lba, data.clone(), now).unwrap();
-                (now, lba, data)
+                f.write(lba, data.clone(), now).map(|()| (now, lba, data))
             };
             let parked = |f: &InsiderFtl| {
                 f.gc_job.is_some_and(|job| {
@@ -406,8 +399,23 @@ mod tests {
             let mut history = Vec::new();
             let mut i = 0u64;
             while !parked(&f) {
-                assert!(i < 2_000, "churn never paused a job");
-                history.push(write(&mut f, i));
+                assert!(i < 2_000, "churn never parked a job");
+                // A write below the reserve drains first, so its first
+                // program is a migration whenever the victim holds a page
+                // to copy: fail that one.
+                let drains = f.free_blocks() < GC_RESERVE_BLOCKS as usize + 1;
+                if drains {
+                    let mut plan = FaultPlan::new();
+                    plan.fail_nth(FaultKind::Program, 1);
+                    f.set_fault_plan(plan);
+                }
+                // A failed write programmed nothing and leaves no history.
+                if let Ok(done) = write(&mut f, i) {
+                    history.push(done);
+                }
+                if drains {
+                    f.set_fault_plan(FaultPlan::new());
+                }
                 i += 1;
             }
             let now = history.last().unwrap().0;
@@ -429,9 +437,8 @@ mod tests {
             // The half-collected victim is ordinary closed state after the
             // rebuild; collection proceeds from scratch.
             for k in i..i + 64 {
-                write(&mut f, k);
+                write(&mut f, k).unwrap();
             }
-            f.gc_quiesce().unwrap();
             assert!(f.free_blocks() >= 2);
         }
     }

@@ -14,9 +14,9 @@
 //! decoded-record count and the charged reads. Equal after the cut, the
 //! twins stay equal through the churn that follows.
 //!
-//! The churn covers both retention values, incremental GC that parks jobs
-//! mid-victim, a frozen [`Hold`] across the cut, rollback, power loss
-//! mid-extent and back-to-back cuts. Stamps and cut times share a 250 ms
+//! The churn covers both retention values, a frozen [`Hold`] across the
+//! cut, rollback, power loss mid-extent (inside a GC drain, it parks the
+//! job mid-victim) and back-to-back cuts. Stamps and cut times share a 250 ms
 //! grid, so records land exactly on the cutoff. The vendored proptest
 //! runs a fixed seed; `PROPTEST_RNG_SEED=<u64>` explores others and a
 //! failure names it.
@@ -326,18 +326,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The configuration under test: retention, and incremental GC with a
-/// one-page step, which parks a job on any victim holding live data.
-fn config(window: Option<SimTime>, incremental: bool) -> FtlConfig {
-    let config = FtlConfig::new(geometry()).protection_window(window);
-    if incremental {
-        config
-            .incremental_gc(true)
-            .gc_low_water_extra(2)
-            .gc_step_pages(1)
-    } else {
-        config
-    }
+/// The configuration under test.
+fn config(window: Option<SimTime>) -> FtlConfig {
+    FtlConfig::new(geometry()).protection_window(window)
 }
 
 /// Errors a twin may return from host commands in this churn; both twins
@@ -359,9 +350,9 @@ fn cut_both(a: &mut InsiderFtl, b: &mut InsiderFtl, now: SimTime) {
 
 /// Replays `ops` on both twins; returns how many cuts were compared and
 /// how many of those found a GC job parked.
-fn replay(window: Option<SimTime>, incremental: bool, ops: &[Op]) -> (u32, u32) {
-    let mut a = InsiderFtl::new(config(window, incremental));
-    let mut b = InsiderFtl::new(config(window, incremental));
+fn replay(window: Option<SimTime>, ops: &[Op]) -> (u32, u32) {
+    let mut a = InsiderFtl::new(config(window));
+    let mut b = InsiderFtl::new(config(window));
     let mut now = SimTime::from_secs(1);
     let (mut cuts, mut parked) = (0, 0);
     for (i, &op) in ops.iter().enumerate() {
@@ -443,15 +434,17 @@ proptest! {
     fn one_pass_mount_matches_the_flat_sort(
         ops in proptest::collection::vec(op_strategy(), 200..500),
         retains in any::<bool>(),
-        incremental in any::<bool>(),
     ) {
-        replay(retains.then_some(WINDOW), incremental, &ops);
+        replay(retains.then_some(WINDOW), &ops);
     }
 }
 
 /// A fixed churn that reaches what the random cases are for, on both
 /// retention values: a parked GC job at a cut, a frozen hold across two
-/// back-to-back cuts, rollback after a remount and a cut mid-extent.
+/// back-to-back cuts, rollback after a remount and a cut mid-extent. The
+/// job is parked by the cut in round 4: a 16-page extent raises the GC
+/// target by two blocks, so the write drains first and the power fails
+/// inside the drain.
 #[test]
 fn scripted_churn_reaches_parked_jobs_holds_and_mid_extent_cuts() {
     let mut ops = Vec::new();
@@ -475,11 +468,16 @@ fn scripted_churn_reaches_parked_jobs_holds_and_mid_extent_cuts() {
                 lba: 20,
                 len: 5,
             }),
+            4 => ops.push(Op::CutDuring {
+                after: 2,
+                lba: 40,
+                len: 16,
+            }),
             _ => ops.push(Op::Cut { times: 1 }),
         }
     }
     for window in [Some(WINDOW), None] {
-        let (cuts, parked) = replay(window, true, &ops);
+        let (cuts, parked) = replay(window, &ops);
         assert!(cuts >= 7);
         assert!(parked > 0, "no cut found a parked GC job");
     }

@@ -33,23 +33,11 @@ pub struct FtlStats {
     /// regardless of timer resolution.
     pub gc_ns: u64,
     /// Worst-case pages migrated by a single GC entry — the tail latency a
-    /// host write can absorb. Bounded by the urgency-scaled step budget
-    /// under the incremental policy (unless its fallback fires), unbounded
-    /// under the blocking one.
+    /// host write can absorb.
     pub gc_migrations_max: u64,
     /// Power-on mounts performed (full OOB-scan rebuilds after a power
     /// cut). Zero for a drive that never lost power.
     pub mounts: u64,
-    /// Steps of the GC job engine: each resumption of a victim's migration
-    /// cursor, to the end of the block or of the budget — one per victim
-    /// under the blocking policy, several under the incremental one.
-    #[serde(default)]
-    pub gc_steps: u64,
-    /// Times incremental GC fell back to a blocking stop-the-world drain
-    /// because the free pool hit the hard floor — the safety valve the
-    /// urgency ramp is supposed to keep cold.
-    #[serde(default)]
-    pub gc_stw_fallbacks: u64,
 }
 
 impl FtlStats {
@@ -87,7 +75,7 @@ impl std::fmt::Display for FtlStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "reads={} writes={} trims={} gc[runs={} copies={} protected={} erases={} bad={} ns={} max_migr={} steps={} stw={}] mounts={} WA={:.3}",
+            "reads={} writes={} trims={} gc[runs={} copies={} protected={} erases={} bad={} ns={} max_migr={}] mounts={} WA={:.3}",
             self.host_reads,
             self.host_writes,
             self.host_trims,
@@ -98,8 +86,6 @@ impl std::fmt::Display for FtlStats {
             self.bad_blocks,
             self.gc_ns,
             self.gc_migrations_max,
-            self.gc_steps,
-            self.gc_stw_fallbacks,
             self.mounts,
             self.write_amplification()
         )
@@ -129,8 +115,6 @@ mod tests {
             "gc[",
             "ns=",
             "max_migr=",
-            "steps=",
-            "stw=",
             "mounts=",
             "WA=",
         ] {

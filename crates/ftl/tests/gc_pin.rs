@@ -1,7 +1,6 @@
 //! Pins what garbage collection does to a fixed GC-heavy script: as one
 //! FNV-1a hash per configuration over the `Debug` rendering of the victim
-//! sequence, `FtlStats` with the wall-clock timer and the step counter
-//! zeroed, `NandStats` (counters and busy integrals), the host-only latency
+//! sequence, `FtlStats` with the wall-clock timer zeroed, `NandStats` (counters and busy integrals), the host-only latency
 //! percentiles (which carry the firmware stall a drain raises) and the final
 //! contents of the span. A change to the collector that is meant to keep
 //! the drain order and the host stall must leave every hash alone.
@@ -18,7 +17,12 @@
 //! the mapping-table checkpoint was deleted together with its two
 //! `FtlStats` counters, all four hashes were re-recorded a third time after
 //! checking that each rendered string equalled the previous commit's minus
-//! `checkpoints: 0, checkpoint_pages: 0`. Re-record them only for a change
+//! `checkpoints: 0, checkpoint_pages: 0`. When the incremental GC policy and
+//! erase-suspend were deleted, their row went with them, and the blocking
+//! row's two hashes were re-recorded after checking that each rendered
+//! string equalled the previous commit's minus the GC step counter, the
+//! stop-the-world fallback counter and the NAND resume-penalty total, all
+//! three zero. Re-record them only for a change
 //! that is *meant* to move simulated GC behaviour, or that adds or removes
 //! a field of one of the hashed structs.
 
@@ -35,7 +39,7 @@ const OPS: u64 = 5_000;
 /// Four dies (2 channels × 2 ways) of 12 eight-page blocks: small enough
 /// that the script collects constantly, multi-chip so per-chip free pools and
 /// the free-depth tie-break between equally scored victims are on the path.
-fn config(incremental: bool) -> FtlConfig {
+fn config() -> FtlConfig {
     let geometry = Geometry::builder()
         .channels(2)
         .chips_per_channel(2)
@@ -43,16 +47,7 @@ fn config(incremental: bool) -> FtlConfig {
         .pages_per_block(8)
         .page_size(64)
         .build();
-    let cfg = FtlConfig::new(geometry).record_gc_victims(true);
-    if incremental {
-        // One-page steps from the blocking trigger: the pump cannot keep up,
-        // so the stop-the-world fallback is on the pinned path too.
-        cfg.incremental_gc(true)
-            .gc_low_water_extra(0)
-            .gc_step_pages(1)
-    } else {
-        cfg
-    }
+    FtlConfig::new(geometry).record_gc_victims(true)
 }
 
 /// FNV-1a (64-bit).
@@ -99,7 +94,7 @@ fn run(ftl: &mut InsiderFtl) -> u64 {
     ftl.sync();
 
     let mut s = *ftl.stats();
-    (s.gc_ns, s.gc_steps) = (0, 0);
+    s.gc_ns = 0;
     let n = ftl.nand_stats().clone();
     let host = ftl.host_latency_snapshot();
     let contents = ftl.read_extent(Lba::new(0), SPAN as u32, now).unwrap();
@@ -113,26 +108,15 @@ fn run(ftl: &mut InsiderFtl) -> u64 {
     fnv(observed.as_bytes())
 }
 
-/// Incremental GC off and on, per row of [`RECORDED`].
-const CONFIGS: [bool; 2] = [false, true];
-
-/// `[conventional, insider]` hashes per row of [`CONFIGS`].
-const RECORDED: [[u64; 2]; 2] = [
-    [0x46b46b9d24cac4ba, 0x51fb528c4a4a43b8],
-    [0xd348db61595802ce, 0xffb9b81705ac04f1],
-];
+/// `[conventional, insider]` hashes.
+const RECORDED: [u64; 2] = [0x3fc7aac57a8a2d30, 0x0ccee26c6a17cde8];
 
 #[test]
 fn gc_behaviour_is_pinned() {
     let hex = |hashes: [u64; 2]| hashes.map(|h| format!("{h:#018x}"));
-    let got = CONFIGS.map(|incremental| {
-        let mut conventional = InsiderFtl::new(config(incremental).protection_window(None));
-        let mut insider = InsiderFtl::new(config(incremental));
-        let hashes = [run(&mut conventional), run(&mut insider)];
-        assert!(insider.stats().gc_protected_copies > 0);
-        let fallbacks = |f: &InsiderFtl| f.stats().gc_stw_fallbacks > 0;
-        assert_eq!(fallbacks(&conventional) && fallbacks(&insider), incremental);
-        hex(hashes)
-    });
-    assert_eq!(got, RECORDED.map(hex), "GC behaviour moved");
+    let mut conventional = InsiderFtl::new(config().protection_window(None));
+    let mut insider = InsiderFtl::new(config());
+    let got = [run(&mut conventional), run(&mut insider)];
+    assert!(insider.stats().gc_protected_copies > 0);
+    assert_eq!(hex(got), hex(RECORDED), "GC behaviour moved");
 }

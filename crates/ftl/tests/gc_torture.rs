@@ -232,62 +232,50 @@ proptest! {
 mod gc_policies {
     use super::*;
 
-    /// The two GC policies: blocking, and incremental with one-page steps
-    /// from the blocking trigger.
-    fn config(incremental: bool) -> FtlConfig {
+    fn config() -> FtlConfig {
         let g = Geometry::builder()
             .blocks_per_chip(64)
             .pages_per_block(16)
             .page_size(64)
             .build();
         FtlConfig::new(g)
-            .incremental_gc(incremental)
-            .gc_low_water_extra(0)
-            .gc_step_pages(1)
     }
 
-    /// Every policy preserves data (torture asserts it) and actually runs GC.
+    /// The collector preserves data (torture asserts it) and actually runs.
     #[test]
     fn all_policies_survive_churn() {
-        for incremental in [false, true] {
-            let mut ftl = InsiderFtl::new(config(incremental).protection_window(None));
-            torture(&mut ftl, 24, 120, 5);
-            assert!(
-                ftl.stats().gc_invocations > 0,
-                "incremental {incremental}: GC must run under churn"
-            );
-        }
+        let mut ftl = InsiderFtl::new(config().protection_window(None));
+        torture(&mut ftl, 24, 120, 5);
+        assert!(ftl.stats().gc_invocations > 0, "GC must run under churn");
     }
 
-    /// The insider FTL collects under either policy, and rollback still works.
+    /// The insider FTL collects, and rollback still works.
     #[test]
     fn insider_rollback_works_under_every_policy() {
-        for incremental in [false, true] {
-            let mut ftl = InsiderFtl::new(config(incremental));
-            ftl.write(Lba::new(0), payload(111), SimTime::ZERO).unwrap();
-            // Churn to force GC with the pre-image protected part of the time.
-            let mut now = SimTime::from_secs(30);
-            for i in 0..1_500u64 {
-                ftl.write(Lba::new(1 + i % 8), payload(i as u32), now)
-                    .unwrap();
-                now += SimTime::from_millis(60);
-            }
-            assert!(ftl.stats().gc_invocations > 0);
-            // Attack within the window, then roll back.
-            ftl.write(Lba::new(0), payload(0xBAD), now).unwrap();
-            ftl.rollback(now + SimTime::from_secs(1)).unwrap();
-            assert_eq!(
-                read_tag(&mut ftl, 0, now),
-                Some(111),
-                "incremental {incremental}: rollback must restore the pre-attack value"
-            );
+        let mut ftl = InsiderFtl::new(config());
+        ftl.write(Lba::new(0), payload(111), SimTime::ZERO).unwrap();
+        // Churn to force GC with the pre-image protected part of the time.
+        let mut now = SimTime::from_secs(30);
+        for i in 0..1_500u64 {
+            ftl.write(Lba::new(1 + i % 8), payload(i as u32), now)
+                .unwrap();
+            now += SimTime::from_millis(60);
         }
+        assert!(ftl.stats().gc_invocations > 0);
+        // Attack within the window, then roll back.
+        ftl.write(Lba::new(0), payload(0xBAD), now).unwrap();
+        ftl.rollback(now + SimTime::from_secs(1)).unwrap();
+        assert_eq!(
+            read_tag(&mut ftl, 0, now),
+            Some(111),
+            "rollback must restore the pre-attack value"
+        );
     }
 }
 
 mod fault_injection {
     use super::*;
-    use insider_ftl::FtlError;
+    use insider_ftl::{FtlError, Hold, GC_RESERVE_BLOCKS};
     use insider_nand::{FaultKind, FaultPlan, NandError};
 
     #[test]
@@ -351,9 +339,8 @@ mod fault_injection {
         }
     }
 
-    /// Under the blocking policy a NAND error in the middle of a drain
-    /// parks the half-collected victim as the engine's job, exactly as the
-    /// incremental policy's budget would: the write fails, the next write —
+    /// A NAND error in the middle of a drain parks the half-collected
+    /// victim as the pending job: the write fails, the next write —
     /// or `gc_quiesce` — resumes the *same* victim from the failed offset,
     /// and nothing is lost. Checked for a fault at every program of one
     /// collection. The script: eight blocks of cold data, two rounds of
@@ -443,6 +430,110 @@ mod fault_injection {
                     assert_eq!(read_tag(&mut ftl, lba, end), want, "k={k}: rollback");
                 }
             }
+        }
+    }
+
+    /// Rollback-after-alarm **while a GC job is parked mid-block** by a
+    /// program fault inside a drain. The revalidated backup pages may sit
+    /// inside (or ahead of) the pinned victim's cursor; the resumed job
+    /// must treat them as live data and the drive must stay fully
+    /// serviceable afterwards.
+    ///
+    /// Staging matters: a frozen queue protects every new invalidation, and
+    /// `select_victim` only counts *unprotected* invalid pages, so GC can
+    /// only run post-freeze on reclaimable stock built up beforehand. The
+    /// pre-attack churn provides that stock on a drive big enough to absorb
+    /// the frozen growth.
+    #[test]
+    fn rollback_mid_gc_job_restores_pre_attack_data() {
+        let geometry = Geometry::builder()
+            .blocks_per_chip(48)
+            .pages_per_block(8)
+            .page_size(64)
+            .build();
+        let mut f = InsiderFtl::new(FtlConfig::new(geometry));
+        // The user's data, long before the attack.
+        let precious: Vec<Bytes> = (0..32u64)
+            .map(|i| Bytes::copy_from_slice(format!("precious{i:02}").as_bytes()))
+            .collect();
+        for (i, page) in precious.iter().enumerate() {
+            f.write(Lba::new(i as u64), page.clone(), SimTime::from_secs(1))
+                .unwrap();
+        }
+        // Normal-life churn on unrelated LBAs: drains the free pool until
+        // the collector runs steadily, and (because old versions expire at
+        // this 200 ms cadence) stockpiles unprotected-invalid pages for the
+        // frozen phase to collect.
+        let mut t = SimTime::from_secs(60);
+        let churn_lba = |i: u64| {
+            if i.is_multiple_of(2) {
+                Lba::new(32)
+            } else {
+                Lba::new(33 + i / 2 % 47)
+            }
+        };
+        for i in 0..600u64 {
+            f.write(churn_lba(i), Bytes::from_static(b"user-data"), t)
+                .unwrap();
+            t += SimTime::from_millis(200);
+        }
+        // The attack: encrypt the whole precious set quickly (well inside
+        // the 10 s protection window), then freeze retirement as the device
+        // would on the alarm.
+        for i in 0..32u64 {
+            f.write(Lba::new(i), Bytes::from_static(b"3ncryp7ed!!!"), t)
+                .unwrap();
+            t += SimTime::from_millis(100);
+        }
+        f.set_hold(Hold {
+            read_only: false,
+            frozen_at: Some(t),
+        });
+        // The ransomware keeps churning. A write below the reserve drains
+        // first, so its first program is a migration whenever the victim
+        // holds a page to copy: failing it parks the job mid-block. The
+        // first victims are fully invalid pre-freeze blocks; one with live
+        // pages comes up after about 190 writes.
+        let mut guard = 0u64;
+        while !f.gc_job_pending() {
+            let drains = f.free_blocks() < GC_RESERVE_BLOCKS as usize + 1;
+            if drains {
+                let mut plan = FaultPlan::new();
+                plan.fail_nth(FaultKind::Program, 1);
+                f.set_fault_plan(plan);
+            }
+            let written = f.write(churn_lba(guard), Bytes::from_static(b"3ncryp7ed!!!"), t);
+            if drains {
+                f.set_fault_plan(FaultPlan::new());
+            } else {
+                written.unwrap();
+            }
+            t += SimTime::from_millis(100);
+            guard += 1;
+            assert!(guard < 400, "no drain ever parked a GC job");
+        }
+        // Roll back with the job still parked, then release the hold as the
+        // device's reboot would.
+        let report = f.rollback(t).unwrap();
+        f.set_hold(Hold::default());
+        assert!(report.restored >= 32, "all 32 pages must be restored");
+        for (i, page) in precious.iter().enumerate() {
+            assert_eq!(
+                f.read(Lba::new(i as u64), t).unwrap().as_ref(),
+                Some(page),
+                "lba {i} must hold the pre-attack version"
+            );
+        }
+        // The parked job drains cleanly over the restored state, and the
+        // drive keeps serving writes.
+        f.gc_quiesce().unwrap();
+        assert!(!f.gc_job_pending());
+        for i in 0..32u64 {
+            f.write(Lba::new(i), Bytes::from_static(b"fresh"), t)
+                .unwrap();
+        }
+        for i in 0..32u64 {
+            assert_eq!(f.read(Lba::new(i), t).unwrap().unwrap().as_ref(), b"fresh");
         }
     }
 }

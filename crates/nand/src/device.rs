@@ -27,7 +27,6 @@ pub struct NandConfig {
     endurance: u32,
     queue_depth: usize,
     capture_commands: bool,
-    erase_suspend: bool,
 }
 
 impl NandConfig {
@@ -46,7 +45,6 @@ impl NandConfig {
             // NVMe-class default: one submission queue 32 deep.
             queue_depth: 32,
             capture_commands: false,
-            erase_suspend: false,
         }
     }
 
@@ -106,33 +104,11 @@ impl NandConfig {
         self
     }
 
-    /// Enables erase-suspend/resume: a read arriving while an erase is
-    /// mid-pulse on its die preempts it (never an erase of the read's own
-    /// block) at a 50 µs resume penalty, at most 64 times per erase. Timing
-    /// only — data application is unaffected. Off by default.
-    pub fn erase_suspend(mut self, enabled: bool) -> Self {
-        self.erase_suspend = enabled;
-        self
-    }
-
-    /// Whether erase-suspend is enabled.
-    pub fn erase_suspend_enabled(&self) -> bool {
-        self.erase_suspend
-    }
-
     /// The device geometry.
     pub fn geometry(&self) -> &Geometry {
         &self.geometry
     }
 }
-
-/// Datasheet-class erase resume overhead: tens of µs of extra die time a
-/// suspended erase pays to rebuild its pulse.
-const ERASE_RESUME_NS: u64 = 50_000;
-
-/// How many preemptions one erase absorbs before it becomes blocking
-/// again, so sustained foreground traffic cannot starve it.
-const MAX_ERASE_SUSPENDS: u32 = 64;
 
 /// Number of controller checkpoint slots a [`NandDevice`] reserves.
 ///
@@ -206,11 +182,7 @@ impl NandDevice {
             .collect();
         let chips = config.geometry.total_chips() as usize;
         let channels = config.geometry.channels() as usize;
-        let mut sched =
-            CmdScheduler::new(chips, channels, config.queue_depth, config.capture_commands);
-        if config.erase_suspend {
-            sched = sched.with_erase_suspend(ERASE_RESUME_NS, MAX_ERASE_SUSPENDS);
-        }
+        let sched = CmdScheduler::new(chips, channels, config.queue_depth, config.capture_commands);
         NandDevice {
             stats: NandStats::with_shape(chips, channels),
             sched,
@@ -239,20 +211,8 @@ impl NandDevice {
         self.stats.die_busy_ns[chip] += ns;
         let ch = pba.channel(&self.config.geometry) as usize;
         self.stats.bus_busy_ns[ch] += bus_ns;
-        let overhead_before = self.sched.suspend_overhead_ns();
         self.sched
             .admit(kind, chip, ch, page, u64::from(pba.index()), ns, bus_ns);
-        // A suspended erase pays its resume penalty on the die of the
-        // command that preempted it (same die by construction); mirror that
-        // extra service time into the reference integrals so the makespan
-        // differential oracle keeps holding.
-        let penalty = self.sched.suspend_overhead_ns() - overhead_before;
-        if penalty > 0 {
-            self.stats.die_busy_ns[chip] += penalty;
-            self.stats.busy_ns += penalty;
-            self.stats.suspend_overhead_ns += penalty;
-        }
-        self.stats.erases_suspended = self.sched.erases_suspended();
         let (stalls, stall_ns) = self.sched.gc_stall_totals();
         self.stats.gc_stalled_cmds = stalls;
         self.stats.gc_stall_ns = stall_ns;
@@ -289,7 +249,7 @@ impl NandDevice {
 
     /// Advances the device clock to the simulated instant `now`: command
     /// arrivals are stamped with it, and every queued window whose service
-    /// already started is finalized into the latency histograms. The FTL
+    /// has completed by then is finalized into the latency histograms. The FTL
     /// calls this at the top of each host operation.
     pub fn set_now(&mut self, now: SimTime) {
         self.sched.set_now(now.as_micros().saturating_mul(1000));
@@ -322,11 +282,6 @@ impl NandDevice {
     /// its GC work with this; data behavior is unaffected.
     pub fn set_gc_context(&mut self, gc: bool) {
         self.sched.set_gc_context(gc);
-    }
-
-    /// How many in-flight erases the scheduler suspended for a read.
-    pub fn erases_suspended(&self) -> u64 {
-        self.sched.erases_suspended()
     }
 
     /// The scheduler's busy-integral makespan. Equal to
@@ -1295,41 +1250,6 @@ mod tests {
         // Same-page read-after-program: the read waited for the program.
         assert!(snap.read.max_ns >= 500_000 + 50_000);
         assert_eq!(d.sched_makespan_ns(), d.parallel_busy_ns());
-    }
-
-    #[test]
-    fn erase_suspend_device_path_mirrors_integrals() {
-        // Program die service (300 µs) shorter than the bus transfer
-        // (400 µs) makes the program's completion bus-bound, so the
-        // throttled read arrival (400 µs) lands strictly inside the erase
-        // pulse that started when the die freed at 300 µs.
-        let mut d = NandDevice::new(
-            NandConfig::new(Geometry::tiny())
-                .program_latency_ns(300_000)
-                .bus_transfer_ns(400_000)
-                .queue_depth(2)
-                .erase_suspend(true),
-        );
-        d.program(Ppa::new(16), Bytes::from_static(b"x")).unwrap(); // block 1
-        d.set_gc_context(true);
-        d.erase(Pba::new(0)).unwrap();
-        d.set_gc_context(false);
-        d.read(Ppa::new(16)).unwrap(); // suspends the in-flight erase
-        assert_eq!(d.erases_suspended(), 1);
-        assert_eq!(d.stats().erases_suspended, 1);
-        assert_eq!(d.stats().suspend_overhead_ns, 50_000);
-        // The resume penalty joined both accountings (the per-admit debug
-        // asserts in `charge` already verified the vectors match).
-        assert_eq!(d.sched_makespan_ns(), d.parallel_busy_ns());
-        d.sync();
-        let all = d.latency_snapshot();
-        let host = d.host_latency_snapshot();
-        // Suspended erase: started 300 µs, read runs 400–450 µs, then
-        // 2.9 ms remaining pulse + 50 µs resume → ends at 3.4 ms.
-        assert_eq!(all.erase.max_ns, 3_400_000);
-        assert_eq!(all.erase.count, 1);
-        assert_eq!(host.erase.count, 0, "GC-context erase not a host sample");
-        assert_eq!(host.total.count, 2, "host program + read");
     }
 
     #[test]

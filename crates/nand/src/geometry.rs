@@ -161,8 +161,9 @@ impl GeometryBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero, or if the total page count would
-    /// overflow a `u64`.
+    /// Panics if any dimension is zero, if the chip or block count does not
+    /// fit a `u32`, or if the capacity in bytes does not fit a `u64`: every
+    /// accessor of [`Geometry`] then computes without overflow.
     pub fn build(&self) -> Geometry {
         assert!(self.channels > 0, "geometry must have at least one channel");
         assert!(
@@ -178,6 +179,24 @@ impl GeometryBuilder {
             "geometry must have at least one page per block"
         );
         assert!(self.page_size > 0, "page size must be non-zero");
+        let chips = self.channels.checked_mul(self.chips_per_channel);
+        assert!(
+            chips.is_some(),
+            "geometry overflows: the chip count must fit a u32"
+        );
+        let blocks = chips.and_then(|c| c.checked_mul(self.blocks_per_chip));
+        assert!(
+            blocks.is_some(),
+            "geometry overflows: the block count must fit a u32"
+        );
+        // The page count, a product of two `u32`s, always fits a `u64`.
+        let bytes = blocks
+            .and_then(|b| u64::from(b).checked_mul(u64::from(self.pages_per_block)))
+            .and_then(|pages| pages.checked_mul(u64::from(self.page_size)));
+        assert!(
+            bytes.is_some(),
+            "geometry overflows: the capacity in bytes must fit a u64"
+        );
         Geometry {
             channels: self.channels,
             chips_per_channel: self.chips_per_channel,
@@ -227,6 +246,37 @@ mod tests {
     #[should_panic(expected = "page size must be non-zero")]
     fn zero_page_size_panics() {
         Geometry::builder().page_size(0).build();
+    }
+
+    /// Unchecked, 2¹⁶ × 2¹⁶ chips wraps to 0 in release builds, and a
+    /// geometry of 0 pages passes every later check.
+    #[test]
+    #[should_panic(expected = "geometry overflows: the chip count must fit a u32")]
+    fn chip_count_overflow_panics() {
+        Geometry::builder()
+            .channels(1 << 16)
+            .chips_per_channel(1 << 16)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "geometry overflows: the block count must fit a u32")]
+    fn block_count_overflow_panics() {
+        Geometry::builder()
+            .channels(1 << 8)
+            .chips_per_channel(1 << 8)
+            .blocks_per_chip(1 << 16)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "geometry overflows: the capacity in bytes must fit a u64")]
+    fn capacity_overflow_panics() {
+        Geometry::builder()
+            .blocks_per_chip(u32::MAX)
+            .pages_per_block(u32::MAX)
+            .page_size(u32::MAX)
+            .build();
     }
 
     #[test]

@@ -32,41 +32,26 @@
 //! ago. Without it, a trace replayed faster than the device drains would
 //! grow queues (and reported latency) without bound.
 //!
-//! Three extensions serve tail-latency work:
+//! Two extensions serve tail-latency work:
 //!
-//! - **Erase-suspend/resume** ([`CmdScheduler::with_erase_suspend`]): a
-//!   read — or a *host* program — arriving while an erase is
-//!   mid-pulse on its die may suspend it (never an erase of the command's
-//!   own block). The erase keeps the progress it made, pays a modeled
-//!   `resume_ns` penalty on top of its remaining work, and resumes behind
-//!   the preempting command; host programs may also slot in front of the
-//!   still-queued remainder. Every preemption (mid-pulse or queued) counts
-//!   against the same per-erase `max_suspends` cap, so a background erase
-//!   cannot starve under sustained foreground traffic. GC programs never
-//!   preempt — they are the background. The penalty joins the die busy
-//!   integral (`NandDevice` mirrors it into `NandStats`, so the makespan
-//!   differential assert keeps holding).
 //! - **Host/GC attribution** ([`CmdScheduler::set_gc_context`]): commands
 //!   admitted while the GC context flag is set land in the combined
 //!   histograms only; [`CmdScheduler::host_snapshot`] reports the
-//!   foreground-only distribution a host actually observes, which is the
-//!   figure steady-state benchmarks gate on.
+//!   foreground-only distribution a host actually observes.
 //! - **Firmware stall** ([`CmdScheduler::stall_host_until`]): a blocking
 //!   GC drain occupies the (single-threaded) FTL firmware, not just the
 //!   victim's die — no host command is serviced until the drain lands.
 //!   The FTL raises the stall horizon to the drain's completion
 //!   ([`CmdScheduler::gc_horizon_ns`]); host commands submitted earlier
 //!   dispatch at the horizon while their latency anchor stays at
-//!   submission, so the stall is fully host-visible. The incremental GC
-//!   engine never raises the horizon — interleaving bounded steps between
-//!   host commands is exactly its point.
+//!   submission, so the stall is fully host-visible.
 //!
 //! The scheduler is *timing only*: page contents, OOB records and error
 //! results are applied synchronously at submit, in submission order, so
 //! data-path behavior (and the crash sweep's acked-prefix durability
 //! contract) does not depend on how commands are ordered. At queue depth 1
 //! every command arrives after all earlier ones completed, so nothing is
-//! promoted, suspended or stalled: that run is the reorder-free reference
+//! promoted or stalled: that run is the reorder-free reference
 //! the scheduler oracle compares the default depth against.
 
 use crate::fault::FaultKind;
@@ -119,8 +104,6 @@ struct Window {
     /// Channel-bus completion, fixed at admission (the bus is seized in
     /// admission order); zero when the command moves no data on the bus.
     bus_done_ns: u64,
-    /// How many times this window (an erase) has been suspended.
-    suspends: u32,
     /// Admitted outside the GC context — counts toward the host-only
     /// latency histograms.
     host: bool,
@@ -159,15 +142,10 @@ pub struct CmdScheduler {
     recent: Vec<u64>,
     recent_next: usize,
     reads_promoted: u64,
-    /// Erase-suspend model: `(resume_penalty_ns, max_suspends_per_erase)`;
-    /// `None` disables suspension entirely (the default).
-    erase_suspend: Option<(u64, u32)>,
-    erases_suspended: u64,
-    suspend_overhead_ns: u64,
     /// Commands admitted while set are attributed to GC, not the host.
     ctx_gc: bool,
-    /// Latest completion among GC-context admissions (suspend extensions
-    /// excluded — recorded at admission).
+    /// Latest completion among GC-context admissions, recorded at
+    /// admission.
     gc_horizon_ns: u64,
     /// Firmware stall: host commands are not dispatched before this
     /// instant (their latency anchor stays at submission, so the stall is
@@ -207,9 +185,6 @@ impl CmdScheduler {
             recent: vec![0; queue_depth],
             recent_next: 0,
             reads_promoted: 0,
-            erase_suspend: None,
-            erases_suspended: 0,
-            suspend_overhead_ns: 0,
             ctx_gc: false,
             gc_horizon_ns: 0,
             host_stall_until_ns: 0,
@@ -225,16 +200,6 @@ impl CmdScheduler {
         }
     }
 
-    /// Enables erase-suspend: a read or *host* program may interrupt an
-    /// in-flight erase on its die (never one of its own block) at a
-    /// `resume_ns` penalty; host programs may also slot in front of the
-    /// queued remainder. Each erase absorbs at most `max_suspends`
-    /// preemptions before it becomes blocking again.
-    pub fn with_erase_suspend(mut self, resume_ns: u64, max_suspends: u32) -> Self {
-        self.erase_suspend = Some((resume_ns, max_suspends));
-        self
-    }
-
     /// Flags subsequent admissions as GC-internal (true) or host-issued
     /// (false). GC commands are excluded from the host-only histograms.
     pub fn set_gc_context(&mut self, gc: bool) {
@@ -243,12 +208,11 @@ impl CmdScheduler {
 
     /// Advances the device clock (monotone; earlier instants are clamped)
     /// and finalizes every window whose service *completed* by the new
-    /// instant. Started-but-unfinished windows stay queued: a promoted
-    /// read can no longer displace them (the insertion scan treats a
-    /// started window as blocking), but an in-flight erase must remain
-    /// visible so a read arriving mid-pulse can suspend it — finalizing
-    /// at start would silently retire every suspendable erase before the
-    /// suspend check could ever see one.
+    /// instant. Started-but-unfinished windows stay queued, where a
+    /// promoted read cannot displace them (the insertion scan treats a
+    /// started window as blocking): a command still in flight at the
+    /// device clock has no latency sample yet, so a snapshot taken at
+    /// this instant does not count it.
     pub fn set_now(&mut self, now_ns: u64) {
         if now_ns > self.now_ns {
             self.now_ns = now_ns;
@@ -361,64 +325,14 @@ impl CmdScheduler {
             start_ns: 0,
             service_ns,
             bus_done_ns,
-            suspends: 0,
             host: !self.ctx_gc,
         };
 
-        let suspend_cfg = self.erase_suspend;
-        let program_suspend_cfg = if kind == FaultKind::Program && !self.ctx_gc {
-            suspend_cfg
-        } else {
-            None
-        };
         let queue = &mut self.dies[die];
-        let ins = if let Some((resume_ns, max_suspends)) = program_suspend_cfg {
-            // Erase-suspend for host programs: a foreground program stays
-            // in order behind every read and program, but may preempt an
-            // erase of another block — mid-pulse (suspend, resume penalty)
-            // or still queued (slot in front of the remainder). Each
-            // preemption spends one of the erase's `max_suspends` tokens,
-            // so a background erase bounded-starves at worst.
-            // Found from the back: what it may pass sits at the tail.
-            let ins = queue
-                .iter()
-                .rposition(|q| {
-                    let passable = q.kind == FaultKind::Erase
-                        && q.block != block
-                        && q.suspends < max_suspends
-                        && q.end_ns() > arrival_ns;
-                    !passable
-                })
-                .map_or(0, |i| i + 1);
-            for q in queue.iter_mut().skip(ins) {
-                if q.kind == FaultKind::Erase {
-                    if q.start_ns < arrival_ns {
-                        // Mid-pulse: keep progress, pay the resume penalty.
-                        q.service_ns = (q.end_ns() - arrival_ns) + resume_ns;
-                        self.erases_suspended += 1;
-                        self.suspend_overhead_ns += resume_ns;
-                        self.die_busy_ns[die] += resume_ns;
-                    }
-                    q.suspends += 1;
-                }
-            }
-            ins
-        } else if kind == FaultKind::Read {
+        let ins = if kind == FaultKind::Read {
             // A read may jump queued windows, but never one that already
             // started by its arrival, never another read, and never a
-            // program to the same page or an erase to its block. With
-            // erase-suspend enabled, an *in-flight* erase of another block
-            // straddling this arrival is the one started window that does
-            // not block: the read preempts it mid-pulse.
-            let suspend_candidate = |q: &Window| {
-                suspend_cfg.is_some_and(|(_, max_suspends)| {
-                    q.kind == FaultKind::Erase
-                        && q.start_ns < arrival_ns
-                        && q.end_ns() > arrival_ns
-                        && q.block != block
-                        && q.suspends < max_suspends
-                })
-            };
+            // program to the same page or an erase to its block.
             let blocking = |q: &Window| {
                 q.start_ns < arrival_ns
                     || match q.kind {
@@ -432,43 +346,18 @@ impl CmdScheduler {
             // behind reads (a mount scan's quarter of a million, all at one
             // frozen `now`, against a queue at its cap) looks at one window,
             // not all of them.
-            let mut ins = 0;
-            let mut suspendable = None;
-            for (i, q) in queue.iter().enumerate().rev() {
-                if suspend_candidate(q) {
-                    suspendable.get_or_insert(i);
-                } else if blocking(q) {
-                    ins = i + 1;
-                    break;
-                }
-            }
+            let ins = queue.iter().rposition(blocking).map_or(0, |i| i + 1);
             // The front-to-back walk over the whole queue that this
             // replaced, as the oracle at every admission of a debug build.
             #[cfg(debug_assertions)]
             {
-                let mut forward = (0, None);
+                let mut forward = 0;
                 for (i, q) in queue.iter().enumerate() {
-                    if suspend_candidate(q) {
-                        forward.1 = Some(i);
-                    } else if blocking(q) {
-                        forward = (i + 1, None);
+                    if blocking(q) {
+                        forward = i + 1;
                     }
                 }
-                assert_eq!((ins, suspendable), forward, "read admission slot");
-            }
-            if let Some(i) = suspendable {
-                // Suspend: the erase keeps the progress it made before the
-                // read arrived, and its remaining pulse plus the resume
-                // penalty re-chains behind the read. Arrival is untouched,
-                // so its finalized latency absorbs the interruption.
-                let (resume_ns, _) = suspend_cfg.expect("suspendable implies enabled");
-                let q = &mut queue[i];
-                q.service_ns = (q.end_ns() - arrival_ns) + resume_ns;
-                q.suspends += 1;
-                self.erases_suspended += 1;
-                self.suspend_overhead_ns += resume_ns;
-                self.die_busy_ns[die] += resume_ns;
-                ins = i;
+                assert_eq!(ins, forward, "read admission slot");
             }
             ins
         } else {
@@ -541,8 +430,8 @@ impl CmdScheduler {
 
     /// Latency percentiles over finalized *host-issued* commands only —
     /// admissions made inside the GC context
-    /// ([`set_gc_context`](Self::set_gc_context)) are excluded. This is
-    /// the foreground distribution steady-state benchmarks gate on.
+    /// ([`set_gc_context`](Self::set_gc_context)) are excluded: the
+    /// foreground distribution a host observes.
     pub fn host_snapshot(&self) -> LatencySnapshot {
         LatencySnapshot {
             read: KindLatency::from_histogram(&self.host_read_hist),
@@ -592,17 +481,6 @@ impl CmdScheduler {
     /// How many reads were promoted past at least one queued mutation.
     pub fn reads_promoted(&self) -> u64 {
         self.reads_promoted
-    }
-
-    /// How many times an in-flight erase was suspended by a read.
-    pub fn erases_suspended(&self) -> u64 {
-        self.erases_suspended
-    }
-
-    /// Total resume-penalty time paid by suspended erases, ns. Already
-    /// included in the die busy integrals.
-    pub fn suspend_overhead_ns(&self) -> u64 {
-        self.suspend_overhead_ns
     }
 
     /// Latest completion among GC-context admissions — the instant a
@@ -728,8 +606,8 @@ mod tests {
         let mut s = sched();
         s.admit(FaultKind::Read, 0, 0, 1, 0, READ_NS, BUS_NS);
         assert_eq!(s.queued(), 1);
-        // Started at 0 but still mid-pulse: it stays queued (an in-flight
-        // erase must remain visible to the suspend check).
+        // Started at 0 but still mid-pulse: it stays queued, with no
+        // latency sample yet.
         s.set_now(1);
         assert_eq!(s.queued(), 1);
         assert_eq!(s.snapshot().read.count, 0);
@@ -800,130 +678,18 @@ mod tests {
         assert!(s.take_captured().is_empty(), "capture log drains");
     }
 
-    const RESUME_NS: u64 = 100_000;
-
-    /// QD-2 scheduler with erase-suspend on: the narrow queue depth lets a
-    /// read's throttled arrival land *inside* an already-started erase.
-    fn suspend_sched(max_suspends: u32) -> CmdScheduler {
-        CmdScheduler::new(4, 2, 2, false).with_erase_suspend(RESUME_NS, max_suspends)
-    }
-
-    /// Lands an erase on die 0 spanning [0, ERASE_NS) and returns the
-    /// completion of a read admitted at throttled arrival 1.2 ms — mid-
-    /// erase. The unrelated long program on die 1 pins the arrival.
-    fn erase_then_midpulse_read(s: &mut CmdScheduler, read_block: u64) -> u64 {
-        s.admit(FaultKind::Program, 1, 1, 100, 6, 1_200_000, 0);
-        s.admit(FaultKind::Erase, 0, 0, u64::MAX, 3, ERASE_NS, 0);
-        // QD 2: arrival = completion of the program = 1_200_000.
-        s.admit(FaultKind::Read, 0, 0, 64, read_block, READ_NS, BUS_NS)
-    }
-
+    /// A read of another block that arrives while an erase is mid-pulse on
+    /// its die waits for the erase: a started window is never passed.
     #[test]
-    fn read_suspends_in_flight_erase() {
-        let mut s = suspend_sched(3);
-        let done = erase_then_midpulse_read(&mut s, 4);
-        // The read preempts the erase mid-pulse: service 1.2M..1.25M, bus
-        // done 1.23M — instead of waiting out the erase until 3.05M.
-        assert_eq!(done, 1_250_000);
-        assert_eq!(s.erases_suspended(), 1);
-        assert_eq!(s.suspend_overhead_ns(), RESUME_NS);
-        // Die 0 integral carries the erase + read + resume penalty.
-        assert_eq!(s.die_busy_ns()[0], ERASE_NS + READ_NS + RESUME_NS);
-        s.flush();
-        // The erase resumes behind the read: 1.8 ms of remaining pulse plus
-        // the penalty, ending (and its latency sample growing) accordingly.
-        assert_eq!(s.snapshot().erase.max_ns, 1_250_000 + 1_800_000 + RESUME_NS);
-    }
-
-    #[test]
-    fn suspend_count_is_bounded() {
-        let mut s = suspend_sched(1);
-        let first = erase_then_midpulse_read(&mut s, 4);
-        assert_eq!(first, 1_250_000);
-        // Second read arrives at 3 ms (throttled to the erase's original
-        // completion estimate) while the suspended erase now spans
-        // [1.25 ms, 3.15 ms] — but the erase is out of suspend budget, so
-        // the read waits for it.
-        let second = s.admit(FaultKind::Read, 0, 0, 65, 4, READ_NS, BUS_NS);
-        assert_eq!(second, 1_250_000 + 1_800_000 + RESUME_NS + READ_NS);
-        assert_eq!(s.erases_suspended(), 1, "budget spent — no second suspend");
-    }
-
-    #[test]
-    fn read_never_suspends_erase_of_its_block() {
-        let mut s = suspend_sched(3);
-        let done = erase_then_midpulse_read(&mut s, 3);
-        assert_eq!(done, ERASE_NS + READ_NS, "same-block read must wait");
-        assert_eq!(s.erases_suspended(), 0);
-    }
-
-    #[test]
-    fn erase_suspend_is_off_by_default() {
+    fn read_waits_for_an_in_flight_erase() {
+        // QD 2: the long program on die 1 pins the read's arrival at
+        // 1.2 ms, inside the erase's [0, 3 ms) pulse on die 0.
         let mut s = CmdScheduler::new(4, 2, 2, false);
-        let done = erase_then_midpulse_read(&mut s, 4);
+        s.admit(FaultKind::Program, 1, 1, 100, 6, 1_200_000, 0);
+        s.admit(FaultKind::Erase, 0, 0, u64::MAX, 3, ERASE_NS, 0);
+        let done = s.admit(FaultKind::Read, 0, 0, 64, 4, READ_NS, BUS_NS);
         assert_eq!(done, ERASE_NS + READ_NS);
-        assert_eq!(s.erases_suspended(), 0);
-        assert_eq!(s.suspend_overhead_ns(), 0);
-    }
-
-    /// Same mid-pulse collision as [`erase_then_midpulse_read`], but the
-    /// preempting command is a host *program*.
-    fn erase_then_midpulse_program(s: &mut CmdScheduler, prog_block: u64) -> u64 {
-        s.admit(FaultKind::Program, 1, 1, 100, 6, 1_200_000, 0);
-        s.admit(FaultKind::Erase, 0, 0, u64::MAX, 3, ERASE_NS, 0);
-        s.admit(FaultKind::Program, 0, 0, 64, prog_block, PROG_NS, BUS_NS)
-    }
-
-    #[test]
-    fn host_program_suspends_in_flight_erase() {
-        let mut s = suspend_sched(3);
-        let done = erase_then_midpulse_program(&mut s, 4);
-        // The program preempts the erase mid-pulse instead of waiting out
-        // the remaining 1.8 ms of pulse.
-        assert_eq!(done, 1_200_000 + PROG_NS);
-        assert_eq!(s.erases_suspended(), 1);
-        assert_eq!(s.suspend_overhead_ns(), RESUME_NS);
-        s.flush();
-        // The erase resumes behind the program: remainder plus penalty.
-        assert_eq!(
-            s.snapshot().erase.max_ns,
-            1_200_000 + PROG_NS + 1_800_000 + RESUME_NS
-        );
-    }
-
-    #[test]
-    fn gc_program_never_suspends_an_erase() {
-        let mut s = suspend_sched(3);
-        s.admit(FaultKind::Program, 1, 1, 100, 6, 1_200_000, 0);
-        s.admit(FaultKind::Erase, 0, 0, u64::MAX, 3, ERASE_NS, 0);
-        s.set_gc_context(true);
-        let done = s.admit(FaultKind::Program, 0, 0, 64, 4, PROG_NS, BUS_NS);
-        assert_eq!(done, ERASE_NS + PROG_NS, "background program must wait");
-        assert_eq!(s.erases_suspended(), 0);
-    }
-
-    #[test]
-    fn host_program_never_suspends_erase_of_its_block() {
-        let mut s = suspend_sched(3);
-        let done = erase_then_midpulse_program(&mut s, 3);
-        assert_eq!(done, ERASE_NS + PROG_NS, "same-block program must wait");
-        assert_eq!(s.erases_suspended(), 0);
-    }
-
-    #[test]
-    fn program_preemptions_spend_the_suspend_budget() {
-        let mut s = suspend_sched(1);
-        let first = erase_then_midpulse_program(&mut s, 4);
-        assert_eq!(first, 1_200_000 + PROG_NS);
-        // The erase remainder is out of suspend tokens: the next host
-        // program queues behind it instead of displacing it again.
-        let second = s.admit(FaultKind::Program, 0, 0, 65, 4, PROG_NS, BUS_NS);
-        assert_eq!(
-            second,
-            1_200_000 + PROG_NS + 1_800_000 + RESUME_NS + PROG_NS,
-            "budget spent — the program waits for the resumed erase"
-        );
-        assert_eq!(s.erases_suspended(), 1);
+        assert_eq!(s.reads_promoted(), 0);
     }
 
     #[test]

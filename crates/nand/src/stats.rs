@@ -39,14 +39,11 @@ pub struct NandStats {
     pub buffers_shared: u64,
     /// Programs whose payload arrived as a private copy.
     pub buffers_copied: u64,
-    /// In-flight erases suspended by a read (erase-suspend model; zero
-    /// unless `NandConfig::erase_suspend` is enabled).
+    /// Always 0: the scheduler never suspends an erase. The field stays
+    /// only because the end-to-end benchmark (`benchmark/`) still reports
+    /// it as `nand.erases_suspended`.
     #[serde(default)]
     pub erases_suspended: u64,
-    /// Total resume-penalty time paid by suspended erases, ns. Already
-    /// folded into `busy_ns` and the per-die integrals.
-    #[serde(default)]
-    pub suspend_overhead_ns: u64,
     /// Host commands a blocking-GC firmware stall delayed before
     /// dispatch (zero unless a blocking drain ran).
     #[serde(default)]
@@ -175,14 +172,6 @@ impl std::fmt::Display for NandStats {
             self.buffers_shared,
             self.buffers_copied,
         )?;
-        if self.erases_suspended > 0 {
-            write!(
-                f,
-                " suspended={} suspend_overhead={:.3}ms",
-                self.erases_suspended,
-                self.suspend_overhead_ns as f64 / 1e6,
-            )?;
-        }
         if self.gc_stalled_cmds > 0 {
             write!(
                 f,
