@@ -263,6 +263,18 @@ impl InsiderFtl {
         self.hold.frozen_at.map_or(now, |f| f.min(now))
     }
 
+    /// The stamp a host write or trim at `now` carries: `now`, raised to
+    /// the newest backup entry's stamp if it is earlier. Retirement pops
+    /// the queue front in stamp order, and the mount tells a rolled-back
+    /// version by its stamp (DESIGN §9); both hold only while stamps never
+    /// go backwards, whatever time the caller passes.
+    fn host_stamp(&self, now: SimTime) -> SimTime {
+        self.queue
+            .iter_newest_first()
+            .next()
+            .map_or(now, |newest| newest.stamp.max(now))
+    }
+
     /// Retires backup entries older than the protection window as of `now`.
     /// Called implicitly by every write; exposed so idle periods can also
     /// release protected space. A no-op while retirement is frozen or
@@ -436,7 +448,7 @@ impl Ftl for InsiderFtl {
         // Mapping, invalidation and the vectorized queue append are
         // finalized page by page, so a mid-batch NAND failure leaves the
         // programmed prefix fully recoverable.
-        self.program_extent_mapped(lba, data, now)
+        self.program_extent_mapped(lba, data, self.host_stamp(now))
     }
 
     fn trim_extent(&mut self, lba: Lba, len: u32, now: SimTime) -> Result<()> {
@@ -449,7 +461,7 @@ impl Ftl for InsiderFtl {
         self.device.set_now(now);
         self.check_extent(lba, len)?;
         self.tick(now);
-        self.unmap_extent(lba, len, now)
+        self.unmap_extent(lba, len, self.host_stamp(now))
     }
 }
 
@@ -644,6 +656,20 @@ mod tests {
         f.tick(secs(30));
         assert_eq!(f.recovery_queue().len(), 0);
         assert_eq!(f.recovery_queue().protected_count(), 0);
+    }
+
+    #[test]
+    fn an_earlier_now_is_stamped_with_the_newest_entry() {
+        let mut f = ftl();
+        f.write(Lba::new(0), Bytes::from_static(b"a"), secs(5))
+            .unwrap();
+        f.write(Lba::new(1), Bytes::from_static(b"b"), secs(3))
+            .unwrap();
+        f.trim(Lba::new(0), secs(2)).unwrap();
+        let stamps: Vec<SimTime> = f.recovery_queue().iter().map(|e| e.stamp).collect();
+        assert_eq!(stamps, vec![secs(5); 3]);
+        let oob = f.device.oob(f.mapping.get(Lba::new(1)).unwrap()).unwrap();
+        assert_eq!(oob.unwrap().stamp, secs(5));
     }
 
     #[test]

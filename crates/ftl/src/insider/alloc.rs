@@ -180,15 +180,6 @@ impl InsiderFtl {
                 .into());
             }
         }
-        // The mount tells a rolled-back version by its stamp (DESIGN §9),
-        // which holds only while host stamps never go backwards.
-        debug_assert!(
-            self.queue
-                .iter_newest_first()
-                .next()
-                .is_none_or(|newest| newest.stamp <= stamp),
-            "host stamp {stamp} precedes the newest backup entry"
-        );
         let ppas = self.allocate_extent(data.len())?;
         let batch: Vec<(Ppa, Bytes, OobTag)> = ppas
             .iter()

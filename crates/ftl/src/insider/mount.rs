@@ -220,11 +220,16 @@ impl InsiderFtl {
             // stamped one unless a rollback restored an older one, so any
             // record stamped after the winner was rolled back and is dead.
             // A winner outside this chain is pre-cutoff: the whole chain is
-            // dead.
-            let Some(bound) = chain.iter().find(|r| r.seq == page.winner) else {
-                continue;
+            // dead. A page with no live record (trimmed, its versions
+            // relocated as backups) maps nothing and keeps its whole chain.
+            let chain = if page.winner == 0 {
+                chain
+            } else {
+                let Some(bound) = chain.iter().find(|r| r.seq == page.winner) else {
+                    continue;
+                };
+                &chain[..chain.partition_point(|r| r.stamp <= bound.stamp)]
             };
-            let chain = &chain[..chain.partition_point(|r| r.stamp <= bound.stamp)];
             let mut old = (page.pred_seq != 0).then_some(page.pred_ppa);
             for copies in chain.chunk_by(|a, b| a.stamp == b.stamp) {
                 let version = copies[copies.len() - 1];
@@ -370,6 +375,51 @@ mod tests {
     use bytes::Bytes;
     use insider_nand::{FaultKind, FaultPlan, Geometry, Lba, SimTime};
     use std::collections::BTreeMap;
+
+    /// A page overwritten inside the window and then trimmed has no live
+    /// record once GC has relocated both of its versions as backups. The
+    /// mount still rebuilds its chain, so the pre-window version stays
+    /// protected and rollback after the cut restores it.
+    #[test]
+    fn rollback_after_a_cut_restores_a_trimmed_page_gc_relocated() {
+        let mut f = InsiderFtl::new(FtlConfig::new(Geometry::tiny()));
+        let g = *f.config.geometry();
+        let lba = Lba::new(0);
+        let ms = SimTime::from_millis;
+        let hot = |i: u64| Lba::new(1 + i % 4);
+        // Block 0: P, junk that retires before the window, V1.
+        f.write(lba, Bytes::from_static(b"P"), SimTime::ZERO)
+            .unwrap();
+        let p = f.mapping.get(lba).unwrap();
+        for i in 0..12 {
+            f.write(hot(i), Bytes::from(format!("early{i}")), ms(i * 100))
+                .unwrap();
+        }
+        f.write(lba, Bytes::from_static(b"V1"), ms(20_000)).unwrap();
+        let v1 = f.mapping.get(lba).unwrap();
+        assert_eq!(p.block(&g), v1.block(&g));
+        f.trim(lba, ms(20_010)).unwrap();
+        let erases = |f: &InsiderFtl| f.device.block(p.block(&g)).unwrap().erase_count();
+        let before = erases(&f);
+        // In-window churn until GC has collected block 0.
+        let mut now = ms(20_010);
+        let mut i = 0;
+        while erases(&f) == before {
+            assert!(i < 400, "GC never collected the block holding P and V1");
+            now = ms(20_020 + i * 10);
+            f.write(hot(i), Bytes::from(format!("late{i}")), now)
+                .unwrap();
+            i += 1;
+        }
+        assert!(f
+            .queue
+            .iter_newest_first()
+            .all(|e| e.old != Some(p) && e.old != Some(v1)));
+        f.power_cut(now).unwrap();
+        assert_eq!(get(&mut f, lba), None);
+        f.rollback(now).unwrap();
+        assert_eq!(get(&mut f, lba), Some(Bytes::from_static(b"P")));
+    }
 
     /// A power cut drops a GC job parked mid-block by a program fault
     /// inside a drain. On the retaining drive the parked victim still

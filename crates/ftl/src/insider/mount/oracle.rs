@@ -54,18 +54,20 @@ impl InsiderFtl {
                     continue;
                 }
                 // A record stamped after the page's winner was rolled back
-                // and is dead; so is every record of a page without one.
-                let Some(winner) = run
+                // and is dead. A page without a live record maps nothing
+                // and keeps every record.
+                let bound = run
                     .iter()
                     .map(|(_, p)| p)
                     .filter(|p| p.live)
                     .max_by_key(|p| p.seq)
-                else {
-                    continue;
-                };
+                    .map(|winner| winner.stamp);
                 // One representative (the freshest copy) per version.
                 let mut versions: Vec<ScanPage> = Vec::new();
-                for &(_, page) in run.iter().filter(|(_, p)| p.stamp <= winner.stamp) {
+                for &(_, page) in run
+                    .iter()
+                    .filter(|(_, p)| bound.is_none_or(|b| p.stamp <= b))
+                {
                     match versions.last_mut() {
                         Some(last) if last.stamp == page.stamp => *last = page,
                         _ => versions.push(page),

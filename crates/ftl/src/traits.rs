@@ -22,6 +22,9 @@ use insider_nand::{Lba, SimTime};
 ///
 /// Each operation carries the simulated time `now`, which a drive with a
 /// protection window uses to stamp backup entries and retire expired ones.
+/// `now` must never decrease from one operation to the next;
+/// [`InsiderFtl`](crate::InsiderFtl) stamps an earlier one with the stamp
+/// of its newest backup entry.
 pub trait Ftl {
     /// Reads `len` consecutive logical pages starting at `lba`, in order;
     /// unmapped pages yield `None`. A zero-length extent is a no-op.
