@@ -111,6 +111,9 @@ pub struct InsiderFtl {
     /// mount) — the size of the structure an on-device implementation
     /// would stream through during power-on recovery.
     mount_scan_entries: u64,
+    /// Spare-area records the most recent mount scan found corrupt: each
+    /// page was treated as untagged and left unmapped.
+    mount_scan_corrupt: u64,
     /// The collector's one job, `None` at quiescence; `Some` between
     /// writes only when a NAND error stopped it mid-block.
     /// Dropped — not persisted — across a power cut; the half-migrated
@@ -150,6 +153,7 @@ impl InsiderFtl {
             blocks,
             victim_log: Vec::new(),
             mount_scan_entries: 0,
+            mount_scan_corrupt: 0,
             gc_job: None,
             gc_pause_hist: LatencyHistogram::new(),
             stats: FtlStats::new(),

@@ -13,10 +13,13 @@
 //! * Mount charge: the one mount path reads every programmed page's spare
 //!   area once, and each read costs its die and its channel bus exactly
 //!   one read and one transfer.
+//! * Corrupt spare area: a record that fails its CRC at mount is treated as
+//!   untagged; its page is never mapped and only its own logical page can
+//!   lose its latest version.
 
 use bytes::Bytes;
 use insider_ftl::{Ftl, FtlConfig, FtlError, InsiderFtl};
-use insider_nand::{FaultPlan, Geometry, Lba, NandConfig, NandError, Pba, SimTime};
+use insider_nand::{FaultPlan, Geometry, Lba, NandConfig, NandError, PageState, Pba, Ppa, SimTime};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -372,4 +375,90 @@ fn mount_scan_reads_every_programmed_page_and_is_charged_per_read() {
     );
     assert_eq!(die_after - die, scanned * READ_NS, "die time");
     assert_eq!(bus_after - bus, scanned * BUS_NS, "bus time");
+}
+
+/// The GC workload with the spare area of its `n`-th tagged program (host
+/// write or GC copy) corrupted, then a power cut. Returns the remounted
+/// drive, every payload each logical page was written with, oldest first,
+/// and the corrupt page if it was still on flash at the cut.
+fn run_corrupt_oob(n: u64) -> (InsiderFtl, HashMap<u64, Vec<Bytes>>, Option<Ppa>) {
+    let mut ftl = InsiderFtl::new(config());
+    let mut plan = FaultPlan::new();
+    plan.corrupt_oob_nth(n);
+    ftl.set_fault_plan(plan);
+    let mut hist: HashMap<u64, Vec<Bytes>> = HashMap::new();
+    let mut now = SimTime::ZERO;
+    for (i, (lba, t)) in gc_workload().into_iter().enumerate() {
+        now = t;
+        let payload = unique_payload(lba, i);
+        ftl.write(Lba::new(lba), payload.clone(), t)
+            .expect("corrupt-OOB workload write failed");
+        hist.entry(lba).or_default().push(payload);
+    }
+    let pages = ftl.device().geometry().total_pages();
+    let corrupt: Vec<Ppa> = (0..pages)
+        .map(Ppa::new)
+        .filter(|&p| matches!(ftl.device().oob(p), Err(NandError::OobCorrupt(_))))
+        .collect();
+    assert!(
+        corrupt.len() <= 1,
+        "one corruption was scheduled: {corrupt:?}"
+    );
+    ftl.power_cut(now)
+        .expect("mount over a corrupt record failed");
+    (ftl, hist, corrupt.first().copied())
+}
+
+#[test]
+fn mount_over_a_corrupt_spare_area_maps_only_what_checks() {
+    let tagged = {
+        let (ftl, _, corrupt) = run_corrupt_oob(u64::MAX);
+        assert_eq!(corrupt, None);
+        ftl.device().last_seq()
+    };
+    let mut met = 0;
+    for n in (1..=tagged).step_by(23) {
+        let (mut ftl, hist, corrupt) = run_corrupt_oob(n);
+        assert_eq!(
+            ftl.mount_scan_corrupt(),
+            u64::from(corrupt.is_some()),
+            "n={n}"
+        );
+        // The one logical page that may have lost its latest version: the
+        // one the corrupt page holds a payload of (`L{lba}O{op}`).
+        let lost = corrupt.map(|ppa| {
+            met += 1;
+            assert_ne!(
+                ftl.device().page_state(ppa).unwrap(),
+                PageState::Valid,
+                "n={n}: the corrupt page {ppa} was mapped"
+            );
+            let data = ftl.device().peek_data(ppa).unwrap().unwrap().clone();
+            let text = String::from_utf8(data.to_vec()).unwrap();
+            let lba: u64 = text[1..text.find('O').unwrap()].parse().unwrap();
+            lba
+        });
+        let late = SimTime::from_secs(100);
+        for (&lba, versions) in &hist {
+            let got = ftl.read(Lba::new(lba), late).unwrap();
+            if Some(lba) == lost {
+                assert!(
+                    got.as_ref().is_none_or(|g| versions.contains(g)),
+                    "n={n}: lba {lba} reads a payload it was never written with"
+                );
+            } else {
+                assert_eq!(got.as_ref(), versions.last(), "n={n}: lba {lba}");
+            }
+        }
+        // The drive keeps collecting over the skipped page.
+        let mut t = late;
+        for round in 0..40u64 {
+            for lba in 0..8u64 {
+                ftl.write(Lba::new(lba), Bytes::from(format!("p{round}:{lba}")), t)
+                    .expect("post-mount write failed");
+                t += SimTime::from_millis(5);
+            }
+        }
+    }
+    assert!(met > 0, "no corrupt record survived to a mount");
 }

@@ -96,7 +96,7 @@ fn records_since(f: &InsiderFtl, cutoff: SimTime) -> usize {
     (0..g.total_blocks())
         .flat_map(|b| {
             let block = dev.block(Pba::new(b)).unwrap();
-            (0..block.len()).filter_map(move |o| block.page(o).oob())
+            (0..block.len()).filter_map(move |o| block.oob(o).unwrap())
         })
         .filter(|rec| rec.stamp >= cutoff)
         .count()

@@ -95,6 +95,10 @@ impl Pba {
     ///
     /// Panics if `offset >= g.pages_per_block()`.
     pub fn page(self, g: &Geometry, offset: u32) -> Ppa {
+        // Cannot fire from host input: hosts address logical pages, and
+        // every physical offset comes from a walk below `pages_per_block`
+        // or a block's write pointer. A caller bug that got past it would
+        // silently name a page of the next block, so it stays a panic.
         assert!(
             offset < g.pages_per_block(),
             "page offset {offset} out of range for block with {} pages",

@@ -1,6 +1,6 @@
 //! Error types for NAND operations.
 
-use crate::{Pba, Ppa};
+use crate::{Lba, Pba, Ppa};
 use std::error::Error;
 use std::fmt;
 
@@ -42,6 +42,12 @@ pub enum NandError {
     /// cut): the triggering operation was not applied and the device stays
     /// offline until power-cycled and remounted.
     PowerLoss,
+    /// The page's spare-area record fails its CRC: the media no longer
+    /// holds what was programmed, and the record names nothing.
+    OobCorrupt(Ppa),
+    /// A tagged program named a logical page the spare area's 4-byte
+    /// address field cannot hold (2³² or more); nothing was programmed.
+    LbaOutOfRange(Lba),
 }
 
 impl fmt::Display for NandError {
@@ -70,6 +76,12 @@ impl fmt::Display for NandError {
             NandError::InjectedFault(what) => write!(f, "injected fault: {what}"),
             NandError::PowerLoss => {
                 write!(f, "power loss: device is offline until remounted")
+            }
+            NandError::OobCorrupt(ppa) => {
+                write!(f, "spare-area record of {ppa} fails its crc check")
+            }
+            NandError::LbaOutOfRange(lba) => {
+                write!(f, "{lba} does not fit the spare area's 4-byte address")
             }
         }
     }
@@ -105,6 +117,8 @@ mod tests {
             NandError::BlockWornOut(Pba::new(2)).to_string(),
             NandError::InjectedFault("program").to_string(),
             NandError::PowerLoss.to_string(),
+            NandError::OobCorrupt(Ppa::new(4)).to_string(),
+            NandError::LbaOutOfRange(Lba::new(1 << 32)).to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

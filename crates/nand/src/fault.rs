@@ -6,7 +6,9 @@
 //! per-operation faults, a plan can schedule a *power cut*: after `n`
 //! program/erase attempts the device latches off and every subsequent
 //! operation fails with [`NandError::PowerLoss`] until the FTL remounts it —
-//! the mechanism behind the crash-point sweep harness.
+//! the mechanism behind the crash-point sweep harness. A plan can also
+//! corrupt the spare area of a chosen tagged program: the program lands,
+//! but its out-of-band record no longer passes its CRC.
 //!
 //! The plan is consulted once per command at the instant the command is
 //! *issued* (drained from a batch submit), so counting follows issue order.
@@ -67,6 +69,13 @@ pub(crate) enum FaultCheck {
 /// program-or-erase attempt (one shared 1-based counter over both mutating
 /// kinds): that attempt and everything after it fails with
 /// [`NandError::PowerLoss`] until the device is power-cycled.
+/// `corrupt_oob_nth(n)` flips one byte of the spare area the `n`-th tagged
+/// program writes.
+///
+/// Every schedule index is 1-based. The schedules are built by test
+/// harnesses and crash sweeps, never from host input, so the `n >= 1`
+/// checks below are caller contracts: an index of zero names no operation
+/// and panics rather than silently never firing.
 ///
 /// [`NandError::InjectedFault`]: crate::NandError::InjectedFault
 /// [`NandError::PowerLoss`]: crate::NandError::PowerLoss
@@ -93,6 +102,10 @@ pub struct FaultPlan {
     mutations: u64,
     /// Latched after a power cut fires; cleared by `power_restored`.
     powered_off: bool,
+    /// Tagged programs whose spare area lands corrupt (1-based indices).
+    corrupt_oob: BTreeSet<u64>,
+    /// Tagged programs landed so far.
+    tagged: u64,
 }
 
 impl FaultPlan {
@@ -133,6 +146,18 @@ impl FaultPlan {
         self
     }
 
+    /// Corrupts the spare area of the `n`-th (1-based) tagged program that
+    /// lands: the page and its payload are written, but one byte of its
+    /// out-of-band record is flipped, so every later read of the record
+    /// fails with [`NandError::OobCorrupt`](crate::NandError::OobCorrupt).
+    /// The flipped byte is the low byte of the logical address, which a
+    /// mount that skipped the check would map to the wrong page.
+    pub fn corrupt_oob_nth(&mut self, n: u64) -> &mut Self {
+        assert!(n >= 1, "corrupt-OOB program index is 1-based");
+        self.corrupt_oob.insert(n);
+        self
+    }
+
     fn slot(kind: FaultKind) -> usize {
         match kind {
             FaultKind::Read => 0,
@@ -142,6 +167,7 @@ impl FaultPlan {
     }
 
     /// Records one operation attempt of `kind` and classifies it.
+    #[inline]
     pub(crate) fn check(&mut self, kind: FaultKind) -> FaultCheck {
         if self.powered_off {
             return FaultCheck::PoweredOff;
@@ -166,6 +192,14 @@ impl FaultPlan {
             }
         }
         FaultCheck::Proceed
+    }
+
+    /// Records one landed tagged program and reports whether its spare
+    /// area is to be corrupted.
+    #[inline]
+    pub(crate) fn corrupts_oob(&mut self) -> bool {
+        self.tagged += 1;
+        !self.corrupt_oob.is_empty() && self.corrupt_oob.remove(&self.tagged)
     }
 
     /// Records one operation of `kind` and reports whether it must fail.
@@ -193,11 +227,11 @@ impl FaultPlan {
         kind.label()
     }
 
-    /// Whether all one-shot faults (scheduled occurrences and a pending
-    /// power cut) have been consumed. Periodic `fail_every_nth` schedules
-    /// never exhaust and are not considered.
+    /// Whether all one-shot faults (scheduled occurrences, spare-area
+    /// corruptions and a pending power cut) have been consumed. Periodic
+    /// `fail_every_nth` schedules never exhaust and are not considered.
     pub fn is_exhausted(&self) -> bool {
-        self.scheduled.is_empty() && self.power_cut_at.is_none()
+        self.scheduled.is_empty() && self.corrupt_oob.is_empty() && self.power_cut_at.is_none()
     }
 }
 
@@ -278,6 +312,21 @@ mod tests {
         plan.power_restored();
         assert_eq!(plan.check(FaultKind::Program), FaultCheck::Proceed);
         assert!(plan.is_exhausted());
+    }
+
+    #[test]
+    fn oob_corruption_counts_tagged_programs_only() {
+        let mut plan = FaultPlan::new();
+        plan.corrupt_oob_nth(2).corrupt_oob_nth(4);
+        assert!(!plan.is_exhausted());
+        let hits: Vec<bool> = (0..5).map(|_| plan.corrupts_oob()).collect();
+        assert_eq!(hits, [false, true, false, true, false]);
+        assert!(plan.is_exhausted());
+        // Consulting the plan for operations does not advance the count.
+        let mut plan = FaultPlan::new();
+        plan.corrupt_oob_nth(1);
+        assert!(!plan.should_fail(FaultKind::Program));
+        assert!(plan.corrupts_oob());
     }
 
     #[test]

@@ -169,6 +169,9 @@ impl CmdScheduler {
     ///
     /// Panics if any dimension or the queue depth is zero.
     pub fn new(dies: usize, channels: usize, queue_depth: usize, capture: bool) -> Self {
+        // Construction-time configuration, never host input: the device
+        // passes a checked geometry's chip and channel counts and a
+        // `NandConfig` depth that is itself checked.
         assert!(
             dies >= 1 && channels >= 1,
             "scheduler needs at least one die and channel"
@@ -223,13 +226,9 @@ impl CmdScheduler {
     }
 
     fn purge_started(&mut self, die: usize) {
-        while let Some(w) = self.dies[die].front() {
-            if w.end_ns() <= self.now_ns {
-                let w = self.dies[die].pop_front().expect("front exists");
-                self.finalize(die, w);
-            } else {
-                break;
-            }
+        let now_ns = self.now_ns;
+        while let Some(w) = self.dies[die].pop_front_if(|w| w.end_ns() <= now_ns) {
+            self.finalize(die, w);
         }
     }
 
@@ -395,9 +394,9 @@ impl CmdScheduler {
             self.recent_next = 0;
         }
         while self.dies[die].len() > MAX_WINDOWS_PER_DIE {
-            let w = self.dies[die]
-                .pop_front()
-                .expect("over-cap queue is non-empty");
+            let Some(w) = self.dies[die].pop_front() else {
+                break;
+            };
             self.finalize(die, w);
         }
         complete

@@ -132,15 +132,6 @@ impl NandStats {
         self.busy_ns += latency_ns;
     }
 
-    /// Bulk accounting for a checkpoint-slot read: `pages` reads charged
-    /// at `per_page_ns` each. Counts and the serial busy integral move;
-    /// the per-die/per-bus vectors and the command scheduler are left
-    /// untouched — the slots live in the controller, not on a die.
-    pub(crate) fn record_scan(&mut self, pages: u64, per_page_ns: u64) {
-        self.reads += pages;
-        self.busy_ns += pages.saturating_mul(per_page_ns);
-    }
-
     pub(crate) fn record_failure(&mut self) {
         self.failures += 1;
     }

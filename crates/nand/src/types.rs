@@ -152,6 +152,11 @@ impl Sub for SimTime {
     /// Panics on underflow (in release builds too — a silently wrapped
     /// timestamp would corrupt every window computation downstream); use
     /// [`SimTime::saturating_sub`] when `rhs` may exceed `self`.
+    ///
+    /// Host stamps never reach it: the firmware crates (`nand`, `ftl`,
+    /// `core`, `fs`, `detect`) do all their time arithmetic with the
+    /// saturating forms, and the one caller elsewhere subtracts an instant
+    /// from a later one it was just compared with.
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime(
             self.0
