@@ -22,15 +22,14 @@
 #                      GC-torture and victim-index properties
 #                      (`crash_remount`, `gc_torture`, `victim_index_oracle`),
 #                      the whole-stack rollback and FTL data-integrity
-#                      properties (`rollback_oracle`, `ftl_data_integrity`),
-#                      the NAND scheduler model (`sched_model`) and the
-#                      counting-table differential oracle
-#                      (`differential_table`) once more, each on a seed
-#                      taken from the clock (`CACHE_ORACLE_SEED`,
-#                      `QUEUE_MODEL_SEED`, `PROPTEST_RNG_SEED` — the last
-#                      shared by the eight proptest suites — echoed first
-#                      so a failure can be replayed; tier1 already ran
-#                      their fixed seeds), then seed-sweep,
+#                      properties (`rollback_oracle`, `ftl_data_integrity`)
+#                      and the NAND scheduler model (`sched_model`) once
+#                      more, each on a seed taken from the clock
+#                      (`CACHE_ORACLE_SEED`, `QUEUE_MODEL_SEED`,
+#                      `PROPTEST_RNG_SEED` — the last shared by the seven
+#                      proptest suites — echoed first so a failure can be
+#                      replayed; tier1 already ran their fixed seeds), then
+#                      seed-sweep,
 #                      bounded crash-sweep / ROC smoke runs
 #                      (env bounds below; smoke JSON goes to target/ci/, never
 #                      touching the committed artifacts), then bench_check
@@ -58,11 +57,16 @@
 #                      consecutive seeds from one clock base in the release
 #                      test profile; prints every failing seed as
 #                      `PROPTEST_RNG_SEED=<seed>` and exits non-zero if any
-#                      failed. Today that is the one-pass mount's
+#                      failed. Today those are the one-pass mount's
 #                      differential oracle (the `insider::mount::oracle` unit
-#                      tests of insider-ftl, ~0.2 s a seed); replay a seed
-#                      with `PROPTEST_RNG_SEED=<seed> cargo test -p
-#                      insider-ftl --lib mount::oracle`.
+#                      tests of insider-ftl, ~0.2 s a seed), the
+#                      counting-table differential oracle
+#                      (`differential_table` of insider-bench) and the
+#                      counting table's per-LBA model (`counting_model` of
+#                      insider-detect). Replay a seed with
+#                      `PROPTEST_RNG_SEED=<seed> cargo test` and the
+#                      arguments SWEEP_PROPS lists for the property, e.g.
+#                      `-p insider-ftl --lib mount::oracle`.
 #   make clock-guard — fails if `std::time` appears under the src/ of a
 #                      crate that must read no wall clock (CLOCK_FREE
 #                      below): product statistics are sim and count values,
@@ -122,8 +126,7 @@ ci: clock-guard tier1
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-ftl --test crash_remount --test gc_torture \
 		--test victim_index_oracle && \
 	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p ssd-insider-repro --test rollback_oracle --test ftl_data_integrity && \
-	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-nand --test sched_model && \
-	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-bench --test differential_table
+	PROPTEST_RNG_SEED=$$seed $(CARGO) test -q -p insider-nand --test sched_model
 	$(MAKE) seed-sweep
 	mkdir -p target/ci
 	$(CI_SWEEP_ENV) $(CARGO) run --release -p insider-bench --bin crash_sweep
@@ -136,15 +139,26 @@ ci: clock-guard tier1
 
 SEED_SWEEP = 32
 
+# The swept properties, one `name|cargo test arguments` word each.
+SWEEP_PROPS = \
+	"mount::oracle|-p insider-ftl --lib mount::oracle" \
+	"differential_table|-p insider-bench --test differential_table" \
+	"counting_model|-p insider-detect --test counting_model"
+
 seed-sweep:
-	@$(CARGO) test --release -q -p insider-ftl --lib --no-run
+	@for prop in $(SWEEP_PROPS); do \
+		$(CARGO) test --release -q $${prop#*|} --no-run || exit 1; \
+	done
 	@base=$$(date +%s); last=$$((base + $(SEED_SWEEP) - 1)); failed=0; \
-	echo "seed-sweep: mount::oracle on PROPTEST_RNG_SEED=$$base..$$last"; \
-	for seed in $$(seq $$base $$last); do \
-		PROPTEST_RNG_SEED=$$seed $(CARGO) test --release -q -p insider-ftl --lib mount::oracle \
-			>/dev/null 2>&1 || { echo "seed-sweep: mount::oracle fails on PROPTEST_RNG_SEED=$$seed" >&2; failed=$$((failed + 1)); }; \
+	for prop in $(SWEEP_PROPS); do \
+		name=$${prop%%|*}; \
+		echo "seed-sweep: $$name on PROPTEST_RNG_SEED=$$base..$$last"; \
+		for seed in $$(seq $$base $$last); do \
+			PROPTEST_RNG_SEED=$$seed $(CARGO) test --release -q $${prop#*|} \
+				>/dev/null 2>&1 || { echo "seed-sweep: $$name fails on PROPTEST_RNG_SEED=$$seed" >&2; failed=$$((failed + 1)); }; \
+		done; \
 	done; \
-	if [ $$failed -gt 0 ]; then echo "seed-sweep: $$failed of $(SEED_SWEEP) seeds failed" >&2; exit 1; fi
+	if [ $$failed -gt 0 ]; then echo "seed-sweep: $$failed failing runs" >&2; exit 1; fi
 
 CLOCK_FREE = nand detect core fs workloads
 

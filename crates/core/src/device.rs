@@ -5,9 +5,7 @@ use crate::events::{DeviceEvent, EventLog};
 use crate::state::{Command, DeviceState, Lifecycle};
 use crate::Result;
 use bytes::Bytes;
-use insider_detect::{
-    payload_entropy_milli, DecisionTree, Detector, IoMode, IoReq, Verdict, ENTROPY_SAMPLE_BYTES,
-};
+use insider_detect::{sampled_entropy_milli, DecisionTree, Detector, IoMode, IoReq, Verdict};
 use insider_ftl::{Ftl, FtlError, FtlStats, InsiderFtl, RollbackReport};
 use insider_nand::{LatencySnapshot, Lba, NandStats, SimTime};
 
@@ -133,21 +131,12 @@ impl SsdInsider {
     }
 
     /// Shannon-entropy stamp for an extent's payload, measured over the
-    /// leading bytes up to the estimator's sample budget — real firmware
-    /// holds the write data in the transfer buffer anyway, so this is the
-    /// device-side analogue of the stamps the workload generators attach.
+    /// leading bytes up to the estimator's sample budget, counted straight
+    /// from the extent's blocks — real firmware holds the write data in the
+    /// transfer buffer anyway, so this is the device-side analogue of the
+    /// stamps the workload generators attach.
     fn extent_entropy_milli(data: &[Bytes]) -> u16 {
-        let mut sample = [0u8; ENTROPY_SAMPLE_BYTES];
-        let mut n = 0;
-        for block in data {
-            if n == ENTROPY_SAMPLE_BYTES {
-                break;
-            }
-            let take = block.len().min(ENTROPY_SAMPLE_BYTES - n);
-            sample[n..n + take].copy_from_slice(&block[..take]);
-            n += take;
-        }
-        payload_entropy_milli(&sample[..n])
+        sampled_entropy_milli(data.iter().map(|block| &block[..]))
     }
 
     /// Shows the detector one request header. `req` builds the header —

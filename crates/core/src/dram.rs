@@ -42,7 +42,7 @@ impl DramUsage {
         let table = device.detector().engine().counting_table();
         let nand = device.nand_stats();
         DramUsage {
-            hash_entries: table.index_nodes(),
+            hash_entries: table.len(),
             counting_entries: table.len(),
             queue_entries: device.ftl().recovery_queue().len(),
             buffers_shared: nand.buffers_shared,

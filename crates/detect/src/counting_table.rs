@@ -13,23 +13,25 @@
 //! # Interval index
 //!
 //! The paper budgets per-LBA hash slots (Table III), which makes every
-//! operation O(blocks). This implementation instead keys a
-//! [`BTreeMap`]`<Lba, EntryId>` by **run start** and answers coverage with a
-//! predecessor lookup (`range(..=lba).next_back()`), so the whole-request
-//! primitives [`record_read_range`](CountingTable::record_read_range) and
+//! operation O(blocks). This implementation instead keeps the entries in
+//! one [`BTreeMap`]`<Lba, Entry>` keyed by **run start** and answers
+//! coverage with a predecessor lookup (`range(..=lba).next_back()`), so the
+//! whole-request primitives
+//! [`record_read_range`](CountingTable::record_read_range) and
 //! [`record_write_range`](CountingTable::record_write_range) cost
 //! O(log runs + runs touched) per *request*, independent of request length,
-//! and memory is O(runs) instead of O(covered blocks). Eviction is
-//! slice-bucketed: each entry lives in the bucket of its last-touch slice,
-//! so a window slide pops whole stale buckets instead of scanning the
-//! table. The per-LBA layout it replaced lives on only as the private
-//! reference of the `differential_table` test in `insider-bench`, which
-//! replays identical request streams through both and compares them
-//! operation by operation.
+//! and memory is O(runs) instead of O(covered blocks). A refresh or an
+//! overwrite edits its run in place, so neither allocates. Eviction is one
+//! `retain` pass per slice close: O(runs), and a run is visited at most
+//! `window` times before it is evicted. The per-LBA layout it replaced
+//! lives on only as the private reference of the `differential_table` test
+//! in `insider-bench`, which replays identical request streams through both
+//! and compares them operation by operation.
 
 use insider_nand::Lba;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Included};
 
 /// One counting-table record: a contiguous read run and its overwrite count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -57,8 +59,6 @@ impl Entry {
     }
 }
 
-type EntryId = u64;
-
 /// Run-length counting table with an interval index keyed by run start.
 ///
 /// # Example
@@ -76,18 +76,13 @@ type EntryId = u64;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CountingTable {
-    entries: HashMap<EntryId, Entry>,
-    /// Run start → entry id. Runs are disjoint and never adjacent (reads
+    /// Run start → entry. Runs are disjoint and never adjacent (reads
     /// eagerly merge), so a predecessor lookup fully answers coverage.
-    index: BTreeMap<Lba, EntryId>,
-    /// Last-touch slice → ids touched in that slice. Entries move buckets
-    /// on every touch; eviction pops whole buckets below the cutoff.
-    buckets: BTreeMap<u64, HashSet<EntryId>>,
+    runs: BTreeMap<Lba, Entry>,
     /// Total blocks covered (sum of `rl`), maintained incrementally.
     covered: u64,
     /// Total overwrites (sum of `wl`), maintained incrementally.
     wl_total: u64,
-    next_id: EntryId,
 }
 
 impl CountingTable {
@@ -98,69 +93,17 @@ impl CountingTable {
 
     /// Number of entries (runs) currently tracked.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.runs.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.runs.is_empty()
     }
 
     /// Number of LBAs covered by tracked runs.
     pub fn indexed_blocks(&self) -> usize {
         self.covered as usize
-    }
-
-    /// Number of interval-index nodes (one per run).
-    pub fn index_nodes(&self) -> usize {
-        self.index.len()
-    }
-
-    /// The id of the run covering `lba`, via predecessor lookup.
-    fn run_covering(&self, lba: Lba) -> Option<EntryId> {
-        let (_, &id) = self.index.range(..=lba).next_back()?;
-        self.entries[&id].covers(lba).then_some(id)
-    }
-
-    /// Moves `id` into `slice`'s bucket and stamps the entry.
-    fn touch(&mut self, id: EntryId, slice: u64) {
-        let e = self.entries.get_mut(&id).expect("touched entry exists");
-        if e.slice != slice {
-            let old = e.slice;
-            e.slice = slice;
-            if let Some(bucket) = self.buckets.get_mut(&old) {
-                bucket.remove(&id);
-                if bucket.is_empty() {
-                    self.buckets.remove(&old);
-                }
-            }
-            self.buckets.entry(slice).or_default().insert(id);
-        }
-    }
-
-    fn insert_entry(&mut self, entry: Entry) -> EntryId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.index.insert(entry.start, id);
-        self.buckets.entry(entry.slice).or_default().insert(id);
-        self.covered += entry.rl as u64;
-        self.wl_total += entry.wl as u64;
-        self.entries.insert(id, entry);
-        id
-    }
-
-    fn remove_entry(&mut self, id: EntryId) -> Entry {
-        let e = self.entries.remove(&id).expect("removed entry exists");
-        self.index.remove(&e.start);
-        if let Some(bucket) = self.buckets.get_mut(&e.slice) {
-            bucket.remove(&id);
-            if bucket.is_empty() {
-                self.buckets.remove(&e.slice);
-            }
-        }
-        self.covered -= e.rl as u64;
-        self.wl_total -= e.wl as u64;
-        e
     }
 
     /// Records a read of `lba` during `slice` (single-block convenience).
@@ -181,43 +124,43 @@ impl CountingTable {
         assert!(len >= 1, "a read covers at least one block");
         let end = lba.index().saturating_add(len as u64);
 
-        // Fast path: the extent sits wholly inside one run — refresh only.
-        // (Runs are never adjacent, so nothing else could merge.)
-        if let Some(id) = self.run_covering(lba) {
-            let e = self.entries[&id];
-            if e.end().index() >= end {
-                self.touch(id, slice);
+        // The run that survives: the predecessor if it reaches `lba` (and
+        // if it already covers the whole extent, a refresh is all there is
+        // to do — runs are never adjacent, so nothing else could merge),
+        // else a run starting at `lba`.
+        let start = match self.runs.range_mut(..=lba).next_back() {
+            Some((_, e)) if e.end().index() >= end && e.end() > lba => {
+                e.slice = slice;
                 return;
             }
-        }
+            Some((&s, e)) if e.end() >= lba => s,
+            _ => lba,
+        };
 
-        // Absorb every run overlapping or adjacent to [lba, end):
-        // the predecessor (if it reaches lba) plus all runs starting
-        // within the extent or exactly at its end.
-        let mut absorbed: Vec<EntryId> = Vec::new();
-        if let Some((_, &id)) = self.index.range(..lba).next_back() {
-            if self.entries[&id].end() >= lba {
-                absorbed.push(id);
-            }
-        }
-        absorbed.extend(self.index.range(lba..=Lba::new(end)).map(|(_, &id)| id));
-
-        let mut start = lba;
-        let mut stop = end;
-        let mut wl: u64 = 0;
-        for id in absorbed {
-            let e = self.remove_entry(id);
-            start = start.min(e.start);
+        // Absorb every other run starting inside the extent or exactly at
+        // its end, conserving their overwrite counts.
+        let (mut stop, mut wl) = (end, 0u64);
+        let absorbed = (Excluded(start), Included(Lba::new(end)));
+        while let Some((&s, e)) = self.runs.range(absorbed).next() {
             stop = stop.max(e.end().index());
             wl += e.wl as u64;
+            self.covered -= e.rl as u64;
+            self.wl_total -= e.wl as u64;
+            self.runs.remove(&s);
         }
-        let span = stop - start.index();
-        self.insert_entry(Entry {
+
+        let e = self.runs.entry(start).or_insert(Entry {
             slice,
             start,
-            rl: u32::try_from(span).unwrap_or(u32::MAX),
-            wl: u32::try_from(wl).unwrap_or(u32::MAX),
+            rl: 0,
+            wl: 0,
         });
+        let (rl_before, wl_before) = (e.rl, e.wl);
+        e.slice = slice;
+        e.rl = u32::try_from(stop.max(e.end().index()) - start.index()).unwrap_or(u32::MAX);
+        e.wl = u32::try_from(wl + wl_before as u64).unwrap_or(u32::MAX);
+        self.covered += (e.rl - rl_before) as u64;
+        self.wl_total += (e.wl - wl_before) as u64;
     }
 
     /// Records a write of `lba` during `slice` (single-block convenience).
@@ -251,75 +194,59 @@ impl CountingTable {
         assert!(len >= 1, "a write covers at least one block");
         let end = lba.index().saturating_add(len as u64);
 
-        let mut hit: Vec<EntryId> = Vec::new();
-        if let Some((_, &id)) = self.index.range(..=lba).next_back() {
-            if self.entries[&id].end() > lba {
-                hit.push(id);
-            }
-        }
-        hit.extend(
-            self.index
-                .range((
-                    std::ops::Bound::Excluded(lba),
-                    std::ops::Bound::Excluded(Lba::new(end)),
-                ))
-                .map(|(_, &id)| id),
-        );
-
+        // The hit runs: the predecessor if it reaches past `lba`, plus every
+        // run starting inside the extent.
+        let from = match self.runs.range(..=lba).next_back() {
+            Some((&s, e)) if e.end() > lba => s,
+            _ => lba,
+        };
         let mut total: u32 = 0;
-        for id in hit {
-            let e = self.entries.get_mut(&id).expect("hit entry exists");
+        for (_, e) in self.runs.range_mut(from..Lba::new(end)) {
             let ov_start = e.start.max(lba);
-            let ov_end = e.end().index().min(end);
-            let n = (ov_end - ov_start.index()) as u32;
+            let n = (e.end().index().min(end) - ov_start.index()) as u32;
             let before = e.wl;
             e.wl = e.wl.saturating_add(n);
             self.wl_total += (e.wl - before) as u64;
-            self.touch(id, slice);
+            e.slice = slice;
             on_overwrite(ov_start, n);
             total += n;
         }
         total
     }
 
-    /// Drops entries last touched before `cutoff_slice` (window slide) by
-    /// popping whole stale slice buckets — O(evicted), no table scan.
-    /// Returns how many entries were evicted.
+    /// Drops entries last touched before `cutoff_slice` (window slide) in
+    /// one pass over the table. Returns how many entries were evicted.
     pub fn evict_older_than(&mut self, cutoff_slice: u64) -> usize {
-        let mut evicted = 0;
-        while let Some((&slice, _)) = self.buckets.first_key_value() {
-            if slice >= cutoff_slice {
-                break;
-            }
-            let (_, ids) = self.buckets.pop_first().expect("checked non-empty");
-            for id in ids {
-                let e = self.entries.remove(&id).expect("bucketed entry exists");
-                self.index.remove(&e.start);
+        let before = self.runs.len();
+        self.runs.retain(|_, e| {
+            let keep = e.slice >= cutoff_slice;
+            if !keep {
                 self.covered -= e.rl as u64;
                 self.wl_total -= e.wl as u64;
-                evicted += 1;
             }
-        }
-        evicted
+            keep
+        });
+        before - self.runs.len()
     }
 
     /// Mean `WL` over all entries (`AVGWIO`'s numerator); 0.0 when empty.
     pub fn avg_wl(&self) -> f64 {
-        if self.entries.is_empty() {
+        if self.runs.is_empty() {
             0.0
         } else {
-            self.wl_total as f64 / self.entries.len() as f64
+            self.wl_total as f64 / self.runs.len() as f64
         }
     }
 
-    /// Iterates over all entries in unspecified order.
+    /// Iterates over all entries in ascending run-start order.
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.values()
+        self.runs.values()
     }
 
     /// The entry covering `lba`, if any (one predecessor lookup).
     pub fn entry_covering(&self, lba: Lba) -> Option<&Entry> {
-        self.run_covering(lba).map(|id| &self.entries[&id])
+        let (_, e) = self.runs.range(..=lba).next_back()?;
+        e.covers(lba).then_some(e)
     }
 }
 
@@ -437,7 +364,6 @@ mod tests {
         // The evicted range no longer counts writes as overwrites.
         assert!(!t.record_write(l(0), 9));
         assert_eq!(t.indexed_blocks(), 1);
-        assert_eq!(t.index_nodes(), 1);
     }
 
     #[test]
@@ -467,12 +393,11 @@ mod tests {
         for i in 0..10 {
             t.record_read(l(i), 0);
         }
-        // One run of 10 blocks: one entry and one index node, which the
-        // Table III bill (`ssd_insider::dram`) charges — the per-LBA layout
-        // needed 10 index slots for the same coverage.
+        // One run of 10 blocks: one entry, which the Table III bill
+        // (`ssd_insider::dram`) charges — the per-LBA layout needed 10
+        // index slots for the same coverage.
         assert_eq!(t.len(), 1);
         assert_eq!(t.indexed_blocks(), 10);
-        assert_eq!(t.index_nodes(), 1);
     }
 
     #[test]
@@ -489,7 +414,6 @@ mod tests {
         t.record_read_range(l(1000), 256, 0);
         assert_eq!(t.len(), 1);
         assert_eq!(t.indexed_blocks(), 256);
-        assert_eq!(t.index_nodes(), 1);
         let e = t.entry_covering(l(1100)).unwrap();
         assert_eq!(e.start, l(1000));
         assert_eq!(e.rl, 256);

@@ -15,6 +15,8 @@
 //!
 //! [`IoReq`]: crate::IoReq
 
+use std::sync::LazyLock;
+
 /// Upper bound of the stamp: 8.000 bits/byte in milli-bits.
 pub const ENTROPY_MAX_MILLI: u16 = 8000;
 
@@ -33,25 +35,57 @@ pub const HIGH_ENTROPY_MILLI: u16 = 6500;
 /// Estimates the byte-level Shannon entropy of `data` in milli-bits per
 /// byte, inspecting at most [`ENTROPY_SAMPLE_BYTES`]. Empty input returns 0.
 pub fn payload_entropy_milli(data: &[u8]) -> u16 {
-    let sample = &data[..data.len().min(ENTROPY_SAMPLE_BYTES)];
-    if sample.is_empty() {
-        return 0;
+    sampled_entropy_milli([data])
+}
+
+/// [`payload_entropy_milli`] of the concatenation of `chunks` — an
+/// extent's blocks, say — counted in place without gathering the sample
+/// into one buffer.
+pub fn sampled_entropy_milli<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> u16 {
+    // Four histograms, one per byte lane, so a run of equal bytes does not
+    // serialise on one counter; their sum is the one histogram.
+    let mut lanes = [[0u32; 256]; 4];
+    let mut n = 0;
+    for chunk in chunks {
+        let take = chunk.len().min(ENTROPY_SAMPLE_BYTES - n);
+        let mut quads = chunk[..take].chunks_exact(4);
+        for quad in &mut quads {
+            for (lane, &b) in lanes.iter_mut().zip(quad) {
+                lane[b as usize] += 1;
+            }
+        }
+        for &b in quads.remainder() {
+            lanes[0][b as usize] += 1;
+        }
+        n += take;
+        if n == ENTROPY_SAMPLE_BYTES {
+            break;
+        }
     }
-    let mut counts = [0u32; 256];
-    for &b in sample {
-        counts[b as usize] += 1;
-    }
-    let n = sample.len() as f64;
+    // A full sample's terms come from the table; either way the bins are
+    // summed in the same order, so the two sums are bit-identical.
+    let terms = (n == ENTROPY_SAMPLE_BYTES).then(|| &*FULL_SAMPLE_TERMS);
+    let counts: [u32; 256] = std::array::from_fn(|b| lanes.iter().map(|lane| lane[b]).sum());
     let mut bits = 0.0f64;
-    for &c in &counts {
+    for c in counts {
         if c > 0 {
-            let p = c as f64 / n;
-            bits -= p * p.log2();
+            bits -= terms.map_or_else(|| term(c as usize, n), |terms| terms[c as usize]);
         }
     }
     // Clamp guards rounding just past 8.0 on degenerate inputs.
     (bits * 1000.0).round().clamp(0.0, ENTROPY_MAX_MILLI as f64) as u16
 }
+
+/// `p·log2 p` of a bin holding `c` of `n` sampled bytes.
+fn term(c: usize, n: usize) -> f64 {
+    let p = c as f64 / n as f64;
+    p * p.log2()
+}
+
+/// [`term`] of every bin count of a full sample (index 0 is never read):
+/// 8 KiB, computed once.
+static FULL_SAMPLE_TERMS: LazyLock<[f64; ENTROPY_SAMPLE_BYTES + 1]> =
+    LazyLock::new(|| std::array::from_fn(|c| term(c, ENTROPY_SAMPLE_BYTES)));
 
 #[cfg(test)]
 mod tests {
@@ -88,6 +122,19 @@ mod tests {
             "random data measured {e} milli-bits, below the high-entropy gate"
         );
         assert!(e <= ENTROPY_MAX_MILLI);
+    }
+
+    #[test]
+    fn full_sample_terms_are_the_formula_bit_for_bit() {
+        let n = ENTROPY_SAMPLE_BYTES as f64;
+        for c in 1..=ENTROPY_SAMPLE_BYTES {
+            let p = c as f64 / n;
+            assert_eq!(
+                FULL_SAMPLE_TERMS[c].to_bits(),
+                (p * p.log2()).to_bits(),
+                "c = {c}"
+            );
+        }
     }
 
     #[test]

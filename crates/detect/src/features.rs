@@ -91,6 +91,8 @@ impl FeatureVector {
             6 => self.went,
             7 => self.rhew,
             8 => self.owburst,
+            // Cannot fire from a tree: `DecisionTree`'s constructors assert
+            // and its loader rejects any split on an index past the vector.
             _ => panic!("feature index {index} out of range"),
         }
     }

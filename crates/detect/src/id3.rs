@@ -77,9 +77,41 @@ enum Node {
 /// probe.owio = 0.0;
 /// assert!(!tree.predict(&probe));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionTree {
     root: Node,
+}
+
+/// Loading checks every split's feature index, so a tree that would make
+/// [`DecisionTree::predict`] read past the feature vector is refused here,
+/// with an error, instead of panicking on the first slice it judges.
+impl Deserialize for DecisionTree {
+    fn deserialize_content(content: &serde::Content) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            root: Node,
+        }
+        fn max_feature(n: &Node) -> Option<usize> {
+            match n {
+                Node::Leaf(_) => None,
+                Node::Split {
+                    feature,
+                    left,
+                    right,
+                    ..
+                } => Some(*feature)
+                    .max(max_feature(left))
+                    .max(max_feature(right)),
+            }
+        }
+        let root = Raw::deserialize_content(content)?.root;
+        match max_feature(&root) {
+            Some(f) if f >= FEATURE_COUNT => Err(serde::Error::custom(format!(
+                "split on feature {f}, but a feature vector has {FEATURE_COUNT}"
+            ))),
+            _ => Ok(DecisionTree { root }),
+        }
+    }
 }
 
 fn entropy(pos: usize, neg: usize) -> f64 {
@@ -358,7 +390,8 @@ impl DecisionTree {
     ///
     /// # Errors
     ///
-    /// Returns a `serde_json` error on malformed input.
+    /// Returns a `serde_json` error on malformed input, including a split
+    /// on a feature index `>= FEATURE_COUNT`.
     pub fn from_json(json: &str) -> serde_json::Result<Self> {
         serde_json::from_str(json)
     }
@@ -525,6 +558,28 @@ mod tests {
         let json = tree.to_json().unwrap();
         let back = DecisionTree::from_json(&json).unwrap();
         assert_eq!(tree, back);
+    }
+
+    #[test]
+    fn loading_rejects_a_split_past_the_feature_vector() {
+        let stump = DecisionTree::stump(0, 0.5).to_json().unwrap();
+        assert!(stump.contains("\"feature\":0"), "{stump}");
+        let bad = stump.replace("\"feature\":0", "\"feature\":99");
+        let err = DecisionTree::from_json(&bad).unwrap_err();
+        assert!(err.to_string().contains("feature 99"), "{err}");
+        // A bad split below a good one is found too.
+        let nested = DecisionTree::stump(1, 0.5).or_graft(&DecisionTree::stump(0, 0.5));
+        let bad = nested
+            .to_json()
+            .unwrap()
+            .replace("\"feature\":0", &format!("\"feature\":{FEATURE_COUNT}"));
+        assert!(DecisionTree::from_json(&bad).is_err());
+        // The last real feature still loads.
+        let last = DecisionTree::stump(FEATURE_COUNT - 1, 0.5);
+        assert_eq!(
+            DecisionTree::from_json(&last.to_json().unwrap()).unwrap(),
+            last
+        );
     }
 
     #[test]

@@ -77,7 +77,8 @@ mod window;
 pub use counting_table::{CountingTable, Entry};
 pub use detector::{Detector, DetectorConfig, DetectorStatus, FeatureEngine, Verdict};
 pub use entropy::{
-    payload_entropy_milli, ENTROPY_MAX_MILLI, ENTROPY_SAMPLE_BYTES, HIGH_ENTROPY_MILLI,
+    payload_entropy_milli, sampled_entropy_milli, ENTROPY_MAX_MILLI, ENTROPY_SAMPLE_BYTES,
+    HIGH_ENTROPY_MILLI,
 };
 pub use features::{FeatureVector, FEATURE_COUNT, FEATURE_NAMES, PAPER_FEATURE_COUNT};
 pub use id3::{DecisionTree, Id3Params, Sample};

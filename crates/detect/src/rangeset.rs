@@ -10,6 +10,7 @@
 
 use insider_nand::Lba;
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Included};
 
 /// A set of LBAs stored as disjoint, coalesced half-open runs.
 ///
@@ -71,34 +72,37 @@ impl LbaRangeSet {
     }
 
     /// Inserts `len` consecutive blocks starting at `lba`, coalescing with
-    /// any overlapping or adjacent runs.
+    /// any overlapping or adjacent runs. A run the set already covers
+    /// writes nothing, and a predecessor that reaches `lba` is extended in
+    /// place.
     ///
     /// # Panics
     ///
     /// Panics if `len` is zero.
     pub fn insert_run(&mut self, lba: Lba, len: u32) {
         assert!(len >= 1, "a run covers at least one block");
-        let mut start = lba.index();
+        let start = lba.index();
         let mut end = start.saturating_add(len as u64);
 
-        // Absorb the predecessor if it reaches (or touches) `start`…
-        if let Some((&s, &e)) = self.runs.range(..start).next_back() {
-            if e >= start {
-                start = s;
-                end = end.max(e);
-                self.runs.remove(&s);
-                self.blocks -= e - s;
-            }
-        }
-        // …and every run starting inside or exactly at the new end.
-        while let Some((&s, &e)) = self.runs.range(start..=end).next() {
+        // The run that survives: the predecessor if it reaches (or touches)
+        // `start`, else a new run at `start`.
+        let keep = match self.runs.range(..=start).next_back() {
+            Some((_, &e)) if e >= end => return,
+            Some((&s, &e)) if e >= start => s,
+            _ => start,
+        };
+        // Absorb every other run starting inside or exactly at the new end.
+        while let Some((&s, &e)) = self.runs.range((Excluded(keep), Included(end))).next() {
             end = end.max(e);
             self.runs.remove(&s);
             self.blocks -= e - s;
         }
 
-        self.runs.insert(start, end);
-        self.blocks += end - start;
+        let e = self.runs.entry(keep).or_insert(keep);
+        if end > *e {
+            self.blocks += end - *e;
+            *e = end;
+        }
     }
 
     /// Number of blocks of `[lba, lba + len)` already covered by the set,

@@ -44,13 +44,11 @@ impl SliceWindow {
     /// Appends a value, evicting the oldest when full. Returns the evicted
     /// value, if any.
     pub fn push(&mut self, value: u64) -> Option<u64> {
-        let evicted = if self.values.len() == self.cap {
-            let v = self.values.pop_front().expect("window is full");
+        let full = self.values.len() == self.cap;
+        let evicted = full.then(|| self.values.pop_front()).flatten();
+        if let Some(v) = evicted {
             self.sum -= v;
-            Some(v)
-        } else {
-            None
-        };
+        }
         self.values.push_back(value);
         self.sum += value;
         evicted

@@ -137,7 +137,6 @@ proptest! {
         table.evict_older_than(u64::MAX);
         prop_assert!(table.is_empty());
         prop_assert_eq!(table.indexed_blocks(), 0);
-        prop_assert_eq!(table.index_nodes(), 0);
         prop_assert_eq!(table.avg_wl(), 0.0);
     }
 }

@@ -11,7 +11,7 @@ fn l(i: u64) -> Lba {
 }
 
 /// Two runs created and merged within the same slice must evict as one
-/// unit, leaving no residue in the index or the slice buckets.
+/// unit, leaving no residue in the table or its counters.
 #[test]
 fn merge_then_evict_in_same_slice() {
     let mut t = CountingTable::new();
@@ -22,7 +22,6 @@ fn merge_then_evict_in_same_slice() {
     assert_eq!(t.evict_older_than(8), 1);
     assert!(t.is_empty());
     assert_eq!(t.indexed_blocks(), 0);
-    assert_eq!(t.index_nodes(), 0);
     // The merged-then-evicted range takes no further overwrites.
     assert_eq!(t.record_write_range(l(100), 14, 8), 0);
 }
@@ -45,7 +44,6 @@ fn bridging_read_saturates_u32_run_length() {
     t.evict_older_than(u64::MAX);
     assert_eq!(t.indexed_blocks(), 0);
     assert!(t.is_empty());
-    assert_eq!(t.index_nodes(), 0);
 }
 
 /// `entry_covering` at exact run boundaries: first LBA in, last LBA in,
@@ -85,10 +83,5 @@ fn sequential_64mib_read_stays_compact() {
         table.len() <= 2,
         "sequential read must stay one run (plus boundary churn): {}",
         table.len()
-    );
-    assert!(
-        table.index_nodes() <= 10,
-        "interval index must be O(runs): {} nodes",
-        table.index_nodes()
     );
 }

@@ -2,10 +2,10 @@
 //! the capacity it exports and the records still inside the protection
 //! window, not by the number of records on flash.
 //!
-//! A counting global allocator tracks live and peak heap bytes. The test
-//! fills a drive, overwrites a quarter of it, idles past the protection
-//! window and power-cuts; then writes a burst and cuts again inside the
-//! window. Each mount's transient heap — its peak above the larger of the
+//! A counting global allocator (`support/counting_alloc.rs`) tracks live
+//! and peak heap bytes. The test fills a drive, overwrites a quarter of
+//! it, idles past the protection window and power-cuts; then writes a
+//! burst and cuts again inside the window. Each mount's transient heap — its peak above the larger of the
 //! heap before and after it, which both hold the drive's DRAM structures —
 //! must stay within
 //!
@@ -24,61 +24,16 @@
 use bytes::Bytes;
 use insider_ftl::{Ftl, FtlConfig, InsiderFtl};
 use insider_nand::{Geometry, Lba, Pba, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{LIVE, PEAK};
 
 const PER_PAGE: usize = 32;
 const PER_RECENT: usize = 80;
 const PER_BLOCK: usize = 64;
 const SLACK: usize = 64 * 1024;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// The system allocator, counting live bytes and their high-water mark.
-struct Counting;
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counters only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc_zeroed(layout) };
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-            grew(new_size);
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 /// Power-cuts `f` at `now` and returns the mount's transient heap bytes.
 fn mount_transient(f: &mut InsiderFtl, now: SimTime) -> usize {
